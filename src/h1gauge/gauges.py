@@ -3,8 +3,10 @@
 A gauge is a convex, strictly increasing k on [0, inf) with k(0) = 0.  It
 induces the profile G(t) = k(t) + t^2, whose inverse g drives the deformed
 distance and the gauge dilatations.  g is evaluated through a closed form
-when one is attached, otherwise by bracketed bisection on [0, sqrt(s)] (the
-bracket is valid because G(t) >= t^2 forces g(s) <= sqrt(s)).
+when one is attached: the linear gauge and every piecewise-linear gauge
+(oscillatory included) carry an exact formula.  Only raw callables without
+one fall back to bracketed bisection on [0, sqrt(s)] (the bracket is valid
+because G(t) >= t^2 forces g(s) <= sqrt(s)).
 
 Raw user-supplied evaluables are accepted but stay unverified: the metric and
 dilatation layers reject a gauge until its contract has been established,
@@ -65,11 +67,21 @@ class PiecewiseLinearGauge:
     final slope.  Construction verifies that successive secant slopes (origin
     segment included) are positive and nondecreasing, which is equivalent to
     convexity plus strict increase; evaluation is continuous by construction.
+
+    Construction also builds one segment table over the knots (0, b_1, ...,
+    b_n): the value of k and of the profile G(t) = k(t) + t^2 at each knot,
+    the slope m of k on the segment starting there (the last segment is the
+    extension past b_n) and m/2 + b for g.  k reads the table directly; G is
+    quadratic on each segment, so g = G^-1 is exact (see g).
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    _final_slope: float = field(init=False, repr=False, compare=False, default=0.0)
+    _knots: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    _kvals: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    _gvals: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    _halfb: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         bp, vv = self.breakpoints, self.values
@@ -83,36 +95,47 @@ class PiecewiseLinearGauge:
             raise GaugeConstructionError("breakpoints and values must be finite and positive")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise GaugeConstructionError("breakpoints must be strictly ascending")
-        slopes = self.slopes()
+        # Secant slopes, origin segment first.  Positive values and ascending
+        # breakpoints make the first one positive, so nondecreasing implies
+        # all positive (strict increase).
+        knots, kvals = (0.0, *bp), (0.0, *vv)
+        slopes = tuple(
+            (kvals[i + 1] - kvals[i]) / (knots[i + 1] - knots[i]) for i in range(len(bp))
+        )
         for i in range(1, len(slopes)):
             if slopes[i] < slopes[i - 1]:
                 raise GaugeConstructionError(
                     f"secant slopes must be nondecreasing: segment {i - 1} has slope "
                     f"{slopes[i - 1]!r}, segment {i} has slope {slopes[i]!r}"
                 )
-        object.__setattr__(self, "_final_slope", slopes[-1])
-
-    def slopes(self) -> tuple[float, ...]:
-        """Secant slopes, origin segment first.  Positive values plus ascending
-        breakpoints make the first slope positive, so nondecreasing implies all
-        positive (strict increase)."""
-        bp, vv = self.breakpoints, self.values
-        out = [vv[0] / bp[0]]
-        for i in range(1, len(bp)):
-            out.append((vv[i] - vv[i - 1]) / (bp[i] - bp[i - 1]))
-        return tuple(out)
+        table_slopes = (*slopes, slopes[-1])
+        setattr_ = object.__setattr__
+        setattr_(self, "_knots", knots)
+        setattr_(self, "_kvals", kvals)
+        setattr_(self, "_gvals", tuple(v + b * b for b, v in zip(knots, kvals)))
+        setattr_(self, "_slopes", table_slopes)
+        setattr_(self, "_halfb", tuple(0.5 * m + b for b, m in zip(knots, table_slopes)))
 
     def __call__(self, t: float) -> float:
-        bp, vv = self.breakpoints, self.values
         if t <= 0.0:
             return 0.0
-        if t <= bp[0]:
-            return t * (vv[0] / bp[0])
-        if t >= bp[-1]:
-            return vv[-1] + self._final_slope * (t - bp[-1])
-        i = _bisect.bisect_left(bp, t)
-        w = (t - bp[i - 1]) / (bp[i] - bp[i - 1])
-        return vv[i - 1] + w * (vv[i] - vv[i - 1])
+        i = _bisect.bisect_right(self._knots, t) - 1
+        return self._kvals[i] + self._slopes[i] * (t - self._knots[i])
+
+    def g(self, s: float) -> float:
+        """Exact profile inverse g(s) for s >= 0.
+
+        On the segment starting at knot b with profile value G(b) and slope m,
+        G(b + x) = G(b) + B x + x^2 with B = m + 2b.  The segment is the last
+        one whose G(b) <= s, and x >= 0 solves x^2 + B x = d, d = s - G(b).
+        The root is taken in the cancellation-free form
+        2d / (B + sqrt(B^2 + 4d)) = d / (h + hypot(h, sqrt(d))), h = B/2;
+        hypot keeps large B or d from overflowing the square.
+        """
+        i = _bisect.bisect_right(self._gvals, s) - 1
+        d = s - self._gvals[i]
+        h = self._halfb[i]
+        return self._knots[i] + d / (h + math.hypot(h, math.sqrt(d)))
 
 
 def linear_gauge() -> Gauge:
@@ -132,7 +155,7 @@ def piecewise_gauge(breakpoints, values, label: str = "piecewise") -> Gauge:
     pwl = PiecewiseLinearGauge(
         tuple(float(b) for b in breakpoints), tuple(float(v) for v in values)
     )
-    return Gauge(k=pwl, label=label, verified=True)
+    return Gauge(k=pwl, label=label, g_closed=pwl.g, verified=True)
 
 
 def oscillatory_gauge(M: float = 10.0, r: float = 1e-3, levels: int = 8) -> Gauge:
@@ -171,9 +194,12 @@ def g_inverse_eval(gauge: Gauge, t: float) -> float:
 def invert_g(gauge: Gauge, s: float) -> float:
     """Numeric g(s) by bisection on [0, sqrt(s)], run to float exhaustion.
 
-    Exhaustion (midpoint hits an endpoint) lands within an ulp of the root,
-    well inside the inv_tol round-trip contract; of the two final endpoints
-    the one with the smaller profile residual is returned.
+    g_eval uses this only for gauges without a closed form, i.e. raw callables
+    wrapped by Gauge or verified_gauge; it is also the reference the closed
+    forms are cross-checked against.  Exhaustion (midpoint hits an endpoint)
+    lands within an ulp of the root, well inside the inv_tol round-trip
+    contract; of the two final endpoints the one with the smaller profile
+    residual is returned.
     """
     if s < 0.0:
         raise ValueError(f"g argument must be >= 0, got {s!r}")
@@ -340,28 +366,45 @@ def gauge_from_spec(spec: dict) -> Gauge:
     if kind == "linear":
         return linear_gauge()
     if kind == "piecewise":
-        try:
-            bps, vals = spec["breakpoints"], spec["values"]
-        except KeyError as e:
-            raise ValueError(f"piecewise gauge spec needs {e.args[0]!r}") from None
-        return piecewise_gauge(bps, vals)
+        data = {}
+        for key in ("breakpoints", "values"):
+            if key not in spec:
+                raise ValueError(f"piecewise gauge spec needs {key!r}")
+            if not isinstance(spec[key], list):
+                raise ValueError(f"{key!r} must be an array of numbers, got {spec[key]!r}")
+            data[key] = [_spec_float(key, x) for x in spec[key]]
+        return piecewise_gauge(data["breakpoints"], data["values"])
+    levels = spec.get("levels", 8)
+    if isinstance(levels, bool) or not isinstance(levels, int):
+        raise ValueError(f"'levels' must be an integer, got {levels!r}")
     return oscillatory_gauge(
-        M=float(spec.get("M", 10.0)),
-        r=float(spec.get("r", 1e-3)),
-        levels=int(spec.get("levels", 8)),
+        M=_spec_float("M", spec.get("M", 10.0)),
+        r=_spec_float("r", spec.get("r", 1e-3)),
+        levels=levels,
     )
+
+
+def _spec_float(key: str, x) -> float:
+    """A JSON number from a spec as a float.  Booleans, strings and integers
+    beyond binary64 range are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{key!r} must hold numbers, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{key!r} holds an integer beyond binary64 range") from None
 
 
 def gauge_to_spec(gauge: Gauge) -> dict:
     """Inverse of gauge_from_spec for the representable gauges."""
-    if gauge.label == "linear" and gauge.g_closed is not None:
-        return {"type": "linear"}
     if isinstance(gauge.k, PiecewiseLinearGauge):
         return {
             "type": "piecewise",
             "breakpoints": list(gauge.k.breakpoints),
             "values": list(gauge.k.values),
         }
+    if gauge.label == "linear" and gauge.g_closed is not None:
+        return {"type": "linear"}
     raise ValueError(f"gauge {gauge.label!r} has no spec representation")
 
 

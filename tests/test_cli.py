@@ -103,6 +103,38 @@ def test_malformed_gauge_spec_is_config_error(capsys, tmp_path):
     assert "gauge" in err
 
 
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ('{"type": "piecewise", "breakpoints": "123", "values": "136"}', "breakpoints"),
+        ('{"type": "piecewise", "breakpoints": [1, 2, 3], "values": "136"}', "values"),
+        ('{"type": "piecewise", "breakpoints": {"a": 1}, "values": [1]}', "breakpoints"),
+        ('{"type": "piecewise", "breakpoints": [1, true], "values": [1, 3]}', "breakpoints"),
+        ('{"type": "piecewise", "breakpoints": [1, 2], "values": [1, "3"]}', "values"),
+        ('{"type": "oscillatory", "M": true}', "M"),
+        ('{"type": "oscillatory", "M": "10"}', "M"),
+        ('{"type": "oscillatory", "r": "0.001"}', "r"),
+        ('{"type": "oscillatory", "r": null}', "r"),
+        ('{"type": "oscillatory", "M": 1' + "0" * 400 + "}", "M"),
+        ('{"type": "oscillatory", "levels": 8.9}', "levels"),
+        ('{"type": "oscillatory", "levels": 8.0}', "levels"),
+        ('{"type": "oscillatory", "levels": "8"}', "levels"),
+        ('{"type": "oscillatory", "levels": true}', "levels"),
+    ],
+    ids=[
+        "breakpoints-and-values-strings", "values-string", "breakpoints-object",
+        "breakpoint-bool", "value-string", "M-bool", "M-string", "r-string", "r-null",
+        "M-beyond-float", "levels-fraction", "levels-float", "levels-string", "levels-bool",
+    ],
+)
+def test_mistyped_gauge_spec_is_config_error(capsys, tmp_path, spec, key):
+    out = tmp_path / "never"
+    code, _, err = run(capsys, "gauge-check", "--gauge", spec, "--out", str(out))
+    assert code == 2
+    assert "cannot load gauge" in err and repr(key) in err
+    assert not out.exists()
+
+
 def test_bad_box_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--box", "1")
     assert code == 2

@@ -1,6 +1,8 @@
 import json
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,88 @@ def test_oscillatory_parameter_validation():
 def test_oscillatory_passes_contract_checks():
     report = check_gauge(OSC)
     assert report.passed, report.to_text()
+
+
+# --- piecewise closed form against bisection and mpmath -----------------------------
+
+def _random_convex_gauge(rng, n):
+    """Ascending breakpoints in [1e-3, 1e3] with positive, increasing slopes."""
+    bps = sorted(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n))
+    slope, vals, prev_b, prev_v = 10.0 ** rng.uniform(-3.0, 1.0), [], 0.0, 0.0
+    for b in bps:
+        prev_v += slope * (b - prev_b)
+        vals.append(prev_v)
+        prev_b = b
+        slope *= 1.0 + 10.0 ** rng.uniform(-6.0, 1.0)
+    return piecewise_gauge(bps, vals)
+
+
+CROSS_CHECK_GAUGES = [
+    oscillatory_gauge(10.0, 1e-3, 8),
+    oscillatory_gauge(2.0, 0.1, 20),
+    oscillatory_gauge(30.0, 1e-4, 4),
+] + [_random_convex_gauge(random.Random(seed), n) for seed, n in ((1, 1), (2, 5), (3, 40))]
+
+
+def _mp_g(bps, vals, s):
+    """g(s) at 50 digits from the raw breakpoint data: locate the segment by
+    evaluating G at the knots, take the textbook root of its quadratic
+    x^2 + B x = d, and polish it with Newton steps, which restore the digits
+    the textbook form loses to cancellation when d << B^2."""
+    with mpmath.workdps(50):
+        knots = [mpmath.mpf(0)] + [mpmath.mpf(b) for b in bps]
+        kv = [mpmath.mpf(0)] + [mpmath.mpf(v) for v in vals]
+        s = mpmath.mpf(s)
+        i = max(j for j in range(len(knots)) if kv[j] + knots[j] ** 2 <= s)
+        j = min(i + 1, len(knots) - 1)
+        lo = i if j > i else i - 1
+        m = (kv[j] - kv[lo]) / (knots[j] - knots[lo])
+        b = knots[i]
+        d = s - kv[i] - b * b
+        B = m + 2 * b
+        x = (mpmath.sqrt(B * B + 4 * d) - B) / 2
+        for _ in range(6):
+            x -= (x * (x + B) - d) / (2 * x + B)
+        return b + x
+
+
+def _cross_check_args(pwl, rng):
+    args = [10.0 ** rng.uniform(-40.0, 4.0) for _ in range(300)]
+    for b, v in zip(pwl.breakpoints, pwl.values):
+        knot = v + b * b
+        args += [knot, math.nextafter(knot, 0.0), math.nextafter(knot, math.inf)]
+    last = pwl.values[-1] + pwl.breakpoints[-1] ** 2
+    args += [last * f for f in (1.0 + 1e-9, 1.5, 10.0, 1e3, 1e8)]
+    return args
+
+
+@pytest.mark.parametrize("gauge", CROSS_CHECK_GAUGES, ids=lambda g: g.label)
+def test_piecewise_closed_form_matches_bisection_and_mpmath(gauge):
+    pwl = gauge.k
+    assert gauge.g_closed is not None
+    worst_mp = worst_bisect = 0.0
+    for s in _cross_check_args(pwl, random.Random(len(pwl.breakpoints))):
+        closed = g_eval(gauge, s)
+        exact = _mp_g(pwl.breakpoints, pwl.values, s)
+        worst_mp = max(worst_mp, float(abs(closed - exact) / exact))
+        worst_bisect = max(worst_bisect, abs(closed - invert_g(gauge, s)) / closed)
+    assert worst_mp <= 1e-12
+    assert worst_bisect <= 1e-12
+
+
+def test_piecewise_constructors_attach_closed_form():
+    # a refactor that drops g_closed would fall back to bisection silently
+    pw = piecewise_gauge((1.0, 2.0), (1.0, 3.0))
+    assert pw.g_closed is not None
+    assert OSC.g_closed is not None
+    assert gauge_from_spec(gauge_to_spec(pw)).g_closed is not None
+    # a closed form no longer tells a piecewise gauge from the linear one
+    assert gauge_to_spec(piecewise_gauge((1.0,), (1.0,), label="linear"))["type"] == "piecewise"
+    assert gauge_from_spec({"type": "oscillatory"}).g_closed is not None
+    assert g_eval(pw, 0.0) == 0.0
+    assert g_eval(pw, 2.0) == 1.0     # G(1) = k(1) + 1 = 2
+    assert g_eval(pw, 7.0) == 2.0     # G(2) = 3 + 4 = 7
+    assert g_eval(pw, 14.0) == 3.0    # extension: G(3) = 5 + 9 = 14
 
 
 # --- contract checking on raw evaluables ---------------------------------------
