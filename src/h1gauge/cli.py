@@ -38,9 +38,9 @@ from .limits import (
 )
 from .metrics import (
     SampleBox,
-    flat_dist,
-    gauge_dist,
-    intrinsic_dist,
+    flat_dist_array,
+    gauge_dist_array,
+    intrinsic_dist_array,
     sample_conjugation,
     sample_flatten_homomorphism,
     sample_group_axioms,
@@ -148,15 +148,17 @@ def _sampler_battery(gauge: Gauge, n: int, seed: int, box: SampleBox):
     """The full algebra/metric sampler battery, seeds offset per stage."""
     reports = list(sample_group_axioms(n, seed, box))
     reports.append(sample_intrinsic_dilation(n, seed + 1, box))
-    reports.append(sample_triangle(intrinsic_dist, "triangle-intrinsic", n, seed + 2, box))
+    reports.append(
+        sample_triangle(intrinsic_dist_array, "triangle-intrinsic", n, seed + 2, box)
+    )
     reports.append(
         sample_triangle(
-            lambda p, q: gauge_dist(gauge, p, q), "triangle-gauge", n, seed + 3, box
+            lambda p, q: gauge_dist_array(gauge, p, q), "triangle-gauge", n, seed + 3, box
         )
     )
     reports.append(
         sample_triangle(
-            lambda p, q: flat_dist(gauge, p, q), "triangle-transported", n, seed + 4, box
+            lambda p, q: flat_dist_array(gauge, p, q), "triangle-transported", n, seed + 4, box
         )
     )
     reports.append(sample_lipschitz_id(gauge, n, seed + 5, box))
@@ -184,8 +186,7 @@ def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
 
     if gauge_report.passed:
         working = gauge if gauge.verified else replace(gauge, verified=True)
-        for sampler_report in _sampler_battery(working, config.samples, config.seed, config.box):
-            report.add(sampler_report.as_check())
+        report.extend(_sampler_battery(working, config.samples, config.seed, config.box))
     else:
         report.add(
             PropertyCheck(

@@ -5,14 +5,26 @@ Three one-parameter families act on the group: the intrinsic dilatation
 along the gauge profile), and the euclidean dilatation (every component by
 eps).  The flattening map reparametrizes the vertical axis by g, conjugating
 the gauge dilatation into the euclidean one and transporting the group law.
+
+The *_array functions are the same maps on (n, 3) point arrays; eps may be
+one scale or one scale per row.
 """
 
 from __future__ import annotations
 
 import math
 
-from .gauges import Gauge, g_eval, g_inverse_eval, require_verified
-from .heisenberg import H1Point, inv, mul
+import numpy as np
+
+from .gauges import (
+    Gauge,
+    g_array,
+    g_eval,
+    g_inverse_array,
+    g_inverse_eval,
+    require_verified,
+)
+from .heisenberg import H1Point, inv, mul, mul_array, points_array
 
 
 def sgn(x: float) -> float:
@@ -82,11 +94,6 @@ def transported_mul(gauge: Gauge, p: H1Point, q: H1Point) -> H1Point:
     return flatten(gauge, mul(unflatten(gauge, p), unflatten(gauge, q)))
 
 
-def transported_inv(p: H1Point) -> H1Point:
-    """Inverse for the transported product; closed form (-x, -xbar)."""
-    return inv(p)
-
-
 def conjugation_residual(gauge: Gauge, eps: float, p: H1Point) -> float:
     """Max componentwise gap between the gauge dilatation and its conjugated
     form unflatten(euclidean_dilate(flatten(p)))."""
@@ -97,3 +104,52 @@ def conjugation_residual(gauge: Gauge, eps: float, p: H1Point) -> float:
         abs(direct.x2 - conjugated.x2),
         abs(direct.xbar - conjugated.xbar),
     )
+
+
+# --- (n, 3) arrays, one point per row ---------------------------------------
+
+
+def _check_eps_array(eps) -> None:
+    eps = np.asarray(eps)
+    if not (np.isfinite(eps) & (eps > 0.0)).all():
+        raise ValueError("dilatation scales must be positive and finite")
+
+
+def dilate_array(eps, p: np.ndarray) -> np.ndarray:
+    """dilate row by row."""
+    _check_eps_array(eps)
+    return points_array(eps * p[:, 0], eps * p[:, 1], eps * eps * p[:, 2])
+
+
+def euclidean_dilate_array(eps, p: np.ndarray) -> np.ndarray:
+    """euclidean_dilate row by row."""
+    _check_eps_array(eps)
+    return points_array(eps * p[:, 0], eps * p[:, 1], eps * p[:, 2])
+
+
+def gauge_dilate_array(gauge: Gauge, eps, p: np.ndarray) -> np.ndarray:
+    """gauge_dilate row by row."""
+    _check_eps_array(eps)
+    require_verified(gauge)
+    xbar = p[:, 2]
+    vert = np.sign(xbar) * g_inverse_array(gauge, eps * g_array(gauge, np.abs(xbar)))
+    return points_array(eps * p[:, 0], eps * p[:, 1], vert)
+
+
+def flatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
+    """flatten row by row."""
+    require_verified(gauge)
+    xbar = p[:, 2]
+    return points_array(p[:, 0], p[:, 1], np.sign(xbar) * g_array(gauge, np.abs(xbar)))
+
+
+def unflatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
+    """unflatten row by row."""
+    require_verified(gauge)
+    t = p[:, 2]
+    return points_array(p[:, 0], p[:, 1], np.sign(t) * g_inverse_array(gauge, np.abs(t)))
+
+
+def transported_mul_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """transported_mul row by row; a (1, 3) operand broadcasts."""
+    return flatten_array(gauge, mul_array(unflatten_array(gauge, p), unflatten_array(gauge, q)))

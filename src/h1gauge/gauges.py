@@ -8,6 +8,10 @@ when one is attached: the linear gauge and every piecewise-linear gauge
 one fall back to bracketed bisection on [0, sqrt(s)] (the bracket is valid
 because G(t) >= t^2 forces g(s) <= sqrt(s)).
 
+k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
+_array_path is the one place that picks how (segment-table lookup, the
+linear closed form, or the scalar functions element by element).
+
 Raw user-supplied evaluables are accepted but stay unverified: the metric and
 dilatation layers reject a gauge until its contract has been established,
 either by construction (piecewise-linear data is slope-checked, the linear
@@ -23,7 +27,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .report import PropertyCheck, VerificationReport, violation_scale
+import numpy as np
+
+from .heisenberg import check_finite
+from .report import PropertyCheck, VerificationReport
 
 INV_TOL = 1e-13  # mixed abs/rel contract tolerance for g/G round-trips
 _MIDPOINT_TOL = 1e-12
@@ -82,6 +89,7 @@ class PiecewiseLinearGauge:
     _gvals: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
     _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
     _halfb: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
+    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         bp, vv = self.breakpoints, self.values
@@ -115,6 +123,9 @@ class PiecewiseLinearGauge:
         setattr_(self, "_gvals", tuple(v + b * b for b, v in zip(knots, kvals)))
         setattr_(self, "_slopes", table_slopes)
         setattr_(self, "_halfb", tuple(0.5 * m + b for b, m in zip(knots, table_slopes)))
+        setattr_(self, "_arrays", tuple(
+            np.array(col) for col in (knots, kvals, self._gvals, table_slopes, self._halfb)
+        ))
 
     def __call__(self, t: float) -> float:
         if t <= 0.0:
@@ -137,17 +148,38 @@ class PiecewiseLinearGauge:
         h = self._halfb[i]
         return self._knots[i] + d / (h + math.hypot(h, math.sqrt(d)))
 
+    def k_array(self, t: np.ndarray) -> np.ndarray:
+        """k on an array of t >= 0: the table lookup of __call__ by np.searchsorted."""
+        knots, kvals, _, slopes, _ = self._arrays
+        i = np.searchsorted(knots, t, side="right") - 1
+        return kvals[i] + slopes[i] * (t - knots[i])
+
+    def g_array(self, s: np.ndarray) -> np.ndarray:
+        """g on an array of s >= 0, with the segment lookup and root of g."""
+        knots, _, gvals, _, halfb = self._arrays
+        i = np.searchsorted(gvals, s, side="right") - 1
+        d = s - gvals[i]
+        h = halfb[i]
+        return knots[i] + d / (h + np.hypot(h, np.sqrt(d)))
+
+
+def _linear_k(t):
+    return t
+
+
+def _linear_g(s: float) -> float:
+    return 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
+
+
+def _linear_g_array(s: np.ndarray) -> np.ndarray:
+    return 2.0 * s / (1.0 + np.sqrt(1.0 + 4.0 * s))
+
 
 def linear_gauge() -> Gauge:
     """k(t) = t.  The profile t + t^2 inverts in closed form; the expression
     2s/(1 + sqrt(1 + 4s)) is the cancellation-free equivalent of
     (sqrt(1 + 4s) - 1)/2."""
-    return Gauge(
-        k=lambda t: t,
-        label="linear",
-        g_closed=lambda s: 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s)),
-        verified=True,
-    )
+    return Gauge(k=_linear_k, label="linear", g_closed=_linear_g, verified=True)
 
 
 def piecewise_gauge(breakpoints, values, label: str = "piecewise") -> Gauge:
@@ -174,6 +206,13 @@ def oscillatory_gauge(M: float = 10.0, r: float = 1e-3, levels: int = 8) -> Gaug
         raise GaugeConstructionError(
             f"r must lie in (0, 1/M^2) = (0, {1.0 / (M * M)!r}), got {r!r}"
         )
+    most = _max_levels(M, r)
+    if levels > most:
+        fit = f"at most {most} levels fit" if most >= 4 else "no ladder of 4 or more levels fits"
+        raise GaugeConstructionError(
+            f"levels={levels!r} is too large for M={M!r}, r={r!r}: k at the deepest "
+            f"breakpoint r^levels underflows to 0; {fit}"
+        )
     ns = range(1, levels + 1)
     bs = [r**n for n in ns]
     vs = [(M if n % 2 == 0 else 1.0 / M) * b * b for n, b in zip(ns, bs)]
@@ -182,6 +221,28 @@ def oscillatory_gauge(M: float = 10.0, r: float = 1e-3, levels: int = 8) -> Gaug
         reversed(vs),
         label=f"oscillatory(M={M!r},r={r!r},levels={levels})",
     )
+
+
+def _deepest_value(M: float, r: float, n: int) -> float:
+    """k at the deepest breakpoint r^n of an n-level ladder, computed as
+    oscillatory_gauge computes it.  It is the smallest breakpoint value."""
+    b = r**n
+    return (M if n % 2 == 0 else 1.0 / M) * b * b
+
+
+def _max_levels(M: float, r: float) -> int:
+    """The largest level count whose deepest breakpoint value is positive.
+
+    The values fall with depth (by r^2 M^2 < 1 or r^2 / M^2 per level), so a
+    closed-form estimate from logarithms is corrected by a few steps of the
+    exact expression.
+    """
+    n = max(1, int((math.log(math.ulp(0.0)) + math.log(M)) / (2.0 * math.log(r))))
+    while _deepest_value(M, r, n + 1) > 0.0:
+        n += 1
+    while n > 1 and _deepest_value(M, r, n) == 0.0:
+        n -= 1
+    return n
 
 
 def g_inverse_eval(gauge: Gauge, t: float) -> float:
@@ -230,6 +291,52 @@ def g_eval(gauge: Gauge, s: float) -> float:
     return invert_g(gauge, s)
 
 
+def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def _array_path(gauge: Gauge):
+    """(k, g) on 1-d float arrays of arguments >= 0, for the gauge's kind.
+
+    - A piecewise-linear k carrying its own closed-form g (every piecewise
+      and oscillatory gauge) looks up its segment table with np.searchsorted.
+    - The linear gauge uses its closed forms.
+    - Any other gauge, raw callables in particular, falls back to the scalar
+      k and g_eval element by element: the same numbers as the scalar path,
+      at the cost of one Python call (and, without a closed form, one
+      bisection) per element.
+    """
+    k = gauge.k
+    if isinstance(k, PiecewiseLinearGauge) and gauge.g_closed == k.g:
+        return k.k_array, k.g_array
+    if k is _linear_k and gauge.g_closed is _linear_g:
+        return np.copy, _linear_g_array
+    return _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
+
+
+def _require_nonnegative(x: np.ndarray, what: str) -> None:
+    if (x < 0.0).any():
+        raise ValueError(f"{what} argument must be >= 0, got {float(x.min())!r}")
+
+
+def k_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
+    """k on a 1-d array of t >= 0."""
+    _require_nonnegative(t, "k")
+    return check_finite(_array_path(gauge)[0](t))
+
+
+def g_inverse_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
+    """The profile G(t) = k(t) + t^2 on a 1-d array of t >= 0."""
+    _require_nonnegative(t, "profile")
+    return check_finite(_array_path(gauge)[0](t) + t * t)
+
+
+def g_array(gauge: Gauge, s: np.ndarray) -> np.ndarray:
+    """g on a 1-d array of s >= 0."""
+    _require_nonnegative(s, "g")
+    return check_finite(_array_path(gauge)[1](s))
+
+
 def default_check_grid() -> tuple[float, ...]:
     """Geometric grid for check_gauge, 12 points per decade over [1e-9, 1e6]."""
     return tuple(10.0 ** (-9.0 + i / 12.0) for i in range(15 * 12 + 1))
@@ -242,8 +349,8 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     midpoint convexity on sampled pairs; g/G round-trips within inv_tol
     (mixed absolute/relative).  Witnesses reproduce the worst violations.
     """
-    pts = tuple(grid) if grid is not None else default_check_grid()
-    if len(pts) < 4 or any(t <= 0 for t in pts) or list(pts) != sorted(pts):
+    pts = np.array(default_check_grid() if grid is None else grid, dtype=float)
+    if pts.ndim != 1 or len(pts) < 4 or not (pts > 0.0).all() or (np.diff(pts) < 0.0).any():
         raise ValueError("check grid must be >= 4 positive ascending points")
     report = VerificationReport(f"gauge-check: {gauge.label}")
 
@@ -258,66 +365,47 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
         )
     )
 
-    ks = [gauge.k(t) for t in pts]
-    worst_gap = math.inf
-    witness_inc = None
-    prev_t, prev_k = 0.0, k0
-    for t, kt in zip(pts, ks):
-        gap = kt - prev_k
-        if gap < worst_gap:
-            worst_gap = gap
-            witness_inc = (prev_t, t)
-        prev_t, prev_k = t, kt
+    ks = k_array(gauge, pts)
+    gaps = np.diff(ks, prepend=k0)
+    i = int(np.argmin(gaps))
     report.add(
         PropertyCheck(
             name="strict-increase",
-            passed=worst_gap > 0.0,
-            worst_violation=-worst_gap,  # positive means a flat or falling step
+            passed=bool(gaps[i] > 0.0),
+            worst_violation=-float(gaps[i]),  # positive means a flat or falling step
             tolerance=0.0,
-            witness=list(witness_inc),
+            witness=[float(pts[i - 1]) if i else 0.0, float(pts[i])],
         )
     )
 
-    sub = pts[::3]
-    subk = ks[::3]
-    worst_mid = -math.inf
-    witness_mid = None
-    for i in range(len(sub)):
-        for j in range(i + 1, len(sub)):
-            m = 0.5 * (sub[i] + sub[j])
-            viol = (gauge.k(m) - 0.5 * (subk[i] + subk[j])) / violation_scale(
-                subk[i], subk[j]
-            )
-            if viol > worst_mid:
-                worst_mid = viol
-                witness_mid = (sub[i], sub[j])
+    sub, subk = pts[::3], ks[::3]
+    a, b = np.triu_indices(len(sub), k=1)  # the pairs i < j, row by row
+    mid = (k_array(gauge, 0.5 * (sub[a] + sub[b])) - 0.5 * (subk[a] + subk[b])) / np.maximum(
+        1.0, np.maximum(np.abs(subk[a]), np.abs(subk[b]))
+    )
+    i = int(np.argmax(mid))
     report.add(
         PropertyCheck(
             name="midpoint-convexity",
-            passed=worst_mid <= _MIDPOINT_TOL,
-            worst_violation=worst_mid,
+            passed=bool(mid[i] <= _MIDPOINT_TOL),
+            worst_violation=float(mid[i]),
             tolerance=_MIDPOINT_TOL,
-            witness=list(witness_mid),
+            witness=[float(sub[a[i]]), float(sub[b[i]])],
         )
     )
 
-    worst_rt = -math.inf
-    witness_rt = None
-    for t in pts:
-        s = g_inverse_eval(gauge, t)
-        err = abs(g_eval(gauge, s) - t) / violation_scale(t)
-        if err > worst_rt:
-            worst_rt, witness_rt = err, ("g(G(t))", t)
-        back = abs(g_inverse_eval(gauge, g_eval(gauge, t)) - t) / violation_scale(t)
-        if back > worst_rt:
-            worst_rt, witness_rt = back, ("G(g(s))", t)
+    scale = np.maximum(1.0, pts)
+    there = np.abs(g_array(gauge, g_inverse_array(gauge, pts)) - pts) / scale
+    back = np.abs(g_inverse_array(gauge, g_array(gauge, pts)) - pts) / scale
+    rt = np.stack((there, back), axis=1).ravel()  # per t: g(G(t)) first, then G(g(s))
+    i = int(np.argmax(rt))
     report.add(
         PropertyCheck(
             name="round-trip",
-            passed=worst_rt <= gauge.inv_tol,
-            worst_violation=worst_rt,
+            passed=bool(rt[i] <= gauge.inv_tol),
+            worst_violation=float(rt[i]),
             tolerance=gauge.inv_tol,
-            witness=list(witness_rt),
+            witness=[("g(G(t))", "G(g(s))")[i % 2], float(pts[i // 2])],
         )
     )
     return report

@@ -23,9 +23,8 @@ from h1gauge.limits import (
     vertical_limit_probe,
 )
 from h1gauge.metrics import (
-    flat_dist,
-    gauge_dist,
-    intrinsic_dist,
+    gauge_dist_array,
+    intrinsic_dist_array,
     sample_conjugation,
     sample_flatten_homomorphism,
     sample_group_axioms,
@@ -67,11 +66,11 @@ def test_acc2_deformed_distance_is_1_lipschitz_metric():
     worsts = []
     for name, gauge in GAUGES:
         tri = sample_triangle(
-            lambda p, q: gauge_dist(gauge, p, q), f"tri-{name}", 10_000, seed=10_002
+            lambda p, q: gauge_dist_array(gauge, p, q), f"tri-{name}", 10_000, seed=10_002
         )
         lip = sample_lipschitz_id(gauge, 10_000, seed=10_003)
         worsts.append((name, tri.worst_violation, lip.worst_violation))
-    tri_d = sample_triangle(intrinsic_dist, "tri-intrinsic", 10_000, seed=10_004)
+    tri_d = sample_triangle(intrinsic_dist_array, "tri-intrinsic", 10_000, seed=10_004)
     ok = (
         all(t <= 1e-12 and l <= 1e-12 for _, t, l in worsts)
         and tri_d.worst_violation <= 1e-12

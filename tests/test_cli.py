@@ -135,6 +135,15 @@ def test_mistyped_gauge_spec_is_config_error(capsys, tmp_path, spec, key):
     assert not out.exists()
 
 
+def test_oversized_levels_is_config_error(capsys, tmp_path):
+    out = tmp_path / "never"
+    spec = '{"type": "oscillatory", "levels": 1000000}'
+    code, _, err = run(capsys, "verify", "--gauge", spec, "--out", str(out))
+    assert code == 2
+    assert "cannot load gauge" in err and "levels" in err and "at most 54 levels fit" in err
+    assert not out.exists()
+
+
 def test_bad_box_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--box", "1")
     assert code == 2
@@ -163,6 +172,44 @@ def test_verify_linear_passes(capsys, tmp_path):
     names = [c["name"] for c in payload["checks"]]
     assert "gauge/round-trip" in names
     assert "flatten-isometry" in names
+
+
+VERIFY_CHECKS = [
+    "gauge/origin", "gauge/strict-increase", "gauge/midpoint-convexity", "gauge/round-trip",
+    "group-associativity", "group-identity", "group-inverse", "intrinsic-dilation-scaling",
+    "triangle-intrinsic", "triangle-gauge", "triangle-transported", "lipschitz-id",
+    "left-invariance", "flatten-isometry", "dilatation-semigroup", "dilatation-homogeneity",
+    "rescaled-distance-identity", "conjugation", "flatten-homomorphism",
+    "transported-associativity", "transported-unit-inverse", "transported-norm-homogeneity",
+]
+CHECK_KEYS = ["name", "passed", "worst_violation", "tolerance", "witness", "details"]
+
+
+@pytest.mark.parametrize("samples", [12, 500])
+@pytest.mark.parametrize("spec", [None, '{"type": "oscillatory"}'], ids=["linear", "oscillatory"])
+def test_verify_report_schema(capsys, tmp_path, spec, samples):
+    # the schema that consumers of verify_report.json parse: check names and
+    # order, keys, "<n> samples" details; values are not pinned
+    gauge = ["--gauge", spec] if spec else []
+    argv = ["verify", *gauge, "--samples", str(samples), "--seed", "7", "--out", str(tmp_path)]
+    code, stdout, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert (tmp_path / "verify_report.json").read_text() == stdout
+    assert list(payload) == ["command", "gauge", "title", "passed", "checks"]
+    assert payload["passed"] is True
+    assert [c["name"] for c in payload["checks"]] == VERIFY_CHECKS
+    for c in payload["checks"]:
+        assert list(c) == CHECK_KEYS
+        if c["name"].startswith("gauge/"):
+            assert c["details"] == ""
+        elif c["name"] == "dilatation-semigroup":  # one full cycle of the 441 scale pairs
+            assert c["details"] == f"{max(samples, 441)} samples"
+        else:
+            assert c["details"] == f"{samples} samples"
+    code, table, _ = run(capsys, *argv)
+    assert code == 0 and "np." not in table and table.endswith("all checks passed\n")
+    assert run(capsys, "verify", *gauge, "--samples", "0")[0] == 2
 
 
 def test_verify_concave_gauge_via_api(capsys, tmp_path):

@@ -111,6 +111,23 @@ def test_oscillatory_parameter_validation():
         oscillatory_gauge(levels=8.0)  # type: ignore[arg-type]
 
 
+def test_oscillatory_levels_capped_where_the_ladder_underflows():
+    # M r^108 ~ 1e-323 is still a positive subnormal; r^110 / M rounds to 0
+    assert oscillatory_gauge(10.0, 1e-3, 54).k.values[0] > 0.0
+    with pytest.raises(GaugeConstructionError, match="levels=55 .* at most 54 levels fit"):
+        oscillatory_gauge(10.0, 1e-3, 55)
+    # the ladder from here still builds where its last slope check passes
+    assert len(oscillatory_gauge(3.0, 0.1, 161).k.breakpoints) == 161
+    with pytest.raises(GaugeConstructionError, match="at most 162 levels fit"):
+        oscillatory_gauge(3.0, 0.1, 163)
+    with pytest.raises(GaugeConstructionError, match="levels=1000000 is too large"):
+        gauge_from_spec({"type": "oscillatory", "levels": 1000000})
+    with pytest.raises(GaugeConstructionError, match="levels"):
+        gauge_from_spec({"type": "oscillatory", "levels": 10**400})
+    with pytest.raises(GaugeConstructionError, match="no ladder of 4 or more levels fits"):
+        oscillatory_gauge(1e100, 1e-201, 4)
+
+
 def test_oscillatory_passes_contract_checks():
     report = check_gauge(OSC)
     assert report.passed, report.to_text()

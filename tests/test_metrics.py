@@ -8,13 +8,15 @@ from h1gauge.dilatations import flatten
 from h1gauge.gauges import Gauge, linear_gauge, oscillatory_gauge
 from h1gauge.heisenberg import identity, point
 from h1gauge.metrics import (
-    MetricSampleReport,
     SampleBox,
     flat_dist,
+    flat_dist_array,
     flat_norm,
     gauge_dist,
+    gauge_dist_array,
     gauge_norm,
     intrinsic_dist,
+    intrinsic_dist_array,
     intrinsic_norm,
     sample_conjugation,
     sample_flatten_homomorphism,
@@ -80,26 +82,14 @@ def test_sample_box_validation_and_bounds():
         SampleBox(vertical=-1.0)
     box = SampleBox(1.0, 2.0)
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        p = box.draw(rng)
-        assert abs(p.x1) <= 1.0 and abs(p.x2) <= 1.0 and abs(p.xbar) <= 2.0
-
-
-def test_report_merge_keeps_worst_and_adds_samples():
-    a = MetricSampleReport("prop", 100, 1e-14, 1e-12, witness=("a",))
-    b = MetricSampleReport("prop", 50, 3e-13, 1e-12, witness=("b",))
-    m = MetricSampleReport.merge(a, b)
-    assert m.samples == 150
-    assert m.worst_violation == 3e-13
-    assert m.witness == ("b",)
-    assert m.passed
-    with pytest.raises(ValueError):
-        MetricSampleReport.merge(a, MetricSampleReport("other", 1, 0.0, 1e-12))
+    pts = box.draw(rng, 100)
+    assert pts.shape == (100, 3)
+    assert (np.abs(pts[:, :2]) <= 1.0).all() and (np.abs(pts[:, 2]) <= 2.0).all()
 
 
 def test_triangle_sampler_catches_broken_distance():
     # squared distance violates the triangle inequality on collinear triples
-    broken = lambda p, q: intrinsic_dist(p, q) ** 2
+    broken = lambda p, q: intrinsic_dist_array(p, q) ** 2
     report = sample_triangle(broken, "broken", 300, seed=5)
     assert not report.passed
     assert report.witness is not None
@@ -109,12 +99,14 @@ def test_triangle_sampler_catches_broken_distance():
 def test_sampler_battery_passes(gauge):
     n, seed = 250, 42
     reports = list(sample_group_axioms(n, seed))
-    reports.append(sample_triangle(intrinsic_dist, "triangle-intrinsic", n, seed + 1))
+    reports.append(sample_triangle(intrinsic_dist_array, "triangle-intrinsic", n, seed + 1))
     reports.append(
-        sample_triangle(lambda p, q: gauge_dist(gauge, p, q), "triangle-gauge", n, seed + 2)
+        sample_triangle(
+            lambda p, q: gauge_dist_array(gauge, p, q), "triangle-gauge", n, seed + 2
+        )
     )
     reports.append(
-        sample_triangle(lambda p, q: flat_dist(gauge, p, q), "triangle-flat", n, seed + 3)
+        sample_triangle(lambda p, q: flat_dist_array(gauge, p, q), "triangle-flat", n, seed + 3)
     )
     reports.append(sample_lipschitz_id(gauge, n, seed + 4))
     reports.append(sample_left_invariance(gauge, n, seed + 5))
@@ -141,5 +133,5 @@ def test_samplers_are_deterministic():
 def test_semigroup_sampler_covers_dyadic_grid():
     # the scale pairs cycle a fixed dyadic grid, so few samples still cover it
     report = sample_semigroup(LIN, 441, seed=3)
-    assert report.samples >= 441
+    assert report.details == "441 samples"
     assert report.passed
