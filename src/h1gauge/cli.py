@@ -14,6 +14,7 @@ repr, so identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -144,6 +145,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _finish(config: RunConfig, name: str, payload: dict, table: str,
+            files: dict[str, str] | None = None, code: int = EXIT_OK) -> int:
+    """The one output path: write the payload JSON as `name` plus the extra
+    files under --out, print the JSON or the table, and return code."""
+    text = _json_text(payload)
+    _emit({name: text, **(files or {})}, config.out)
+    sys.stdout.write(text if config.fmt == "structured" else table)
+    return code
+
+
 def _sampler_battery(gauge: Gauge, n: int, seed: int, box: SampleBox):
     """The full algebra/metric sampler battery, seeds offset per stage."""
     reports = list(sample_group_axioms(n, seed, box))
@@ -201,39 +212,16 @@ def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
         )
 
     payload = {"command": "verify", "gauge": gauge.label, **report.to_dict()}
-    _emit({"verify_report.json": _json_text(payload)}, config.out)
-    if config.fmt == "structured":
-        sys.stdout.write(_json_text(payload))
-    else:
-        sys.stdout.write(report.to_text())
-    return EXIT_OK if report.passed else EXIT_FINDING
+    return _finish(config, "verify_report.json", payload, report.to_text(),
+                   code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
 def cmd_gauge_check(config: RunConfig) -> int:
     gauge = config.resolve_gauge(default=linear_gauge)
     report = check_gauge(gauge)
     payload = {"command": "gauge-check", "gauge": gauge.label, **report.to_dict()}
-    _emit({"gauge_check_report.json": _json_text(payload)}, config.out)
-    if config.fmt == "structured":
-        sys.stdout.write(_json_text(payload))
-    else:
-        sys.stdout.write(report.to_text())
-    return EXIT_OK if report.passed else EXIT_FINDING
-
-
-def _trace_stdout(trace) -> str:
-    lines = [trace.header()]
-    for row in trace.rows():
-        lines.append(",".join(repr(c) for c in row))
-    summary = trace.summary()
-    lines.append(f"probe: {summary['probe']}")
-    lines.append(f"gauge: {summary['gauge']}")
-    cls = summary["classification"]
-    lines.append(f"classification: {cls['kind']}")
-    for key in ("limit", "liminf", "limsup"):
-        if cls.get(key) is not None:
-            lines.append(f"{key}: {cls[key]!r}")
-    return "\n".join(lines) + "\n"
+    return _finish(config, "gauge_check_report.json", payload, report.to_text(),
+                   code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
 def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
@@ -258,16 +246,15 @@ def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
         sys.stderr.write(f"property violation: {e}\n")
         return EXIT_FINDING
 
-    outputs = {
-        f"probe_{probe}.csv": trace.to_csv(),
-        f"probe_{probe}.json": _json_text(trace.summary()),
-    }
-    _emit(outputs, config.out)
-    if config.fmt == "structured":
-        sys.stdout.write(_json_text(trace.summary()))
-    else:
-        sys.stdout.write(_trace_stdout(trace))
-    return EXIT_OK
+    csv, summary = trace.to_csv(), trace.summary()
+    cls = summary["classification"]
+    lines = [f"probe: {summary['probe']}", f"gauge: {summary['gauge']}",
+             f"classification: {cls['kind']}"]
+    for key in ("limit", "liminf", "limsup"):
+        if cls.get(key) is not None:
+            lines.append(f"{key}: {cls[key]!r}")
+    table = csv + "\n".join(lines) + "\n"
+    return _finish(config, f"probe_{probe}.json", summary, table, {f"probe_{probe}.csv": csv})
 
 
 def _probe_metric_diff(config, gauge, grid, base, kw) -> int:
@@ -276,28 +263,21 @@ def _probe_metric_diff(config, gauge, grid, base, kw) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     payload = {"command": "probe", "probe": "metric-diff", "gauge": gauge.label, **report.to_dict()}
-    outputs = {"probe_metric-diff.json": _json_text(payload)}
-    for i, trace in enumerate(report.traces):
-        outputs[f"probe_metric-diff_{i:02d}.csv"] = trace.to_csv()
-    _emit(outputs, config.out)
-    if config.fmt == "structured":
-        sys.stdout.write(_json_text(payload))
-    else:
-        lines = [f"metric-diff probe: {gauge.label}"]
-        lines.append(f"base: {base.as_tuple()!r}")
-        lines.append(f"differentiable: {report.differentiable}")
-        for v, cls in zip(report.directions, report.per_direction):
-            lines.append(f"  direction {v.as_tuple()!r}: {cls.kind}")
-        if report.witness is not None:
-            lines.append(f"witness: {report.witness.as_tuple()!r}")
-        if report.eta is not None:
-            for v, ev in zip(report.directions, report.eta):
-                lines.append(f"  eta{v.as_tuple()!r} = {ev!r}")
-        for c in report.seminorm_checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"  {status}  {c.name}: worst={c.worst_violation!r}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    files = {f"probe_metric-diff_{i:02d}.csv": tr.to_csv() for i, tr in enumerate(report.traces)}
+    lines = [f"metric-diff probe: {gauge.label}"]
+    lines.append(f"base: {base.as_tuple()!r}")
+    lines.append(f"differentiable: {report.differentiable}")
+    for v, cls in zip(report.directions, report.per_direction):
+        lines.append(f"  direction {v.as_tuple()!r}: {cls.kind}")
+    if report.witness is not None:
+        lines.append(f"witness: {report.witness.as_tuple()!r}")
+    if report.eta is not None:
+        for v, ev in zip(report.directions, report.eta):
+            lines.append(f"  eta{v.as_tuple()!r} = {ev!r}")
+    for c in report.seminorm_checks:
+        status = "PASS" if c.passed else "FAIL"
+        lines.append(f"  {status}  {c.name}: worst={c.worst_violation!r}")
+    return _finish(config, "probe_metric-diff.json", payload, "\n".join(lines) + "\n", files)
 
 
 def cmd_counterexample(config: RunConfig) -> int:
@@ -339,56 +319,48 @@ def cmd_counterexample(config: RunConfig) -> int:
     record("verify", "pass", "pass" if (gauge_report.passed and battery_ok) else "fail",
            gauge_report.passed and battery_ok, detail)
 
-    if working is None:
-        # Without a valid gauge none of the probes can run.
-        payload = {
-            "command": "counterexample",
-            "gauge": gauge.label,
-            "reproduced": False,
-            "deviation": deviation,
-            "stages": stages,
+    files = {}
+    if working is not None:  # without a valid gauge none of the probes can run
+        try:
+            trace_a = vertical_limit_probe(working, 1.0, grid, **kw)
+            cls_a = trace_a.classification
+            gap = (cls_a.limsup - cls_a.liminf) if cls_a.kind == "oscillating" else None
+            record(
+                "a-probe",
+                "oscillating",
+                cls_a.kind,
+                cls_a.kind == "oscillating",
+                f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if gap is not None else "",
+            )
+
+            p, q = H1Point(1.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)
+            trace_b = rescaled_product_probe(working, p, q, grid, **kw)
+            kind_b = trace_b.classification.kind
+            record("beta-probe", "non-converged", kind_b, kind_b != "converged")
+
+            md = metric_diff_probe(working, identity(), None, grid, **kw)
+            has_witness = (not md.differentiable) and md.witness is not None
+            record(
+                "metric-diff",
+                "non-differentiability witness",
+                f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
+                has_witness,
+            )
+
+            eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, grid, **kw)
+            record(
+                "equivalence",
+                "agreement",
+                "agreement" if eq.passed else "disagreement",
+                eq.passed,
+                "" if eq.passed else repr(eq.first_failure().witness),
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        files = {
+            "counterexample_a_trace.csv": trace_a.to_csv(),
+            "counterexample_beta_trace.csv": trace_b.to_csv(),
         }
-        _emit({"counterexample_report.json": _json_text(payload)}, config.out)
-        sys.stdout.write(_json_text(payload) if config.fmt == "structured" else
-                         f"counterexample pattern not reproduced: {deviation}\n")
-        return EXIT_FINDING
-
-    try:
-        trace_a = vertical_limit_probe(working, 1.0, grid, **kw)
-        cls_a = trace_a.classification
-        gap = (cls_a.limsup - cls_a.liminf) if cls_a.kind == "oscillating" else None
-        record(
-            "a-probe",
-            "oscillating",
-            cls_a.kind,
-            cls_a.kind == "oscillating",
-            f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if gap is not None else "",
-        )
-
-        p, q = H1Point(1.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)
-        trace_b = rescaled_product_probe(working, p, q, grid, **kw)
-        kind_b = trace_b.classification.kind
-        record("beta-probe", "non-converged", kind_b, kind_b != "converged")
-
-        md = metric_diff_probe(working, identity(), None, grid, **kw)
-        has_witness = (not md.differentiable) and md.witness is not None
-        record(
-            "metric-diff",
-            "non-differentiability witness",
-            f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
-            has_witness,
-        )
-
-        eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, grid, **kw)
-        record(
-            "equivalence",
-            "agreement",
-            "agreement" if eq.passed else "disagreement",
-            eq.passed,
-            "" if eq.passed else repr(eq.first_failure().witness),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
 
     reproduced = deviation is None
     payload = {
@@ -398,28 +370,20 @@ def cmd_counterexample(config: RunConfig) -> int:
         "deviation": deviation,
         "stages": stages,
     }
-    outputs = {
-        "counterexample_report.json": _json_text(payload),
-        "counterexample_a_trace.csv": trace_a.to_csv(),
-        "counterexample_beta_trace.csv": trace_b.to_csv(),
-    }
-    _emit(outputs, config.out)
-
-    if config.fmt == "structured":
-        sys.stdout.write(_json_text(payload))
-    else:
-        lines = [f"counterexample: {gauge.label}"]
+    lines = []
+    if working is not None:
+        lines.append(f"counterexample: {gauge.label}")
         for st in stages:
             mark = "ok " if st["ok"] else "DEV"
             lines.append(f"  {mark} {st['stage']}: expected {st['expected']}, observed {st['observed']}")
             if st["detail"]:
                 lines.append(f"       {st['detail']}")
-        lines.append(
-            "pattern reproduced" if reproduced
-            else f"counterexample pattern not reproduced: {deviation}"
-        )
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if reproduced else EXIT_FINDING
+    lines.append(
+        "pattern reproduced" if reproduced
+        else f"counterexample pattern not reproduced: {deviation}"
+    )
+    return _finish(config, "counterexample_report.json", payload, "\n".join(lines) + "\n",
+                   files, EXIT_OK if reproduced else EXIT_FINDING)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +429,9 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      dest="fmt")
 
 
+# Built once per process: parse_args leaves the parser unchanged, and
+# rebuilding it on every call cost about a third of a small verify run.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="h1gauge",

@@ -213,6 +213,15 @@ def _resolve_grid(grid: EpsGrid | None) -> EpsGrid:
     return grid if grid is not None else EpsGrid()
 
 
+def _trace(name, grid, values, window, atol, divergence_bound, meta) -> ConvergenceTrace:
+    """Classify values (componentwise when they are H1Points) and wrap them
+    in a ConvergenceTrace."""
+    values = tuple(values)
+    classify = classify_point_trace if isinstance(values[0], H1Point) else classify_limit
+    cls = classify(values, window, atol, divergence_bound)
+    return ConvergenceTrace(name, grid, values, cls, window, atol, divergence_bound, meta)
+
+
 def _underflow_check(grid: EpsGrid, magnitude: float) -> None:
     if magnitude == 0.0:
         return
@@ -245,18 +254,9 @@ def vertical_limit_probe(
         raise ValueError(f"ubar must be finite, got {ubar!r}")
     grid = _resolve_grid(grid)
     _underflow_check(grid, abs(ubar))
-    values = tuple(vertical_response(gauge, e, ubar) for e in grid.values())
-    cls = classify_limit(values, window, atol, divergence_bound)
-    return ConvergenceTrace(
-        "vertical-limit",
-        grid,
-        values,
-        cls,
-        window,
-        atol,
-        divergence_bound,
-        meta={"gauge": gauge.label, "ubar": ubar},
-    )
+    values = [vertical_response(gauge, e, ubar) for e in grid.values()]
+    return _trace("vertical-limit", grid, values, window, atol, divergence_bound,
+                  {"gauge": gauge.label, "ubar": ubar})
 
 
 def rescaled_product_probe(
@@ -274,18 +274,9 @@ def rescaled_product_probe(
     grid = _resolve_grid(grid)
     area = symplectic_area(p.horizontal, q.horizontal)
     _underflow_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
-    values = tuple(rescaled_product(gauge, e, p, q) for e in grid.values())
-    cls = classify_point_trace(values, window, atol, divergence_bound)
-    return ConvergenceTrace(
-        "rescaled-product",
-        grid,
-        values,
-        cls,
-        window,
-        atol,
-        divergence_bound,
-        meta={"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()},
-    )
+    values = [rescaled_product(gauge, e, p, q) for e in grid.values()]
+    return _trace("rescaled-product", grid, values, window, atol, divergence_bound,
+                  {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 
 
 def id_derivability_probe(
@@ -329,18 +320,8 @@ def id_derivability_probe(
                 f"by {residual!r} (> {CLOSED_FORM_TOL!r})"
             )
         values.append(val)
-    values = tuple(values)
-    cls = classify_point_trace(values, window, atol, divergence_bound)
-    return ConvergenceTrace(
-        "id-derivability",
-        grid,
-        values,
-        cls,
-        window,
-        atol,
-        divergence_bound,
-        meta={"gauge": gauge.label, "u": u.as_tuple(), "closed_form_residual": worst_residual},
-    )
+    return _trace("id-derivability", grid, values, window, atol, divergence_bound,
+                  {"gauge": gauge.label, "u": u.as_tuple(), "closed_form_residual": worst_residual})
 
 
 def metric_differential(
@@ -366,6 +347,31 @@ def metric_differential(
     return max(v.horizontal_norm(), c.limit)
 
 
+def _tail_mean(values, window: int) -> float:
+    return fmean([float(v) for v in values[-window:]])
+
+
+def _sup_deviation(traces, window, atol, divergence_bound):
+    """Tail spreads, tail means and the classified sup-deviation trace of
+    scalar traces on one grid.
+
+    A trace's spread is max - min over its last 2*window values and its tail
+    mean the mean of its last window.  The sup-deviation trace is
+    eps_j -> max over traces |value_j - tail mean|; it converges to ~0 when
+    the traces converge uniformly.
+    """
+    spreads = []
+    for tr in traces:
+        tail = [float(v) for v in tr.values[-2 * window :]]
+        spreads.append(max(tail) - min(tail))
+    means = [_tail_mean(tr.values, window) for tr in traces]
+    sup_trace = [
+        max(abs(float(tr.values[j]) - m) for tr, m in zip(traces, means))
+        for j in range(len(traces[0].values))
+    ]
+    return spreads, means, classify_limit(sup_trace, window, atol, divergence_bound)
+
+
 def uniform_probe(
     probe,
     points,
@@ -389,34 +395,21 @@ def uniform_probe(
     traces = [probe(pt, grid) for pt in points]
     report = VerificationReport("uniform-probe")
 
-    worst_osc = -math.inf
-    worst_point = None
-    all_converged = True
-    for pt, tr in zip(points, traces):
-        tail = [float(v) for v in tr.values[-2 * window :]]
-        osc = max(tail) - min(tail)
-        if osc > worst_osc:
-            worst_osc, worst_point = osc, pt
-        if tr.classification.kind != "converged":
-            all_converged = False
+    spreads, _, sup_cls = _sup_deviation(traces, window, atol, divergence_bound)
+    worst = max(range(len(points)), key=spreads.__getitem__)
+    worst_point = points[worst]
     witness = worst_point.as_tuple() if isinstance(worst_point, H1Point) else worst_point
     report.add(
         PropertyCheck(
             name="pointwise-convergence",
-            passed=all_converged,
-            worst_violation=worst_osc,
+            passed=all(tr.classification.kind == "converged" for tr in traces),
+            worst_violation=spreads[worst],
             tolerance=atol,
             witness=witness,
             details=f"{len(points)} probe points; violation is the worst tail spread",
         )
     )
 
-    tail_means = [fmean([float(v) for v in tr.values[-window:]]) for tr in traces]
-    sup_trace = [
-        max(abs(float(tr.values[j]) - m) for tr, m in zip(traces, tail_means))
-        for j in range(grid.count)
-    ]
-    sup_cls = classify_limit(sup_trace, window, atol, divergence_bound)
     sup_ok = sup_cls.kind == "converged" and abs(sup_cls.limit) <= atol
     report.add(
         PropertyCheck(
@@ -480,24 +473,9 @@ class MetricDiffReport:
 
 
 def _direction_trace(gauge, base, v, grid, window, atol, divergence_bound, name):
-    values = tuple(
-        gauge_dist(gauge, base, mul(base, dilate(e, v))) / e for e in grid.values()
-    )
-    cls = classify_limit(values, window, atol, divergence_bound)
-    return ConvergenceTrace(
-        name,
-        grid,
-        values,
-        cls,
-        window,
-        atol,
-        divergence_bound,
-        meta={"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()},
-    )
-
-
-def _tail_mean(trace: ConvergenceTrace) -> float:
-    return fmean([float(v) for v in trace.values[-trace.window :]])
+    values = [gauge_dist(gauge, base, mul(base, dilate(e, v))) / e for e in grid.values()]
+    return _trace(name, grid, values, window, atol, divergence_bound,
+                  {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
 
 
 def metric_diff_probe(
@@ -534,12 +512,7 @@ def metric_diff_probe(
     )
     per_dir = tuple(tr.classification for tr in traces)
 
-    tail_means = [_tail_mean(tr) for tr in traces]
-    sup_trace = [
-        max(abs(float(tr.values[j]) - m) for tr, m in zip(traces, tail_means))
-        for j in range(grid.count)
-    ]
-    sup_cls = classify_limit(sup_trace, window, atol, divergence_bound)
+    spreads, tail_means, sup_cls = _sup_deviation(traces, window, atol, divergence_bound)
     differentiable = (
         all(c.kind == "converged" for c in per_dir)
         and sup_cls.kind == "converged"
@@ -551,24 +524,16 @@ def metric_diff_probe(
         witness = None
     else:
         eta = None
-        worst = max(
-            range(len(dirs)),
-            key=lambda i: (
-                max(float(v) for v in traces[i].values[-2 * window :])
-                - min(float(v) for v in traces[i].values[-2 * window :])
-            ),
-        )
-        witness = dirs[worst]
+        witness = dirs[max(range(len(dirs)), key=spreads.__getitem__)]
 
     seminorm_checks: list[PropertyCheck] = []
     if differentiable:
 
         def eta_at(v: H1Point) -> float:
-            return _tail_mean(
-                _direction_trace(
-                    gauge, base, v, grid, window, atol, divergence_bound, "metric-diff"
-                )
+            trace = _direction_trace(
+                gauge, base, v, grid, window, atol, divergence_bound, "metric-diff"
             )
+            return _tail_mean(trace.values, window)
 
         worst_scale = -math.inf
         scale_witness = None

@@ -107,6 +107,11 @@ def flat_dist_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return flat_norm_array(transported_mul_array(gauge, inv_array(p), q))
 
 
+# Largest admitted box half-width: products of sampled coordinates stay
+# far from float overflow.
+MAX_HALF_WIDTH = 1e100
+
+
 @dataclass(frozen=True)
 class SampleBox:
     """Sampling domain: horizontal components uniform in [-horizontal,
@@ -116,8 +121,13 @@ class SampleBox:
     vertical: float = 4.0
 
     def __post_init__(self):
-        if not (self.horizontal > 0 and self.vertical > 0):
-            raise ValueError("box half-widths must be positive")
+        for half in (self.horizontal, self.vertical):
+            if not math.isfinite(half):
+                raise ValueError(f"non-finite box half-width {half!r}")
+            if not 0 < half <= MAX_HALF_WIDTH:
+                raise ValueError(
+                    f"box half-widths must lie in (0, {MAX_HALF_WIDTH!r}], got {half!r}"
+                )
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n points from the box as an (n, 3) array."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 # Tolerance policy: identities that are exact algebra get the tight bound,
@@ -66,9 +65,6 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [self.title]

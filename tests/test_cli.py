@@ -147,6 +147,11 @@ def test_oversized_levels_is_config_error(capsys, tmp_path):
 def test_bad_box_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--box", "1")
     assert code == 2
+    # non-finite or oversized half-widths are rejected before any sampling
+    for box in ("inf,1", "1e200,1", "1,1e300"):
+        code, _, err = run(capsys, "verify", "--box", box)
+        assert code == 2, box
+        assert "--box" in err and "Traceback" not in err, box
 
 
 def test_underflow_grid_is_config_error(capsys):
@@ -263,6 +268,42 @@ def test_gauge_check_passes(capsys, tmp_path):
     payload = json.loads((out / "gauge_check_report.json").read_text())
     assert payload["command"] == "gauge-check"
     assert payload["passed"] is True
+
+
+# --- output contract ----------------------------------------------------------------------
+
+OUTPUT_CASES = [
+    (["verify", "--samples", "20"], "verify_report.json", None, ["verify_report.json"]),
+    (["gauge-check"], "gauge_check_report.json", None, ["gauge_check_report.json"]),
+    (["probe", "a"], "probe_a.json", "probe_a.csv", ["probe_a.csv", "probe_a.json"]),
+    (["probe", "beta"], "probe_beta.json", "probe_beta.csv",
+     ["probe_beta.csv", "probe_beta.json"]),
+    (["probe", "derivability"], "probe_derivability.json", "probe_derivability.csv",
+     ["probe_derivability.csv", "probe_derivability.json"]),
+    (["probe", "metric-diff"], "probe_metric-diff.json", None,
+     ["probe_metric-diff.json"] + [f"probe_metric-diff_{i:02d}.csv" for i in range(13)]),
+    (["counterexample", "--samples", "20"], "counterexample_report.json", None,
+     ["counterexample_a_trace.csv", "counterexample_beta_trace.csv",
+      "counterexample_report.json"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, json_name, csv_name, files", OUTPUT_CASES,
+    ids=["verify", "gauge-check", "probe-a", "probe-beta", "probe-derivability",
+         "probe-metric-diff", "counterexample"],
+)
+def test_output_contract(capsys, tmp_path, argv, json_name, csv_name, files):
+    # structured stdout is the report file; a trace table starts with its CSV
+    code, structured, _ = run(capsys, *argv, "--format", "structured", "--out", str(tmp_path / "s"))
+    assert code == 0
+    assert sorted(os.listdir(tmp_path / "s")) == files
+    assert (tmp_path / "s" / json_name).read_text() == structured
+    code, table, _ = run(capsys, *argv, "--out", str(tmp_path / "t"))
+    assert code == 0
+    assert _collect(tmp_path / "t") == _collect(tmp_path / "s")
+    if csv_name is not None:
+        assert table.startswith((tmp_path / "t" / csv_name).read_text())
 
 
 # --- determinism ------------------------------------------------------------------------

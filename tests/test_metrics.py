@@ -80,6 +80,12 @@ def test_sample_box_validation_and_bounds():
         SampleBox(horizontal=0.0)
     with pytest.raises(ValueError):
         SampleBox(vertical=-1.0)
+    for bad in (math.inf, math.nan, 1e200):
+        with pytest.raises(ValueError):
+            SampleBox(horizontal=bad)
+        with pytest.raises(ValueError):
+            SampleBox(vertical=bad)
+    assert SampleBox(1e100, 1e100).vertical == 1e100
     box = SampleBox(1.0, 2.0)
     rng = np.random.default_rng(7)
     pts = box.draw(rng, 100)
