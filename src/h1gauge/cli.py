@@ -31,6 +31,7 @@ from .limits import (
     DEFAULT_RATIO,
     DEFAULT_WINDOW,
     EpsGrid,
+    ScaleOverflowError,
     id_derivability_probe,
     limit_equivalence_check,
     metric_diff_probe,
@@ -155,6 +156,12 @@ def _finish(config: RunConfig, name: str, payload: dict, table: str,
     return code
 
 
+def _probe_config_error(e: ValueError) -> ConfigError:
+    """A probe's ValueError as a configuration error; an overflowing scale
+    names the flag that sets it."""
+    return ConfigError(f"--eps0: {e}" if isinstance(e, ScaleOverflowError) else str(e))
+
+
 def _sampler_battery(gauge: Gauge, n: int, seed: int, box: SampleBox):
     """The full algebra/metric sampler battery, seeds offset per stage."""
     reports = list(sample_group_axioms(n, seed, box))
@@ -241,7 +248,7 @@ def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
         else:
             return _probe_metric_diff(config, gauge, grid, points["base"], kw)
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        raise _probe_config_error(e) from None
     except ArithmeticError as e:
         sys.stderr.write(f"property violation: {e}\n")
         return EXIT_FINDING
@@ -258,10 +265,7 @@ def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
 
 
 def _probe_metric_diff(config, gauge, grid, base, kw) -> int:
-    try:
-        report = metric_diff_probe(gauge, base, None, grid, **kw)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    report = metric_diff_probe(gauge, base, None, grid, **kw)
     payload = {"command": "probe", "probe": "metric-diff", "gauge": gauge.label, **report.to_dict()}
     files = {f"probe_metric-diff_{i:02d}.csv": tr.to_csv() for i, tr in enumerate(report.traces)}
     lines = [f"metric-diff probe: {gauge.label}"]
@@ -356,7 +360,7 @@ def cmd_counterexample(config: RunConfig) -> int:
                 "" if eq.passed else repr(eq.first_failure().witness),
             )
         except ValueError as e:
-            raise ConfigError(str(e)) from None
+            raise _probe_config_error(e) from None
         files = {
             "counterexample_a_trace.csv": trace_a.to_csv(),
             "counterexample_beta_trace.csv": trace_b.to_csv(),

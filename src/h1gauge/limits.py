@@ -13,7 +13,10 @@ estimates are the tail min/max; the reported limit is the last window's mean.
 The probes themselves: the scalar vertical response g(eps^2 |ubar|)/eps, the
 rescaled product of two points, derivability of the identity map between the
 intrinsic and gauge dilatation structures, and the metric-differentiability
-test of the identity map at a base point.
+test of the identity map at a base point.  Each probe evaluates its whole
+eps-grid at once on the (n, 3) array kernels, one grid point per row;
+metric_diff_probe stacks all its directions into one array and evaluates it
+SAMPLE_CHUNK rows at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +26,20 @@ import sys
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .dilatations import dilate, gauge_dilate, rescaled_product, sgn
-from .gauges import Gauge, g_eval, g_inverse_eval, require_verified
-from .heisenberg import H1Point, identity, mul, point_diff, point_scale, symplectic_area
-from .metrics import gauge_dist
+import numpy as np
+
+from .dilatations import dilate_array, gauge_dilate_array, sgn
+from .gauges import Gauge, g_array, g_eval, g_inverse_array, require_verified
+from .heisenberg import (
+    H1Point,
+    identity,
+    mul_array,
+    point_diff_array,
+    point_scale_array,
+    points_array,
+    symplectic_area,
+)
+from .metrics import SAMPLE_CHUNK, gauge_dist_array
 from .report import PropertyCheck, VerificationReport, violation_scale
 
 DEFAULT_EPS0 = 1.0
@@ -36,6 +49,7 @@ DEFAULT_WINDOW = 6
 DEFAULT_ATOL = 1e-4
 DEFAULT_DIVERGENCE_BOUND = 1e6
 CLOSED_FORM_TOL = 1e-9
+SEMINORM_SCALES = (0.5, 0.25, 2.0)  # lam in the check eta(dilate(lam, v)) = lam * eta(v)
 
 # Squared scales fed to g must stay clear of the subnormal range.
 UNDERFLOW_FLOOR = 1e3 * sys.float_info.min
@@ -43,6 +57,10 @@ UNDERFLOW_FLOOR = 1e3 * sys.float_info.min
 
 class NonConvergentLimitError(ArithmeticError):
     """A limit value was requested from a trace that does not converge."""
+
+
+class ScaleOverflowError(ValueError):
+    """eps0 is so large that eps0^2 times a probe's vertical magnitude overflows."""
 
 
 @dataclass(frozen=True)
@@ -222,7 +240,18 @@ def _trace(name, grid, values, window, atol, divergence_bound, meta) -> Converge
     return ConvergenceTrace(name, grid, values, cls, window, atol, divergence_bound, meta)
 
 
-def _underflow_check(grid: EpsGrid, magnitude: float) -> None:
+def _scale_check(grid: EpsGrid, magnitude: float) -> None:
+    """Keep eps^2 * magnitude inside the normal float range on the whole grid.
+
+    The largest scale must not overflow (eps0^2 alone must be finite too, so
+    a zero magnitude is no exemption) and the smallest must not underflow.
+    """
+    top = grid.eps0 * grid.eps0 * magnitude
+    if not math.isfinite(top):
+        raise ScaleOverflowError(
+            f"eps0 = {grid.eps0!r} drives eps0^2 * {magnitude!r} to {top!r}; "
+            "lower eps0 or rescale"
+        )
     if magnitude == 0.0:
         return
     eps_min = grid.eps0 * grid.ratio ** (grid.count - 1)
@@ -236,6 +265,11 @@ def _underflow_check(grid: EpsGrid, magnitude: float) -> None:
 def vertical_response(gauge: Gauge, eps: float, ubar: float) -> float:
     """Rescaled profile response g(eps^2 * |ubar|) / eps."""
     return g_eval(gauge, eps * eps * abs(ubar)) / eps
+
+
+def _vertical_response_array(gauge: Gauge, eps: np.ndarray, ubar: float) -> np.ndarray:
+    """vertical_response at every scale of eps."""
+    return g_array(gauge, eps * eps * abs(ubar)) / eps
 
 
 def vertical_limit_probe(
@@ -253,8 +287,8 @@ def vertical_limit_probe(
     if not math.isfinite(ubar):
         raise ValueError(f"ubar must be finite, got {ubar!r}")
     grid = _resolve_grid(grid)
-    _underflow_check(grid, abs(ubar))
-    values = [vertical_response(gauge, e, ubar) for e in grid.values()]
+    _scale_check(grid, abs(ubar))
+    values = _vertical_response_array(gauge, np.array(grid.values()), ubar).tolist()
     return _trace("vertical-limit", grid, values, window, atol, divergence_bound,
                   {"gauge": gauge.label, "ubar": ubar})
 
@@ -273,10 +307,13 @@ def rescaled_product_probe(
     require_verified(gauge)
     grid = _resolve_grid(grid)
     area = symplectic_area(p.horizontal, q.horizontal)
-    _underflow_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
-    values = [rescaled_product(gauge, e, p, q) for e in grid.values()]
-    return _trace("rescaled-product", grid, values, window, atol, divergence_bound,
-                  {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
+    _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
+    eps = np.array(grid.values())
+    product = mul_array(gauge_dilate_array(gauge, eps, np.array([p.as_tuple()])),
+                        gauge_dilate_array(gauge, eps, np.array([q.as_tuple()])))
+    rows = gauge_dilate_array(gauge, 1.0 / eps, product).tolist()
+    return _trace("rescaled-product", grid, [H1Point(*r) for r in rows], window, atol,
+                  divergence_bound, {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 
 
 def id_derivability_probe(
@@ -294,34 +331,28 @@ def id_derivability_probe(
     the intrinsic to the gauge dilatation structure.  Every trace point is
     cross-checked against the closed form (u_h, sgn(ubar) * G(g(eps^2
     |ubar|)/eps)) — agreement is an algebraic identity through one profile
-    round-trip, enforced at CLOSED_FORM_TOL; the max residual is recorded in
+    round-trip, enforced at CLOSED_FORM_TOL (the first eps of the grid that
+    exceeds it is named); the max residual is recorded in
     meta["closed_form_residual"].
     """
     require_verified(gauge)
     grid = _resolve_grid(grid)
-    _underflow_check(grid, abs(u.xbar))
-    values = []
-    worst_residual = 0.0
-    for e in grid.values():
-        val = gauge_dilate(gauge, 1.0 / e, dilate(e, u))
-        if u.xbar == 0.0:
-            ref_vert = 0.0
-        else:
-            ref_vert = sgn(u.xbar) * g_inverse_eval(
-                gauge, vertical_response(gauge, e, u.xbar)
-            )
-        ref = H1Point(u.x1, u.x2, ref_vert)
-        residual = point_diff(val, ref) / point_scale(val, ref)
-        if residual > worst_residual:
-            worst_residual = residual
-        if residual > CLOSED_FORM_TOL:
-            raise ArithmeticError(
-                f"derivability trace at eps={e!r} deviates from its closed form "
-                f"by {residual!r} (> {CLOSED_FORM_TOL!r})"
-            )
-        values.append(val)
-    return _trace("id-derivability", grid, values, window, atol, divergence_bound,
-                  {"gauge": gauge.label, "u": u.as_tuple(), "closed_form_residual": worst_residual})
+    _scale_check(grid, abs(u.xbar))
+    eps = np.array(grid.values())
+    rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, np.array([u.as_tuple()])))
+    ref_vert = sgn(u.xbar) * g_inverse_array(gauge, _vertical_response_array(gauge, eps, u.xbar))
+    ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2), ref_vert)
+    residual = point_diff_array(rows, ref) / point_scale_array(rows, ref)
+    bad = np.flatnonzero(residual > CLOSED_FORM_TOL)
+    if bad.size:
+        j = int(bad[0])
+        raise ArithmeticError(
+            f"derivability trace at eps={float(eps[j])!r} deviates from its closed form "
+            f"by {float(residual[j])!r} (> {CLOSED_FORM_TOL!r})"
+        )
+    return _trace("id-derivability", grid, [H1Point(*r) for r in rows.tolist()], window, atol,
+                  divergence_bound, {"gauge": gauge.label, "u": u.as_tuple(),
+                                     "closed_form_residual": float(residual.max())})
 
 
 def metric_differential(
@@ -347,28 +378,25 @@ def metric_differential(
     return max(v.horizontal_norm(), c.limit)
 
 
-def _tail_mean(values, window: int) -> float:
-    return fmean([float(v) for v in values[-window:]])
+def _tail_means(values: np.ndarray, window: int) -> list[float]:
+    """Mean of the last window of each row, by fmean on Python floats (numpy's
+    mean rounds differently)."""
+    return [fmean(row) for row in values[:, -window:].tolist()]
 
 
-def _sup_deviation(traces, window, atol, divergence_bound):
+def _sup_deviation(values: np.ndarray, window, atol, divergence_bound):
     """Tail spreads, tail means and the classified sup-deviation trace of
-    scalar traces on one grid.
+    scalar traces on one grid, one trace per row of values.
 
     A trace's spread is max - min over its last 2*window values and its tail
     mean the mean of its last window.  The sup-deviation trace is
     eps_j -> max over traces |value_j - tail mean|; it converges to ~0 when
     the traces converge uniformly.
     """
-    spreads = []
-    for tr in traces:
-        tail = [float(v) for v in tr.values[-2 * window :]]
-        spreads.append(max(tail) - min(tail))
-    means = [_tail_mean(tr.values, window) for tr in traces]
-    sup_trace = [
-        max(abs(float(tr.values[j]) - m) for tr, m in zip(traces, means))
-        for j in range(len(traces[0].values))
-    ]
+    tail = values[:, -2 * window :]
+    spreads = (tail.max(axis=1) - tail.min(axis=1)).tolist()
+    means = _tail_means(values, window)
+    sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0).tolist()
     return spreads, means, classify_limit(sup_trace, window, atol, divergence_bound)
 
 
@@ -395,7 +423,8 @@ def uniform_probe(
     traces = [probe(pt, grid) for pt in points]
     report = VerificationReport("uniform-probe")
 
-    spreads, _, sup_cls = _sup_deviation(traces, window, atol, divergence_bound)
+    values = np.array([tr.values for tr in traces], dtype=float)
+    spreads, _, sup_cls = _sup_deviation(values, window, atol, divergence_bound)
     worst = max(range(len(points)), key=spreads.__getitem__)
     worst_point = points[worst]
     witness = worst_point.as_tuple() if isinstance(worst_point, H1Point) else worst_point
@@ -472,10 +501,23 @@ class MetricDiffReport:
         }
 
 
-def _direction_trace(gauge, base, v, grid, window, atol, divergence_bound, name):
-    values = [gauge_dist(gauge, base, mul(base, dilate(e, v))) / e for e in grid.values()]
-    return _trace(name, grid, values, window, atol, divergence_bound,
-                  {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
+def _rescaled_distances(gauge: Gauge, base: H1Point, dirs: np.ndarray,
+                        eps: np.ndarray) -> np.ndarray:
+    """(1/eps) * gauge_dist(base, base * dilate(eps, v)) for each direction
+    row v of dirs (one output row) and each scale of eps (one column).
+
+    The direction-by-scale rows are evaluated SAMPLE_CHUNK at a time, so
+    memory stays flat however many directions and scales there are.
+    """
+    n = len(eps)
+    out = np.empty(len(dirs) * n)
+    b = np.array([base.as_tuple()])
+    for start in range(0, out.size, SAMPLE_CHUNK):
+        idx = np.arange(start, min(out.size, start + SAMPLE_CHUNK))
+        e = eps[idx % n]
+        moved = mul_array(b, dilate_array(e, dirs[idx // n]))
+        out[idx] = gauge_dist_array(gauge, b, moved) / e
+    return out.reshape(len(dirs), n)
 
 
 def metric_diff_probe(
@@ -504,15 +546,19 @@ def metric_diff_probe(
     dirs = tuple(directions) if directions is not None else default_direction_grid()
     if not dirs:
         raise ValueError("need at least one direction")
-    _underflow_check(grid, max(abs(v.xbar) for v in dirs))
+    _scale_check(grid, max(abs(v.xbar) for v in dirs))
 
+    eps = np.array(grid.values())
+    d = np.array([v.as_tuple() for v in dirs])
+    values = _rescaled_distances(gauge, base, d, eps)
     traces = tuple(
-        _direction_trace(gauge, base, v, grid, window, atol, divergence_bound, "metric-diff")
-        for v in dirs
+        _trace("metric-diff", grid, row, window, atol, divergence_bound,
+               {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
+        for v, row in zip(dirs, values.tolist())
     )
     per_dir = tuple(tr.classification for tr in traces)
 
-    spreads, tail_means, sup_cls = _sup_deviation(traces, window, atol, divergence_bound)
+    spreads, tail_means, sup_cls = _sup_deviation(values, window, atol, divergence_bound)
     differentiable = (
         all(c.kind == "converged" for c in per_dir)
         and sup_cls.kind == "converged"
@@ -528,18 +574,20 @@ def metric_diff_probe(
 
     seminorm_checks: list[PropertyCheck] = []
     if differentiable:
-
-        def eta_at(v: H1Point) -> float:
-            trace = _direction_trace(
-                gauge, base, v, grid, window, atol, divergence_bound, "metric-diff"
-            )
-            return _tail_mean(trace.values, window)
+        # eta of every dilated direction and every pairwise product, in the
+        # order the two loops below consume them; only the tail means are
+        # needed, so no trace is built or classified.
+        lams = np.tile(SEMINORM_SCALES, len(dirs))
+        left, right = np.triu_indices(len(dirs), 1)
+        extra = np.concatenate((dilate_array(lams, np.repeat(d, len(SEMINORM_SCALES), axis=0)),
+                                mul_array(d[left], d[right])))
+        etas = iter(_tail_means(_rescaled_distances(gauge, base, extra, eps), window))
 
         worst_scale = -math.inf
         scale_witness = None
         for v, ev in zip(dirs, eta):
-            for lam in (0.5, 0.25, 2.0):
-                got = eta_at(dilate(lam, v))
+            for lam in SEMINORM_SCALES:
+                got = next(etas)
                 want = lam * ev
                 viol = abs(got - want) / violation_scale(got, want)
                 if viol > worst_scale:
@@ -558,7 +606,7 @@ def metric_diff_probe(
         sub_witness = None
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
-                got = eta_at(mul(dirs[i], dirs[j]))
+                got = next(etas)
                 bound = eta[i] + eta[j]
                 viol = (got - bound) / violation_scale(got, bound)
                 if viol > worst_sub:

@@ -1,7 +1,8 @@
-"""Array kernels against the scalar H1Point reference.
+"""Array kernels and the limit probes against the scalar H1Point reference.
 
 The scalar functions are the reference: every array kernel runs the same
-formulas row by row, so each row must match its scalar result within
+formulas row by row, and every probe trace evaluates its scalar formula at
+each grid point, so each row must match its scalar result within
 TOL_ALGEBRA (scaled by max(1, |value|)).  The gauges cover the three array
 paths: the segment table (oscillatory and random piecewise gauges), the
 linear closed form, and the element-by-element fallback for a raw callable.
@@ -9,6 +10,7 @@ linear closed form, and the element-by-element fallback for a raw callable.
 
 import math
 import random
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from h1gauge.dilatations import (
     flatten_array,
     gauge_dilate,
     gauge_dilate_array,
+    rescaled_product,
     transported_mul,
     transported_mul_array,
     unflatten,
@@ -54,10 +57,23 @@ from h1gauge.heisenberg import (
     point_scale,
     point_scale_array,
 )
+from h1gauge.limits import (
+    DEFAULT_ATOL,
+    DEFAULT_WINDOW,
+    EpsGrid,
+    classify_limit,
+    classify_point_trace,
+    default_direction_grid,
+    id_derivability_probe,
+    metric_diff_probe,
+    rescaled_product_probe,
+    vertical_limit_probe,
+)
 from h1gauge.metrics import (
     SampleBox,
     flat_norm,
     flat_norm_array,
+    gauge_dist,
     gauge_dist_array,
     gauge_norm,
     gauge_norm_array,
@@ -69,7 +85,7 @@ from h1gauge.metrics import (
     sample_transported_axioms,
     sample_triangle,
 )
-from h1gauge.report import TOL_ALGEBRA
+from h1gauge.report import TOL_ALGEBRA, violation_scale
 
 
 def _random_piecewise(seed, n):
@@ -354,3 +370,97 @@ def test_check_gauge_matches_scalar_loop(gauge):
         assert abs(gv - wv) <= TOL_ALGEBRA * max(1.0, abs(wv))
         if gauge in (LIN, SQUARE, QUARTIC):  # same arithmetic: same worst sample
             assert gw == ww
+
+
+# --- limit probes against their scalar formulas -------------------------------------
+#
+# Each probe's array trace is checked against the H1Point formula it
+# evaluates, kept here as the reference; the reference verdicts come from the
+# same classifier applied to the reference values.
+
+PROBE_GAUGES = [LIN, OSC, _random_piecewise(3, 12), SQUARE]
+# (ubar, p, q, u, base) for probes a, beta, derivability and metric-diff
+PROBE_SITES = {
+    "identity": (1.0, point(1, 0, 0), point(0, 1, 0), point(1, 0, 1), point(0, 0, 0)),
+    "nonzero": (0.5, point(0.3, -0.2, 0.5), point(-0.1, 0.4, -0.9),
+                point(0.3, -0.2, 0.5), point(0.3, -0.2, 0.5)),
+}
+
+
+def _scalar_metric_diff(gauge, base, grid, window=DEFAULT_WINDOW, atol=DEFAULT_ATOL):
+    """metric_diff_probe's verdicts computed point by point through H1Point."""
+    eps = grid.values()
+
+    def trace(v):
+        return [gauge_dist(gauge, base, mul(base, dilate(e, v))) / e for e in eps]
+
+    def eta_of(v):
+        return fmean(trace(v)[-window:])
+
+    dirs = default_direction_grid()
+    traces = [trace(v) for v in dirs]
+    kinds = [classify_limit(t, window, atol).kind for t in traces]
+    means = [fmean(t[-window:]) for t in traces]
+    spreads = [max(t[-2 * window:]) - min(t[-2 * window:]) for t in traces]
+    sup = classify_limit(
+        [max(abs(t[j] - m) for t, m in zip(traces, means)) for j in range(len(eps))],
+        window, atol,
+    )
+    out = {"kinds": kinds, "sup": sup.kind, "traces": traces}
+    if not (set(kinds) == {"converged"} and sup.kind == "converged" and abs(sup.limit) <= atol):
+        out.update(eta=None, witness=dirs[spreads.index(max(spreads))], checks=[])
+        return out
+    def excess(got, bound):
+        return (got - bound) / violation_scale(got, bound)
+
+    scaling = max(
+        abs(excess(eta_of(dilate(lam, v)), lam * ev))
+        for v, ev in zip(dirs, means) for lam in (0.5, 0.25, 2.0)
+    )
+    sub = max(
+        excess(eta_of(mul(dirs[i], dirs[j])), means[i] + means[j])
+        for i in range(len(dirs)) for j in range(i + 1, len(dirs))
+    )
+    out.update(eta=means, witness=None, checks=[("seminorm-scaling", scaling),
+                                                ("seminorm-subadditivity", sub)])
+    return out
+
+
+@pytest.mark.parametrize("count", [24, 58, 160])
+@pytest.mark.parametrize("site", sorted(PROBE_SITES))
+@pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=lambda g: g.label)
+def test_probes_match_scalar_formulas(gauge, site, count):
+    ubar, p, q, u, base = PROBE_SITES[site]
+    grid = EpsGrid(count=count)
+    eps = grid.values()
+
+    tr = vertical_limit_probe(gauge, ubar, grid)
+    want = [g_eval(gauge, e * e * abs(ubar)) / e for e in eps]
+    _assert_close(tr.values, want)
+    assert tr.classification.kind == classify_limit(want).kind
+
+    for tr, want in (
+        (rescaled_product_probe(gauge, p, q, grid),
+         [rescaled_product(gauge, e, p, q) for e in eps]),
+        (id_derivability_probe(gauge, u, grid),
+         [gauge_dilate(gauge, 1.0 / e, dilate(e, u)) for e in eps]),
+    ):
+        _assert_close(_arr(tr.values), _arr(want))
+        ref = classify_point_trace(want)
+        assert tr.classification.kind == ref.kind
+        assert [c.kind for c in tr.classification.components] == [c.kind for c in ref.components]
+
+    rep = metric_diff_probe(gauge, base, None, grid)
+    want = _scalar_metric_diff(gauge, base, grid)
+    _assert_close([tr.values for tr in rep.traces], want["traces"])
+    assert [c.kind for c in rep.per_direction] == want["kinds"]
+    assert rep.sup_classification.kind == want["sup"]
+    assert rep.witness == want["witness"]
+    assert [(c.name, c.passed) for c in rep.seminorm_checks] == [
+        (name, worst <= DEFAULT_ATOL) for name, worst in want["checks"]]
+    for c, (_, worst) in zip(rep.seminorm_checks, want["checks"]):
+        assert abs(c.worst_violation - worst) <= 1e-12, c.name
+    if want["eta"] is None:
+        assert rep.eta is None
+    else:
+        assert np.allclose(rep.eta, want["eta"], rtol=0.0, atol=1e-12)

@@ -159,6 +159,32 @@ def test_underflow_grid_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "a"],
+        ["probe", "a", "--eps0", "1e300", "--gauge", '{"type": "oscillatory"}'],
+        ["probe", "a", "--ubar", "0"],
+        ["probe", "beta"],
+        ["probe", "derivability"],
+        ["probe", "metric-diff"],
+        ["counterexample", "--samples", "5"],
+    ],
+    ids=["a", "a-oscillatory-1e300", "a-ubar-0", "beta", "derivability", "metric-diff",
+         "counterexample"],
+)
+def test_overflowing_eps0_is_config_error(capsys, tmp_path, argv):
+    # eps0^2 overflows: rejected before any output, naming the flag
+    out = tmp_path / "never"
+    if "--eps0" not in argv:
+        argv = [*argv, "--eps0", "1e160"]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert "--eps0" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

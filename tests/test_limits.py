@@ -6,15 +6,22 @@ the local slope ratio, and the linear-gauge response tends to zero linearly.
 """
 
 import math
+import re
+import struct
+from dataclasses import replace
 
 import pytest
 
-from h1gauge.gauges import linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import identity, point
+from h1gauge import cli
+from h1gauge.dilatations import dilate, gauge_dilate
+from h1gauge.gauges import g_inverse_eval, linear_gauge, oscillatory_gauge
+from h1gauge.heisenberg import identity, point, point_diff, point_scale
 from h1gauge.limits import (
+    CLOSED_FORM_TOL,
     Classification,
     EpsGrid,
     NonConvergentLimitError,
+    ScaleOverflowError,
     classify_limit,
     classify_point_trace,
     default_direction_grid,
@@ -136,6 +143,23 @@ def test_probe_underflow_guard():
     vertical_limit_probe(LIN, 1e-200)  # comfortably above the floor
 
 
+def test_probe_overflow_guard():
+    # eps0^2 * magnitude must be finite on every probe; a zero magnitude is no
+    # exemption, since eps0^2 alone overflows
+    big = EpsGrid(eps0=1e160)
+    for call in (
+        lambda: vertical_limit_probe(LIN, 1.0, big),
+        lambda: vertical_limit_probe(OSC, 0.0, big),
+        lambda: rescaled_product_probe(LIN, point(1, 0, 0), point(1, 0, 0), big),
+        lambda: id_derivability_probe(LIN, point(1, 0, 0), big),
+        lambda: metric_diff_probe(LIN, identity(), None, big),
+        lambda: vertical_limit_probe(LIN, 1e20, EpsGrid(eps0=1e150)),
+    ):
+        with pytest.raises(ScaleOverflowError, match="eps0"):
+            call()
+    vertical_limit_probe(LIN, 1.0, EpsGrid(eps0=1e150))  # 1e300 is still finite
+
+
 # --- scalar vertical probe -------------------------------------------------------
 
 def test_linear_vertical_probe_converges_to_zero():
@@ -224,6 +248,45 @@ def test_derivability_probe_horizontal_is_exact():
     tr = id_derivability_probe(OSC, point(1, -1, 0))
     assert tr.classification.kind == "converged"
     assert tr.classification.limit == point(1, -1, 0)
+
+
+def _lumpy_gauge():
+    """The linear gauge with k raised by a relative 1e-6 wherever the last
+    mantissa bit of t is set, marked verified by hand.
+
+    A wrong g cannot trip the closed-form guard: the trace and its closed form
+    apply the same g to the same argument.  Their profile arguments differ
+    only in rounding, (1/eps) * g versus g / eps, so a profile that jumps
+    between neighbouring floats makes them disagree wherever the two round
+    differently.
+    """
+    def k(t):
+        return t * (1.0 + 1e-6 * (struct.pack("<d", t)[0] & 1))
+
+    return replace(linear_gauge(), k=k, label="lumpy")
+
+
+def test_derivability_guard_names_first_offending_eps(capsys, monkeypatch):
+    gauge, u = _lumpy_gauge(), point(1, 0, 1)
+    grid = EpsGrid(ratio=0.7)
+
+    def residual(e):  # the closed-form check of one grid point, through H1Point
+        val = gauge_dilate(gauge, 1.0 / e, dilate(e, u))
+        ref = point(u.x1, u.x2, g_inverse_eval(gauge, vertical_response(gauge, e, u.xbar)))
+        return point_diff(val, ref) / point_scale(val, ref)
+
+    first = next(e for e in grid.values() if residual(e) > CLOSED_FORM_TOL)
+    assert first != grid.eps0  # the grid starts inside the tolerance
+    with pytest.raises(ArithmeticError, match=re.escape(f"at eps={first!r} deviates")):
+        id_derivability_probe(gauge, u, grid)
+
+    monkeypatch.setattr(cli, "linear_gauge", _lumpy_gauge)
+    code = cli.main(["probe", "derivability", "--ratio", "0.7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("property violation: ")
+    assert f"at eps={first!r} deviates" in captured.err
 
 
 # --- metric differential --------------------------------------------------------------
