@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -103,13 +104,15 @@ class RunConfig:
                 f"count must be at least 2*window = {2 * self.window} "
                 f"to classify a trace, got {self.count!r}"
             )
-        if not self.atol > 0.0:
-            raise ConfigError(f"atol must be positive, got {self.atol!r}")
+        if not (math.isfinite(self.atol) and self.atol > 0.0):
+            raise ConfigError(f"--atol must be positive and finite, got {self.atol!r}")
         return grid
 
     def validate_sampling(self) -> None:
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples!r}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {self.seed!r}")
 
     def resolve_gauge(self, default=linear_gauge) -> Gauge:
         if self.gauge_source is None:

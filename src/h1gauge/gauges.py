@@ -10,7 +10,11 @@ because G(t) >= t^2 forces g(s) <= sqrt(s)).
 
 k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
 _array_path is the one place that picks how (segment-table lookup, the
-linear closed form, or the scalar functions element by element).
+linear closed form, or the scalar functions element by element).  The
+scalar k and g of the piecewise and linear gauges are one-element calls into
+their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
+are what the element-by-element path maps over a raw callable, and
+invert_g is the bisection reference for the closed forms.
 
 Raw user-supplied evaluables are accepted but stay unverified: the metric and
 dilatation layers reject a gauge until its contract has been established,
@@ -20,7 +24,6 @@ gauge is analytic) or by passing check_gauge.
 
 from __future__ import annotations
 
-import bisect as _bisect
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -76,19 +79,15 @@ class PiecewiseLinearGauge:
     convexity plus strict increase; evaluation is continuous by construction.
 
     Construction also builds one segment table over the knots (0, b_1, ...,
-    b_n): the value of k and of the profile G(t) = k(t) + t^2 at each knot,
-    the slope m of k on the segment starting there (the last segment is the
-    extension past b_n) and m/2 + b for g.  k reads the table directly; G is
-    quadratic on each segment, so g = G^-1 is exact (see g).
+    b_n), as arrays: the value of k and of the profile G(t) = k(t) + t^2 at
+    each knot, the slope m of k on the segment starting there (the last
+    segment is the extension past b_n) and m/2 + b for g.  k_array reads the
+    table directly; G is quadratic on each segment, so g = G^-1 is exact
+    (see g_array).  __call__ and g are one-element calls into them.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    _knots: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
-    _kvals: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
-    _gvals: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
-    _slopes: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
-    _halfb: tuple[float, ...] = field(init=False, repr=False, compare=False, default=())
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -117,24 +116,28 @@ class PiecewiseLinearGauge:
                     f"{slopes[i - 1]!r}, segment {i} has slope {slopes[i]!r}"
                 )
         table_slopes = (*slopes, slopes[-1])
-        setattr_ = object.__setattr__
-        setattr_(self, "_knots", knots)
-        setattr_(self, "_kvals", kvals)
-        setattr_(self, "_gvals", tuple(v + b * b for b, v in zip(knots, kvals)))
-        setattr_(self, "_slopes", table_slopes)
-        setattr_(self, "_halfb", tuple(0.5 * m + b for b, m in zip(knots, table_slopes)))
-        setattr_(self, "_arrays", tuple(
-            np.array(col) for col in (knots, kvals, self._gvals, table_slopes, self._halfb)
+        gvals = tuple(v + b * b for b, v in zip(knots, kvals))
+        halfb = tuple(0.5 * m + b for b, m in zip(knots, table_slopes))
+        object.__setattr__(self, "_arrays", tuple(
+            np.array(col) for col in (knots, kvals, gvals, table_slopes, halfb)
         ))
 
     def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        i = _bisect.bisect_right(self._knots, t) - 1
-        return self._kvals[i] + self._slopes[i] * (t - self._knots[i])
+        """k(t): one element of k_array, and 0 for t <= 0."""
+        return 0.0 if t <= 0.0 else _at(self.k_array, t)
 
     def g(self, s: float) -> float:
-        """Exact profile inverse g(s) for s >= 0.
+        """g(s) for s >= 0: one element of g_array."""
+        return _at(self.g_array, s)
+
+    def k_array(self, t: np.ndarray) -> np.ndarray:
+        """k on an array of t >= 0, by np.searchsorted in the segment table."""
+        knots, kvals, _, slopes, _ = self._arrays
+        i = np.searchsorted(knots, t, side="right") - 1
+        return kvals[i] + slopes[i] * (t - knots[i])
+
+    def g_array(self, s: np.ndarray) -> np.ndarray:
+        """Exact profile inverse g on an array of s >= 0.
 
         On the segment starting at knot b with profile value G(b) and slope m,
         G(b + x) = G(b) + B x + x^2 with B = m + 2b.  The segment is the last
@@ -143,19 +146,6 @@ class PiecewiseLinearGauge:
         2d / (B + sqrt(B^2 + 4d)) = d / (h + hypot(h, sqrt(d))), h = B/2;
         hypot keeps large B or d from overflowing the square.
         """
-        i = _bisect.bisect_right(self._gvals, s) - 1
-        d = s - self._gvals[i]
-        h = self._halfb[i]
-        return self._knots[i] + d / (h + math.hypot(h, math.sqrt(d)))
-
-    def k_array(self, t: np.ndarray) -> np.ndarray:
-        """k on an array of t >= 0: the table lookup of __call__ by np.searchsorted."""
-        knots, kvals, _, slopes, _ = self._arrays
-        i = np.searchsorted(knots, t, side="right") - 1
-        return kvals[i] + slopes[i] * (t - knots[i])
-
-    def g_array(self, s: np.ndarray) -> np.ndarray:
-        """g on an array of s >= 0, with the segment lookup and root of g."""
         knots, _, gvals, _, halfb = self._arrays
         i = np.searchsorted(gvals, s, side="right") - 1
         d = s - gvals[i]
@@ -163,12 +153,17 @@ class PiecewiseLinearGauge:
         return knots[i] + d / (h + np.hypot(h, np.sqrt(d)))
 
 
+def _at(f: Callable[[np.ndarray], np.ndarray], x: float) -> float:
+    """The array function f at the one argument x, as a finite float."""
+    return check_finite(f(np.array([x])))[0].item()
+
+
 def _linear_k(t):
     return t
 
 
 def _linear_g(s: float) -> float:
-    return 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
+    return _at(_linear_g_array, s)
 
 
 def _linear_g_array(s: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The first Heisenberg group: points, symplectic area, group law.
 
 H1Point is the validated value type at the API boundary.  The *_array
-functions are the same operations on (n, 3) float arrays, one point per row;
-every array they return passes check_finite, the array form of the H1Point
-invariant.
+functions hold the formulas and act on (n, 3) float arrays, one point per
+row; every array they return passes check_finite, the array form of the
+H1Point invariant.  A scalar function on H1Points is a one-row call into its
+kernel: to_row and from_row carry a point to a (1, 3) array and back.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class H1Point:
         return (self.x1, self.x2)
 
     def horizontal_norm(self) -> float:
-        return math.hypot(self.x1, self.x2)
+        # np.hypot, as in the array norms, so both round alike
+        return float(np.hypot(self.x1, self.x2))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.xbar)
@@ -50,42 +52,32 @@ def point(x1: float, x2: float, xbar: float) -> H1Point:
     return H1Point(float(x1), float(x2), float(xbar))
 
 
-def symplectic_area(a, b) -> float:
-    """Signed area a1*b2 - a2*b1 of two planar vectors."""
+def symplectic_area(a, b):
+    """Signed area a1*b2 - a2*b1 of two planar vectors (or of two columns of
+    vectors, one per entry)."""
     return a[0] * b[1] - a[1] * b[0]
 
 
 def mul(p: H1Point, q: H1Point) -> H1Point:
-    """Group product: horizontals add, verticals add plus twice the symplectic area."""
-    return H1Point(
-        p.x1 + q.x1,
-        p.x2 + q.x2,
-        p.xbar + q.xbar + 2.0 * symplectic_area(p.horizontal, q.horizontal),
-    )
+    """Group product: one row of mul_array."""
+    return from_row(mul_array(to_row(p), to_row(q)))
 
 
 def inv(p: H1Point) -> H1Point:
     return H1Point(-p.x1, -p.x2, -p.xbar)
 
 
-def point_diff(p: H1Point, q: H1Point) -> float:
-    """Max componentwise absolute difference."""
-    return max(abs(p.x1 - q.x1), abs(p.x2 - q.x2), abs(p.xbar - q.xbar))
-
-
-def point_scale(*points: H1Point) -> float:
-    """Normalization max(1, |components|) for scaled comparisons."""
-    mags = [1.0]
-    for p in points:
-        mags.extend((abs(p.x1), abs(p.x2), abs(p.xbar)))
-    return max(mags)
-
-
-def point_close(p: H1Point, q: H1Point, tol: float) -> bool:
-    return point_diff(p, q) <= tol * point_scale(p, q)
-
-
 # --- (n, 3) arrays, one point per row ---------------------------------------
+
+
+def to_row(p: H1Point) -> np.ndarray:
+    """p as a (1, 3) point array."""
+    return np.array([p.as_tuple()])
+
+
+def from_row(a: np.ndarray) -> H1Point:
+    """The point in the first row of a."""
+    return H1Point(*a[0].tolist())
 
 
 def check_finite(a: np.ndarray) -> np.ndarray:
@@ -101,10 +93,11 @@ def points_array(x1: np.ndarray, x2: np.ndarray, xbar: np.ndarray) -> np.ndarray
 
 
 def mul_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """mul row by row; a (1, 3) operand broadcasts against (n, 3)."""
+    """Group product row by row: horizontals add, verticals add plus twice
+    the symplectic area.  A (1, 3) operand broadcasts against (n, 3)."""
     x1, x2, xbar = p.T
     y1, y2, ybar = q.T
-    return points_array(x1 + y1, x2 + y2, xbar + ybar + 2.0 * (x1 * y2 - x2 * y1))
+    return points_array(x1 + y1, x2 + y2, xbar + ybar + 2.0 * symplectic_area(p.T, q.T))
 
 
 def inv_array(p: np.ndarray) -> np.ndarray:
@@ -112,10 +105,11 @@ def inv_array(p: np.ndarray) -> np.ndarray:
 
 
 def point_diff_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """point_diff row by row."""
+    """Max componentwise absolute difference, row by row."""
     return check_finite(np.abs(p - q).max(axis=1))
 
 
 def point_scale_array(*points: np.ndarray) -> np.ndarray:
-    """point_scale row by row over equally long point arrays."""
+    """Normalization max(1, |components|) for scaled comparisons, row by row
+    over equally long point arrays."""
     return check_finite(np.maximum(1.0, np.abs(np.concatenate(points, axis=1)).max(axis=1)))

@@ -28,8 +28,8 @@ from statistics import fmean
 
 import numpy as np
 
-from .dilatations import dilate_array, gauge_dilate_array, sgn
-from .gauges import Gauge, g_array, g_eval, g_inverse_array, require_verified
+from .dilatations import dilate_array, gauge_dilate_array
+from .gauges import Gauge, g_array, g_inverse_array, require_verified
 from .heisenberg import (
     H1Point,
     identity,
@@ -38,6 +38,7 @@ from .heisenberg import (
     point_scale_array,
     points_array,
     symplectic_area,
+    to_row,
 )
 from .metrics import SAMPLE_CHUNK, gauge_dist_array
 from .report import PropertyCheck, VerificationReport, violation_scale
@@ -263,12 +264,16 @@ def _scale_check(grid: EpsGrid, magnitude: float) -> None:
 
 
 def vertical_response(gauge: Gauge, eps: float, ubar: float) -> float:
-    """Rescaled profile response g(eps^2 * |ubar|) / eps."""
-    return g_eval(gauge, eps * eps * abs(ubar)) / eps
+    """The paper's scalar response g(eps^2 * |ubar|) / eps at one scale: the
+    gauge distance from the identity to the intrinsic dilatation of the
+    vertical point (0, 0, ubar), divided by eps.  Whether it converges as
+    eps -> 0 decides every limit question here.  One element of
+    _vertical_response_array."""
+    return _vertical_response_array(gauge, np.array([eps]), ubar)[0].item()
 
 
 def _vertical_response_array(gauge: Gauge, eps: np.ndarray, ubar: float) -> np.ndarray:
-    """vertical_response at every scale of eps."""
+    """g(eps^2 * |ubar|) / eps at every scale of eps."""
     return g_array(gauge, eps * eps * abs(ubar)) / eps
 
 
@@ -309,8 +314,8 @@ def rescaled_product_probe(
     area = symplectic_area(p.horizontal, q.horizontal)
     _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
     eps = np.array(grid.values())
-    product = mul_array(gauge_dilate_array(gauge, eps, np.array([p.as_tuple()])),
-                        gauge_dilate_array(gauge, eps, np.array([q.as_tuple()])))
+    product = mul_array(gauge_dilate_array(gauge, eps, to_row(p)),
+                        gauge_dilate_array(gauge, eps, to_row(q)))
     rows = gauge_dilate_array(gauge, 1.0 / eps, product).tolist()
     return _trace("rescaled-product", grid, [H1Point(*r) for r in rows], window, atol,
                   divergence_bound, {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
@@ -339,8 +344,9 @@ def id_derivability_probe(
     grid = _resolve_grid(grid)
     _scale_check(grid, abs(u.xbar))
     eps = np.array(grid.values())
-    rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, np.array([u.as_tuple()])))
-    ref_vert = sgn(u.xbar) * g_inverse_array(gauge, _vertical_response_array(gauge, eps, u.xbar))
+    rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
+    ref_vert = np.sign(u.xbar) * g_inverse_array(
+        gauge, _vertical_response_array(gauge, eps, u.xbar))
     ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2), ref_vert)
     residual = point_diff_array(rows, ref) / point_scale_array(rows, ref)
     bad = np.flatnonzero(residual > CLOSED_FORM_TOL)
@@ -364,8 +370,10 @@ def metric_differential(
     atol: float = DEFAULT_ATOL,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> float:
-    """max(horizontal norm, vertical limit) — defined only when the vertical
-    limit exists; raises NonConvergentLimitError otherwise."""
+    """The paper's metric differential of the identity map at v:
+    max(horizontal norm, vertical limit), the limit of the rescaled gauge
+    distance (1/eps) * gauge_dist(e, dilate(eps, v)).  Defined only when the
+    vertical limit exists; raises NonConvergentLimitError otherwise."""
     trace = vertical_limit_probe(
         gauge, v.xbar, grid, window=window, atol=atol, divergence_bound=divergence_bound
     )
@@ -410,7 +418,8 @@ def uniform_probe(
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> VerificationReport:
     """Uniform convergence of a pointwise probe over a finite sample of a
-    compact set.
+    compact set: the paper asks the scaling limits to converge uniformly on
+    compacts, not only pointwise.
 
     probe(point, grid) must return a scalar-valued ConvergenceTrace.  Two
     checks: every pointwise trace converges, and the sup over points of the
@@ -511,7 +520,7 @@ def _rescaled_distances(gauge: Gauge, base: H1Point, dirs: np.ndarray,
     """
     n = len(eps)
     out = np.empty(len(dirs) * n)
-    b = np.array([base.as_tuple()])
+    b = to_row(base)
     for start in range(0, out.size, SAMPLE_CHUNK):
         idx = np.arange(start, min(out.size, start + SAMPLE_CHUNK))
         e = eps[idx % n]

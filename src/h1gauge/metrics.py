@@ -2,12 +2,14 @@
 
 Three left-invariant distances: the intrinsic max-distance
 max(|x|, sqrt(|xbar|)), the gauge-deformed distance max(|x|, g(|xbar|)), and
-the flat distance max(|x|, |xbar|) taken in the transported group.  Each has
-a scalar form on H1Point and an array form on (n, 3) point arrays.  The
-samplers draw seeded points from a box and report worst-case violations of
-the triangle inequality, 1-Lipschitzness of the identity, left invariance,
-the flattening isometry, and the dilatation identities.  They run on arrays,
-SAMPLE_CHUNK samples at a time, so memory stays bounded for any sample count.
+the flat distance max(|x|, |xbar|) taken in the transported group.  Each norm
+is written once, as an array kernel on (n, 3) point arrays; the scalar norm on
+H1Point is a one-row call into it, and each scalar distance composes its norm
+with the group law.  The samplers draw seeded points from a box and report
+worst-case violations of the triangle inequality, 1-Lipschitzness of the
+identity, left invariance, the flattening isometry, and the dilatation
+identities.  They run on arrays, SAMPLE_CHUNK samples at a time, so memory
+stays bounded for any sample count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dilatations import (
     transported_mul_array,
     unflatten_array,
 )
-from .gauges import Gauge, g_array, g_eval, require_verified
+from .gauges import Gauge, g_array, require_verified
 from .heisenberg import (
     H1Point,
     check_finite,
@@ -36,6 +38,7 @@ from .heisenberg import (
     mul_array,
     point_diff_array,
     point_scale_array,
+    to_row,
 )
 from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck
 
@@ -43,8 +46,8 @@ SAMPLE_CHUNK = 4096  # samples drawn and evaluated per array pass
 
 
 def intrinsic_norm(p: H1Point) -> float:
-    """max of the horizontal norm and the square root of the vertical part."""
-    return max(p.horizontal_norm(), math.sqrt(abs(p.xbar)))
+    """One row of intrinsic_norm_array."""
+    return intrinsic_norm_array(to_row(p))[0].item()
 
 
 def intrinsic_dist(p: H1Point, q: H1Point) -> float:
@@ -52,9 +55,8 @@ def intrinsic_dist(p: H1Point, q: H1Point) -> float:
 
 
 def gauge_norm(gauge: Gauge, p: H1Point) -> float:
-    """max of the horizontal norm and g of the vertical part."""
-    require_verified(gauge)
-    return max(p.horizontal_norm(), g_eval(gauge, abs(p.xbar)))
+    """One row of gauge_norm_array."""
+    return gauge_norm_array(gauge, to_row(p))[0].item()
 
 
 def gauge_dist(gauge: Gauge, p: H1Point, q: H1Point) -> float:
@@ -62,8 +64,8 @@ def gauge_dist(gauge: Gauge, p: H1Point, q: H1Point) -> float:
 
 
 def flat_norm(p: H1Point) -> float:
-    """max of the horizontal norm and the plain vertical magnitude."""
-    return max(p.horizontal_norm(), abs(p.xbar))
+    """One row of flat_norm_array."""
+    return flat_norm_array(to_row(p))[0].item()
 
 
 def flat_dist(gauge: Gauge, p: H1Point, q: H1Point) -> float:
@@ -80,18 +82,20 @@ def _max_with_horizontal(p: np.ndarray, vertical: np.ndarray) -> np.ndarray:
 
 
 def intrinsic_norm_array(p: np.ndarray) -> np.ndarray:
-    """intrinsic_norm row by row."""
+    """max of the horizontal norm and the square root of the vertical part,
+    row by row."""
     return _max_with_horizontal(p, np.sqrt(np.abs(p[:, 2])))
 
 
 def gauge_norm_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
-    """gauge_norm row by row."""
+    """max of the horizontal norm and g of the vertical part, row by row."""
     require_verified(gauge)
     return _max_with_horizontal(p, g_array(gauge, np.abs(p[:, 2])))
 
 
 def flat_norm_array(p: np.ndarray) -> np.ndarray:
-    """flat_norm row by row."""
+    """max of the horizontal norm and the plain vertical magnitude, row by
+    row."""
     return _max_with_horizontal(p, np.abs(p[:, 2]))
 
 

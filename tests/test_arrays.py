@@ -1,10 +1,12 @@
-"""Array kernels and the limit probes against the scalar H1Point reference.
+"""Array kernels and the limit probes against the scalar reference formulas.
 
-The scalar functions are the reference: every array kernel runs the same
-formulas row by row, and every probe trace evaluates its scalar formula at
-each grid point, so each row must match its scalar result within
-TOL_ALGEBRA (scaled by max(1, |value|)).  The gauges cover the three array
-paths: the segment table (oscillatory and random piecewise gauges), the
+Each operation of the package is written once, as an array kernel, and its
+single-point form is a one-row call into it: those calls must equal row 0 of
+the kernel bit for bit.  The oracle for the kernels themselves is
+tests/reference.py, an independent plain-Python writing of every formula on
+H1Points: each kernel row, and each probe trace at each grid point, must match
+it within TOL_ALGEBRA (scaled by max(1, |value|)).  The gauges cover the three
+array paths: the segment table (oscillatory and random piecewise gauges), the
 linear closed form, and the element-by-element fallback for a raw callable.
 """
 
@@ -16,7 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import h1gauge
 import h1gauge.metrics as metrics
+import reference as ref
 from h1gauge.dilatations import (
     dilate,
     dilate_array,
@@ -26,7 +30,6 @@ from h1gauge.dilatations import (
     flatten_array,
     gauge_dilate,
     gauge_dilate_array,
-    rescaled_product,
     transported_mul,
     transported_mul_array,
     unflatten,
@@ -39,7 +42,6 @@ from h1gauge.gauges import (
     g_array,
     g_eval,
     g_inverse_array,
-    g_inverse_eval,
     k_array,
     linear_gauge,
     oscillatory_gauge,
@@ -47,20 +49,19 @@ from h1gauge.gauges import (
     verified_gauge,
 )
 from h1gauge.heisenberg import (
-    inv,
+    H1Point,
     inv_array,
     mul,
     mul_array,
     point,
-    point_diff,
     point_diff_array,
-    point_scale,
     point_scale_array,
 )
 from h1gauge.limits import (
     DEFAULT_ATOL,
     DEFAULT_WINDOW,
     EpsGrid,
+    _vertical_response_array,
     classify_limit,
     classify_point_trace,
     default_direction_grid,
@@ -68,12 +69,12 @@ from h1gauge.limits import (
     metric_diff_probe,
     rescaled_product_probe,
     vertical_limit_probe,
+    vertical_response,
 )
 from h1gauge.metrics import (
     SampleBox,
     flat_norm,
     flat_norm_array,
-    gauge_dist,
     gauge_dist_array,
     gauge_norm,
     gauge_norm_array,
@@ -155,12 +156,12 @@ def test_group_kernels_match_scalar(rows, data):
     qs = data.draw(st.lists(st.builds(point, coord, coord, coord),
                             min_size=len(ps), max_size=len(ps)))
     p, q = _arr(ps), _arr(qs)
-    _assert_close(mul_array(p, q), _arr([mul(a, b) for a, b in zip(ps, qs)]))
-    _assert_close(inv_array(p), _arr([inv(a) for a in ps]))
-    _assert_close(point_diff_array(p, q), [point_diff(a, b) for a, b in zip(ps, qs)])
-    _assert_close(point_scale_array(p, q), [point_scale(a, b) for a, b in zip(ps, qs)])
-    _assert_close(intrinsic_norm_array(p), [intrinsic_norm(a) for a in ps])
-    _assert_close(flat_norm_array(p), [flat_norm(a) for a in ps])
+    _assert_close(mul_array(p, q), _arr([ref.mul(a, b) for a, b in zip(ps, qs)]))
+    _assert_close(inv_array(p), _arr([ref.inv(a) for a in ps]))
+    _assert_close(point_diff_array(p, q), [ref.point_diff(a, b) for a, b in zip(ps, qs)])
+    _assert_close(point_scale_array(p, q), [ref.point_scale(a, b) for a, b in zip(ps, qs)])
+    _assert_close(intrinsic_norm_array(p), [ref.intrinsic_norm(a) for a in ps])
+    _assert_close(flat_norm_array(p), [ref.flat_norm(a) for a in ps])
 
 
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.label)
@@ -169,9 +170,9 @@ def test_group_kernels_match_scalar(rows, data):
 def test_gauge_kernels_match_scalar(gauge, data):
     xs = data.draw(_args(gauge))
     x = np.array(xs)
-    _assert_close(k_array(gauge, x), [gauge.k(v) for v in xs])
-    _assert_close(g_inverse_array(gauge, x), [g_inverse_eval(gauge, v) for v in xs])
-    _assert_close(g_array(gauge, x), [g_eval(gauge, v) for v in xs])
+    _assert_close(k_array(gauge, x), [ref.k(gauge, v) for v in xs])
+    _assert_close(g_inverse_array(gauge, x), [ref.G(gauge, v) for v in xs])
+    _assert_close(g_array(gauge, x), [ref.g(gauge, v) for v in xs])
 
 
 @pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.label)
@@ -182,23 +183,23 @@ def test_dilatation_kernels_match_scalar(gauge, data):
     qs = data.draw(st.lists(_points(gauge), min_size=len(ps), max_size=len(ps)))
     eps = data.draw(scales)
     p, q = _arr(ps), _arr(qs)
-    _assert_close(dilate_array(eps, p), _arr([dilate(eps, a) for a in ps]))
-    _assert_close(euclidean_dilate_array(eps, p), _arr([euclidean_dilate(eps, a) for a in ps]))
+    _assert_close(dilate_array(eps, p), _arr([ref.dilate(eps, a) for a in ps]))
+    _assert_close(euclidean_dilate_array(eps, p), _arr([ref.euclidean_dilate(eps, a) for a in ps]))
     _assert_close(
-        gauge_dilate_array(gauge, eps, p), _arr([gauge_dilate(gauge, eps, a) for a in ps])
+        gauge_dilate_array(gauge, eps, p), _arr([ref.gauge_dilate(gauge, eps, a) for a in ps])
     )
-    _assert_close(flatten_array(gauge, p), _arr([flatten(gauge, a) for a in ps]))
-    _assert_close(unflatten_array(gauge, p), _arr([unflatten(gauge, a) for a in ps]))
+    _assert_close(flatten_array(gauge, p), _arr([ref.flatten(gauge, a) for a in ps]))
+    _assert_close(unflatten_array(gauge, p), _arr([ref.unflatten(gauge, a) for a in ps]))
     _assert_close(
         transported_mul_array(gauge, p, q),
-        _arr([transported_mul(gauge, a, b) for a, b in zip(ps, qs)]),
+        _arr([ref.transported_mul(gauge, a, b) for a, b in zip(ps, qs)]),
     )
-    _assert_close(gauge_norm_array(gauge, p), [gauge_norm(gauge, a) for a in ps])
+    _assert_close(gauge_norm_array(gauge, p), [ref.gauge_norm(gauge, a) for a in ps])
     # one scale per row
     per_row = np.array([eps * 2.0**-j for j in range(len(ps))])
     _assert_close(
         gauge_dilate_array(gauge, per_row, p),
-        _arr([gauge_dilate(gauge, e, a) for e, a in zip(per_row.tolist(), ps)]),
+        _arr([ref.gauge_dilate(gauge, e, a) for e, a in zip(per_row.tolist(), ps)]),
     )
 
 
@@ -208,13 +209,67 @@ def test_piecewise_kernels_at_knots():
     knots = np.array([v + b * b for b, v in zip(pwl.breakpoints, pwl.values)])
     _assert_close(g_array(OSC, knots), pwl.breakpoints)
     assert g_array(OSC, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
-    assert k_array(OSC, np.array(pwl.breakpoints)).tolist() == [pwl(b) for b in pwl.breakpoints]
+    assert k_array(OSC, np.array(pwl.breakpoints)).tolist() == [
+        ref.k(OSC, b) for b in pwl.breakpoints]
 
 
 def test_gauge_kernels_reject_negative_arguments():
     for fn in (k_array, g_array, g_inverse_array):
         with pytest.raises(ValueError, match=">= 0"):
             fn(OSC, np.array([1.0, -1e-300]))
+
+
+# --- single points are rows of the kernels -----------------------------------------
+
+def _assert_same_bits(single, row):
+    """single (an H1Point or a float) equals the kernel row bit for bit."""
+    values = single.as_tuple() if isinstance(single, H1Point) else (single,)
+    assert all(type(v) is float for v in values)
+    assert [v.hex() for v in values] == [v.hex() for v in np.atleast_1d(row).tolist()]
+
+
+def _assert_single_points_are_rows(gauge, p, q, eps, s):
+    a, b, e, x = _arr([p]), _arr([q]), np.array([eps]), np.array([s])
+    pairs = [
+        (mul(p, q), mul_array(a, b)[0]),
+        (dilate(eps, p), dilate_array(e, a)[0]),
+        (euclidean_dilate(eps, p), euclidean_dilate_array(e, a)[0]),
+        (gauge_dilate(gauge, eps, p), gauge_dilate_array(gauge, e, a)[0]),
+        (flatten(gauge, p), flatten_array(gauge, a)[0]),
+        (unflatten(gauge, p), unflatten_array(gauge, a)[0]),
+        (transported_mul(gauge, p, q), transported_mul_array(gauge, a, b)[0]),
+        (intrinsic_norm(p), intrinsic_norm_array(a)[0]),
+        (gauge_norm(gauge, p), gauge_norm_array(gauge, a)[0]),
+        (flat_norm(p), flat_norm_array(a)[0]),
+        (vertical_response(gauge, eps, p.xbar), _vertical_response_array(gauge, e, p.xbar)[0]),
+        (g_eval(gauge, s), g_array(gauge, x)[0]),
+    ]
+    if isinstance(gauge.k, PiecewiseLinearGauge):  # g_eval already calls its g
+        pairs.append((gauge.k(s), k_array(gauge, x)[0]))
+    for single, row in pairs:
+        _assert_same_bits(single, row)
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.label)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_single_points_are_rows_of_the_kernels(gauge, data):
+    p, q = data.draw(_points(gauge)), data.draw(_points(gauge))
+    s = data.draw(st.one_of(st.sampled_from(_special_args(gauge)), st.floats(0.0, 1e6)))
+    _assert_single_points_are_rows(gauge, p, q, data.draw(scales), s)
+
+
+def test_single_points_are_rows_where_hypot_rounds_apart():
+    # math.hypot and np.hypot round these apart in the last bit: the horizontal
+    # norm of p, and the root inside the piecewise g at s
+    _assert_single_points_are_rows(
+        GAUGES[3], point(-3.376, -0.933, -2.681), point(0.719, -1.179, -3.123), 0.5, 1.574
+    )
+
+
+def test_public_names_resolve():
+    assert len(set(h1gauge.__all__)) == len(h1gauge.__all__)
+    assert [name for name in h1gauge.__all__ if not hasattr(h1gauge, name)] == []
 
 
 # --- the finiteness guard -----------------------------------------------------------
@@ -326,10 +381,11 @@ def test_chunked_scan_keeps_the_first_global_worst(monkeypatch):
 # --- check_gauge against the scalar loop it replaced ---------------------------------
 
 def _check_gauge_loop(gauge, pts):
-    """The element-by-element check_gauge, as reference: (name, worst, witness)."""
-    out = [("origin", abs(gauge.k(0.0)), 0.0)]
-    ks = [gauge.k(t) for t in pts]
-    worst, wit, prev_t, prev_k = math.inf, None, 0.0, gauge.k(0.0)
+    """The element-by-element check_gauge on the reference k, G and g:
+    (name, worst, witness)."""
+    out = [("origin", abs(ref.k(gauge, 0.0)), 0.0)]
+    ks = [ref.k(gauge, t) for t in pts]
+    worst, wit, prev_t, prev_k = math.inf, None, 0.0, ref.k(gauge, 0.0)
     for t, kt in zip(pts, ks):
         if kt - prev_k < worst:
             worst, wit = kt - prev_k, [prev_t, t]
@@ -339,7 +395,7 @@ def _check_gauge_loop(gauge, pts):
     worst, wit = -math.inf, None
     for i in range(len(sub)):
         for j in range(i + 1, len(sub)):
-            v = (gauge.k(0.5 * (sub[i] + sub[j])) - 0.5 * (subk[i] + subk[j])) / max(
+            v = (ref.k(gauge, 0.5 * (sub[i] + sub[j])) - 0.5 * (subk[i] + subk[j])) / max(
                 1.0, abs(subk[i]), abs(subk[j])
             )
             if v > worst:
@@ -347,8 +403,8 @@ def _check_gauge_loop(gauge, pts):
     out.append(("midpoint-convexity", worst, wit))
     worst, wit = -math.inf, None
     for t in pts:
-        there = abs(g_eval(gauge, g_inverse_eval(gauge, t)) - t) / max(1.0, t)
-        back = abs(g_inverse_eval(gauge, g_eval(gauge, t)) - t) / max(1.0, t)
+        there = abs(ref.g(gauge, ref.G(gauge, t)) - t) / max(1.0, t)
+        back = abs(ref.G(gauge, ref.g(gauge, t)) - t) / max(1.0, t)
         for v, label in ((there, "g(G(t))"), (back, "G(g(s))")):
             if v > worst:
                 worst, wit = v, [label, t]
@@ -375,7 +431,7 @@ def test_check_gauge_matches_scalar_loop(gauge):
 # --- limit probes against their scalar formulas -------------------------------------
 #
 # Each probe's array trace is checked against the H1Point formula it
-# evaluates, kept here as the reference; the reference verdicts come from the
+# evaluates, from tests/reference.py; the reference verdicts come from the
 # same classifier applied to the reference values.
 
 PROBE_GAUGES = [LIN, OSC, _random_piecewise(3, 12), SQUARE]
@@ -392,7 +448,7 @@ def _scalar_metric_diff(gauge, base, grid, window=DEFAULT_WINDOW, atol=DEFAULT_A
     eps = grid.values()
 
     def trace(v):
-        return [gauge_dist(gauge, base, mul(base, dilate(e, v))) / e for e in eps]
+        return [ref.gauge_dist(gauge, base, ref.mul(base, ref.dilate(e, v))) / e for e in eps]
 
     def eta_of(v):
         return fmean(trace(v)[-window:])
@@ -414,11 +470,11 @@ def _scalar_metric_diff(gauge, base, grid, window=DEFAULT_WINDOW, atol=DEFAULT_A
         return (got - bound) / violation_scale(got, bound)
 
     scaling = max(
-        abs(excess(eta_of(dilate(lam, v)), lam * ev))
+        abs(excess(eta_of(ref.dilate(lam, v)), lam * ev))
         for v, ev in zip(dirs, means) for lam in (0.5, 0.25, 2.0)
     )
     sub = max(
-        excess(eta_of(mul(dirs[i], dirs[j])), means[i] + means[j])
+        excess(eta_of(ref.mul(dirs[i], dirs[j])), means[i] + means[j])
         for i in range(len(dirs)) for j in range(i + 1, len(dirs))
     )
     out.update(eta=means, witness=None, checks=[("seminorm-scaling", scaling),
@@ -435,20 +491,21 @@ def test_probes_match_scalar_formulas(gauge, site, count):
     eps = grid.values()
 
     tr = vertical_limit_probe(gauge, ubar, grid)
-    want = [g_eval(gauge, e * e * abs(ubar)) / e for e in eps]
+    want = [ref.vertical_response(gauge, e, ubar) for e in eps]
     _assert_close(tr.values, want)
     assert tr.classification.kind == classify_limit(want).kind
 
     for tr, want in (
         (rescaled_product_probe(gauge, p, q, grid),
-         [rescaled_product(gauge, e, p, q) for e in eps]),
+         [ref.rescaled_product(gauge, e, p, q) for e in eps]),
         (id_derivability_probe(gauge, u, grid),
-         [gauge_dilate(gauge, 1.0 / e, dilate(e, u)) for e in eps]),
+         [ref.gauge_dilate(gauge, 1.0 / e, ref.dilate(e, u)) for e in eps]),
     ):
         _assert_close(_arr(tr.values), _arr(want))
-        ref = classify_point_trace(want)
-        assert tr.classification.kind == ref.kind
-        assert [c.kind for c in tr.classification.components] == [c.kind for c in ref.components]
+        want_cls = classify_point_trace(want)
+        assert tr.classification.kind == want_cls.kind
+        assert [c.kind for c in tr.classification.components] == [
+            c.kind for c in want_cls.components]
 
     rep = metric_diff_probe(gauge, base, None, grid)
     want = _scalar_metric_diff(gauge, base, grid)

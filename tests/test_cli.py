@@ -185,6 +185,33 @@ def test_overflowing_eps0_is_config_error(capsys, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["verify"], ["counterexample"]], ids=lambda c: c[0])
+def test_negative_seed_is_config_error(capsys, tmp_path, command):
+    out = tmp_path / "never"
+    code, stdout, err = run(capsys, *command, "--samples", "5", "--seed", "-1", "--out", str(out))
+    assert code == 2
+    assert "--seed" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("atol", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["probe", "a"], ["probe", "metric-diff"], ["counterexample", "--samples", "5"]],
+    ids=["a", "metric-diff", "counterexample"],
+)
+def test_non_finite_atol_is_config_error(capsys, tmp_path, command, atol):
+    # an infinite atol would call every trace converged and print "Infinity",
+    # which is not JSON
+    out = tmp_path / "never"
+    code, stdout, err = run(capsys, *command, "--atol", atol, "--out", str(out))
+    assert code == 2
+    assert "--atol" in err and "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1gauge.dilatations import (
-    conjugation_residual,
     dilate,
     euclidean_dilate,
     flatten,
     gauge_dilate,
     gauge_dilate_at,
     rescaled_product,
-    sgn,
     transported_mul,
     unflatten,
 )
 from h1gauge.gauges import linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import identity, inv, mul, point, point_close, point_diff, point_scale
+from h1gauge.heisenberg import identity, inv, mul, point
+from reference import point_close, point_diff, point_scale
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
@@ -29,9 +28,13 @@ eps_values = st.floats(min_value=1e-4, max_value=1e2)
 
 
 def test_sgn_convention():
-    assert sgn(3.5) == 1.0
-    assert sgn(-0.2) == -1.0
-    assert sgn(0.0) == 0.0  # keeps every dilatation family continuous at xbar=0
+    # the vertical maps are odd with sgn(0) = 0, which keeps every dilatation
+    # family continuous at xbar = 0
+    for vertical_map in (lambda p: gauge_dilate(LIN, 0.5, p), lambda p: flatten(LIN, p),
+                         lambda p: unflatten(LIN, p)):
+        assert vertical_map(point(1, 0, 3.5)).xbar > 0.0
+        assert vertical_map(point(1, 0, -0.2)).xbar < 0.0
+        assert vertical_map(point(1, 0, 0.0)).xbar == 0.0
 
 
 def test_intrinsic_dilate_frozen_example():
@@ -150,13 +153,20 @@ def test_transported_inverse_is_negation():
     assert point_close(prod, identity(), 1e-9)
 
 
+def _conjugation_residual(gauge, eps, p):
+    """Max componentwise gap between the gauge dilatation and its conjugated
+    form unflatten(euclidean_dilate(flatten(p)))."""
+    conjugated = unflatten(gauge, euclidean_dilate(eps, flatten(gauge, p)))
+    return point_diff(gauge_dilate(gauge, eps, p), conjugated)
+
+
 @given(points, eps_values)
 def test_conjugation_identity(p, eps):
     # gauge dilatation = unflatten . euclidean . flatten, pointwise
-    assert conjugation_residual(LIN, eps, p) <= 1e-9 * point_scale(p)
+    assert _conjugation_residual(LIN, eps, p) <= 1e-9 * point_scale(p)
 
 
 def test_conjugation_at_eps_one_is_tight():
     p = point(0.7, -0.2, 3.3)
-    assert conjugation_residual(LIN, 1.0, p) <= 1e-12
-    assert conjugation_residual(OSC, 1.0, p) <= 1e-12
+    assert _conjugation_residual(LIN, 1.0, p) <= 1e-12
+    assert _conjugation_residual(OSC, 1.0, p) <= 1e-12

@@ -3,14 +3,17 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from h1gauge.gauges import (
     Gauge,
     GaugeConstructionError,
     PiecewiseLinearGauge,
     check_gauge,
+    g_array,
     g_eval,
     g_inverse_eval,
     gauge_from_spec,
@@ -190,12 +193,15 @@ def _cross_check_args(pwl, rng):
 def test_piecewise_closed_form_matches_bisection_and_mpmath(gauge):
     pwl = gauge.k
     assert gauge.g_closed is not None
+    args = _cross_check_args(pwl, random.Random(len(pwl.breakpoints)))
+    # the bisection runs on the plain-Python k of the reference module, so
+    # it shares no code with the segment table behind g_array
+    bisected = Gauge(k=lambda t: reference.k(gauge, t))
     worst_mp = worst_bisect = 0.0
-    for s in _cross_check_args(pwl, random.Random(len(pwl.breakpoints))):
-        closed = g_eval(gauge, s)
+    for s, closed in zip(args, g_array(gauge, np.array(args)).tolist()):
         exact = _mp_g(pwl.breakpoints, pwl.values, s)
         worst_mp = max(worst_mp, float(abs(closed - exact) / exact))
-        worst_bisect = max(worst_bisect, abs(closed - invert_g(gauge, s)) / closed)
+        worst_bisect = max(worst_bisect, abs(closed - invert_g(bisected, s)) / closed)
     assert worst_mp <= 1e-12
     assert worst_bisect <= 1e-12
 

@@ -3,17 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from h1gauge.heisenberg import (
-    IDENTITY,
-    H1Point,
-    identity,
-    inv,
-    mul,
-    point,
-    point_close,
-    point_diff,
-    symplectic_area,
-)
+from h1gauge.heisenberg import IDENTITY, H1Point, identity, inv, mul, point, symplectic_area
+from reference import point_close, point_diff
 
 coord = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
 points = st.builds(H1Point, coord, coord, coord)
