@@ -124,10 +124,12 @@ class RunConfig:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write text as UTF-8 bytes to a temp file beside path, then rename it
+    over path; on any failure the temp file is removed."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -296,8 +298,8 @@ def cmd_counterexample(config: RunConfig) -> int:
     witness, and the rescaled-product/scalar agreement check concurs.  Exit 0
     iff the whole pattern is reproduced; the first deviation is reported.
     """
-    config.validate_sampling()
     grid = config.grid()
+    config.validate_sampling()
     gauge = config.resolve_gauge(default=oscillatory_gauge)
     kw = dict(window=config.window, atol=config.atol, divergence_bound=1e6)
 
@@ -527,11 +529,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "probe":
-            points = _probe_points(args)
-            config.grid()  # fail fast before loading anything
-            return cmd_probe(config, args.probe, points)
+            return cmd_probe(config, args.probe, _probe_points(args))
         if args.command == "counterexample":
-            config.grid()
             return cmd_counterexample(config)
         return cmd_gauge_check(config)
     except ConfigError as e:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import fmean
 
 import numpy as np
@@ -66,7 +67,11 @@ class ScaleOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class EpsGrid:
-    """Geometric scale grid eps_j = eps0 * ratio^j, j = 0..count-1."""
+    """Geometric scale grid eps_j = eps0 * ratio^j, j = 0..count-1.
+
+    The scales and their repr column are computed once per grid, on first
+    use, and cached on the instance: every trace on the grid shares them.
+    """
 
     eps0: float = DEFAULT_EPS0
     ratio: float = DEFAULT_RATIO
@@ -87,7 +92,16 @@ class EpsGrid:
             )
 
     def values(self) -> tuple[float, ...]:
+        return self._scales
+
+    @cached_property
+    def _scales(self) -> tuple[float, ...]:
         return tuple(self.eps0 * self.ratio**j for j in range(self.count))
+
+    @cached_property
+    def eps_column(self) -> tuple[str, ...]:
+        """repr of each scale: the epsilon column of every trace CSV."""
+        return tuple(map(repr, self.values()))
 
 
 @dataclass(frozen=True)
@@ -206,10 +220,14 @@ class ConvergenceTrace:
                 yield (eps, v)
 
     def to_csv(self) -> str:
-        lines = [self.header()]
-        for row in self.rows():
-            lines.append(",".join(repr(c) for c in row))
-        return "\n".join(lines) + "\n"
+        """The header, then one line per scale: the grid's shared epsilon
+        column joined with the value columns, every float rendered by repr."""
+        if self.point_valued:
+            columns = zip(*(p.as_tuple() for p in self.values))
+            lines = map("{},{!r},{!r},{!r}".format, self.grid.eps_column, *columns)
+        else:
+            lines = map("{},{!r}".format, self.grid.eps_column, self.values)
+        return "\n".join((self.header(), *lines, ""))
 
     def summary(self) -> dict:
         return {
@@ -321,6 +339,18 @@ def rescaled_product_probe(
                   divergence_bound, {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 
 
+def _first_over(eps: np.ndarray, residual: np.ndarray, what: str) -> None:
+    """Raise ArithmeticError naming the first eps whose residual exceeds
+    CLOSED_FORM_TOL."""
+    bad = np.flatnonzero(residual > CLOSED_FORM_TOL)
+    if bad.size:
+        j = int(bad[0])
+        raise ArithmeticError(
+            f"derivability trace at eps={float(eps[j])!r} {what} "
+            f"by {float(residual[j])!r} (> {CLOSED_FORM_TOL!r})"
+        )
+
+
 def id_derivability_probe(
     gauge: Gauge,
     u: H1Point,
@@ -338,24 +368,32 @@ def id_derivability_probe(
     |ubar|)/eps)) — agreement is an algebraic identity through one profile
     round-trip, enforced at CLOSED_FORM_TOL (the first eps of the grid that
     exceeds it is named); the max residual is recorded in
-    meta["closed_form_residual"].
+    meta["closed_form_residual"].  Both sides apply the same g, so a wrong g
+    passes that check; each trace point's t = g(s), s = eps^2 |ubar|, is
+    therefore also held to the profile round trip
+    |G(t) - s| <= CLOSED_FORM_TOL * s + (G(t⁺) - G(t)), t⁺ the next float
+    above t (skipped when ubar = 0), again naming the first offending eps.
+    The one-ulp term is the conditioning of G at t: even an exact g returns t
+    rounded to a float, which moves G by up to that step, and on a steep
+    segment just past a knot the step can exceed CLOSED_FORM_TOL * s.  G is
+    convex and increasing, so the step up from t also bounds the step down.
     """
     require_verified(gauge)
     grid = _resolve_grid(grid)
     _scale_check(grid, abs(u.xbar))
     eps = np.array(grid.values())
     rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
-    ref_vert = np.sign(u.xbar) * g_inverse_array(
-        gauge, _vertical_response_array(gauge, eps, u.xbar))
+    s = eps * eps * abs(u.xbar)
+    gs = g_array(gauge, s)
+    ref_vert = np.sign(u.xbar) * g_inverse_array(gauge, gs / eps)
     ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2), ref_vert)
     residual = point_diff_array(rows, ref) / point_scale_array(rows, ref)
-    bad = np.flatnonzero(residual > CLOSED_FORM_TOL)
-    if bad.size:
-        j = int(bad[0])
-        raise ArithmeticError(
-            f"derivability trace at eps={float(eps[j])!r} deviates from its closed form "
-            f"by {float(residual[j])!r} (> {CLOSED_FORM_TOL!r})"
-        )
+    _first_over(eps, residual, "deviates from its closed form")
+    if u.xbar != 0.0:
+        profile = g_inverse_array(gauge, gs)
+        ulp_step = g_inverse_array(gauge, np.nextafter(gs, np.inf)) - profile
+        _first_over(eps, (np.abs(profile - s) - ulp_step) / s,
+                    "fails the profile round trip G(g(s)) = s, beyond one ulp of g(s),")
     return _trace("id-derivability", grid, [H1Point(*r) for r in rows.tolist()], window, atol,
                   divergence_bound, {"gauge": gauge.label, "u": u.as_tuple(),
                                      "closed_form_residual": float(residual.max())})

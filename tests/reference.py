@@ -1,4 +1,5 @@
-"""Scalar reference formulas: the oracle of the parity tests.
+"""Scalar reference formulas and the row-by-row trace CSV: the oracles of the
+parity tests.
 
 Every operation of the package is written once, as an array kernel, and its
 scalar H1Point form is a one-row call into that kernel.  This module keeps an
@@ -160,3 +161,18 @@ def gauge_dist(gauge, p: H1Point, q: H1Point) -> float:
 
 def vertical_response(gauge, eps: float, ubar: float) -> float:
     return g(gauge, eps * eps * abs(ubar)) / eps
+
+
+# --- trace output -----------------------------------------------------------------
+
+
+def trace_csv(trace) -> str:
+    """A trace's CSV written row by row, one repr per cell, with the scales
+    recomputed from the grid's fields: the oracle of ConvergenceTrace.to_csv."""
+    grid = trace.grid
+    point_valued = isinstance(trace.values[0], H1Point)
+    lines = ["epsilon,x1,x2,xbar" if point_valued else "epsilon,value"]
+    for j, v in enumerate(trace.values):
+        row = (grid.eps0 * grid.ratio**j, *(v.as_tuple() if point_valued else (v,)))
+        lines.append(",".join(repr(c) for c in row))
+    return "\n".join(lines) + "\n"

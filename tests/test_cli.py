@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from h1gauge.cli import RunConfig, cmd_verify, main
+from h1gauge.cli import RunConfig, _write_atomic, cmd_verify, main
 from h1gauge.gauges import Gauge
 
 
@@ -61,6 +61,21 @@ def test_probe_derivability(capsys):
     summary = json.loads(stdout)
     assert summary["classification"]["kind"] == "converged"
     assert summary["parameters"]["closed_form_residual"] <= 1e-9
+
+
+# Exact g, ill-conditioned G: just past a knot the slope of G jumps (1e-6 to
+# about 1e3, or by a factor near M/r), so rounding g(s) to a float moves
+# G(g(s)) by up to 5.5e-9 * s on these grids, five times the closed-form
+# tolerance, and the profile round trip must allow for that.
+@pytest.mark.parametrize("spec, count", [
+    ('{"type": "piecewise", "breakpoints": [1e-6, 1], "values": [1e-12, 1000]}', 24),
+    ('{"type": "oscillatory", "M": 10, "r": 1e-7, "levels": 4}', 200),
+], ids=["steep-knot", "oscillatory-r-1e-7"])
+def test_probe_derivability_allows_for_conditioning_of_profile(capsys, spec, count):
+    code, stdout, err = run(capsys, "probe", "derivability", "--gauge", spec,
+                            "--count", str(count), "--format", "structured")
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["parameters"]["closed_form_residual"] <= 1e-9
 
 
 def test_probe_metric_diff_writes_direction_traces(capsys, tmp_path):
@@ -383,3 +398,41 @@ def test_verify_runs_are_byte_identical(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert _collect(tmp_path / "v1") == _collect(tmp_path / "v2")
+
+
+@pytest.mark.parametrize(
+    "argv, n_files",
+    [(["probe", "metric-diff", "--count", "160", "--base=0.3,-0.2,0.5"], 14),
+     (["counterexample", "--samples", "20"], 3)],
+    ids=["probe-metric-diff", "counterexample"],
+)
+def test_multi_file_runs_are_byte_identical(capsys, tmp_path, argv, n_files):
+    code1, out1, _ = run(capsys, *argv, "--out", str(tmp_path / "r1"))
+    code2, out2, _ = run(capsys, *argv, "--out", str(tmp_path / "r2"))
+    assert code1 == code2 == 0
+    assert out1 == out2
+    files = _collect(tmp_path / "r1")
+    assert len(files) == n_files
+    assert files == _collect(tmp_path / "r2")
+
+
+# --- atomic writes ----------------------------------------------------------------------
+
+def test_write_atomic_writes_utf8_bytes(tmp_path):
+    text = "epsilon,value\n1.0,0.5\n\u03b5 \u2192 0\n"
+    _write_atomic(tmp_path / "out.csv", text)
+    assert (tmp_path / "out.csv").read_bytes() == text.encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_atomic_cleans_up_when_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    (tmp_path / "old.csv").write_bytes(b"kept\n")
+    monkeypatch.setattr(os, "replace", refuse)
+    for name in ("new.csv", "old.csv"):
+        with pytest.raises(OSError, match="rename refused"):
+            _write_atomic(tmp_path / name, "epsilon,value\n")
+    assert os.listdir(tmp_path) == ["old.csv"]
+    assert (tmp_path / "old.csv").read_bytes() == b"kept\n"

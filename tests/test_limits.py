@@ -34,7 +34,7 @@ from h1gauge.limits import (
     vertical_limit_probe,
     vertical_response,
 )
-from reference import point_diff, point_scale
+from reference import point_diff, point_scale, trace_csv
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
@@ -211,6 +211,38 @@ def test_trace_serialization():
     assert summary["parameters"]["ubar"] == 1.0
 
 
+CSV_GRIDS = [EpsGrid(), EpsGrid(eps0=0.9, ratio=0.7, count=160)]
+
+
+@pytest.mark.parametrize("grid", CSV_GRIDS, ids=["default", "eps0-0.9-ratio-0.7-count-160"])
+@pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
+def test_trace_csv_matches_row_by_row_oracle(grid, gauge):
+    md = metric_diff_probe(gauge, point(0.3, -0.2, 0.5), None, grid)
+    traces = [
+        vertical_limit_probe(gauge, 1.0, grid),
+        vertical_limit_probe(gauge, 0.0, grid),
+        rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0), grid),
+        id_derivability_probe(gauge, point(1, 0, 1), grid),
+        *md.traces,
+    ]
+    assert len(md.traces) == 13
+    for tr in traces:
+        assert tr.grid is grid
+        assert tr.to_csv().encode() == trace_csv(tr).encode()
+
+
+def test_grid_scales_are_computed_once_per_instance():
+    for grid in CSV_GRIDS:
+        values = grid.values()
+        assert values == tuple(grid.eps0 * grid.ratio**j for j in range(grid.count))
+        assert grid.values() is values
+        assert grid.eps_column == tuple(map(repr, values))
+        assert grid.eps_column is grid.eps_column
+    # cached per instance, not per parameter set: an equal grid builds its own
+    twin = EpsGrid(eps0=0.9, ratio=0.7, count=160)
+    assert twin == CSV_GRIDS[1] and twin.values() is not CSV_GRIDS[1].values()
+
+
 # --- rescaled product probe -------------------------------------------------------
 
 def test_rescaled_product_probe_linear_converges():
@@ -288,6 +320,33 @@ def test_derivability_guard_names_first_offending_eps(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("property violation: ")
     assert f"at eps={first!r} deviates" in captured.err
+
+
+def _skewed_g_gauge():
+    """The linear gauge with g_closed raised by a relative 1e-6, marked
+    verified by hand.  The closed-form check cannot see this (both of its
+    sides apply the same g); the profile round trip G(g(s)) = s does."""
+    g = linear_gauge().g_closed
+    return replace(linear_gauge(), g_closed=lambda s: g(s) * (1.0 + 1e-6),
+                   label="skewed-g", verified=True)
+
+
+def test_derivability_guard_checks_profile_round_trip(capsys, monkeypatch):
+    gauge, u = _skewed_g_gauge(), point(1, 0, 1)
+    grid = EpsGrid()
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"at eps={grid.eps0!r} fails the profile round trip")):
+        id_derivability_probe(gauge, u, grid)
+    # a horizontal u feeds g only zeros: nothing to round-trip
+    assert id_derivability_probe(gauge, point(1, -1, 0), grid).classification.kind == "converged"
+
+    monkeypatch.setattr(cli, "linear_gauge", _skewed_g_gauge)
+    code = cli.main(["probe", "derivability"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("property violation: ")
+    assert f"at eps={grid.eps0!r} fails the profile round trip" in captured.err
 
 
 # --- metric differential --------------------------------------------------------------
