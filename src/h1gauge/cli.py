@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -94,19 +93,9 @@ class RunConfig:
 
     def grid(self) -> EpsGrid:
         try:
-            grid = EpsGrid(self.eps0, self.ratio, self.count)
+            return EpsGrid(self.eps0, self.ratio, self.count, self.window, self.atol)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window!r}")
-        if self.count < 2 * self.window:
-            raise ConfigError(
-                f"count must be at least 2*window = {2 * self.window} "
-                f"to classify a trace, got {self.count!r}"
-            )
-        if not (math.isfinite(self.atol) and self.atol > 0.0):
-            raise ConfigError(f"--atol must be positive and finite, got {self.atol!r}")
-        return grid
 
     def validate_sampling(self) -> None:
         if self.samples < 1:
@@ -167,8 +156,18 @@ def _probe_config_error(e: ValueError) -> ConfigError:
     return ConfigError(f"--eps0: {e}" if isinstance(e, ScaleOverflowError) else str(e))
 
 
-def _sampler_battery(gauge: Gauge, n: int, seed: int, box: SampleBox):
-    """The full algebra/metric sampler battery, seeds offset per stage."""
+def _verify_stage(config: RunConfig, gauge: Gauge):
+    """The gauge contract checks, then, if they pass, the full algebra/metric
+    sampler battery (seeds offset per stage) on the gauge marked verified.
+
+    Returns the contract report, the verified gauge (None when the contract
+    fails) and the sampler reports (empty when it fails).
+    """
+    gauge_report = check_gauge(gauge)
+    if not gauge_report.passed:
+        return gauge_report, None, []
+    gauge = gauge if gauge.verified else replace(gauge, verified=True)
+    n, seed, box = config.samples, config.seed, config.box
     reports = list(sample_group_axioms(n, seed, box))
     reports.append(sample_intrinsic_dilation(n, seed + 1, box))
     reports.append(
@@ -193,7 +192,7 @@ def _sampler_battery(gauge: Gauge, n: int, seed: int, box: SampleBox):
     reports.append(sample_conjugation(gauge, n, seed + 11, box))
     reports.append(sample_flatten_homomorphism(gauge, n, seed + 12, box))
     reports.extend(sample_transported_axioms(gauge, n, seed + 13, box))
-    return reports
+    return gauge_report, gauge, reports
 
 
 def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
@@ -203,14 +202,11 @@ def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
         gauge = config.resolve_gauge(default=linear_gauge)
 
     report = VerificationReport(f"verify: {gauge.label}")
-    gauge_report = check_gauge(gauge)
+    gauge_report, _, reports = _verify_stage(config, gauge)
     for c in gauge_report.checks:
         report.add(replace(c, name=f"gauge/{c.name}"))
-
-    if gauge_report.passed:
-        working = gauge if gauge.verified else replace(gauge, verified=True)
-        report.extend(_sampler_battery(working, config.samples, config.seed, config.box))
-    else:
+    report.extend(reports)
+    if not gauge_report.passed:
         report.add(
             PropertyCheck(
                 name="samplers-skipped",
@@ -241,17 +237,16 @@ def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
     exit 0 regardless of the outcome."""
     grid = config.grid()
     gauge = config.resolve_gauge(default=linear_gauge)
-    kw = dict(window=config.window, atol=config.atol, divergence_bound=1e6)
 
     try:
         if probe == "a":
-            trace = vertical_limit_probe(gauge, points["ubar"], grid, **kw)
+            trace = vertical_limit_probe(gauge, points["ubar"], grid)
         elif probe == "beta":
-            trace = rescaled_product_probe(gauge, points["p"], points["q"], grid, **kw)
+            trace = rescaled_product_probe(gauge, points["p"], points["q"], grid)
         elif probe == "derivability":
-            trace = id_derivability_probe(gauge, points["u"], grid, **kw)
+            trace = id_derivability_probe(gauge, points["u"], grid)
         else:
-            return _probe_metric_diff(config, gauge, grid, points["base"], kw)
+            return _probe_metric_diff(config, gauge, grid, points["base"])
     except ValueError as e:
         raise _probe_config_error(e) from None
     except ArithmeticError as e:
@@ -269,8 +264,8 @@ def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
     return _finish(config, f"probe_{probe}.json", summary, table, {f"probe_{probe}.csv": csv})
 
 
-def _probe_metric_diff(config, gauge, grid, base, kw) -> int:
-    report = metric_diff_probe(gauge, base, None, grid, **kw)
+def _probe_metric_diff(config, gauge, grid, base) -> int:
+    report = metric_diff_probe(gauge, base, grid)
     payload = {"command": "probe", "probe": "metric-diff", "gauge": gauge.label, **report.to_dict()}
     files = {f"probe_metric-diff_{i:02d}.csv": tr.to_csv() for i, tr in enumerate(report.traces)}
     lines = [f"metric-diff probe: {gauge.label}"]
@@ -301,7 +296,6 @@ def cmd_counterexample(config: RunConfig) -> int:
     grid = config.grid()
     config.validate_sampling()
     gauge = config.resolve_gauge(default=oscillatory_gauge)
-    kw = dict(window=config.window, atol=config.atol, divergence_bound=1e6)
 
     stages = []
     deviation = None
@@ -314,24 +308,19 @@ def cmd_counterexample(config: RunConfig) -> int:
         if not ok and deviation is None:
             deviation = f"{stage}: expected {expected}, observed {observed}"
 
-    gauge_report = check_gauge(gauge)
-    battery_ok = False
-    if gauge_report.passed:
-        working = gauge if gauge.verified else replace(gauge, verified=True)
-        reports = _sampler_battery(working, config.samples, config.seed, config.box)
-        battery_ok = all(r.passed for r in reports)
+    gauge_report, working, reports = _verify_stage(config, gauge)
+    if working is not None:
         worst = max(reports, key=lambda r: r.worst_violation - r.tolerance)
         detail = f"worst sampler: {worst.name} ({worst.worst_violation!r})"
     else:
-        working = None
         detail = f"gauge check failed: {gauge_report.first_failure().name}"
-    record("verify", "pass", "pass" if (gauge_report.passed and battery_ok) else "fail",
-           gauge_report.passed and battery_ok, detail)
+    battery_ok = working is not None and all(r.passed for r in reports)
+    record("verify", "pass", "pass" if battery_ok else "fail", battery_ok, detail)
 
     files = {}
     if working is not None:  # without a valid gauge none of the probes can run
         try:
-            trace_a = vertical_limit_probe(working, 1.0, grid, **kw)
+            trace_a = vertical_limit_probe(working, 1.0, grid)
             cls_a = trace_a.classification
             gap = (cls_a.limsup - cls_a.liminf) if cls_a.kind == "oscillating" else None
             record(
@@ -343,11 +332,11 @@ def cmd_counterexample(config: RunConfig) -> int:
             )
 
             p, q = H1Point(1.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)
-            trace_b = rescaled_product_probe(working, p, q, grid, **kw)
+            trace_b = rescaled_product_probe(working, p, q, grid)
             kind_b = trace_b.classification.kind
             record("beta-probe", "non-converged", kind_b, kind_b != "converged")
 
-            md = metric_diff_probe(working, identity(), None, grid, **kw)
+            md = metric_diff_probe(working, identity(), grid)
             has_witness = (not md.differentiable) and md.witness is not None
             record(
                 "metric-diff",
@@ -356,7 +345,7 @@ def cmd_counterexample(config: RunConfig) -> int:
                 has_witness,
             )
 
-            eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, grid, **kw)
+            eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, grid)
             record(
                 "equivalence",
                 "agreement",

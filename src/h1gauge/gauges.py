@@ -57,7 +57,6 @@ class Gauge:
     k: Callable[[float], float]
     label: str = "custom"
     g_closed: Callable[[float], float] | None = None
-    inv_tol: float = INV_TOL
     verified: bool = False
 
 
@@ -253,7 +252,7 @@ def invert_g(gauge: Gauge, s: float) -> float:
     g_eval uses this only for gauges without a closed form, i.e. raw callables
     wrapped by Gauge or verified_gauge; it is also the reference the closed
     forms are cross-checked against.  Exhaustion (midpoint hits an endpoint)
-    lands within an ulp of the root, well inside the inv_tol round-trip
+    lands within an ulp of the root, well inside the INV_TOL round-trip
     contract; of the two final endpoints the one with the smaller profile
     residual is returned.
     """
@@ -341,7 +340,7 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     """Verify the gauge contract on a grid.
 
     Checks: k(0) = 0; strict increase between consecutive grid points;
-    midpoint convexity on sampled pairs; g/G round-trips within inv_tol
+    midpoint convexity on sampled pairs; g/G round-trips within INV_TOL
     (mixed absolute/relative).  Witnesses reproduce the worst violations.
     """
     pts = np.array(default_check_grid() if grid is None else grid, dtype=float)
@@ -397,9 +396,9 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     report.add(
         PropertyCheck(
             name="round-trip",
-            passed=bool(rt[i] <= gauge.inv_tol),
+            passed=bool(rt[i] <= INV_TOL),
             worst_violation=float(rt[i]),
-            tolerance=gauge.inv_tol,
+            tolerance=INV_TOL,
             witness=[("g(G(t))", "G(g(s))")[i % 2], float(pts[i // 2])],
         )
     )
@@ -410,14 +409,13 @@ def verified_gauge(
     k: Callable[[float], float],
     label: str = "custom",
     g_closed: Callable[[float], float] | None = None,
-    inv_tol: float = INV_TOL,
     grid=None,
 ) -> Gauge:
     """Wrap a raw evaluable, run check_gauge, and return a verified Gauge.
 
     Raises GaugeConstructionError when any check fails.
     """
-    candidate = Gauge(k=k, label=label, g_closed=g_closed, inv_tol=inv_tol)
+    candidate = Gauge(k=k, label=label, g_closed=g_closed)
     rep = check_gauge(candidate, grid)
     if not rep.passed:
         failed = ", ".join(c.name for c in rep.checks if not c.passed)

@@ -41,8 +41,8 @@ from .heisenberg import (
     symplectic_area,
     to_row,
 )
-from .metrics import SAMPLE_CHUNK, gauge_dist_array
-from .report import PropertyCheck, VerificationReport, violation_scale
+from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
+from .report import PropertyCheck, VerificationReport
 
 DEFAULT_EPS0 = 1.0
 DEFAULT_RATIO = 0.5
@@ -67,7 +67,9 @@ class ScaleOverflowError(ValueError):
 
 @dataclass(frozen=True)
 class EpsGrid:
-    """Geometric scale grid eps_j = eps0 * ratio^j, j = 0..count-1.
+    """Geometric scale grid eps_j = eps0 * ratio^j, j = 0..count-1, and the
+    tail rule every trace on it is classified by: the last two windows of
+    `window` values, flat within `atol`.
 
     The scales and their repr column are computed once per grid, on first
     use, and cached on the instance: every trace on the grid shares them.
@@ -76,6 +78,8 @@ class EpsGrid:
     eps0: float = DEFAULT_EPS0
     ratio: float = DEFAULT_RATIO
     count: int = DEFAULT_COUNT
+    window: int = DEFAULT_WINDOW
+    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
@@ -90,6 +94,15 @@ class EpsGrid:
                 f"grid underflow: eps[{self.count - 1}] = {smallest!r} has square "
                 f"below the floor {UNDERFLOW_FLOOR!r}"
             )
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window!r}")
+        if self.count < 2 * self.window:
+            raise ValueError(
+                f"count must be at least 2*window = {2 * self.window} "
+                f"to classify a trace, got {self.count!r}"
+            )
+        if not (math.isfinite(self.atol) and self.atol > 0.0):
+            raise ValueError(f"--atol must be positive and finite, got {self.atol!r}")
 
     def values(self) -> tuple[float, ...]:
         return self._scales
@@ -200,9 +213,6 @@ class ConvergenceTrace:
     grid: EpsGrid
     values: tuple  # floats, or H1Points for point-valued probes
     classification: Classification | PointClassification
-    window: int
-    atol: float
-    divergence_bound: float
     meta: dict = field(default_factory=dict)
 
     @property
@@ -238,9 +248,9 @@ class ConvergenceTrace:
                 "eps0": self.grid.eps0,
                 "ratio": self.grid.ratio,
                 "count": self.grid.count,
-                "window": self.window,
-                "atol": self.atol,
-                "divergence_bound": self.divergence_bound,
+                "window": self.grid.window,
+                "atol": self.grid.atol,
+                "divergence_bound": DEFAULT_DIVERGENCE_BOUND,
                 **{k: v for k, v in self.meta.items() if k != "gauge"},
             },
         }
@@ -250,13 +260,12 @@ def _resolve_grid(grid: EpsGrid | None) -> EpsGrid:
     return grid if grid is not None else EpsGrid()
 
 
-def _trace(name, grid, values, window, atol, divergence_bound, meta) -> ConvergenceTrace:
-    """Classify values (componentwise when they are H1Points) and wrap them
-    in a ConvergenceTrace."""
+def _trace(name, grid, values, meta) -> ConvergenceTrace:
+    """Classify values (componentwise when they are H1Points) by the grid's
+    tail rule and wrap them in a ConvergenceTrace."""
     values = tuple(values)
     classify = classify_point_trace if isinstance(values[0], H1Point) else classify_limit
-    cls = classify(values, window, atol, divergence_bound)
-    return ConvergenceTrace(name, grid, values, cls, window, atol, divergence_bound, meta)
+    return ConvergenceTrace(name, grid, values, classify(values, grid.window, grid.atol), meta)
 
 
 def _scale_check(grid: EpsGrid, magnitude: float) -> None:
@@ -299,10 +308,6 @@ def vertical_limit_probe(
     gauge: Gauge,
     ubar: float,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> ConvergenceTrace:
     """Trace eps -> g(eps^2 |ubar|)/eps, the scalar limit behind both the
     derivability of the identity map and the metric differential."""
@@ -312,8 +317,7 @@ def vertical_limit_probe(
     grid = _resolve_grid(grid)
     _scale_check(grid, abs(ubar))
     values = _vertical_response_array(gauge, np.array(grid.values()), ubar).tolist()
-    return _trace("vertical-limit", grid, values, window, atol, divergence_bound,
-                  {"gauge": gauge.label, "ubar": ubar})
+    return _trace("vertical-limit", grid, values, {"gauge": gauge.label, "ubar": ubar})
 
 
 def rescaled_product_probe(
@@ -321,10 +325,6 @@ def rescaled_product_probe(
     p: H1Point,
     q: H1Point,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> ConvergenceTrace:
     """Trace eps -> rescaled_product(eps, p, q), classified componentwise."""
     require_verified(gauge)
@@ -335,8 +335,8 @@ def rescaled_product_probe(
     product = mul_array(gauge_dilate_array(gauge, eps, to_row(p)),
                         gauge_dilate_array(gauge, eps, to_row(q)))
     rows = gauge_dilate_array(gauge, 1.0 / eps, product).tolist()
-    return _trace("rescaled-product", grid, [H1Point(*r) for r in rows], window, atol,
-                  divergence_bound, {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
+    return _trace("rescaled-product", grid, [H1Point(*r) for r in rows],
+                  {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 
 
 def _first_over(eps: np.ndarray, residual: np.ndarray, what: str) -> None:
@@ -355,10 +355,6 @@ def id_derivability_probe(
     gauge: Gauge,
     u: H1Point,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> ConvergenceTrace:
     """Trace eps -> gauge_dilate(1/eps, dilate(eps, u)).
 
@@ -394,28 +390,21 @@ def id_derivability_probe(
         ulp_step = g_inverse_array(gauge, np.nextafter(gs, np.inf)) - profile
         _first_over(eps, (np.abs(profile - s) - ulp_step) / s,
                     "fails the profile round trip G(g(s)) = s, beyond one ulp of g(s),")
-    return _trace("id-derivability", grid, [H1Point(*r) for r in rows.tolist()], window, atol,
-                  divergence_bound, {"gauge": gauge.label, "u": u.as_tuple(),
-                                     "closed_form_residual": float(residual.max())})
+    return _trace("id-derivability", grid, [H1Point(*r) for r in rows.tolist()],
+                  {"gauge": gauge.label, "u": u.as_tuple(),
+                   "closed_form_residual": float(residual.max())})
 
 
 def metric_differential(
     gauge: Gauge,
     v: H1Point,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> float:
     """The paper's metric differential of the identity map at v:
     max(horizontal norm, vertical limit), the limit of the rescaled gauge
     distance (1/eps) * gauge_dist(e, dilate(eps, v)).  Defined only when the
     vertical limit exists; raises NonConvergentLimitError otherwise."""
-    trace = vertical_limit_probe(
-        gauge, v.xbar, grid, window=window, atol=atol, divergence_bound=divergence_bound
-    )
-    c = trace.classification
+    c = vertical_limit_probe(gauge, v.xbar, grid).classification
     if c.kind != "converged":
         raise NonConvergentLimitError(
             f"vertical limit at ubar={v.xbar!r} is {c.kind}; the metric "
@@ -430,30 +419,26 @@ def _tail_means(values: np.ndarray, window: int) -> list[float]:
     return [fmean(row) for row in values[:, -window:].tolist()]
 
 
-def _sup_deviation(values: np.ndarray, window, atol, divergence_bound):
+def _sup_deviation(values: np.ndarray, grid: EpsGrid):
     """Tail spreads, tail means and the classified sup-deviation trace of
-    scalar traces on one grid, one trace per row of values.
+    scalar traces on grid, one trace per row of values.
 
     A trace's spread is max - min over its last 2*window values and its tail
     mean the mean of its last window.  The sup-deviation trace is
     eps_j -> max over traces |value_j - tail mean|; it converges to ~0 when
     the traces converge uniformly.
     """
-    tail = values[:, -2 * window :]
+    tail = values[:, -2 * grid.window :]
     spreads = (tail.max(axis=1) - tail.min(axis=1)).tolist()
-    means = _tail_means(values, window)
+    means = _tail_means(values, grid.window)
     sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0).tolist()
-    return spreads, means, classify_limit(sup_trace, window, atol, divergence_bound)
+    return spreads, means, classify_limit(sup_trace, grid.window, grid.atol)
 
 
 def uniform_probe(
     probe,
     points,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> VerificationReport:
     """Uniform convergence of a pointwise probe over a finite sample of a
     compact set: the paper asks the scaling limits to converge uniformly on
@@ -471,7 +456,7 @@ def uniform_probe(
     report = VerificationReport("uniform-probe")
 
     values = np.array([tr.values for tr in traces], dtype=float)
-    spreads, _, sup_cls = _sup_deviation(values, window, atol, divergence_bound)
+    spreads, _, sup_cls = _sup_deviation(values, grid)
     worst = max(range(len(points)), key=spreads.__getitem__)
     worst_point = points[worst]
     witness = worst_point.as_tuple() if isinstance(worst_point, H1Point) else worst_point
@@ -480,19 +465,19 @@ def uniform_probe(
             name="pointwise-convergence",
             passed=all(tr.classification.kind == "converged" for tr in traces),
             worst_violation=spreads[worst],
-            tolerance=atol,
+            tolerance=grid.atol,
             witness=witness,
             details=f"{len(points)} probe points; violation is the worst tail spread",
         )
     )
 
-    sup_ok = sup_cls.kind == "converged" and abs(sup_cls.limit) <= atol
+    sup_ok = sup_cls.kind == "converged" and abs(sup_cls.limit) <= grid.atol
     report.add(
         PropertyCheck(
             name="uniform-sup-convergence",
             passed=sup_ok,
             worst_violation=(abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf),
-            tolerance=atol,
+            tolerance=grid.atol,
             witness=witness,
             details=f"sup-deviation trace classified {sup_cls.kind}",
         )
@@ -548,126 +533,94 @@ class MetricDiffReport:
         }
 
 
-def _rescaled_distances(gauge: Gauge, base: H1Point, dirs: np.ndarray,
-                        eps: np.ndarray) -> np.ndarray:
-    """(1/eps) * gauge_dist(base, base * dilate(eps, v)) for each direction
-    row v of dirs (one output row) and each scale of eps (one column).
+def _rescaled_distances(gauge: Gauge, dirs: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """(1/eps) * gauge_norm(dilate(eps, v)) for each direction row v of dirs
+    (one output row) and each scale of eps (one column).
 
+    By left invariance this is (1/eps) * gauge_dist(b, b * dilate(eps, v))
+    at every base b.  It is evaluated as the exact increment: the product
+    b * dilate(eps, v) would round to b once eps * |v| is small next to |b|.
     The direction-by-scale rows are evaluated SAMPLE_CHUNK at a time, so
     memory stays flat however many directions and scales there are.
     """
     n = len(eps)
     out = np.empty(len(dirs) * n)
-    b = to_row(base)
     for start in range(0, out.size, SAMPLE_CHUNK):
         idx = np.arange(start, min(out.size, start + SAMPLE_CHUNK))
         e = eps[idx % n]
-        moved = mul_array(b, dilate_array(e, dirs[idx // n]))
-        out[idx] = gauge_dist_array(gauge, b, moved) / e
+        out[idx] = gauge_norm_array(gauge, dilate_array(e, dirs[idx // n])) / e
     return out.reshape(len(dirs), n)
 
 
 def metric_diff_probe(
     gauge: Gauge,
     base: H1Point = identity(),
-    directions=None,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> MetricDiffReport:
-    """Differentiability test: for each direction v trace the rescaled gauge
-    distance (1/eps) * gauge_dist(base, base * dilate(eps, v)).
+    """Differentiability test: for each direction v of default_direction_grid
+    trace the rescaled gauge distance (1/eps) * gauge_dist(base, base *
+    dilate(eps, v)).
 
     Differentiable iff every direction's trace converges and the sup over
     directions of deviations from the per-direction tail means converges.
-    The trace is independent of base by left invariance; base is accepted and
-    reported, never asserted against.  On success eta(v) is the tail mean and
-    the seminorm laws are verified on the direction set: scaling equivariance
-    eta(dilate(lam, v)) = lam * eta(v) and subadditivity
-    eta(v * w) <= eta(v) + eta(w), both within atol (scaled).
+    The trace is independent of base by left invariance, so it is evaluated
+    as the exact increment (1/eps) * gauge_norm(dilate(eps, v)); base is
+    accepted and reported, never asserted against.  On success eta(v) is the
+    tail mean and the seminorm laws are verified on the direction set:
+    scaling equivariance eta(dilate(lam, v)) = lam * eta(v) and subadditivity
+    eta(v * w) <= eta(v) + eta(w), both within atol (scaled).  Each check
+    reports its first worst violation.
     """
     require_verified(gauge)
     grid = _resolve_grid(grid)
-    dirs = tuple(directions) if directions is not None else default_direction_grid()
-    if not dirs:
-        raise ValueError("need at least one direction")
+    dirs = default_direction_grid()
     _scale_check(grid, max(abs(v.xbar) for v in dirs))
 
     eps = np.array(grid.values())
     d = np.array([v.as_tuple() for v in dirs])
-    values = _rescaled_distances(gauge, base, d, eps)
+    values = _rescaled_distances(gauge, d, eps)
     traces = tuple(
-        _trace("metric-diff", grid, row, window, atol, divergence_bound,
+        _trace("metric-diff", grid, row,
                {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
         for v, row in zip(dirs, values.tolist())
     )
     per_dir = tuple(tr.classification for tr in traces)
 
-    spreads, tail_means, sup_cls = _sup_deviation(values, window, atol, divergence_bound)
+    spreads, tail_means, sup_cls = _sup_deviation(values, grid)
     differentiable = (
         all(c.kind == "converged" for c in per_dir)
         and sup_cls.kind == "converged"
-        and abs(sup_cls.limit) <= atol
+        and abs(sup_cls.limit) <= grid.atol
     )
-
-    if differentiable:
-        eta = tuple(tail_means)
-        witness = None
-    else:
-        eta = None
-        witness = dirs[max(range(len(dirs)), key=spreads.__getitem__)]
+    eta = tuple(tail_means) if differentiable else None
+    witness = None if differentiable else dirs[int(np.argmax(spreads))]
 
     seminorm_checks: list[PropertyCheck] = []
     if differentiable:
-        # eta of every dilated direction and every pairwise product, in the
-        # order the two loops below consume them; only the tail means are
-        # needed, so no trace is built or classified.
+        # eta of every dilated direction (SEMINORM_SCALES within each
+        # direction) and of every pairwise product (pairs i < j in row-major
+        # order); only their tail means are needed, so only the last window
+        # of scales is evaluated and no trace is built.
+        n_lam = len(SEMINORM_SCALES)
         lams = np.tile(SEMINORM_SCALES, len(dirs))
         left, right = np.triu_indices(len(dirs), 1)
-        extra = np.concatenate((dilate_array(lams, np.repeat(d, len(SEMINORM_SCALES), axis=0)),
+        extra = np.concatenate((dilate_array(lams, np.repeat(d, n_lam, axis=0)),
                                 mul_array(d[left], d[right])))
-        etas = iter(_tail_means(_rescaled_distances(gauge, base, extra, eps), window))
-
-        worst_scale = -math.inf
-        scale_witness = None
-        for v, ev in zip(dirs, eta):
-            for lam in SEMINORM_SCALES:
-                got = next(etas)
-                want = lam * ev
-                viol = abs(got - want) / violation_scale(got, want)
-                if viol > worst_scale:
-                    worst_scale, scale_witness = viol, (lam, list(v.as_tuple()))
-        seminorm_checks.append(
-            PropertyCheck(
-                name="seminorm-scaling",
-                passed=worst_scale <= atol,
-                worst_violation=worst_scale,
-                tolerance=atol,
-                witness=scale_witness,
+        tail = _rescaled_distances(gauge, extra, eps[-grid.window :])
+        etas = np.array(_tail_means(tail, grid.window))
+        means = np.array(tail_means)
+        scaling = np.abs(scaled_excess(etas[: lams.size], lams * np.repeat(means, n_lam)))
+        subadd = scaled_excess(etas[lams.size :], means[left] + means[right])
+        i, j = int(np.argmax(scaling)), int(np.argmax(subadd))
+        seminorm_checks = [
+            PropertyCheck(name, worst <= grid.atol, worst, grid.atol, wit)
+            for name, worst, wit in (
+                ("seminorm-scaling", float(scaling[i]),
+                 (SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple()))),
+                ("seminorm-subadditivity", float(subadd[j]),
+                 (list(dirs[left[j]].as_tuple()), list(dirs[right[j]].as_tuple()))),
             )
-        )
-
-        worst_sub = -math.inf
-        sub_witness = None
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                got = next(etas)
-                bound = eta[i] + eta[j]
-                viol = (got - bound) / violation_scale(got, bound)
-                if viol > worst_sub:
-                    worst_sub = viol
-                    sub_witness = (list(dirs[i].as_tuple()), list(dirs[j].as_tuple()))
-        seminorm_checks.append(
-            PropertyCheck(
-                name="seminorm-subadditivity",
-                passed=worst_sub <= atol,
-                worst_violation=worst_sub,
-                tolerance=atol,
-                witness=sub_witness,
-            )
-        )
+        ]
 
     return MetricDiffReport(
         base=base,
@@ -686,10 +639,6 @@ def limit_equivalence_check(
     gauge: Gauge,
     samples,
     grid: EpsGrid | None = None,
-    *,
-    window: int = DEFAULT_WINDOW,
-    atol: float = DEFAULT_ATOL,
-    divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> VerificationReport:
     """Agreement between rescaled-product convergence and the scalar vertical
     limit on purely horizontal pairs.
@@ -714,17 +663,8 @@ def limit_equivalence_check(
         area = symplectic_area(p.horizontal, q.horizontal)
         if area == 0.0:
             raise ValueError(f"sample {i}: symplectic area is zero; pair carries no twist")
-        prod_kind = rescaled_product_probe(
-            gauge, p, q, grid, window=window, atol=atol, divergence_bound=divergence_bound
-        ).classification.kind
-        scalar_kind = vertical_limit_probe(
-            gauge,
-            0.5 * area,
-            grid,
-            window=window,
-            atol=atol,
-            divergence_bound=divergence_bound,
-        ).classification.kind
+        prod_kind = rescaled_product_probe(gauge, p, q, grid).classification.kind
+        scalar_kind = vertical_limit_probe(gauge, 0.5 * area, grid).classification.kind
         agree = (prod_kind == "converged") == (scalar_kind == "converged")
         report.add(
             PropertyCheck(

@@ -139,14 +139,14 @@ class SampleBox:
         return check_finite(rng.uniform(-1.0, 1.0, size=(n, 3)) * half)
 
 
-def _excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def scaled_excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a - b scaled by max(1, |a|, |b|)."""
     return (a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|a - b| scaled by max(1, |a|, |b|)."""
-    return np.abs(_excess(a, b))
+    return np.abs(scaled_excess(a, b))
 
 
 def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyCheck:
@@ -192,7 +192,7 @@ def sample_triangle(dist, name: str, n: int, seed: int, box: SampleBox = SampleB
     dist maps two (n, 3) point arrays to n distances."""
 
     def violation(p, q, r):
-        return _excess(dist(p, r), dist(p, q) + dist(q, r))
+        return scaled_excess(dist(p, r), dist(p, q) + dist(q, r))
 
     return _worst(name, n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation)
 
@@ -201,7 +201,7 @@ def sample_lipschitz_id(gauge: Gauge, n: int, seed: int, box: SampleBox = Sample
     """The identity map is 1-Lipschitz from the intrinsic to the gauge distance."""
 
     def violation(p, q):
-        return _excess(gauge_dist_array(gauge, p, q), intrinsic_dist_array(p, q))
+        return scaled_excess(gauge_dist_array(gauge, p, q), intrinsic_dist_array(p, q))
 
     return _worst(
         "lipschitz-id", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 2), violation

@@ -11,11 +11,6 @@ TOL_ALGEBRA = 1e-12
 TOL_GAUGE = 1e-9
 
 
-def violation_scale(*values: float) -> float:
-    """Normalization for mixed absolute/relative comparisons."""
-    return max(1.0, *(abs(v) for v in values)) if values else 1.0
-
-
 @dataclass
 class PropertyCheck:
     """One verified property: its worst observed violation and a witness."""

@@ -37,6 +37,11 @@ def point_close(p: H1Point, q: H1Point, tol: float) -> bool:
     return point_diff(p, q) <= tol * point_scale(p, q)
 
 
+def violation_scale(*values: float) -> float:
+    """Normalization max(1, |values|) for mixed absolute/relative comparisons."""
+    return max((1.0, *(abs(v) for v in values)))
+
+
 def _sgn(x: float) -> float:
     return float((x > 0.0) - (x < 0.0))
 

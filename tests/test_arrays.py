@@ -59,7 +59,6 @@ from h1gauge.heisenberg import (
 )
 from h1gauge.limits import (
     DEFAULT_ATOL,
-    DEFAULT_WINDOW,
     EpsGrid,
     _vertical_response_array,
     classify_limit,
@@ -86,7 +85,7 @@ from h1gauge.metrics import (
     sample_transported_axioms,
     sample_triangle,
 )
-from h1gauge.report import TOL_ALGEBRA, violation_scale
+from h1gauge.report import TOL_ALGEBRA
 
 
 def _random_piecewise(seed, n):
@@ -443,12 +442,14 @@ PROBE_SITES = {
 }
 
 
-def _scalar_metric_diff(gauge, base, grid, window=DEFAULT_WINDOW, atol=DEFAULT_ATOL):
-    """metric_diff_probe's verdicts computed point by point through H1Point."""
-    eps = grid.values()
+def _scalar_metric_diff(gauge, grid):
+    """metric_diff_probe's verdicts computed point by point through H1Point,
+    from the exact increment gauge_norm(dilate(e, v)) / e: by left invariance
+    the rescaled distance from every base."""
+    eps, window, atol = grid.values(), grid.window, grid.atol
 
     def trace(v):
-        return [ref.gauge_dist(gauge, base, ref.mul(base, ref.dilate(e, v))) / e for e in eps]
+        return [ref.gauge_norm(gauge, ref.dilate(e, v)) / e for e in eps]
 
     def eta_of(v):
         return fmean(trace(v)[-window:])
@@ -467,7 +468,7 @@ def _scalar_metric_diff(gauge, base, grid, window=DEFAULT_WINDOW, atol=DEFAULT_A
         out.update(eta=None, witness=dirs[spreads.index(max(spreads))], checks=[])
         return out
     def excess(got, bound):
-        return (got - bound) / violation_scale(got, bound)
+        return (got - bound) / ref.violation_scale(got, bound)
 
     scaling = max(
         abs(excess(eta_of(ref.dilate(lam, v)), lam * ev))
@@ -507,8 +508,8 @@ def test_probes_match_scalar_formulas(gauge, site, count):
         assert [c.kind for c in tr.classification.components] == [
             c.kind for c in want_cls.components]
 
-    rep = metric_diff_probe(gauge, base, None, grid)
-    want = _scalar_metric_diff(gauge, base, grid)
+    rep = metric_diff_probe(gauge, base, grid)
+    want = _scalar_metric_diff(gauge, grid)
     _assert_close([tr.values for tr in rep.traces], want["traces"])
     assert [c.kind for c in rep.per_direction] == want["kinds"]
     assert rep.sup_classification.kind == want["sup"]

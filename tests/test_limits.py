@@ -116,7 +116,7 @@ def test_point_trace_combines_componentwise():
 # --- grids ----------------------------------------------------------------------
 
 def test_grid_values_are_geometric():
-    grid = EpsGrid(eps0=1.0, ratio=0.5, count=4)
+    grid = EpsGrid(eps0=1.0, ratio=0.5, count=4, window=2)
     assert grid.values() == (1.0, 0.5, 0.25, 0.125)
 
 
@@ -129,6 +129,11 @@ def test_grid_values_are_geometric():
         dict(ratio=0.0),
         dict(count=1),
         dict(count=600),  # 2^-599 squared underflows
+        dict(window=0),
+        dict(count=11),  # the tail rule needs 2*window = 12 values
+        dict(atol=0.0),
+        dict(atol=math.inf),
+        dict(atol=math.nan),
     ],
 )
 def test_grid_validation(kwargs):
@@ -153,7 +158,7 @@ def test_probe_overflow_guard():
         lambda: vertical_limit_probe(OSC, 0.0, big),
         lambda: rescaled_product_probe(LIN, point(1, 0, 0), point(1, 0, 0), big),
         lambda: id_derivability_probe(LIN, point(1, 0, 0), big),
-        lambda: metric_diff_probe(LIN, identity(), None, big),
+        lambda: metric_diff_probe(LIN, identity(), big),
         lambda: vertical_limit_probe(LIN, 1e20, EpsGrid(eps0=1e150)),
     ):
         with pytest.raises(ScaleOverflowError, match="eps0"):
@@ -217,7 +222,7 @@ CSV_GRIDS = [EpsGrid(), EpsGrid(eps0=0.9, ratio=0.7, count=160)]
 @pytest.mark.parametrize("grid", CSV_GRIDS, ids=["default", "eps0-0.9-ratio-0.7-count-160"])
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
 def test_trace_csv_matches_row_by_row_oracle(grid, gauge):
-    md = metric_diff_probe(gauge, point(0.3, -0.2, 0.5), None, grid)
+    md = metric_diff_probe(gauge, point(0.3, -0.2, 0.5), grid)
     traces = [
         vertical_limit_probe(gauge, 1.0, grid),
         vertical_limit_probe(gauge, 0.0, grid),
@@ -375,6 +380,25 @@ def test_uniform_probe_oscillatory_fails():
     assert not rep.passed
 
 
+def test_uniform_probe_classifies_pointwise_traces_by_the_grid_rule():
+    # the oscillatory response swings by about 0.8, so the default atol calls
+    # every trace oscillating; a grid with atol 10 must judge the pointwise
+    # traces by that atol as well as the sup-trace
+    ubars = [0.25, 0.5, 1.0, 2.0, 4.0]
+    grid = EpsGrid(count=30, window=5, atol=10.0)
+    traces = []
+
+    def probe(ub, g):
+        traces.append(vertical_limit_probe(OSC, ub, g))
+        return traces[-1]
+
+    rep = uniform_probe(probe, ubars, grid)
+    assert all(tr.grid is grid for tr in traces)
+    assert all(tr.classification.kind == "converged" for tr in traces)
+    assert [(c.name, c.passed, c.tolerance) for c in rep.checks] == [
+        ("pointwise-convergence", True, 10.0), ("uniform-sup-convergence", True, 10.0)]
+
+
 # --- differentiability report ------------------------------------------------------------
 
 def test_metric_diff_probe_linear_is_differentiable():
@@ -396,6 +420,17 @@ def test_metric_diff_probe_oscillatory_has_witness():
     kinds = {c.kind for c in rep.per_direction}
     assert "oscillating" in kinds
     assert not rep.seminorm_checks  # no seminorm without a limit
+
+
+@pytest.mark.parametrize("count", [58, 100])
+def test_metric_diff_probe_exact_at_nonzero_base(count):
+    # b * dilate(eps, v) rounds to b once eps * |v| is small next to |b|;
+    # the probe evaluates the exact increment, so the base cannot matter
+    rep = metric_diff_probe(LIN, point(0.3, -0.2, 0.5), EpsGrid(count=count))
+    assert rep.differentiable
+    assert rep.directions[0] == point(1, 0, 0)
+    assert rep.eta[0] == pytest.approx(1.0, abs=1e-12)
+    assert all(c.passed for c in rep.seminorm_checks)
 
 
 def test_metric_diff_probe_base_independence():
