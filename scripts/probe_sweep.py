@@ -44,17 +44,25 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
+    # every input is checked before any output is written
+    try:
+        grid = EpsGrid(count=args.count)
+    except ValueError as e:
+        ap.error(f"--count: {e}")
+    gauges = [("linear", linear_gauge())]
+    for m_text in args.amplitudes.split(","):
+        try:
+            M = float(m_text)
+            r = min(1e-3, 0.5 / (M * M))  # keep r inside its validity range
+            gauges.append((f"oscillatory_M{m_text.strip()}", oscillatory_gauge(M=M, r=r, levels=8)))
+        except ValueError as e:  # GaugeConstructionError included
+            ap.error(f"--amplitudes: {m_text!r}: {e}")
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = EpsGrid(count=args.count)
     ubars = [0.125 * 2**i for i in range(7)]  # 0.125 .. 8
-
-    sweep(linear_gauge(), ubars, grid, out_dir, "linear")
-    for m_text in args.amplitudes.split(","):
-        M = float(m_text)
-        r = min(1e-3, 0.5 / (M * M))  # keep r inside its validity range
-        gauge = oscillatory_gauge(M=M, r=r, levels=8)
-        sweep(gauge, ubars, grid, out_dir, f"oscillatory_M{m_text.strip()}")
+    for tag, gauge in gauges:
+        sweep(gauge, ubars, grid, out_dir, tag)
     return 0
 
 

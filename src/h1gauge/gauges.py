@@ -336,6 +336,16 @@ def default_check_grid() -> tuple[float, ...]:
     return tuple(10.0 ** (-9.0 + i / 12.0) for i in range(15 * 12 + 1))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# check_gauge's default inputs, built once: the grid and its midpoint pairs
+_CHECK_GRID = _frozen(np.array(default_check_grid()))
+_CHECK_PAIRS = tuple(map(_frozen, np.triu_indices(len(_CHECK_GRID[::3]), k=1)))
+
+
 def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     """Verify the gauge contract on a grid.
 
@@ -343,7 +353,7 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     midpoint convexity on sampled pairs; g/G round-trips within INV_TOL
     (mixed absolute/relative).  Witnesses reproduce the worst violations.
     """
-    pts = np.array(default_check_grid() if grid is None else grid, dtype=float)
+    pts = _CHECK_GRID if grid is None else np.array(grid, dtype=float)
     if pts.ndim != 1 or len(pts) < 4 or not (pts > 0.0).all() or (np.diff(pts) < 0.0).any():
         raise ValueError("check grid must be >= 4 positive ascending points")
     report = VerificationReport(f"gauge-check: {gauge.label}")
@@ -373,7 +383,8 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     )
 
     sub, subk = pts[::3], ks[::3]
-    a, b = np.triu_indices(len(sub), k=1)  # the pairs i < j, row by row
+    # the pairs i < j, row by row
+    a, b = _CHECK_PAIRS if grid is None else np.triu_indices(len(sub), k=1)
     mid = (k_array(gauge, 0.5 * (sub[a] + sub[b])) - 0.5 * (subk[a] + subk[b])) / np.maximum(
         1.0, np.maximum(np.abs(subk[a]), np.abs(subk[b]))
     )

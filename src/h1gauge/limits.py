@@ -41,7 +41,7 @@ from .heisenberg import (
     symplectic_area,
     to_row,
 )
-from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
+from .metrics import SAMPLE_CHUNK, _rows, _split, gauge_norm_array, scaled_excess
 from .report import PropertyCheck, VerificationReport
 
 DEFAULT_EPS0 = 1.0
@@ -332,8 +332,8 @@ def rescaled_product_probe(
     area = symplectic_area(p.horizontal, q.horizontal)
     _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
     eps = np.array(grid.values())
-    product = mul_array(gauge_dilate_array(gauge, eps, to_row(p)),
-                        gauge_dilate_array(gauge, eps, to_row(q)))
+    pq = np.repeat(_rows(to_row(p), to_row(q)), len(eps), axis=0)
+    product = mul_array(*_split(gauge_dilate_array(gauge, _rows(eps, eps), pq), 2))
     rows = gauge_dilate_array(gauge, 1.0 / eps, product).tolist()
     return _trace("rescaled-product", grid, [H1Point(*r) for r in rows],
                   {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
@@ -381,14 +381,14 @@ def id_derivability_probe(
     rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
     s = eps * eps * abs(u.xbar)
     gs = g_array(gauge, s)
-    ref_vert = np.sign(u.xbar) * g_inverse_array(gauge, gs / eps)
-    ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2), ref_vert)
+    closed, profile, profile_up = _split(
+        g_inverse_array(gauge, _rows(gs / eps, gs, np.nextafter(gs, np.inf))), 3)
+    ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2),
+                       np.sign(u.xbar) * closed)
     residual = point_diff_array(rows, ref) / point_scale_array(rows, ref)
     _first_over(eps, residual, "deviates from its closed form")
     if u.xbar != 0.0:
-        profile = g_inverse_array(gauge, gs)
-        ulp_step = g_inverse_array(gauge, np.nextafter(gs, np.inf)) - profile
-        _first_over(eps, (np.abs(profile - s) - ulp_step) / s,
+        _first_over(eps, (np.abs(profile - s) - (profile_up - profile)) / s,
                     "fails the profile round trip G(g(s)) = s, beyond one ulp of g(s),")
     return _trace("id-derivability", grid, [H1Point(*r) for r in rows.tolist()],
                   {"gauge": gauge.label, "u": u.as_tuple(),

@@ -10,6 +10,12 @@ worst-case violations of the triangle inequality, 1-Lipschitzness of the
 identity, left invariance, the flattening isometry, and the dilatation
 identities.  They run on arrays, SAMPLE_CHUNK samples at a time, so memory
 stays bounded for any sample count.
+
+Where a sampler applies one kernel to independent inputs, it makes one call
+on the inputs stacked row-wise (_rows) and splits the result (_split).  Every
+kernel is row by row, so the numbers are those of the separate calls, and the
+draws are unchanged: stacking cuts only the per-call dispatch cost, which
+dominates at small sample counts.
 """
 
 from __future__ import annotations
@@ -187,12 +193,23 @@ _IDENTITY = np.zeros((1, 3))
 _IDENTITY.flags.writeable = False
 
 
+def _rows(*arrays: np.ndarray) -> np.ndarray:
+    """The arrays stacked row-wise, for one kernel call on all of them."""
+    return np.concatenate(arrays)
+
+
+def _split(a: np.ndarray, k: int) -> np.ndarray:
+    """a cut into k equally long row blocks (a view): undoes _rows."""
+    return a.reshape(k, -1, *a.shape[1:])
+
+
 def sample_triangle(dist, name: str, n: int, seed: int, box: SampleBox = SampleBox()):
     """Triangle inequality dist(p,r) <= dist(p,q) + dist(q,r) on random triples.
-    dist maps two (n, 3) point arrays to n distances."""
+    dist maps two (n, 3) point arrays to n distances, row by row."""
 
     def violation(p, q, r):
-        return scaled_excess(dist(p, r), dist(p, q) + dist(q, r))
+        pr, pq, qr = _split(dist(_rows(p, p, q), _rows(r, q, r)), 3)
+        return scaled_excess(pr, pq + qr)
 
     return _worst(name, n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation)
 
@@ -201,7 +218,8 @@ def sample_lipschitz_id(gauge: Gauge, n: int, seed: int, box: SampleBox = Sample
     """The identity map is 1-Lipschitz from the intrinsic to the gauge distance."""
 
     def violation(p, q):
-        return scaled_excess(gauge_dist_array(gauge, p, q), intrinsic_dist_array(p, q))
+        step = mul_array(inv_array(p), q)
+        return scaled_excess(gauge_norm_array(gauge, step), intrinsic_norm_array(step))
 
     return _worst(
         "lipschitz-id", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 2), violation
@@ -210,10 +228,8 @@ def sample_lipschitz_id(gauge: Gauge, n: int, seed: int, box: SampleBox = Sample
 
 def sample_left_invariance(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
     def violation(z, p, q):
-        return _gap(
-            gauge_dist_array(gauge, mul_array(z, p), mul_array(z, q)),
-            gauge_dist_array(gauge, p, q),
-        )
+        zp, zq = _split(mul_array(_rows(z, z), _rows(p, q)), 2)
+        return _gap(*_split(gauge_dist_array(gauge, _rows(zp, p), _rows(zq, q)), 2))
 
     return _worst(
         "left-invariance", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation
@@ -224,10 +240,8 @@ def sample_isometry(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox(
     """flat_dist(flatten(p), flatten(q)) equals gauge_dist(p, q)."""
 
     def violation(p, q):
-        return _gap(
-            flat_dist_array(gauge, flatten_array(gauge, p), flatten_array(gauge, q)),
-            gauge_dist_array(gauge, p, q),
-        )
+        fp, fq = _split(flatten_array(gauge, _rows(p, q)), 2)
+        return _gap(flat_dist_array(gauge, fp, fq), gauge_dist_array(gauge, p, q))
 
     return _worst(
         "flatten-isometry", n, TOL_GAUGE, _points(np.random.default_rng(seed), box, 2), violation
@@ -236,7 +250,8 @@ def sample_isometry(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox(
 
 def _assoc_violation(prod):
     def violation(p, q, r):
-        a, b = prod(prod(p, q), r), prod(p, prod(q, r))
+        pq, qr = _split(prod(_rows(p, q), _rows(q, r)), 2)
+        a, b = _split(prod(_rows(pq, p), _rows(r, qr)), 2)
         return point_diff_array(a, b) / point_scale_array(a, b)
 
     return violation
@@ -245,20 +260,16 @@ def _assoc_violation(prod):
 def sample_group_axioms(n: int, seed: int, box: SampleBox = SampleBox()):
     """Associativity, identity, inverse on random triples; three reports."""
     rng = np.random.default_rng(seed)
-    e = _IDENTITY
 
     def identity_violation(p):
-        v = np.maximum(
-            point_diff_array(mul_array(p, e), p), point_diff_array(mul_array(e, p), p)
-        )
-        return v / point_scale_array(p)
+        e = np.zeros_like(p)
+        d = point_diff_array(mul_array(_rows(p, e), _rows(e, p)), _rows(p, p))
+        return np.maximum(*_split(d, 2)) / point_scale_array(p)
 
     def inverse_violation(p):
-        v = np.maximum(
-            point_diff_array(mul_array(p, inv_array(p)), e),
-            point_diff_array(mul_array(inv_array(p), p), e),
-        )
-        return v / point_scale_array(p)
+        ip = inv_array(p)
+        d = point_diff_array(mul_array(_rows(p, ip), _rows(ip, p)), _IDENTITY)
+        return np.maximum(*_split(d, 2)) / point_scale_array(p)
 
     return [
         _worst("group-associativity", n, TOL_ALGEBRA, _points(rng, box, 3),
@@ -285,8 +296,8 @@ def sample_semigroup(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox
         return scales[i // len(scales)], scales[i % len(scales)], box.draw(rng, size)
 
     def violation(eps, mu, p):
-        a = gauge_dilate_array(gauge, eps, gauge_dilate_array(gauge, mu, p))
-        b = gauge_dilate_array(gauge, eps * mu, p)
+        inner, b = _split(gauge_dilate_array(gauge, _rows(mu, eps * mu), _rows(p, p)), 2)
+        a = gauge_dilate_array(gauge, eps, inner)
         return point_diff_array(a, b) / point_scale_array(a, b)
 
     return _worst("dilatation-semigroup", max(n, pairs), TOL_GAUGE, draw, violation)
@@ -296,10 +307,8 @@ def sample_homogeneity(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleB
     """gauge_norm(gauge_dilate(eps, p)) = eps * gauge_norm(p), eps in [1e-6, 1e3]."""
 
     def violation(eps, p):
-        return _gap(
-            gauge_norm_array(gauge, gauge_dilate_array(gauge, eps, p)),
-            eps * gauge_norm_array(gauge, p),
-        )
+        a, b = _split(gauge_norm_array(gauge, _rows(gauge_dilate_array(gauge, eps, p), p)), 2)
+        return _gap(a, eps * b)
 
     draw = _scaled_points(np.random.default_rng(seed), box, 1, -6.0, 3.0)
     return _worst("dilatation-homogeneity", n, TOL_GAUGE, draw, violation)
@@ -310,11 +319,14 @@ def sample_rescale_identity(gauge: Gauge, n: int, seed: int, box: SampleBox = Sa
     gauge_norm(rescaled_product(eps, inv(p), q)); eps cycles over 2^0..2^-20."""
 
     def violation(eps, p, q):
-        dp, dq = gauge_dilate_array(gauge, eps, p), gauge_dilate_array(gauge, eps, q)
-        a = gauge_dist_array(gauge, dp, dq) / eps
-        product = mul_array(gauge_dilate_array(gauge, eps, inv_array(p)), dq)
-        b = gauge_norm_array(gauge, gauge_dilate_array(gauge, 1.0 / eps, product))
-        return _gap(a, b)
+        dp, dq, dip = _split(
+            gauge_dilate_array(gauge, _rows(eps, eps, eps), _rows(p, q, inv_array(p))), 3
+        )
+        # gauge_dist(dp, dq) is the norm of inv(dp) * dq
+        step, product = _split(mul_array(_rows(inv_array(dp), dip), _rows(dq, dq)), 2)
+        undilated = gauge_dilate_array(gauge, 1.0 / eps, product)
+        a, b = _split(gauge_norm_array(gauge, _rows(step, undilated)), 2)
+        return _gap(a / eps, b)
 
     rng = np.random.default_rng(seed)
     scales = np.array([2.0**j for j in range(0, -21, -4)])
@@ -342,8 +354,8 @@ def sample_flatten_homomorphism(gauge: Gauge, n: int, seed: int, box: SampleBox 
     """flatten(p * q) equals the transported product of the flattened points."""
 
     def violation(p, q):
-        a = flatten_array(gauge, mul_array(p, q))
-        b = transported_mul_array(gauge, flatten_array(gauge, p), flatten_array(gauge, q))
+        a, fp, fq = _split(flatten_array(gauge, _rows(mul_array(p, q), p, q)), 3)
+        b = transported_mul_array(gauge, fp, fq)
         return point_diff_array(a, b) / point_scale_array(a, b)
 
     draw = _points(np.random.default_rng(seed), box, 2)
@@ -364,22 +376,19 @@ def sample_transported_axioms(gauge: Gauge, n: int, seed: int, box: SampleBox = 
     inverse is the plain one, (-x, -xbar).
     """
     rng = np.random.default_rng(seed)
-    e = _IDENTITY
 
     def product(p, q):
         return transported_mul_array(gauge, p, q)
 
     def unit_inverse_violation(p):
-        v = np.maximum(
-            np.maximum(
-                point_diff_array(product(p, e), p), point_diff_array(product(e, p), p)
-            ),
-            point_diff_array(product(p, inv_array(p)), e),
-        )
-        return v / point_scale_array(p)
+        e = np.zeros_like(p)
+        d = point_diff_array(product(_rows(p, e, p), _rows(e, p, inv_array(p))), _rows(p, p, e))
+        right, left, inverse = _split(d, 3)
+        return np.maximum(np.maximum(right, left), inverse) / point_scale_array(p)
 
     def norm_homogeneity_violation(eps, p):
-        return _gap(flat_norm_array(euclidean_dilate_array(eps, p)), eps * flat_norm_array(p))
+        a, b = _split(flat_norm_array(_rows(euclidean_dilate_array(eps, p), p)), 2)
+        return _gap(a, eps * b)
 
     return [
         _worst("transported-associativity", n, TOL_GAUGE, _points(rng, box, 3),
@@ -395,10 +404,9 @@ def sample_intrinsic_dilation(n: int, seed: int, box: SampleBox = SampleBox()):
     """The intrinsic dilatation is a group automorphism scaling intrinsic_dist."""
 
     def violation(eps, p, q):
-        return _gap(
-            intrinsic_dist_array(dilate_array(eps, p), dilate_array(eps, q)),
-            eps * intrinsic_dist_array(p, q),
-        )
+        dp, dq = _split(dilate_array(_rows(eps, eps), _rows(p, q)), 2)
+        a, b = _split(intrinsic_dist_array(_rows(dp, p), _rows(dq, q)), 2)
+        return _gap(a, eps * b)
 
     draw = _scaled_points(np.random.default_rng(seed), box, 2, -3.0, 3.0)
     return _worst("intrinsic-dilation-scaling", n, TOL_ALGEBRA, draw, violation)

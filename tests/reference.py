@@ -1,21 +1,60 @@
-"""Scalar reference formulas and the row-by-row trace CSV: the oracles of the
-parity tests.
+"""Scalar reference formulas, the row-by-row trace CSV, and the unstacked
+sampler and probe compositions: the oracles of the parity tests.
 
 Every operation of the package is written once, as an array kernel, and its
 scalar H1Point form is a one-row call into that kernel.  This module keeps an
 independent second writing of each formula in plain Python on H1Points and
-floats, for the tests to compare the kernels against.  It imports no *_array
-kernel and does not read a gauge's segment table: the piecewise k and g are
-looked up here from the gauge's breakpoints and values, with bisect and
+floats, for the tests to compare the kernels against.  Those formulas use no
+*_array kernel and do not read a gauge's segment table: the piecewise k and g
+are looked up here from the gauge's breakpoints and values, with bisect and
 math.hypot where the package uses np.searchsorted and np.hypot.
+
+The last section is the exception.  The samplers and two probes call each
+kernel once on row-stacked independent inputs; the oracles there compose the
+same kernels one call per input, as the package did before stacking, so the
+two must agree bit for bit.
 """
 
 import bisect
 import math
 from functools import lru_cache
 
-from h1gauge.gauges import PiecewiseLinearGauge, g_eval, linear_gauge
-from h1gauge.heisenberg import H1Point
+import numpy as np
+
+from h1gauge.dilatations import (
+    dilate_array,
+    euclidean_dilate_array,
+    flatten_array,
+    gauge_dilate_array,
+    transported_mul_array,
+    unflatten_array,
+)
+from h1gauge.gauges import PiecewiseLinearGauge, g_array, g_eval, g_inverse_array, linear_gauge
+from h1gauge.heisenberg import (
+    H1Point,
+    inv_array,
+    mul_array,
+    point_diff_array,
+    point_scale_array,
+    points_array,
+    to_row,
+)
+from h1gauge.metrics import (
+    _IDENTITY,
+    SampleBox,
+    _gap,
+    _points,
+    _scaled_points,
+    _worst,
+    dyadic_scales,
+    flat_dist_array,
+    flat_norm_array,
+    gauge_dist_array,
+    gauge_norm_array,
+    intrinsic_dist_array,
+    scaled_excess,
+)
+from h1gauge.report import TOL_ALGEBRA, TOL_GAUGE
 
 _LINEAR_G = linear_gauge().g_closed
 
@@ -181,3 +220,206 @@ def trace_csv(trace) -> str:
         row = (grid.eps0 * grid.ratio**j, *(v.as_tuple() if point_valued else (v,)))
         lines.append(",".join(repr(c) for c in row))
     return "\n".join(lines) + "\n"
+
+
+# --- unstacked sampler and probe compositions --------------------------------------
+#
+# Each sampler below draws exactly as its h1gauge.metrics namesake and scans
+# with the same _worst; only its violation differs, calling each kernel once
+# per input.
+
+
+def sample_triangle(dist, name, n, seed, box=SampleBox()):
+    def violation(p, q, r):
+        return scaled_excess(dist(p, r), dist(p, q) + dist(q, r))
+
+    return _worst(name, n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation)
+
+
+def sample_lipschitz_id(gauge, n, seed, box=SampleBox()):
+    def violation(p, q):
+        return scaled_excess(gauge_dist_array(gauge, p, q), intrinsic_dist_array(p, q))
+
+    return _worst(
+        "lipschitz-id", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 2), violation
+    )
+
+
+def sample_left_invariance(gauge, n, seed, box=SampleBox()):
+    def violation(z, p, q):
+        return _gap(
+            gauge_dist_array(gauge, mul_array(z, p), mul_array(z, q)),
+            gauge_dist_array(gauge, p, q),
+        )
+
+    return _worst(
+        "left-invariance", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation
+    )
+
+
+def sample_isometry(gauge, n, seed, box=SampleBox()):
+    def violation(p, q):
+        return _gap(
+            flat_dist_array(gauge, flatten_array(gauge, p), flatten_array(gauge, q)),
+            gauge_dist_array(gauge, p, q),
+        )
+
+    return _worst(
+        "flatten-isometry", n, TOL_GAUGE, _points(np.random.default_rng(seed), box, 2), violation
+    )
+
+
+def _assoc_violation(prod):
+    def violation(p, q, r):
+        a, b = prod(prod(p, q), r), prod(p, prod(q, r))
+        return point_diff_array(a, b) / point_scale_array(a, b)
+
+    return violation
+
+
+def sample_group_axioms(n, seed, box=SampleBox()):
+    rng = np.random.default_rng(seed)
+    e = _IDENTITY
+
+    def identity_violation(p):
+        v = np.maximum(
+            point_diff_array(mul_array(p, e), p), point_diff_array(mul_array(e, p), p)
+        )
+        return v / point_scale_array(p)
+
+    def inverse_violation(p):
+        v = np.maximum(
+            point_diff_array(mul_array(p, inv_array(p)), e),
+            point_diff_array(mul_array(inv_array(p), p), e),
+        )
+        return v / point_scale_array(p)
+
+    return [
+        _worst("group-associativity", n, TOL_ALGEBRA, _points(rng, box, 3),
+               _assoc_violation(mul_array)),
+        _worst("group-identity", n, TOL_ALGEBRA, _points(rng, box, 1), identity_violation),
+        _worst("group-inverse", n, TOL_ALGEBRA, _points(rng, box, 1), inverse_violation),
+    ]
+
+
+def sample_semigroup(gauge, n, seed, box=SampleBox()):
+    rng = np.random.default_rng(seed)
+    scales = np.array(dyadic_scales())
+    pairs = len(scales) ** 2
+
+    def draw(start, size):
+        i = np.arange(start, start + size) % pairs
+        return scales[i // len(scales)], scales[i % len(scales)], box.draw(rng, size)
+
+    def violation(eps, mu, p):
+        a = gauge_dilate_array(gauge, eps, gauge_dilate_array(gauge, mu, p))
+        b = gauge_dilate_array(gauge, eps * mu, p)
+        return point_diff_array(a, b) / point_scale_array(a, b)
+
+    return _worst("dilatation-semigroup", max(n, pairs), TOL_GAUGE, draw, violation)
+
+
+def sample_homogeneity(gauge, n, seed, box=SampleBox()):
+    def violation(eps, p):
+        return _gap(
+            gauge_norm_array(gauge, gauge_dilate_array(gauge, eps, p)),
+            eps * gauge_norm_array(gauge, p),
+        )
+
+    draw = _scaled_points(np.random.default_rng(seed), box, 1, -6.0, 3.0)
+    return _worst("dilatation-homogeneity", n, TOL_GAUGE, draw, violation)
+
+
+def sample_rescale_identity(gauge, n, seed, box=SampleBox()):
+    def violation(eps, p, q):
+        dp, dq = gauge_dilate_array(gauge, eps, p), gauge_dilate_array(gauge, eps, q)
+        a = gauge_dist_array(gauge, dp, dq) / eps
+        product = mul_array(gauge_dilate_array(gauge, eps, inv_array(p)), dq)
+        b = gauge_norm_array(gauge, gauge_dilate_array(gauge, 1.0 / eps, product))
+        return _gap(a, b)
+
+    rng = np.random.default_rng(seed)
+    scales = np.array([2.0**j for j in range(0, -21, -4)])
+
+    def draw(start, size):
+        eps = scales[np.arange(start, start + size) % len(scales)]
+        return eps, box.draw(rng, size), box.draw(rng, size)
+
+    return _worst("rescaled-distance-identity", n, TOL_GAUGE, draw, violation)
+
+
+def sample_conjugation(gauge, n, seed, box=SampleBox()):
+    def violation(eps, p):
+        direct = gauge_dilate_array(gauge, eps, p)
+        conjugated = unflatten_array(gauge, euclidean_dilate_array(eps, flatten_array(gauge, p)))
+        return point_diff_array(direct, conjugated) / point_scale_array(direct, p)
+
+    draw = _scaled_points(np.random.default_rng(seed), box, 1, -6.0, 3.0)
+    return _worst("conjugation", n, TOL_GAUGE, draw, violation)
+
+
+def sample_flatten_homomorphism(gauge, n, seed, box=SampleBox()):
+    def violation(p, q):
+        a = flatten_array(gauge, mul_array(p, q))
+        b = transported_mul_array(gauge, flatten_array(gauge, p), flatten_array(gauge, q))
+        return point_diff_array(a, b) / point_scale_array(a, b)
+
+    draw = _points(np.random.default_rng(seed), box, 2)
+    return _worst("flatten-homomorphism", n, TOL_GAUGE, draw, violation)
+
+
+def sample_transported_axioms(gauge, n, seed, box=SampleBox()):
+    rng = np.random.default_rng(seed)
+    e = _IDENTITY
+
+    def product(p, q):
+        return transported_mul_array(gauge, p, q)
+
+    def unit_inverse_violation(p):
+        v = np.maximum(
+            np.maximum(
+                point_diff_array(product(p, e), p), point_diff_array(product(e, p), p)
+            ),
+            point_diff_array(product(p, inv_array(p)), e),
+        )
+        return v / point_scale_array(p)
+
+    def norm_homogeneity_violation(eps, p):
+        return _gap(flat_norm_array(euclidean_dilate_array(eps, p)), eps * flat_norm_array(p))
+
+    return [
+        _worst("transported-associativity", n, TOL_GAUGE, _points(rng, box, 3),
+               _assoc_violation(product)),
+        _worst("transported-unit-inverse", n, TOL_GAUGE, _points(rng, box, 1),
+               unit_inverse_violation),
+        _worst("transported-norm-homogeneity", n, TOL_ALGEBRA,
+               _scaled_points(rng, box, 1, -3.0, 3.0), norm_homogeneity_violation),
+    ]
+
+
+def sample_intrinsic_dilation(n, seed, box=SampleBox()):
+    def violation(eps, p, q):
+        return _gap(
+            intrinsic_dist_array(dilate_array(eps, p), dilate_array(eps, q)),
+            eps * intrinsic_dist_array(p, q),
+        )
+
+    draw = _scaled_points(np.random.default_rng(seed), box, 2, -3.0, 3.0)
+    return _worst("intrinsic-dilation-scaling", n, TOL_ALGEBRA, draw, violation)
+
+
+def rescaled_product_rows(gauge, p: H1Point, q: H1Point, eps: np.ndarray) -> np.ndarray:
+    """The trace rows of rescaled_product_probe, each point dilated on its own."""
+    product = mul_array(gauge_dilate_array(gauge, eps, to_row(p)),
+                        gauge_dilate_array(gauge, eps, to_row(q)))
+    return gauge_dilate_array(gauge, 1.0 / eps, product)
+
+
+def derivability_rows(gauge, u: H1Point, eps: np.ndarray):
+    """The trace rows of id_derivability_probe and their residual against the
+    closed form, whose profile is evaluated by its own call."""
+    rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
+    gs = g_array(gauge, eps * eps * abs(u.xbar))
+    ref_vert = np.sign(u.xbar) * g_inverse_array(gauge, gs / eps)
+    ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2), ref_vert)
+    return rows, point_diff_array(rows, ref) / point_scale_array(rows, ref)

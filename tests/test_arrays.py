@@ -72,11 +72,13 @@ from h1gauge.limits import (
 )
 from h1gauge.metrics import (
     SampleBox,
+    flat_dist_array,
     flat_norm,
     flat_norm_array,
     gauge_dist_array,
     gauge_norm,
     gauge_norm_array,
+    intrinsic_dist_array,
     intrinsic_norm,
     intrinsic_norm_array,
     sample_conjugation,
@@ -522,3 +524,54 @@ def test_probes_match_scalar_formulas(gauge, site, count):
         assert rep.eta is None
     else:
         assert np.allclose(rep.eta, want["eta"], rtol=0.0, atol=1e-12)
+
+
+# --- stacked samplers and probe sites against their unstacked compositions ----------
+#
+# The samplers, rescaled_product_probe and id_derivability_probe call each
+# kernel once on row-stacked independent inputs.  Every kernel is row by row,
+# so each report and trace must equal, bit for bit, the one-call-per-input
+# composition kept in tests/reference.py.
+
+STACKED_GAUGES = [LIN, OSC, _random_piecewise(4, 9)]
+
+
+def _battery(lib, gauge, n, seed):
+    """The verify battery of cmd_verify, run on the samplers of lib."""
+    dists = (intrinsic_dist_array, lambda p, q: gauge_dist_array(gauge, p, q),
+             lambda p, q: flat_dist_array(gauge, p, q))
+    return [
+        *lib.sample_group_axioms(n, seed),
+        lib.sample_intrinsic_dilation(n, seed + 1),
+        *(lib.sample_triangle(d, f"triangle-{i}", n, seed + 2 + i) for i, d in enumerate(dists)),
+        *(sample(gauge, n, seed + 5 + i) for i, sample in enumerate((
+            lib.sample_lipschitz_id, lib.sample_left_invariance, lib.sample_isometry,
+            lib.sample_semigroup, lib.sample_homogeneity, lib.sample_rescale_identity,
+            lib.sample_conjugation, lib.sample_flatten_homomorphism))),
+        *lib.sample_transported_axioms(gauge, n, seed + 13),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
+@pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=lambda g: g.label)
+def test_stacked_samplers_match_unstacked(gauge, n):
+    got, want = _battery(metrics, gauge, n, 5), _battery(ref, gauge, n, 5)
+    assert [c.name for c in got] == [c.name for c in want]
+    for g, w in zip(got, want):
+        assert g == w, g.name  # passed, worst_violation, witness and details included
+
+
+@pytest.mark.parametrize("count", [24, 160])
+@pytest.mark.parametrize("site", sorted(PROBE_SITES))
+@pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=lambda g: g.label)
+def test_stacked_probe_sites_match_unstacked(gauge, site, count):
+    _, p, q, u, _ = PROBE_SITES[site]
+    for grid in (EpsGrid(count=count), EpsGrid(eps0=0.9, ratio=0.7, count=count)):
+        eps = np.array(grid.values())
+        tr = rescaled_product_probe(gauge, p, q, grid)
+        assert _arr(tr.values).tobytes() == ref.rescaled_product_rows(gauge, p, q, eps).tobytes()
+        for v in (u, point(u.x1, u.x2, 0.0)):
+            tr = id_derivability_probe(gauge, v, grid)
+            rows, residual = ref.derivability_rows(gauge, v, eps)
+            assert _arr(tr.values).tobytes() == rows.tobytes()
+            assert tr.meta["closed_form_residual"] == float(residual.max())

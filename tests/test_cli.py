@@ -1,8 +1,10 @@
 """Exit codes, output files, and determinism of the command-line front end."""
 
+import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -436,3 +438,38 @@ def test_write_atomic_cleans_up_when_rename_fails(tmp_path, monkeypatch):
             _write_atomic(tmp_path / name, "epsilon,value\n")
     assert os.listdir(tmp_path) == ["old.csv"]
     assert (tmp_path / "old.csv").read_bytes() == b"kept\n"
+
+
+# --- scripts/probe_sweep.py -------------------------------------------------------------
+
+def _probe_sweep():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "probe_sweep.py"
+    spec = importlib.util.spec_from_file_location("probe_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--count", "5"], "--count"),
+    (["--amplitudes", "x"], "--amplitudes"),
+    (["--amplitudes", "3,0.5"], "--amplitudes"),  # M must exceed 1
+    (["--amplitudes", "3,"], "--amplitudes"),
+])
+def test_sweep_input_errors_are_usage_errors(capsys, tmp_path, argv, flag):
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exit_info:
+        _probe_sweep().main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()  # checked before any output
+
+
+def test_sweep_writes_one_csv_pair_per_gauge(capsys, tmp_path):
+    assert _probe_sweep().main(["--count", "12", "--amplitudes", "3", "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "sweep_linear.csv", "sweep_oscillatory_M3.csv",
+        "traces_linear.csv", "traces_oscillatory_M3.csv"]
+    assert capsys.readouterr().out.count("7 probes") == 2
