@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .gauges import Gauge, check_gauge, linear_gauge, load_gauge, oscillatory_gauge
@@ -114,10 +114,15 @@ class RunConfig:
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write text as UTF-8 bytes to a temp file beside path, then rename it
-    over path; on any failure the temp file is removed."""
+    over path; on any failure the temp file is removed.  The file gets the
+    mode a plain open would give it, 0o666 less the umask: mkstemp makes
+    it 0o600."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
@@ -232,28 +237,36 @@ def cmd_gauge_check(config: RunConfig) -> int:
                    code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
-def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
-    """Run one limit probe; classification is a finding, so completion is
-    exit 0 regardless of the outcome."""
+# kind -> (probe function, ((flag, default, help), ...)): the point flags of
+# each probe, passed to its function in this order.  A float default makes a
+# float flag; a string default is a point "x1,x2,xbar".
+PROBES = {
+    "a": (vertical_limit_probe, (("ubar", 1.0, "vertical coordinate"),)),
+    "beta": (rescaled_product_probe, (("p", "1,0,0", "first horizontal point"),
+                                      ("q", "0,1,0", "second horizontal point"))),
+    "derivability": (id_derivability_probe, (("u", "1,0,1", "point"),)),
+    "metric-diff": (metric_diff_probe, (("base", "0,0,0", "base point"),)),
+}
+
+
+def cmd_probe(config: RunConfig, probe: str, points: list) -> int:
+    """Run one limit probe on its points, in the flag order of `PROBES`;
+    classification is a finding, so completion is exit 0 regardless of the
+    outcome."""
     grid = config.grid()
     gauge = config.resolve_gauge(default=linear_gauge)
 
     try:
-        if probe == "a":
-            trace = vertical_limit_probe(gauge, points["ubar"], grid)
-        elif probe == "beta":
-            trace = rescaled_product_probe(gauge, points["p"], points["q"], grid)
-        elif probe == "derivability":
-            trace = id_derivability_probe(gauge, points["u"], grid)
-        else:
-            return _probe_metric_diff(config, gauge, grid, points["base"])
+        result = PROBES[probe][0](gauge, *points, grid)
     except ValueError as e:
         raise _probe_config_error(e) from None
     except ArithmeticError as e:
         sys.stderr.write(f"property violation: {e}\n")
         return EXIT_FINDING
+    if probe == "metric-diff":
+        return _probe_metric_diff(config, gauge, result)
 
-    csv, summary = trace.to_csv(), trace.summary()
+    csv, summary = result.to_csv(), result.summary()
     cls = summary["classification"]
     lines = [f"probe: {summary['probe']}", f"gauge: {summary['gauge']}",
              f"classification: {cls['kind']}"]
@@ -264,12 +277,11 @@ def cmd_probe(config: RunConfig, probe: str, points: dict) -> int:
     return _finish(config, f"probe_{probe}.json", summary, table, {f"probe_{probe}.csv": csv})
 
 
-def _probe_metric_diff(config, gauge, grid, base) -> int:
-    report = metric_diff_probe(gauge, base, grid)
+def _probe_metric_diff(config, gauge, report) -> int:
     payload = {"command": "probe", "probe": "metric-diff", "gauge": gauge.label, **report.to_dict()}
     files = {f"probe_metric-diff_{i:02d}.csv": tr.to_csv() for i, tr in enumerate(report.traces)}
     lines = [f"metric-diff probe: {gauge.label}"]
-    lines.append(f"base: {base.as_tuple()!r}")
+    lines.append(f"base: {report.base.as_tuple()!r}")
     lines.append(f"differentiable: {report.differentiable}")
     for v, cls in zip(report.directions, report.per_direction):
         lines.append(f"  direction {v.as_tuple()!r}: {cls.kind}")
@@ -409,22 +421,40 @@ def _parse_box(text: str) -> SampleBox:
         raise ConfigError(f"--box: {e}") from None
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gauge", default=None, metavar="FILE|JSON",
-                     help="gauge spec: a JSON file path or an inline JSON object")
-    sub.add_argument("--eps0", type=float, default=DEFAULT_EPS0)
-    sub.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
-    sub.add_argument("--count", type=int, default=DEFAULT_COUNT)
-    sub.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    sub.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    sub.add_argument("--box", default=None, metavar="H,V",
-                     help="sampling box half-widths: horizontal, vertical")
-    sub.add_argument("--out", default=None, metavar="DIR",
-                     help="directory for report and trace files")
-    sub.add_argument("--format", choices=("table", "structured"), default="table",
-                     dest="fmt")
+FLAG_GROUPS = {
+    "output": (
+        ("--gauge", dict(dest="gauge_source", metavar="FILE|JSON",
+                         help="gauge spec: a JSON file path or an inline JSON object")),
+        ("--out", dict(type=Path, metavar="DIR", help="directory for report and trace files")),
+        ("--format", dict(dest="fmt", choices=("table", "structured"))),
+    ),
+    "grid": (
+        ("--eps0", dict(type=float)),
+        ("--ratio", dict(type=float)),
+        ("--count", dict(type=int)),
+        ("--window", dict(type=int)),
+        ("--atol", dict(type=float)),
+    ),
+    "sampling": (
+        ("--seed", dict(type=int)),
+        ("--samples", dict(type=int)),
+        ("--box", dict(type=_parse_box, metavar="H,V",
+                       help="sampling box half-widths: horizontal, vertical")),
+    ),
+}
+
+
+def _add_command(subs, name: str, help: str, *groups: str) -> argparse.ArgumentParser:
+    """A sub-parser with exactly the flags of `groups`, spelled in full.  A
+    flag left out is absent from the parsed namespace, so its `RunConfig`
+    field keeps its default."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=False,
+                          argument_default=argparse.SUPPRESS)
+    for group in groups:
+        flags = sub.add_argument_group(group)
+        for flag, kwargs in FLAG_GROUPS[group]:
+            flags.add_argument(flag, **kwargs)
+    return sub
 
 
 # Built once per process: parse_args leaves the parser unchanged, and
@@ -437,88 +467,40 @@ def build_parser() -> argparse.ArgumentParser:
         "Heisenberg group",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub_verify = subs.add_parser("verify", help="run gauge checks and all samplers")
-    _add_common_flags(sub_verify)
-
-    sub_probe = subs.add_parser("probe", help="run one limit probe and trace it")
-    sub_probe.add_argument("probe", choices=("a", "beta", "derivability", "metric-diff"))
-    _add_common_flags(sub_probe)
-    sub_probe.add_argument("--ubar", type=float, default=None,
-                           help="vertical coordinate for probe a (default 1)")
-    sub_probe.add_argument("--p", default=None, metavar="X1,X2,XBAR",
-                           help="first point for probe beta (default 1,0,0)")
-    sub_probe.add_argument("--q", default=None, metavar="X1,X2,XBAR",
-                           help="second point for probe beta (default 0,1,0)")
-    sub_probe.add_argument("--u", default=None, metavar="X1,X2,XBAR",
-                           help="point for probe derivability (default 1,0,1)")
-    sub_probe.add_argument("--base", default=None, metavar="X1,X2,XBAR",
-                           help="base point for probe metric-diff (default identity)")
-
-    sub_ce = subs.add_parser("counterexample",
-                             help="reproduce the oscillatory-gauge failure pattern")
-    _add_common_flags(sub_ce)
-
-    sub_gc = subs.add_parser("gauge-check", help="run only the gauge contract checks")
-    _add_common_flags(sub_gc)
-
+    _add_command(subs, "verify", "run gauge checks and all samplers", "output", "sampling")
+    kinds = _add_command(subs, "probe", "run one limit probe and trace it").add_subparsers(
+        dest="probe", required=True)
+    for kind, (_, point_flags) in PROBES.items():
+        sub = _add_command(kinds, kind, f"trace probe {kind}", "output", "grid")
+        for flag, default, text in point_flags:
+            kwargs = (dict(type=float) if isinstance(default, float) else
+                      dict(type=functools.partial(_parse_triple, flag=f"--{flag}"),
+                           metavar="X1,X2,XBAR"))
+            sub.add_argument(f"--{flag}", default=default, help=f"{text} (default {default})",
+                             **kwargs)
+    _add_command(subs, "counterexample", "reproduce the oscillatory-gauge failure pattern",
+                 "output", "grid", "sampling")
+    _add_command(subs, "gauge-check", "run only the gauge contract checks", "output")
     return parser
 
 
-_PROBE_FLAGS = {
-    "a": ("ubar",),
-    "beta": ("p", "q"),
-    "derivability": ("u",),
-    "metric-diff": ("base",),
-}
-
-
-def _probe_points(args) -> dict:
-    allowed = _PROBE_FLAGS[args.probe]
-    for flag in ("ubar", "p", "q", "u", "base"):
-        if getattr(args, flag) is not None and flag not in allowed:
-            raise ConfigError(f"--{flag} does not apply to probe {args.probe!r}")
-    if args.probe == "a":
-        ubar = 1.0 if args.ubar is None else args.ubar
-        return {"ubar": ubar}
-    if args.probe == "beta":
-        p = _parse_triple(args.p, "--p") if args.p else H1Point(1.0, 0.0, 0.0)
-        q = _parse_triple(args.q, "--q") if args.q else H1Point(0.0, 1.0, 0.0)
-        return {"p": p, "q": q}
-    if args.probe == "derivability":
-        u = _parse_triple(args.u, "--u") if args.u else H1Point(1.0, 0.0, 1.0)
-        return {"u": u}
-    base = _parse_triple(args.base, "--base") if args.base else identity()
-    return {"base": base}
+_RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _config_from(args) -> RunConfig:
-    box = _parse_box(args.box) if args.box else SampleBox()
-    out = Path(args.out) if args.out else None
-    return RunConfig(
-        gauge_source=args.gauge,
-        eps0=args.eps0,
-        ratio=args.ratio,
-        count=args.count,
-        window=args.window,
-        atol=args.atol,
-        seed=args.seed,
-        samples=args.samples,
-        box=box,
-        out=out,
-        fmt=args.fmt,
-    )
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a flag's parser (--box, a point) raises ConfigError from here
+        args = build_parser().parse_args(argv)
         config = _config_from(args)
         if args.command == "verify":
             return cmd_verify(config)
         if args.command == "probe":
-            return cmd_probe(config, args.probe, _probe_points(args))
+            points = [getattr(args, flag) for flag, _, _ in PROBES[args.probe][1]]
+            return cmd_probe(config, args.probe, points)
         if args.command == "counterexample":
             return cmd_counterexample(config)
         return cmd_gauge_check(config)

@@ -94,8 +94,8 @@ class EpsGrid:
                 f"grid underflow: eps[{self.count - 1}] = {smallest!r} has square "
                 f"below the floor {UNDERFLOW_FLOOR!r}"
             )
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window!r}")
+        if not isinstance(self.window, int) or self.window < 1:
+            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
         if self.count < 2 * self.window:
             raise ValueError(
                 f"count must be at least 2*window = {2 * self.window} "

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -101,10 +102,32 @@ def test_short_grid_is_config_error(capsys, tmp_path):
     assert not out.exists()  # nothing was written
 
 
-def test_wrong_point_flag_is_config_error(capsys):
-    code, _, err = run(capsys, "probe", "a", "--p", "1,0,0")
-    assert code == 2
-    assert "--p" in err
+GRID_FLAGS = [("--eps0", "0.5"), ("--ratio", "0.5"), ("--count", "24"), ("--window", "6"),
+              ("--atol", "1e-4")]
+SAMPLING_FLAGS = [("--seed", "9"), ("--samples", "5"), ("--box", "1,1")]
+UNREAD_FLAGS = [
+    *[(["verify"], flag) for flag in GRID_FLAGS],
+    *[(["gauge-check"], flag) for flag in GRID_FLAGS + SAMPLING_FLAGS],
+    (["probe", "a"], ("--seed", "9")),
+    (["probe", "beta"], ("--samples", "5")),
+    (["probe", "metric-diff"], ("--box", "1,1")),
+    (["probe", "a"], ("--p", "1,0,0")),  # another probe's point flag
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{'-'.join(c)}{f}" for c, (f, _) in UNREAD_FLAGS])
+def test_unread_flag_is_usage_error(capsys, tmp_path, command, flag):
+    # each command declares only the flags it reads; any other valid-looking
+    # flag is rejected by the parser before any output
+    out = tmp_path / "never"
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]} {flag[1]}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_missing_gauge_file_is_config_error(capsys, tmp_path):
@@ -385,7 +408,7 @@ def _collect(out_dir):
 
 
 def test_probe_runs_are_byte_identical(capsys, tmp_path):
-    args = ["probe", "a", "--gauge", '{"type": "oscillatory"}', "--seed", "9"]
+    args = ["probe", "a", "--gauge", '{"type": "oscillatory"}']
     code1, out1, _ = run(capsys, *args, "--out", str(tmp_path / "r1"))
     code2, out2, _ = run(capsys, *args, "--out", str(tmp_path / "r2"))
     assert code1 == code2 == 0
@@ -425,6 +448,18 @@ def test_write_atomic_writes_utf8_bytes(tmp_path):
     _write_atomic(tmp_path / "out.csv", text)
     assert (tmp_path / "out.csv").read_bytes() == text.encode("utf-8")
     assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_reports_get_the_umask_mode(capsys, tmp_path, umask, mode):
+    # a plain open() would give 0o666 less the umask; mkstemp alone gives 0o600
+    old = os.umask(umask)
+    try:
+        assert run(capsys, "probe", "a", "--out", str(tmp_path))[0] == 0
+    finally:
+        os.umask(old)
+    for name in ("probe_a.csv", "probe_a.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
 
 def test_write_atomic_cleans_up_when_rename_fails(tmp_path, monkeypatch):

@@ -134,6 +134,7 @@ def test_grid_values_are_geometric():
         dict(atol=0.0),
         dict(atol=math.inf),
         dict(atol=math.nan),
+        dict(window=3.0),  # a window slices the trace, so it must be an integer
     ],
 )
 def test_grid_validation(kwargs):
