@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         try:
             M = float(m_text)
             r = min(1e-3, 0.5 / (M * M))  # keep r inside its validity range
-            gauges.append((f"oscillatory_M{m_text.strip()}", oscillatory_gauge(M=M, r=r, levels=8)))
+            gauges.append((f"oscillatory_M{m_text.strip()}", oscillatory_gauge(M=M, r=r)))
         except ValueError as e:  # GaugeConstructionError included
             ap.error(f"--amplitudes: {m_text!r}: {e}")
 

@@ -136,7 +136,10 @@ def _write_atomic(path: Path, text: str) -> None:
 def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
     if out_dir is None:
         return
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:  # a file is in the way
+        raise ConfigError(f"--out: {e}") from None
     for name, text in outputs.items():
         _write_atomic(out_dir / name, text)
 

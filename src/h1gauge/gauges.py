@@ -58,6 +58,7 @@ class Gauge:
     label: str = "custom"
     g_closed: Callable[[float], float] | None = None
     verified: bool = False
+    spec: dict | None = None  # from the constructors: the spec that rebuilds it
 
 
 def require_verified(gauge: Gauge) -> None:
@@ -77,6 +78,10 @@ class PiecewiseLinearGauge:
     segment included) are positive and nondecreasing, which is equivalent to
     convexity plus strict increase; evaluation is continuous by construction.
 
+    With a period q in (0, 1), k continues below the first breakpoint by the
+    scaling law k(q t) = q^2 k(t), so g(q^2 s) = q g(s), instead of the origin
+    segment.  The data must obey that law and span two periods.
+
     Construction also builds one segment table over the knots (0, b_1, ...,
     b_n), as arrays: the value of k and of the profile G(t) = k(t) + t^2 at
     each knot, the slope m of k on the segment starting there (the last
@@ -87,10 +92,11 @@ class PiecewiseLinearGauge:
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
+    period: float | None = None
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
-        bp, vv = self.breakpoints, self.values
+        bp, vv, q = self.breakpoints, self.values, self.period
         if len(bp) == 0 or len(bp) != len(vv):
             raise GaugeConstructionError(
                 "need equally many breakpoints and values, at least one of each"
@@ -101,6 +107,8 @@ class PiecewiseLinearGauge:
             raise GaugeConstructionError("breakpoints and values must be finite and positive")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise GaugeConstructionError("breakpoints must be strictly ascending")
+        if q is not None and not (0.0 < q < 1.0 and bp[0] <= bp[-1] * q * q):
+            raise GaugeConstructionError(f"period {q!r} must lie in (0, 1) and span two periods")
         # Secant slopes, origin segment first.  Positive values and ascending
         # breakpoints make the first one positive, so nondecreasing implies
         # all positive (strict increase).
@@ -131,9 +139,7 @@ class PiecewiseLinearGauge:
 
     def k_array(self, t: np.ndarray) -> np.ndarray:
         """k on an array of t >= 0, by np.searchsorted in the segment table."""
-        knots, kvals, _, slopes, _ = self._arrays
-        i = np.searchsorted(knots, t, side="right") - 1
-        return kvals[i] + slopes[i] * (t - knots[i])
+        return self._scaled(self._k_table, t, self.breakpoints[0], 1, 2)
 
     def g_array(self, s: np.ndarray) -> np.ndarray:
         """Exact profile inverse g on an array of s >= 0.
@@ -145,11 +151,37 @@ class PiecewiseLinearGauge:
         2d / (B + sqrt(B^2 + 4d)) = d / (h + hypot(h, sqrt(d))), h = B/2;
         hypot keeps large B or d from overflowing the square.
         """
+        return self._scaled(self._g_table, s, self._arrays[2][1], 2, 1)
+
+    def _k_table(self, t: np.ndarray) -> np.ndarray:
+        knots, kvals, _, slopes, _ = self._arrays
+        i = np.searchsorted(knots, t, side="right") - 1
+        return kvals[i] + slopes[i] * (t - knots[i])
+
+    def _g_table(self, s: np.ndarray) -> np.ndarray:
         knots, _, gvals, _, halfb = self._arrays
         i = np.searchsorted(gvals, s, side="right") - 1
         d = s - gvals[i]
         h = halfb[i]
         return knots[i] + d / (h + np.hypot(h, np.sqrt(d)))
+
+    def _scaled(self, table, x: np.ndarray, first: float, arg: int, value: int) -> np.ndarray:
+        """table(x), continued by the scaling law: with a period q, a row
+        0 < x < first is divided by q^(arg n) for the least n lifting it to
+        `first` (a logarithm, corrected once exactly), and its value is scaled
+        by q^(value n), capped at the period above's bottom so it cannot fall."""
+        q = self.period
+        if q is None or not x.size or x.min() >= first or not (low := (x > 0) & (x < first)).any():
+            return table(x)  # every row is at or above the table, or exactly 0
+        xl = x[low]
+        n = np.ceil((np.log(xl) - math.log(first)) / (arg * math.log(q)))
+        n += xl / q ** (arg * n) < first
+        x = x.copy()
+        x[low] = xl / q ** (arg * n)
+        out = table(x)
+        bottom = table(np.array([first]))
+        out[low] = np.minimum(out[low] * q ** (value * n), bottom * q ** (value * (n - 1)))
+        return out
 
 
 def _at(f: Callable[[np.ndarray], np.ndarray], x: float) -> float:
@@ -173,7 +205,8 @@ def linear_gauge() -> Gauge:
     """k(t) = t.  The profile t + t^2 inverts in closed form; the expression
     2s/(1 + sqrt(1 + 4s)) is the cancellation-free equivalent of
     (sqrt(1 + 4s) - 1)/2."""
-    return Gauge(k=_linear_k, label="linear", g_closed=_linear_g, verified=True)
+    return Gauge(k=_linear_k, label="linear", g_closed=_linear_g, verified=True,
+                 spec={"type": "linear"})
 
 
 def piecewise_gauge(breakpoints, values, label: str = "piecewise") -> Gauge:
@@ -181,62 +214,33 @@ def piecewise_gauge(breakpoints, values, label: str = "piecewise") -> Gauge:
     pwl = PiecewiseLinearGauge(
         tuple(float(b) for b in breakpoints), tuple(float(v) for v in values)
     )
-    return Gauge(k=pwl, label=label, g_closed=pwl.g, verified=True)
+    spec = {"type": "piecewise", "breakpoints": list(pwl.breakpoints), "values": list(pwl.values)}
+    return Gauge(k=pwl, label=label, g_closed=pwl.g, verified=True, spec=spec)
 
 
-def oscillatory_gauge(M: float = 10.0, r: float = 1e-3, levels: int = 8) -> Gauge:
-    """Piecewise-linear gauge whose ratio k(t)/t^2 alternates between M and 1/M.
+def oscillatory_gauge(M: float = 10.0, r: float = 1e-3) -> Gauge:
+    """The infinite self-similar ladder: a piecewise-linear gauge whose ratio
+    k(t)/t^2 alternates between M and 1/M, a function of (M, r) alone.
 
-    Breakpoints are r^n for n = 1..levels; at even n the value is M*r^(2n), at
-    odd n it is r^(2n)/M.  r < 1/M^2 is what keeps the secant slopes
-    nondecreasing (worst adjacent ratio is r*M^2); construction re-verifies
-    them, so a violation cannot slip through.
+    At breakpoint r^n the value is M*r^(2n) for even n and r^(2n)/M for odd
+    n.  Levels 1..8 are tabulated, and below r^8 k continues with period r^2.
+    The secant slopes are nondecreasing exactly when r*M^2*(1 + r) - r^3 <= 1
+    (the slope down from an odd level must not exceed the slope up from it);
+    that is checked first, and the table's slope check stays as a backstop.
     """
-    if not isinstance(levels, int) or levels < 4:
-        raise GaugeConstructionError(f"levels must be an integer >= 4, got {levels!r}")
     if not (math.isfinite(M) and M > 1.0):
         raise GaugeConstructionError(f"M must exceed 1, got {M!r}")
-    if not (math.isfinite(r) and 0.0 < r < 1.0 / (M * M)):
+    if not (math.isfinite(r) and 0.0 < r < 1.0 and r * M * M * (1.0 + r) - r**3 <= 1.0):
         raise GaugeConstructionError(
-            f"r must lie in (0, 1/M^2) = (0, {1.0 / (M * M)!r}), got {r!r}"
+            f"M={M!r}, r={r!r}: the ladder is convex only for 0 < r < 1 with "
+            f"r*M^2*(1 + r) - r^3 <= 1"
         )
-    most = _max_levels(M, r)
-    if levels > most:
-        fit = f"at most {most} levels fit" if most >= 4 else "no ladder of 4 or more levels fits"
-        raise GaugeConstructionError(
-            f"levels={levels!r} is too large for M={M!r}, r={r!r}: k at the deepest "
-            f"breakpoint r^levels underflows to 0; {fit}"
-        )
-    ns = range(1, levels + 1)
+    ns = range(8, 0, -1)
     bs = [r**n for n in ns]
     vs = [(M if n % 2 == 0 else 1.0 / M) * b * b for n, b in zip(ns, bs)]
-    return piecewise_gauge(
-        reversed(bs),
-        reversed(vs),
-        label=f"oscillatory(M={M!r},r={r!r},levels={levels})",
-    )
-
-
-def _deepest_value(M: float, r: float, n: int) -> float:
-    """k at the deepest breakpoint r^n of an n-level ladder, computed as
-    oscillatory_gauge computes it.  It is the smallest breakpoint value."""
-    b = r**n
-    return (M if n % 2 == 0 else 1.0 / M) * b * b
-
-
-def _max_levels(M: float, r: float) -> int:
-    """The largest level count whose deepest breakpoint value is positive.
-
-    The values fall with depth (by r^2 M^2 < 1 or r^2 / M^2 per level), so a
-    closed-form estimate from logarithms is corrected by a few steps of the
-    exact expression.
-    """
-    n = max(1, int((math.log(math.ulp(0.0)) + math.log(M)) / (2.0 * math.log(r))))
-    while _deepest_value(M, r, n + 1) > 0.0:
-        n += 1
-    while n > 1 and _deepest_value(M, r, n) == 0.0:
-        n -= 1
-    return n
+    pwl = PiecewiseLinearGauge(tuple(bs), tuple(vs), period=r * r)
+    return Gauge(k=pwl, label=f"oscillatory(M={M!r},r={r!r})", g_closed=pwl.g, verified=True,
+                 spec={"type": "oscillatory", "M": M, "r": r})
 
 
 def g_inverse_eval(gauge: Gauge, t: float) -> float:
@@ -437,7 +441,7 @@ def verified_gauge(
 # ---------------------------------------------------------------------------
 # gauge spec files: {"type": "linear"} |
 #   {"type": "piecewise", "breakpoints": [...], "values": [...]} |
-#   {"type": "oscillatory", "M": ..., "r": ..., "levels": ...}
+#   {"type": "oscillatory", "M": ..., "r": ...}, where an old "levels" has no effect
 
 
 def gauge_from_spec(spec: dict) -> Gauge:
@@ -467,12 +471,10 @@ def gauge_from_spec(spec: dict) -> Gauge:
             data[key] = [_spec_float(key, x) for x in spec[key]]
         return piecewise_gauge(data["breakpoints"], data["values"])
     levels = spec.get("levels", 8)
-    if isinstance(levels, bool) or not isinstance(levels, int):
-        raise ValueError(f"'levels' must be an integer, got {levels!r}")
+    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 4:
+        raise ValueError(f"'levels' must be an integer >= 4, got {levels!r}")
     return oscillatory_gauge(
-        M=_spec_float("M", spec.get("M", 10.0)),
-        r=_spec_float("r", spec.get("r", 1e-3)),
-        levels=levels,
+        M=_spec_float("M", spec.get("M", 10.0)), r=_spec_float("r", spec.get("r", 1e-3))
     )
 
 
@@ -488,16 +490,10 @@ def _spec_float(key: str, x) -> float:
 
 
 def gauge_to_spec(gauge: Gauge) -> dict:
-    """Inverse of gauge_from_spec for the representable gauges."""
-    if isinstance(gauge.k, PiecewiseLinearGauge):
-        return {
-            "type": "piecewise",
-            "breakpoints": list(gauge.k.breakpoints),
-            "values": list(gauge.k.values),
-        }
-    if gauge.label == "linear" and gauge.g_closed is not None:
-        return {"type": "linear"}
-    raise ValueError(f"gauge {gauge.label!r} has no spec representation")
+    """Inverse of gauge_from_spec for the gauges its constructors build."""
+    if gauge.spec is None:
+        raise ValueError(f"gauge {gauge.label!r} has no spec representation")
+    return json.loads(json.dumps(gauge.spec))  # a copy the caller may change
 
 
 def load_gauge(source: str) -> Gauge:

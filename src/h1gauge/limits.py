@@ -165,8 +165,8 @@ def classify_limit(
     classifies identically with limit estimates scaled by c.
     """
     vals = [float(v) for v in values]
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window!r}")
+    if not isinstance(window, int) or window < 1:
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
     if len(vals) < 2 * window:
         raise ValueError(
             f"need at least {2 * window} trace values to classify, got {len(vals)}"

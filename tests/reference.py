@@ -6,8 +6,9 @@ scalar H1Point form is a one-row call into that kernel.  This module keeps an
 independent second writing of each formula in plain Python on H1Points and
 floats, for the tests to compare the kernels against.  Those formulas use no
 *_array kernel and do not read a gauge's segment table: the piecewise k and g
-are looked up here from the gauge's breakpoints and values, with bisect and
-math.hypot where the package uses np.searchsorted and np.hypot.
+are looked up here from the gauge's breakpoints, values and period, with
+bisect, math.hypot and a plain loop over periods where the package uses
+np.searchsorted, np.hypot and a logarithm.
 
 The last section is the exception.  The samplers and two probes call each
 kernel once on row-stacked independent inputs; the oracles there compose the
@@ -101,21 +102,34 @@ def _table(breakpoints, values):
 
 
 def _piecewise(gauge):
+    """The segment table and the period of a piecewise gauge, else None."""
     pwl = gauge.k
     if isinstance(pwl, PiecewiseLinearGauge) and gauge.g_closed == pwl.g:
-        return _table(pwl.breakpoints, pwl.values)
+        return _table(pwl.breakpoints, pwl.values), pwl.period
     return None
 
 
+def _reduce(x: float, first: float, period, arg: int):
+    """x lifted into the table of a self-similar gauge, one period at a time:
+    (x / period^(arg n), period^n) for the least n with x / period^(arg n) >= first."""
+    c = 1.0
+    if period is not None and x > 0.0:
+        while x < first:
+            x /= period**arg
+            c *= period
+    return x, c
+
+
 def k(gauge, t: float) -> float:
-    table = _piecewise(gauge)
-    if table is None:
+    piecewise = _piecewise(gauge)
+    if piecewise is None:
         return gauge.k(t)
     if t <= 0.0:
         return 0.0
-    knots, kvals, _, slopes, _ = table
+    (knots, kvals, _, slopes, _), period = piecewise
+    t, c = _reduce(t, knots[1], period, 1)
     i = bisect.bisect_right(knots, t) - 1
-    return kvals[i] + slopes[i] * (t - knots[i])
+    return c * c * (kvals[i] + slopes[i] * (t - knots[i]))
 
 
 def G(gauge, t: float) -> float:
@@ -126,14 +140,16 @@ def G(gauge, t: float) -> float:
 def g(gauge, s: float) -> float:
     """The profile inverse: the segment lookup and cancellation-free root for
     piecewise gauges, the closed form 2s/(1 + sqrt(1 + 4s)) for the linear
-    one, and g_eval (a raw closed form, or bisection) for any other gauge."""
-    table = _piecewise(gauge)
-    if table is not None:
-        knots, _, gvals, _, halfb = table
+    one, and g_eval (a raw closed form, or bisection) for any other gauge.
+    Self-similar gauges are first lifted into their table by a plain loop."""
+    piecewise = _piecewise(gauge)
+    if piecewise is not None:
+        (knots, _, gvals, _, halfb), period = piecewise
+        s, c = _reduce(s, gvals[1], period, 2)
         i = bisect.bisect_right(gvals, s) - 1
         d = s - gvals[i]
         h = halfb[i]
-        return knots[i] + d / (h + math.hypot(h, math.sqrt(d)))
+        return c * (knots[i] + d / (h + math.hypot(h, math.sqrt(d))))
     if gauge.g_closed is _LINEAR_G:
         return 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
     return g_eval(gauge, s)

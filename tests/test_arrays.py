@@ -109,14 +109,25 @@ SQUARE = verified_gauge(lambda t: t * t, label="square")  # raw callable: scalar
 GAUGES = [LIN, OSC, _random_piecewise(1, 3), _random_piecewise(2, 30), SQUARE]
 
 
+def _gauge_id(gauge):
+    """The gauge's label as the test id; the default ladder keeps the id it
+    had when its label also spelled its tabulated depth, 8 levels."""
+    return "oscillatory(M=10.0,r=0.001,levels=8)" if gauge is OSC else gauge.label
+
+
 def _special_args(gauge):
     """0, and for piecewise gauges every knot b_i and profile knot G(b_i)
-    with their nextafter neighbours."""
+    with their nextafter neighbours; for self-similar ones also their images
+    one and three periods lower, which reach below the table."""
     args = [0.0]
-    if isinstance(gauge.k, PiecewiseLinearGauge):
-        for b, v in zip(gauge.k.breakpoints, gauge.k.values):
-            for x in (b, v + b * b):
-                args += [x, math.nextafter(x, 0.0), math.nextafter(x, math.inf)]
+    pwl = gauge.k
+    if isinstance(pwl, PiecewiseLinearGauge):
+        q = pwl.period
+        for b, v in zip(pwl.breakpoints, pwl.values):
+            for x, scale in ((b, q), (v + b * b, None if q is None else q * q)):
+                images = [x] if scale is None else [x, x * scale, x * scale**3]
+                for y in images:
+                    args += [y, math.nextafter(y, 0.0), math.nextafter(y, math.inf)]
     return args
 
 
@@ -165,7 +176,7 @@ def test_group_kernels_match_scalar(rows, data):
     _assert_close(flat_norm_array(p), [ref.flat_norm(a) for a in ps])
 
 
-@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", GAUGES, ids=_gauge_id)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_gauge_kernels_match_scalar(gauge, data):
@@ -176,7 +187,7 @@ def test_gauge_kernels_match_scalar(gauge, data):
     _assert_close(g_array(gauge, x), [ref.g(gauge, v) for v in xs])
 
 
-@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", GAUGES, ids=_gauge_id)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_dilatation_kernels_match_scalar(gauge, data):
@@ -251,7 +262,7 @@ def _assert_single_points_are_rows(gauge, p, q, eps, s):
         _assert_same_bits(single, row)
 
 
-@pytest.mark.parametrize("gauge", GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", GAUGES, ids=_gauge_id)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_single_points_are_rows_of_the_kernels(gauge, data):
@@ -276,7 +287,7 @@ def test_public_names_resolve():
 # --- the finiteness guard -----------------------------------------------------------
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("gauge", [LIN, OSC], ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", [LIN, OSC], ids=_gauge_id)
 def test_overflowing_dilatation_raises_like_scalar(gauge):
     box_point = point(1.5, -0.5, 3.0)
     with pytest.raises(ValueError):
@@ -318,7 +329,7 @@ def _scaled_gap(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-@pytest.mark.parametrize("gauge", [LIN, OSC, SQUARE], ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", [LIN, OSC, SQUARE], ids=_gauge_id)
 def test_witness_reproduces_worst_violation(gauge, monkeypatch):
     monkeypatch.setattr(metrics, "SAMPLE_CHUNK", 64)  # several chunks per sampler
     n, seed = 300, 21
@@ -417,7 +428,7 @@ def _check_gauge_loop(gauge, pts):
 QUARTIC = Gauge(k=lambda t: t**4, label="quartic")
 
 
-@pytest.mark.parametrize("gauge", GAUGES + [QUARTIC], ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", GAUGES + [QUARTIC], ids=_gauge_id)
 def test_check_gauge_matches_scalar_loop(gauge):
     pts = [10.0 ** (-9.0 + i / 12.0) for i in range(15 * 12 + 1)]
     got = [(c.name, c.worst_violation, c.witness) for c in check_gauge(gauge).checks]
@@ -487,7 +498,7 @@ def _scalar_metric_diff(gauge, grid):
 
 @pytest.mark.parametrize("count", [24, 58, 160])
 @pytest.mark.parametrize("site", sorted(PROBE_SITES))
-@pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=_gauge_id)
 def test_probes_match_scalar_formulas(gauge, site, count):
     ubar, p, q, u, base = PROBE_SITES[site]
     grid = EpsGrid(count=count)
@@ -553,7 +564,7 @@ def _battery(lib, gauge, n, seed):
 
 
 @pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
-@pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=_gauge_id)
 def test_stacked_samplers_match_unstacked(gauge, n):
     got, want = _battery(metrics, gauge, n, 5), _battery(ref, gauge, n, 5)
     assert [c.name for c in got] == [c.name for c in want]
@@ -563,7 +574,7 @@ def test_stacked_samplers_match_unstacked(gauge, n):
 
 @pytest.mark.parametrize("count", [24, 160])
 @pytest.mark.parametrize("site", sorted(PROBE_SITES))
-@pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=lambda g: g.label)
+@pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=_gauge_id)
 def test_stacked_probe_sites_match_unstacked(gauge, site, count):
     _, p, q, u, _ = PROBE_SITES[site]
     for grid in (EpsGrid(count=count), EpsGrid(eps0=0.9, ratio=0.7, count=count)):

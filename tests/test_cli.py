@@ -175,13 +175,36 @@ def test_mistyped_gauge_spec_is_config_error(capsys, tmp_path, spec, key):
     assert not out.exists()
 
 
-def test_oversized_levels_is_config_error(capsys, tmp_path):
+def test_levels_is_accepted_and_ignored(capsys):
+    # the ladder is a function of (M, r): any integer levels >= 4 names the
+    # same gauge, however large
+    runs = [run(capsys, "gauge-check", "--gauge", spec, "--format", "structured")
+            for spec in ('{"type": "oscillatory"}', '{"type": "oscillatory", "levels": 1000000}')]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and '"gauge": "oscillatory(M=10.0,r=0.001)"' in runs[0][1]
+
+
+def test_non_convex_ladder_is_config_error(capsys, tmp_path):
+    # inside r < 1/M^2, outside r*M^2*(1 + r) - r^3 <= 1: named by its keys
     out = tmp_path / "never"
-    spec = '{"type": "oscillatory", "levels": 1000000}'
-    code, _, err = run(capsys, "verify", "--gauge", spec, "--out", str(out))
-    assert code == 2
-    assert "cannot load gauge" in err and "levels" in err and "at most 54 levels fit" in err
+    spec = '{"type": "oscillatory", "M": 1.01, "r": 0.9}'
+    code, stdout, err = run(capsys, "verify", "--gauge", spec, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "cannot load gauge: M=1.01, r=0.9" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "x"], ids=["file", "below-file"])
+def test_out_through_a_file_is_config_error(capsys, tmp_path, below):
+    # --out names an existing file, or a path below one: a usage error,
+    # with nothing written and the file untouched
+    (tmp_path / "report").write_text("kept\n")
+    out = tmp_path / "report" / below if below else tmp_path / "report"
+    code, stdout, err = run(capsys, "gauge-check", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --out: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["report"]
+    assert (tmp_path / "report").read_text() == "kept\n"
 
 
 def test_bad_box_is_config_error(capsys):
@@ -341,6 +364,14 @@ def test_counterexample_reproduces(capsys, tmp_path):
     assert stages["equivalence"]["ok"]
     assert (out / "counterexample_a_trace.csv").exists()
     assert (out / "counterexample_beta_trace.csv").exists()
+
+
+@pytest.mark.parametrize("count", [24, 58, 90, 100, 126, 160])
+def test_counterexample_reproduces_at_every_grid_length(capsys, count):
+    # with a finite 8-level table the pattern broke from --count 90 on
+    code, stdout, _ = run(capsys, "counterexample", "--count", str(count), "--samples", "20")
+    assert code == 0, stdout
+    assert stdout.endswith("pattern reproduced\n")
 
 
 def test_counterexample_linear_gauge_deviates(capsys):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -15,10 +16,12 @@ from h1gauge.gauges import (
     check_gauge,
     g_array,
     g_eval,
+    g_inverse_array,
     g_inverse_eval,
     gauge_from_spec,
     gauge_to_spec,
     invert_g,
+    k_array,
     linear_gauge,
     load_gauge,
     oscillatory_gauge,
@@ -94,41 +97,114 @@ def test_piecewise_rejects_malformed_data(bps, vals):
 
 
 def test_oscillatory_breakpoint_values():
-    # at breakpoint r^n the ratio k/t^2 is M for even n, 1/M for odd n
+    # at breakpoint r^n the ratio k/t^2 is M for even n, 1/M for odd n, on
+    # the table (n <= 8) and on its continuation below r^8 alike
     k = OSC.k
     r, M = 1e-3, 10.0
     assert k(r) == pytest.approx(r**2 / M, rel=1e-12)
     assert k(r**2) == pytest.approx(M * r**4, rel=1e-12)
     assert k(r**3) == pytest.approx(r**6 / M, rel=1e-12)
     assert k(r**8) == pytest.approx(M * r**16, rel=1e-12)
+    assert k(r**9) == pytest.approx(r**18 / M, rel=1e-12)
+    assert k(r**40) == pytest.approx(M * r**80, rel=1e-12)
+    assert k(r**41) == pytest.approx(r**82 / M, rel=1e-12)
 
 
 def test_oscillatory_parameter_validation():
-    with pytest.raises(GaugeConstructionError):
-        oscillatory_gauge(levels=3)
-    with pytest.raises(GaugeConstructionError):
+    with pytest.raises(GaugeConstructionError, match="M must exceed 1"):
         oscillatory_gauge(M=1.0)
-    with pytest.raises(GaugeConstructionError):
-        oscillatory_gauge(M=10.0, r=0.02)  # needs r < 1/M^2 = 0.01
-    with pytest.raises(GaugeConstructionError):
-        oscillatory_gauge(levels=8.0)  # type: ignore[arg-type]
+    with pytest.raises(GaugeConstructionError, match=r"M=10\.0, r=0\.02"):
+        oscillatory_gauge(M=10.0, r=0.02)  # r*M^2*(1 + r) - r^3 = 2.04
+    # inside the old bound r < 1/M^2 = 0.98 but outside the exact condition
+    with pytest.raises(GaugeConstructionError, match=r"M=1\.01, r=0\.9"):
+        oscillatory_gauge(M=1.01, r=0.9)
+    for levels in (3, 8.0, True, "8"):
+        with pytest.raises(ValueError, match="'levels' must be an integer >= 4"):
+            gauge_from_spec({"type": "oscillatory", "levels": levels})
 
 
-def test_oscillatory_levels_capped_where_the_ladder_underflows():
-    # M r^108 ~ 1e-323 is still a positive subnormal; r^110 / M rounds to 0
-    assert oscillatory_gauge(10.0, 1e-3, 54).k.values[0] > 0.0
-    with pytest.raises(GaugeConstructionError, match="levels=55 .* at most 54 levels fit"):
-        oscillatory_gauge(10.0, 1e-3, 55)
-    # the ladder from here still builds where its last slope check passes
-    assert len(oscillatory_gauge(3.0, 0.1, 161).k.breakpoints) == 161
-    with pytest.raises(GaugeConstructionError, match="at most 162 levels fit"):
-        oscillatory_gauge(3.0, 0.1, 163)
-    with pytest.raises(GaugeConstructionError, match="levels=1000000 is too large"):
-        gauge_from_spec({"type": "oscillatory", "levels": 1000000})
-    with pytest.raises(GaugeConstructionError, match="levels"):
-        gauge_from_spec({"type": "oscillatory", "levels": 10**400})
-    with pytest.raises(GaugeConstructionError, match="no ladder of 4 or more levels fits"):
-        oscillatory_gauge(1e100, 1e-201, 4)
+def _ladder_data(M, r, levels):
+    """The raw ladder: breakpoints r^n, n = levels..1, and their values."""
+    ns = range(levels, 0, -1)
+    return [r**n for n in ns], [(M if n % 2 == 0 else 1.0 / M) * r ** (2 * n) for n in ns]
+
+
+def test_ladder_condition_is_exact():
+    # the up-front condition accepts exactly the (M, r) whose raw ladder
+    # passes the table's slope check; r is drawn around the boundary
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(2000):
+        M = 10.0 ** rng.uniform(1e-4, 3.0)
+        r = min(0.999, 10.0 ** rng.uniform(-3.0, 0.5) / (M * M))
+        holds = r * M * M * (1.0 + r) - r**3 <= 1.0
+        try:
+            oscillatory_gauge(M, r)
+            built = True
+        except GaugeConstructionError:
+            built = False
+        try:
+            piecewise_gauge(*_ladder_data(M, r, 8))
+            raw = True
+        except GaugeConstructionError:
+            raw = False
+        assert built == raw == holds, (M, r)
+        verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+def _knots_and_seams(gauge, depth=1e-150):
+    """The knots of the infinite ladder above `depth`, and the seams among
+    them: the tabulated breakpoints b_1 < b_2 < ..., and below them the
+    images q^j b_1 and q^j b_2 (j >= 1) of the lowest period.  Each q^j b_1,
+    b_1 included, is a seam where one period of the continuation meets the
+    next, or the table."""
+    pwl = gauge.k
+    seams, inner = (
+        [b * pwl.period**j for j in range(400) if b * pwl.period**j > depth]
+        for b in pwl.breakpoints[:2]
+    )
+    return sorted(seams + inner[1:] + list(pwl.breakpoints[1:])), seams
+
+
+def _profile(gauge, ts):
+    return g_inverse_array(gauge, np.array(ts)).tolist()
+
+
+def _neighbours(xs):
+    return np.array([y for x in xs for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))])
+
+
+@pytest.mark.parametrize("M, r", [(10.0, 1e-3), (4.0, 0.01), (2.0, 0.1), (1.01, 0.8)])
+def test_ladder_is_monotone_and_convex_across_knots_and_seams(M, r):
+    gauge = oscillatory_gauge(M, r)
+    knots, seams = _knots_and_seams(gauge)
+    # one float either side of each knot, and of each seam's profile value:
+    # rounding may tie, never fall (the table's own g can round one float
+    # past an inner profile knot, so g is held to this at the seams)
+    assert (np.diff(k_array(gauge, _neighbours(knots)).reshape(-1, 3)) >= 0.0).all()
+    g_seams = g_array(gauge, _neighbours(_profile(gauge, seams)))
+    assert (np.diff(g_seams.reshape(-1, 3)) >= 0.0).all()
+    # a relative 1e-9 either side: the contract checks, tolerances unchanged
+    grid = sorted(x * f for x in knots for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9))
+    report = check_gauge(gauge, grid)
+    assert report.passed, report.to_text()
+    back = g_array(gauge, np.array(_profile(gauge, knots)))
+    assert np.allclose(back, knots, rtol=1e-13, atol=0.0)
+
+
+def test_levels_has_no_effect():
+    # the ladder is a function of (M, r): every accepted levels builds the
+    # same k and g, bit for bit
+    gauges = [gauge_from_spec({"type": "oscillatory", "M": 4.0, "r": 0.01, "levels": n})
+              for n in (4, 8, 20, 10**6, 10**400)]
+    knots, _ = _knots_and_seams(gauges[0], depth=1e-300)
+    args = np.concatenate((np.geomspace(1e-300, 1e3, 20001), _neighbours(knots),
+                           _neighbours(_profile(gauges[0], knots))))
+    want = k_array(gauges[0], args).tobytes(), g_array(gauges[0], args).tobytes()
+    for gauge in gauges[1:]:
+        assert (k_array(gauge, args).tobytes(), g_array(gauge, args).tobytes()) == want
+        assert gauge.label == "oscillatory(M=4.0,r=0.01)"
 
 
 def test_oscillatory_passes_contract_checks():
@@ -151,17 +227,27 @@ def _random_convex_gauge(rng, n):
 
 
 CROSS_CHECK_GAUGES = [
-    oscillatory_gauge(10.0, 1e-3, 8),
-    oscillatory_gauge(2.0, 0.1, 20),
-    oscillatory_gauge(30.0, 1e-4, 4),
+    oscillatory_gauge(10.0, 1e-3),
+    oscillatory_gauge(2.0, 0.1),
+    oscillatory_gauge(30.0, 1e-4),
 ] + [_random_convex_gauge(random.Random(seed), n) for seed, n in ((1, 1), (2, 5), (3, 40))]
+
+
+def _mp_root(b, kb, m, s):
+    """b + x, where x >= 0 solves x^2 + B x = d, B = m + 2b, d = s - kb - b^2:
+    the profile inverse on the segment of slope m from the knot (b, kb).
+    The textbook root is polished with Newton steps, which restore the
+    digits it loses to cancellation when d << B^2."""
+    B, d = m + 2 * b, s - kb - b * b
+    x = (mpmath.sqrt(B * B + 4 * d) - B) / 2
+    for _ in range(6):
+        x -= (x * (x + B) - d) / (2 * x + B)
+    return b + x
 
 
 def _mp_g(bps, vals, s):
     """g(s) at 50 digits from the raw breakpoint data: locate the segment by
-    evaluating G at the knots, take the textbook root of its quadratic
-    x^2 + B x = d, and polish it with Newton steps, which restore the digits
-    the textbook form loses to cancellation when d << B^2."""
+    evaluating G at the knots and take its root."""
     with mpmath.workdps(50):
         knots = [mpmath.mpf(0)] + [mpmath.mpf(b) for b in bps]
         kv = [mpmath.mpf(0)] + [mpmath.mpf(v) for v in vals]
@@ -169,14 +255,27 @@ def _mp_g(bps, vals, s):
         i = max(j for j in range(len(knots)) if kv[j] + knots[j] ** 2 <= s)
         j = min(i + 1, len(knots) - 1)
         lo = i if j > i else i - 1
-        m = (kv[j] - kv[lo]) / (knots[j] - knots[lo])
-        b = knots[i]
-        d = s - kv[i] - b * b
-        B = m + 2 * b
-        x = (mpmath.sqrt(B * B + 4 * d) - B) / 2
-        for _ in range(6):
-            x -= (x * (x + B) - d) / (2 * x + B)
-        return b + x
+        return _mp_root(knots[i], kv[i], (kv[j] - kv[lo]) / (knots[j] - knots[lo]), s)
+
+
+def _mp_ladder_g(M, r, s):
+    """g(s) at 50 digits on the infinite ladder built from (M, r) alone:
+    knots r^n for every n >= 1 with k(r^n) = M r^(2n) for even n and
+    r^(2n) / M for odd n, extended past r with the slope of [r^2, r]."""
+    with mpmath.workdps(50):
+        M, r, s = mpmath.mpf(M), mpmath.mpf(r), mpmath.mpf(s)
+
+        def knot(n):  # r^n, k(r^n) and G(r^n)
+            b = r**n
+            kb = (M if n % 2 == 0 else 1 / M) * b * b
+            return b, kb, kb + b * b
+
+        n = 1  # the first knot down with G(r^n) <= s
+        while knot(n)[2] > s:
+            n += 1
+        b, kb, _ = knot(n)
+        up = knot(2 if n == 1 else n - 1)  # past r, the segment [r^2, r] extends
+        return _mp_root(b, kb, (up[1] - kb) / (up[0] - b), s)
 
 
 def _cross_check_args(pwl, rng):
@@ -186,6 +285,12 @@ def _cross_check_args(pwl, rng):
         args += [knot, math.nextafter(knot, 0.0), math.nextafter(knot, math.inf)]
     last = pwl.values[-1] + pwl.breakpoints[-1] ** 2
     args += [last * f for f in (1.0 + 1e-9, 1.5, 10.0, 1e3, 1e8)]
+    if pwl.period is not None:  # below the table, down to 1e-300, and its seams
+        args += [10.0 ** rng.uniform(-300.0, -40.0) for _ in range(100)]
+        first = pwl.values[0] + pwl.breakpoints[0] ** 2
+        for j in range(4):
+            seam = first * pwl.period ** (2 * j)
+            args += [seam, math.nextafter(seam, 0.0), math.nextafter(seam, math.inf)]
     return args
 
 
@@ -195,11 +300,16 @@ def test_piecewise_closed_form_matches_bisection_and_mpmath(gauge):
     assert gauge.g_closed is not None
     args = _cross_check_args(pwl, random.Random(len(pwl.breakpoints)))
     # the bisection runs on the plain-Python k of the reference module, so
-    # it shares no code with the segment table behind g_array
+    # it shares no code with the segment table behind g_array; the ladders'
+    # oracle is built from (M, r), not from the tabulated breakpoints
     bisected = Gauge(k=lambda t: reference.k(gauge, t))
+    if gauge.spec["type"] == "oscillatory":
+        exact_g = functools.partial(_mp_ladder_g, gauge.spec["M"], gauge.spec["r"])
+    else:
+        exact_g = functools.partial(_mp_g, pwl.breakpoints, pwl.values)
     worst_mp = worst_bisect = 0.0
     for s, closed in zip(args, g_array(gauge, np.array(args)).tolist()):
-        exact = _mp_g(pwl.breakpoints, pwl.values, s)
+        exact = exact_g(s)
         worst_mp = max(worst_mp, float(abs(closed - exact) / exact))
         worst_bisect = max(worst_bisect, abs(closed - invert_g(bisected, s)) / closed)
     assert worst_mp <= 1e-12
@@ -273,6 +383,23 @@ def test_spec_round_trip_linear_and_piecewise():
     spec = gauge_to_spec(pw)
     again = gauge_from_spec(spec)
     assert gauge_to_spec(again) == spec
+
+
+@pytest.mark.parametrize("M, r", [(10.0, 1e-3), (2.0, 0.1), (1.01, 0.8)])
+def test_spec_round_trip_oscillatory(M, r):
+    # the ladder's spec is (M, r) itself, not its finite table, so the
+    # rebuilt gauge has the same k and g everywhere, the continuation included
+    gauge = oscillatory_gauge(M, r)
+    spec = gauge_to_spec(gauge)
+    assert spec == {"type": "oscillatory", "M": M, "r": r}
+    again = gauge_from_spec(json.loads(json.dumps(spec)))
+    knots, _ = _knots_and_seams(gauge, depth=1e-300)
+    args = np.concatenate((np.geomspace(1e-300, 1e3, 2001), _neighbours(knots),
+                           _neighbours(_profile(gauge, knots))))
+    for f in (k_array, g_array):
+        assert f(again, args).tobytes() == f(gauge, args).tobytes()
+    with pytest.raises(ValueError, match="no spec representation"):
+        gauge_to_spec(verified_gauge(lambda t: t * t, label="square"))
 
 
 def test_spec_rejects_unknown_type_and_keys():

@@ -97,6 +97,11 @@ def test_classifier_input_validation():
         classify_limit([1.0] * 12, window=0)
     with pytest.raises(ValueError):
         classify_limit([1.0] * 12, atol=0.0)
+    # a window slices the trace, so it must be an integer, as on EpsGrid
+    with pytest.raises(ValueError, match="window must be an integer"):
+        classify_limit([1.0] * 12, window=3.0)
+    with pytest.raises(ValueError, match="window must be an integer"):
+        classify_point_trace([point(1.0, 0.0, 0.0)] * 12, window=3.0)
 
 
 def test_point_trace_combines_componentwise():
@@ -182,6 +187,17 @@ def test_oscillatory_vertical_probe_oscillates():
     c = tr.classification
     assert c.kind == "oscillating"
     assert c.limsup - c.liminf >= 0.5
+
+
+def test_ladder_verdicts_do_not_depend_on_grid_length():
+    # the ladder is infinite, so no grid runs off its end into a linear tail:
+    # the a-probe oscillates at every length (a finite 8-level table
+    # converged from length 100 on), and so does beta
+    p, q = point(1.0, 0.0, 0.0), point(0.0, 1.0, 0.0)
+    for count in range(24, 161):
+        grid = EpsGrid(count=count)
+        assert vertical_limit_probe(OSC, 1.0, grid).classification.kind == "oscillating", count
+        assert rescaled_product_probe(OSC, p, q, grid).classification.kind != "converged", count
 
 
 def test_breakpoint_response_closed_form():
