@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gauges import Gauge, g_array, g_inverse_array, require_verified
-from .heisenberg import H1Point, from_row, inv, mul, mul_array, points_array, to_row
+from .heisenberg import H1Point, check_finite, from_row, inv, mul, mul_array, points_array, to_row
 
 
 def dilate(eps: float, p: H1Point) -> H1Point:
@@ -66,23 +66,26 @@ def transported_mul(gauge: Gauge, p: H1Point, q: H1Point) -> H1Point:
 # --- (n, 3) arrays, one point per row ---------------------------------------
 
 
-def _check_eps_array(eps) -> None:
+def _check_eps_array(eps) -> np.ndarray:
+    """eps as a column (one scale per row, or one for all), once every scale
+    is checked positive and finite; a NaN propagates into the min."""
     eps = np.asarray(eps)
-    if not (np.isfinite(eps) & (eps > 0.0)).all():
+    if not (np.minimum.reduce(eps, axis=None, initial=1.0) > 0.0
+            and np.maximum.reduce(eps, axis=None, initial=1.0) < np.inf):
         raise ValueError("dilatation scales must be positive and finite")
+    return eps[..., None]
 
 
 def dilate_array(eps, p: np.ndarray) -> np.ndarray:
     """Intrinsic dilatation (eps * x, eps^2 * xbar), row by row.  A group
     automorphism."""
-    _check_eps_array(eps)
-    return points_array(eps * p[:, 0], eps * p[:, 1], eps * eps * p[:, 2])
+    e = _check_eps_array(eps)
+    return check_finite(p * np.concatenate((e, e, e * e), axis=-1))
 
 
 def euclidean_dilate_array(eps, p: np.ndarray) -> np.ndarray:
     """Componentwise scaling (eps * x, eps * xbar), row by row."""
-    _check_eps_array(eps)
-    return points_array(eps * p[:, 0], eps * p[:, 1], eps * p[:, 2])
+    return check_finite(p * _check_eps_array(eps))
 
 
 def gauge_dilate_array(gauge: Gauge, eps, p: np.ndarray) -> np.ndarray:
@@ -113,5 +116,7 @@ def unflatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
 
 def transported_mul_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Group product transported through the flattening map, row by row; a
-    (1, 3) operand broadcasts."""
-    return flatten_array(gauge, mul_array(unflatten_array(gauge, p), unflatten_array(gauge, q)))
+    (1, 3) operand broadcasts.  Both operands are unflattened in one call on
+    their rows stacked."""
+    u = unflatten_array(gauge, np.concatenate((p, q)))
+    return flatten_array(gauge, mul_array(u[:len(p)], u[len(p):]))

@@ -10,9 +10,12 @@ because G(t) >= t^2 forces g(s) <= sqrt(s)).
 
 k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
 _array_path is the one place that picks how (segment-table lookup, the
-linear closed form, or the scalar functions element by element).  The
-scalar k and g of the piecewise and linear gauges are one-element calls into
-their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
+linear closed form, or the scalar functions element by element), and it
+runs once per Gauge, when the Gauge is built.  Each kernel call then takes
+one min of its arguments: that one reduction serves the >= 0 guard and, on
+a self-similar table, the test whether every row is at or above the table.
+The scalar k and g of the piecewise and linear gauges are one-element calls
+into their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
 are what the element-by-element path maps over a raw callable, and
 invert_g is the bisection reference for the closed forms.
 
@@ -51,7 +54,8 @@ class Gauge:
 
     g_closed, when present, short-circuits the numeric inversion.  verified
     marks gauges whose contract is established; use verified_gauge (or the
-    provided constructors) rather than setting the flag by hand.
+    provided constructors) rather than setting the flag by hand.  The array
+    path (see _array_path) is picked once, here.
     """
 
     k: Callable[[float], float]
@@ -59,6 +63,10 @@ class Gauge:
     g_closed: Callable[[float], float] | None = None
     verified: bool = False
     spec: dict | None = None  # from the constructors: the spec that rebuilds it
+    _path: tuple = field(init=False, repr=False, default=())
+
+    def __post_init__(self):
+        object.__setattr__(self, "_path", _array_path(self))
 
 
 def require_verified(gauge: Gauge) -> None:
@@ -85,15 +93,19 @@ class PiecewiseLinearGauge:
     Construction also builds one segment table over the knots (0, b_1, ...,
     b_n), as arrays: the value of k and of the profile G(t) = k(t) + t^2 at
     each knot, the slope m of k on the segment starting there (the last
-    segment is the extension past b_n) and m/2 + b for g.  k_array reads the
-    table directly; G is quadratic on each segment, so g = G^-1 is exact
-    (see g_array).  __call__ and g are one-element calls into them.
+    segment is the extension past b_n), m/2 + b for g, and the knot that
+    ends the segment (inf for the last).  k_array reads the table directly;
+    G is quadratic on each segment, so g = G^-1 is exact (see g_array).
+    It also keeps k at b_1 and g at G(b_1), the table's bottom, where a
+    period's scaling law takes over.  __call__ and g are one-element calls
+    into them.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     period: float | None = None
     _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False, default=())
+    _bottoms: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         bp, vv, q = self.breakpoints, self.values, self.period
@@ -125,8 +137,13 @@ class PiecewiseLinearGauge:
         table_slopes = (*slopes, slopes[-1])
         gvals = tuple(v + b * b for b, v in zip(knots, kvals))
         halfb = tuple(0.5 * m + b for b, m in zip(knots, table_slopes))
+        upper = (*knots[1:], math.inf)
         object.__setattr__(self, "_arrays", tuple(
-            np.array(col) for col in (knots, kvals, gvals, table_slopes, halfb)
+            np.array(col) for col in (knots, kvals, gvals, table_slopes, halfb, upper)
+        ))
+        object.__setattr__(self, "_bottoms", tuple(  # (first, table(first)) for k and g
+            (first, table(np.array([first])))
+            for table, first in ((self._k_table, bp[0]), (self._g_table, gvals[1]))
         ))
 
     def __call__(self, t: float) -> float:
@@ -137,56 +154,66 @@ class PiecewiseLinearGauge:
         """g(s) for s >= 0: one element of g_array."""
         return _at(self.g_array, s)
 
-    def k_array(self, t: np.ndarray) -> np.ndarray:
-        """k on an array of t >= 0, by np.searchsorted in the segment table."""
-        return self._scaled(self._k_table, t, self.breakpoints[0], 1, 2)
+    def k_array(self, t: np.ndarray, least: float) -> np.ndarray:
+        """k on an array of t >= 0 whose minimum is least (inf when t is
+        empty), by np.searchsorted in the segment table."""
+        return self._scaled(self._k_table, t, least, 0, 1, 2)
 
-    def g_array(self, s: np.ndarray) -> np.ndarray:
-        """Exact profile inverse g on an array of s >= 0.
+    def g_array(self, s: np.ndarray, least: float) -> np.ndarray:
+        """Exact profile inverse g on an array of s >= 0 whose minimum is
+        least (inf when s is empty).
 
         On the segment starting at knot b with profile value G(b) and slope m,
         G(b + x) = G(b) + B x + x^2 with B = m + 2b.  The segment is the last
         one whose G(b) <= s, and x >= 0 solves x^2 + B x = d, d = s - G(b).
         The root is taken in the cancellation-free form
         2d / (B + sqrt(B^2 + 4d)) = d / (h + hypot(h, sqrt(d))), h = B/2;
-        hypot keeps large B or d from overflowing the square.
+        hypot keeps large B or d from overflowing the square.  The root is
+        capped at the segment's upper knot: just below a profile knot G(b')
+        it can round one float above b', and g would fall across the knot.
         """
-        return self._scaled(self._g_table, s, self._arrays[2][1], 2, 1)
+        return self._scaled(self._g_table, s, least, 1, 2, 1)
 
     def _k_table(self, t: np.ndarray) -> np.ndarray:
-        knots, kvals, _, slopes, _ = self._arrays
-        i = np.searchsorted(knots, t, side="right") - 1
+        knots, kvals, _, slopes, _, _ = self._arrays
+        i = knots.searchsorted(t, side="right") - 1
         return kvals[i] + slopes[i] * (t - knots[i])
 
     def _g_table(self, s: np.ndarray) -> np.ndarray:
-        knots, _, gvals, _, halfb = self._arrays
-        i = np.searchsorted(gvals, s, side="right") - 1
+        knots, _, gvals, _, halfb, upper = self._arrays
+        i = gvals.searchsorted(s, side="right") - 1
         d = s - gvals[i]
         h = halfb[i]
-        return knots[i] + d / (h + np.hypot(h, np.sqrt(d)))
+        return np.minimum(knots[i] + d / (h + np.hypot(h, np.sqrt(d))), upper[i])
 
-    def _scaled(self, table, x: np.ndarray, first: float, arg: int, value: int) -> np.ndarray:
+    def _scaled(self, table, x: np.ndarray, least: float, which: int, arg: int,
+                value: int) -> np.ndarray:
         """table(x), continued by the scaling law: with a period q, a row
-        0 < x < first is divided by q^(arg n) for the least n lifting it to
-        `first` (a logarithm, corrected once exactly), and its value is scaled
-        by q^(value n), capped at the period above's bottom so it cannot fall."""
+        0 < x < first (b_1 for k, which = 0; G(b_1) for g, which = 1) is
+        divided by q^(arg n) for the least n lifting it to first (a
+        logarithm, corrected once exactly), and its value is scaled by
+        q^(value n), capped at the period above's bottom so it cannot fall."""
         q = self.period
-        if q is None or not x.size or x.min() >= first or not (low := (x > 0) & (x < first)).any():
-            return table(x)  # every row is at or above the table, or exactly 0
+        first, bottom = self._bottoms[which]
+        if q is None or least >= first:
+            return table(x)  # every row is at or above the table
+        low = (x > 0) & (x < first)
+        if not np.logical_or.reduce(low, axis=None):
+            return table(x)  # or exactly 0
         xl = x[low]
         n = np.ceil((np.log(xl) - math.log(first)) / (arg * math.log(q)))
         n += xl / q ** (arg * n) < first
         x = x.copy()
         x[low] = xl / q ** (arg * n)
         out = table(x)
-        bottom = table(np.array([first]))
         out[low] = np.minimum(out[low] * q ** (value * n), bottom * q ** (value * (n - 1)))
         return out
 
 
-def _at(f: Callable[[np.ndarray], np.ndarray], x: float) -> float:
-    """The array function f at the one argument x, as a finite float."""
-    return check_finite(f(np.array([x])))[0].item()
+def _at(f: Callable[[np.ndarray, float], np.ndarray], x: float) -> float:
+    """The array function f at the one argument x (also its minimum), as a
+    finite float."""
+    return check_finite(f(np.array([x]), x))[0].item()
 
 
 def _linear_k(t):
@@ -197,7 +224,7 @@ def _linear_g(s: float) -> float:
     return _at(_linear_g_array, s)
 
 
-def _linear_g_array(s: np.ndarray) -> np.ndarray:
+def _linear_g_array(s: np.ndarray, least: float) -> np.ndarray:
     return 2.0 * s / (1.0 + np.sqrt(1.0 + 4.0 * s))
 
 
@@ -289,12 +316,14 @@ def g_eval(gauge: Gauge, s: float) -> float:
     return invert_g(gauge, s)
 
 
-def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray, float], np.ndarray]:
+    return lambda x, least: np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
 
 
 def _array_path(gauge: Gauge):
-    """(k, g) on 1-d float arrays of arguments >= 0, for the gauge's kind.
+    """(k, g) for the gauge's kind, each called as f(x, least) on a 1-d float
+    array x >= 0 and its minimum.  Gauge.__post_init__ calls this once and
+    keeps the pair; the kernels read it from there.
 
     - A piecewise-linear k carrying its own closed-form g (every piecewise
       and oscillatory gauge) looks up its segment table with np.searchsorted.
@@ -308,31 +337,33 @@ def _array_path(gauge: Gauge):
     if isinstance(k, PiecewiseLinearGauge) and gauge.g_closed == k.g:
         return k.k_array, k.g_array
     if k is _linear_k and gauge.g_closed is _linear_g:
-        return np.copy, _linear_g_array
+        return (lambda t, least: t.copy()), _linear_g_array
     return _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
 
 
-def _require_nonnegative(x: np.ndarray, what: str) -> None:
-    if (x < 0.0).any():
-        raise ValueError(f"{what} argument must be >= 0, got {float(x.min())!r}")
+def _least(x: np.ndarray, what: str) -> float:
+    """The minimum of x (inf when x is empty), once x >= 0 is checked.  A NaN
+    makes the minimum NaN, and only then does a second pass look for a
+    negative beside it."""
+    least = np.minimum.reduce(x, axis=None) if x.size else math.inf
+    if least < 0.0 or (math.isnan(least) and (x < 0.0).any()):
+        raise ValueError(f"{what} argument must be >= 0, got {float(least)!r}")
+    return least
 
 
 def k_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     """k on a 1-d array of t >= 0."""
-    _require_nonnegative(t, "k")
-    return check_finite(_array_path(gauge)[0](t))
+    return check_finite(gauge._path[0](t, _least(t, "k")))
 
 
 def g_inverse_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     """The profile G(t) = k(t) + t^2 on a 1-d array of t >= 0."""
-    _require_nonnegative(t, "profile")
-    return check_finite(_array_path(gauge)[0](t) + t * t)
+    return check_finite(gauge._path[0](t, _least(t, "profile")) + t * t)
 
 
 def g_array(gauge: Gauge, s: np.ndarray) -> np.ndarray:
     """g on a 1-d array of s >= 0."""
-    _require_nonnegative(s, "g")
-    return check_finite(_array_path(gauge)[1](s))
+    return check_finite(gauge._path[1](s, _least(s, "g")))
 
 
 def default_check_grid() -> tuple[float, ...]:

@@ -5,6 +5,11 @@ functions hold the formulas and act on (n, 3) float arrays, one point per
 row; every array they return passes check_finite, the array form of the
 H1Point invariant.  A scalar function on H1Points is a one-row call into its
 kernel: to_row and from_row carry a point to a (1, 3) array and back.
+
+Guard policy: a kernel checks its result, not its inputs, with one
+finiteness reduction (check_finite, a bare np.logical_and.reduce).  A NaN or
+an infinity in an input, and an overflow on the way, all reach the result,
+so each raises the same ValueError there.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ def from_row(a: np.ndarray) -> H1Point:
 
 def check_finite(a: np.ndarray) -> np.ndarray:
     """Return a unchanged; raise ValueError if it holds a NaN or an infinity."""
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("non-finite value in array")
     return a
 
@@ -95,9 +100,9 @@ def points_array(x1: np.ndarray, x2: np.ndarray, xbar: np.ndarray) -> np.ndarray
 def mul_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Group product row by row: horizontals add, verticals add plus twice
     the symplectic area.  A (1, 3) operand broadcasts against (n, 3)."""
-    x1, x2, xbar = p.T
-    y1, y2, ybar = q.T
-    return points_array(x1 + y1, x2 + y2, xbar + ybar + 2.0 * symplectic_area(p.T, q.T))
+    out = p + q
+    out[:, 2] += 2.0 * symplectic_area(p.T, q.T)
+    return check_finite(out)
 
 
 def inv_array(p: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from statistics import fmean
 
 import numpy as np
 
@@ -153,6 +152,12 @@ class PointClassification:
         }
 
 
+def _fmean(values: list[float]) -> float:
+    """statistics.fmean of a nonempty list, fsum / len, without importing
+    statistics (which pulls in fractions and decimal)."""
+    return math.fsum(values) / len(values)
+
+
 def classify_limit(
     values,
     window: int = DEFAULT_WINDOW,
@@ -179,8 +184,8 @@ def classify_limit(
     prev, last = tail[:window], tail[window:]
     spread_last = max(last) - min(last)
     spread_prev = max(prev) - min(prev)
-    if spread_last <= atol and abs(fmean(last) - fmean(prev)) <= max(atol, spread_prev):
-        return Classification("converged", limit=fmean(last))
+    if spread_last <= atol and abs(_fmean(last) - _fmean(prev)) <= max(atol, spread_prev):
+        return Classification("converged", limit=_fmean(last))
     return Classification("oscillating", liminf=min(tail), limsup=max(tail))
 
 
@@ -414,9 +419,9 @@ def metric_differential(
 
 
 def _tail_means(values: np.ndarray, window: int) -> list[float]:
-    """Mean of the last window of each row, by fmean on Python floats (numpy's
+    """Mean of the last window of each row, by _fmean on Python floats (numpy's
     mean rounds differently)."""
-    return [fmean(row) for row in values[:, -window:].tolist()]
+    return [_fmean(row) for row in values[:, -window:].tolist()]
 
 
 def _sup_deviation(values: np.ndarray, grid: EpsGrid):

@@ -13,9 +13,12 @@ stays bounded for any sample count.
 
 Where a sampler applies one kernel to independent inputs, it makes one call
 on the inputs stacked row-wise (_rows) and splits the result (_split).  Every
-kernel is row by row, so the numbers are those of the separate calls, and the
-draws are unchanged: stacking cuts only the per-call dispatch cost, which
-dominates at small sample counts.
+kernel is row by row, so the numbers are those of the separate calls: stacking
+cuts only the per-call dispatch cost, which dominates at small sample counts.
+The draws are merged the same way: the count box arrays a chunk needs come
+from one draw of count times the rows, split in order (_points).  The
+generator yields its doubles in sequence, so those are the points of count
+separate draws.
 """
 
 from __future__ import annotations
@@ -169,28 +172,10 @@ def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyChec
     for start in range(0, n, SAMPLE_CHUNK):
         inputs = draw(start, min(SAMPLE_CHUNK, n - start))
         v = check_finite(violation(*inputs))
-        i = int(np.argmax(v))
+        i = int(v.argmax())
         if v[i] > worst:
             worst, witness = float(v[i]), [x[i].tolist() for x in inputs]
     return PropertyCheck(name, worst <= tolerance, worst, tolerance, witness, f"{n} samples")
-
-
-def _points(rng: np.random.Generator, box: SampleBox, count: int):
-    """draw for samples of count independent box points."""
-    return lambda start, size: tuple(box.draw(rng, size) for _ in range(count))
-
-
-def _scaled_points(rng: np.random.Generator, box: SampleBox, count: int, low: float, high: float):
-    """draw for samples of one scale 10^u, u uniform in [low, high], and count
-    box points."""
-    return lambda start, size: (
-        10.0 ** rng.uniform(low, high, size=size),
-        *(box.draw(rng, size) for _ in range(count)),
-    )
-
-
-_IDENTITY = np.zeros((1, 3))
-_IDENTITY.flags.writeable = False
 
 
 def _rows(*arrays: np.ndarray) -> np.ndarray:
@@ -201,6 +186,23 @@ def _rows(*arrays: np.ndarray) -> np.ndarray:
 def _split(a: np.ndarray, k: int) -> np.ndarray:
     """a cut into k equally long row blocks (a view): undoes _rows."""
     return a.reshape(k, -1, *a.shape[1:])
+
+
+def _points(rng: np.random.Generator, box: SampleBox, count: int):
+    """draw for samples of count independent box points, taken from one draw
+    of count times the rows."""
+    return lambda start, size: tuple(_split(box.draw(rng, count * size), count))
+
+
+def _scaled_points(rng: np.random.Generator, box: SampleBox, count: int, low: float, high: float):
+    """draw for samples of one scale 10^u, u uniform in [low, high], and count
+    box points."""
+    points = _points(rng, box, count)
+    return lambda start, size: (10.0 ** rng.uniform(low, high, size=size), *points(start, size))
+
+
+_IDENTITY = np.zeros((1, 3))
+_IDENTITY.flags.writeable = False
 
 
 def sample_triangle(dist, name: str, n: int, seed: int, box: SampleBox = SampleBox()):
@@ -331,9 +333,10 @@ def sample_rescale_identity(gauge: Gauge, n: int, seed: int, box: SampleBox = Sa
     rng = np.random.default_rng(seed)
     scales = np.array([2.0**j for j in range(0, -21, -4)])
 
+    points = _points(rng, box, 2)
+
     def draw(start, size):
-        eps = scales[np.arange(start, start + size) % len(scales)]
-        return eps, box.draw(rng, size), box.draw(rng, size)
+        return scales[np.arange(start, start + size) % len(scales)], *points(start, size)
 
     return _worst("rescaled-distance-identity", n, TOL_GAUGE, draw, violation)
 

@@ -10,10 +10,11 @@ are looked up here from the gauge's breakpoints, values and period, with
 bisect, math.hypot and a plain loop over periods where the package uses
 np.searchsorted, np.hypot and a logarithm.
 
-The last section is the exception.  The samplers and two probes call each
-kernel once on row-stacked independent inputs; the oracles there compose the
-same kernels one call per input, as the package did before stacking, so the
-two must agree bit for bit.
+The last section is the exception.  The samplers, two probes and
+transported_mul_array call each kernel once on row-stacked independent
+inputs, and the samplers draw the box points of a chunk in one call; the
+oracles there compose the same kernels one call per input and draw once per
+input, as the package did before stacking, so the two must agree bit for bit.
 """
 
 import bisect
@@ -27,7 +28,6 @@ from h1gauge.dilatations import (
     euclidean_dilate_array,
     flatten_array,
     gauge_dilate_array,
-    transported_mul_array,
     unflatten_array,
 )
 from h1gauge.gauges import PiecewiseLinearGauge, g_array, g_eval, g_inverse_array, linear_gauge
@@ -44,11 +44,8 @@ from h1gauge.metrics import (
     _IDENTITY,
     SampleBox,
     _gap,
-    _points,
-    _scaled_points,
     _worst,
     dyadic_scales,
-    flat_dist_array,
     flat_norm_array,
     gauge_dist_array,
     gauge_norm_array,
@@ -240,9 +237,33 @@ def trace_csv(trace) -> str:
 
 # --- unstacked sampler and probe compositions --------------------------------------
 #
-# Each sampler below draws exactly as its h1gauge.metrics namesake and scans
-# with the same _worst; only its violation differs, calling each kernel once
-# per input.
+# Each sampler below draws the same numbers as its h1gauge.metrics namesake,
+# one box.draw per input, and scans with the same _worst; its violation calls
+# each kernel once per input.
+
+
+def _points(rng, box, count):
+    """draw for samples of count box points: count consecutive box.draw calls."""
+    return lambda start, size: tuple(box.draw(rng, size) for _ in range(count))
+
+
+def _scaled_points(rng, box, count, low, high):
+    """draw for samples of one scale 10^u and count box points, each drawn by
+    its own call."""
+    return lambda start, size: (
+        10.0 ** rng.uniform(low, high, size=size),
+        *(box.draw(rng, size) for _ in range(count)),
+    )
+
+
+def transported_mul_rows(gauge, p, q):
+    """The transported product with each operand unflattened by its own
+    call."""
+    return flatten_array(gauge, mul_array(unflatten_array(gauge, p), unflatten_array(gauge, q)))
+
+
+def _flat_dist_rows(gauge, p, q):
+    return flat_norm_array(transported_mul_rows(gauge, inv_array(p), q))
 
 
 def sample_triangle(dist, name, n, seed, box=SampleBox()):
@@ -276,7 +297,7 @@ def sample_left_invariance(gauge, n, seed, box=SampleBox()):
 def sample_isometry(gauge, n, seed, box=SampleBox()):
     def violation(p, q):
         return _gap(
-            flat_dist_array(gauge, flatten_array(gauge, p), flatten_array(gauge, q)),
+            _flat_dist_rows(gauge, flatten_array(gauge, p), flatten_array(gauge, q)),
             gauge_dist_array(gauge, p, q),
         )
 
@@ -377,7 +398,7 @@ def sample_conjugation(gauge, n, seed, box=SampleBox()):
 def sample_flatten_homomorphism(gauge, n, seed, box=SampleBox()):
     def violation(p, q):
         a = flatten_array(gauge, mul_array(p, q))
-        b = transported_mul_array(gauge, flatten_array(gauge, p), flatten_array(gauge, q))
+        b = transported_mul_rows(gauge, flatten_array(gauge, p), flatten_array(gauge, q))
         return point_diff_array(a, b) / point_scale_array(a, b)
 
     draw = _points(np.random.default_rng(seed), box, 2)
@@ -389,7 +410,7 @@ def sample_transported_axioms(gauge, n, seed, box=SampleBox()):
     e = _IDENTITY
 
     def product(p, q):
-        return transported_mul_array(gauge, p, q)
+        return transported_mul_rows(gauge, p, q)
 
     def unit_inverse_violation(p):
         v = np.maximum(

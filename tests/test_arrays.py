@@ -586,3 +586,34 @@ def test_stacked_probe_sites_match_unstacked(gauge, site, count):
             rows, residual = ref.derivability_rows(gauge, v, eps)
             assert _arr(tr.values).tobytes() == rows.tobytes()
             assert tr.meta["closed_form_residual"] == float(residual.max())
+
+
+@pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
+@pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=_gauge_id)
+def test_stacked_transported_mul_matches_unstacked(gauge, n):
+    # transported_mul_array unflattens both operands in one call
+    rng = np.random.default_rng(n)
+    p, q = SampleBox().draw(rng, n), SampleBox().draw(rng, n)
+    special = [x for x in _special_args(gauge) if x <= 4.0]
+    p[:len(special), 2] = special[:n]
+    q[:len(special), 2] = [-x for x in special[:n]]
+    for a, b in ((p, q), (q, p), (p[:1], q), (p, q[:1])):  # (1, 3) operands broadcast
+        got = transported_mul_array(gauge, a, b)
+        assert got.tobytes() == ref.transported_mul_rows(gauge, a, b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_merged_draws_match_consecutive_draws(count, n):
+    # a chunk's box points come from one draw, split in order
+    box = SampleBox(3.0, 5.0)
+    for name, args in (("_points", ()), ("_scaled_points", (-3.0, 3.0))):
+        rngs = [np.random.default_rng(n), np.random.default_rng(n)]
+        draws = [getattr(mod, name)(rng, box, count, *args)
+                 for mod, rng in zip((metrics, ref), rngs)]
+        for start in range(0, n, metrics.SAMPLE_CHUNK):
+            size = min(metrics.SAMPLE_CHUNK, n - start)
+            got, want = (draw(start, size) for draw in draws)
+            assert len(got) == len(want) == count + bool(args)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert rngs[0].random() == rngs[1].random()  # the same doubles consumed

@@ -172,25 +172,53 @@ def _profile(gauge, ts):
 
 
 def _neighbours(xs):
-    return np.array([y for x in xs for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))])
+    return np.array([y for x in xs
+                     for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))])
 
 
 @pytest.mark.parametrize("M, r", [(10.0, 1e-3), (4.0, 0.01), (2.0, 0.1), (1.01, 0.8)])
 def test_ladder_is_monotone_and_convex_across_knots_and_seams(M, r):
     gauge = oscillatory_gauge(M, r)
-    knots, seams = _knots_and_seams(gauge)
-    # one float either side of each knot, and of each seam's profile value:
-    # rounding may tie, never fall (the table's own g can round one float
-    # past an inner profile knot, so g is held to this at the seams)
+    knots, _ = _knots_and_seams(gauge)
+    # one float either side of each knot, and of each knot's profile value:
+    # rounding may tie, never fall
     assert (np.diff(k_array(gauge, _neighbours(knots)).reshape(-1, 3)) >= 0.0).all()
-    g_seams = g_array(gauge, _neighbours(_profile(gauge, seams)))
-    assert (np.diff(g_seams.reshape(-1, 3)) >= 0.0).all()
+    g_knots = g_array(gauge, _neighbours(_profile(gauge, knots)))
+    assert (np.diff(g_knots.reshape(-1, 3)) >= 0.0).all()
     # a relative 1e-9 either side: the contract checks, tolerances unchanged
     grid = sorted(x * f for x in knots for f in (1.0 - 1e-9, 1.0, 1.0 + 1e-9))
     report = check_gauge(gauge, grid)
     assert report.passed, report.to_text()
     back = g_array(gauge, np.array(_profile(gauge, knots)))
     assert np.allclose(back, knots, rtol=1e-13, atol=0.0)
+
+
+def _random_ladders(seed, count):
+    """count seeded ladders, M log-uniform in [1.1, 100] and r log-uniform in
+    [1e-4, 1], redrawn until convex."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        M, r = 10.0 ** rng.uniform(0.05, 2.0), 10.0 ** rng.uniform(-4.0, 0.0)
+        if r * M * M * (1.0 + r) - r**3 <= 1.0:
+            out.append(oscillatory_gauge(M, r))
+    return out
+
+
+def _falls(gauge, xs):
+    """How many x in xs have g fall across nextafter(x, 0), x, nextafter(x, inf)."""
+    return int((np.diff(g_array(gauge, _neighbours(xs)).reshape(-1, 3)) < 0.0).any(axis=1).sum())
+
+
+def test_g_does_not_fall_across_profile_knots():
+    # just below a profile knot G(b) the segment's root can round one float
+    # above b; g caps it at b, so it cannot fall across any knot
+    for gauge in (OSC, *_random_ladders(12, 300)):
+        assert _falls(gauge, _profile(gauge, gauge.k.breakpoints)) == 0, gauge.label
+    # on the default ladder, nor across the knots' images one and three
+    # periods down, in the table and below it
+    q2 = OSC.k.period ** 2
+    images = [y * f for y in _profile(OSC, OSC.k.breakpoints) for f in (q2, q2**3)]
+    assert _falls(OSC, images) == 0
 
 
 def test_levels_has_no_effect():

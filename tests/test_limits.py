@@ -6,7 +6,9 @@ the local slope ratio, and the linear-gauge response tends to zero linearly.
 """
 
 import math
+import random
 import re
+import statistics
 import struct
 from dataclasses import replace
 
@@ -18,6 +20,7 @@ from h1gauge.gauges import g_inverse_eval, linear_gauge, oscillatory_gauge
 from h1gauge.heisenberg import identity, point
 from h1gauge.limits import (
     CLOSED_FORM_TOL,
+    _fmean,
     Classification,
     EpsGrid,
     NonConvergentLimitError,
@@ -41,6 +44,20 @@ OSC = oscillatory_gauge()
 
 
 # --- classifier ----------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fmean_is_statistics_fmean(seed):
+    # seeded traces from flat to wild, of window lengths up to 37, against
+    # statistics.fmean as the oracle
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 6, 12, 37):
+        for scale in (1e-300, 1e-9, 1.0, 1e9, 1e300):
+            trace = [scale * rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-8.0, 0.0)
+                     for _ in range(n)]
+            flat = [scale * (1.0 + 1e-15 * rng.random()) for _ in range(n)]
+            for values in (trace, flat):
+                assert _fmean(values).hex() == statistics.fmean(values).hex()
+
 
 def test_constant_trace_converges():
     c = classify_limit([1.0] * 12)
