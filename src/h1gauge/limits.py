@@ -116,6 +116,9 @@ class EpsGrid:
         return tuple(map(repr, self.values()))
 
 
+DEFAULT_GRID = EpsGrid()
+
+
 @dataclass(frozen=True)
 class Classification:
     kind: str  # "converged" | "oscillating" | "diverging"
@@ -178,6 +181,8 @@ def classify_limit(
         )
     if not (atol > 0.0 and divergence_bound > 0.0):
         raise ValueError("atol and divergence_bound must be positive")
+    if any(map(math.isnan, vals)):
+        raise ValueError("cannot classify a trace holding NaN")
     tail = vals[-2 * window :]
     if any(abs(v) > divergence_bound for v in tail):
         return Classification("diverging")
@@ -195,10 +200,22 @@ def classify_point_trace(
     atol: float = DEFAULT_ATOL,
     divergence_bound: float = DEFAULT_DIVERGENCE_BOUND,
 ) -> PointClassification:
-    comps = tuple(
-        classify_limit([getattr(p, name) for p in points], window, atol, divergence_bound)
-        for name in ("x1", "x2", "xbar")
-    )
+    """Classify a trace of H1Points componentwise."""
+    values = np.array([p.as_tuple() for p in points]).reshape(-1, 3)
+    return _classify(values, window, atol, divergence_bound)
+
+
+def _columns(values: np.ndarray) -> list[list[float]]:
+    """The columns of a (count,) or (count, 3) trace as lists of Python
+    floats (a numpy scalar's repr is not a float's)."""
+    return np.atleast_2d(values.T).tolist()
+
+
+def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGENCE_BOUND):
+    """classify_limit of a (count,) trace, the PointClassification of a (count, 3) one."""
+    comps = tuple(classify_limit(c, window, atol, divergence_bound) for c in _columns(values))
+    if values.ndim == 1:
+        return comps[0]
     kinds = {c.kind for c in comps}
     if "diverging" in kinds:
         kind = "diverging"
@@ -210,39 +227,29 @@ def classify_point_trace(
     return PointClassification(kind, comps, limit)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
     """A probe trace over an eps-grid together with its tail classification."""
 
     name: str
     grid: EpsGrid
-    values: tuple  # floats, or H1Points for point-valued probes
+    values: np.ndarray  # read-only, one row per scale: (count,), or (count, 3) for points
     classification: Classification | PointClassification
     meta: dict = field(default_factory=dict)
 
-    @property
-    def point_valued(self) -> bool:
-        return bool(self.values) and isinstance(self.values[0], H1Point)
-
     def header(self) -> str:
-        return "epsilon,x1,x2,xbar" if self.point_valued else "epsilon,value"
+        return "epsilon,x1,x2,xbar" if self.values.ndim == 2 else "epsilon,value"
 
     def rows(self):
-        for eps, v in zip(self.grid.values(), self.values):
-            if isinstance(v, H1Point):
-                yield (eps, v.x1, v.x2, v.xbar)
-            else:
-                yield (eps, v)
+        """(eps, value) or (eps, x1, x2, xbar) per scale, as Python floats."""
+        return zip(self.grid.values(), *_columns(self.values))
 
     def to_csv(self) -> str:
         """The header, then one line per scale: the grid's shared epsilon
         column joined with the value columns, every float rendered by repr."""
-        if self.point_valued:
-            columns = zip(*(p.as_tuple() for p in self.values))
-            lines = map("{},{!r},{!r},{!r}".format, self.grid.eps_column, *columns)
-        else:
-            lines = map("{},{!r}".format, self.grid.eps_column, self.values)
-        return "\n".join((self.header(), *lines, ""))
+        columns = _columns(self.values)
+        line = "{}" + ",{!r}" * len(columns)
+        return "\n".join((self.header(), *map(line.format, self.grid.eps_column, *columns), ""))
 
     def summary(self) -> dict:
         return {
@@ -261,16 +268,10 @@ class ConvergenceTrace:
         }
 
 
-def _resolve_grid(grid: EpsGrid | None) -> EpsGrid:
-    return grid if grid is not None else EpsGrid()
-
-
-def _trace(name, grid, values, meta) -> ConvergenceTrace:
-    """Classify values (componentwise when they are H1Points) by the grid's
-    tail rule and wrap them in a ConvergenceTrace."""
-    values = tuple(values)
-    classify = classify_point_trace if isinstance(values[0], H1Point) else classify_limit
-    return ConvergenceTrace(name, grid, values, classify(values, grid.window, grid.atol), meta)
+def _trace(name, grid, values: np.ndarray, meta) -> ConvergenceTrace:
+    """Classify values by the grid's tail rule; wrap them, read-only, in a trace."""
+    values.setflags(write=False)
+    return ConvergenceTrace(name, grid, values, _classify(values, grid.window, grid.atol), meta)
 
 
 def _scale_check(grid: EpsGrid, magnitude: float) -> None:
@@ -312,16 +313,15 @@ def _vertical_response_array(gauge: Gauge, eps: np.ndarray, ubar: float) -> np.n
 def vertical_limit_probe(
     gauge: Gauge,
     ubar: float,
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> ConvergenceTrace:
     """Trace eps -> g(eps^2 |ubar|)/eps, the scalar limit behind both the
     derivability of the identity map and the metric differential."""
     require_verified(gauge)
     if not math.isfinite(ubar):
         raise ValueError(f"ubar must be finite, got {ubar!r}")
-    grid = _resolve_grid(grid)
     _scale_check(grid, abs(ubar))
-    values = _vertical_response_array(gauge, np.array(grid.values()), ubar).tolist()
+    values = _vertical_response_array(gauge, np.array(grid.values()), ubar)
     return _trace("vertical-limit", grid, values, {"gauge": gauge.label, "ubar": ubar})
 
 
@@ -329,18 +329,17 @@ def rescaled_product_probe(
     gauge: Gauge,
     p: H1Point,
     q: H1Point,
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> ConvergenceTrace:
     """Trace eps -> rescaled_product(eps, p, q), classified componentwise."""
     require_verified(gauge)
-    grid = _resolve_grid(grid)
     area = symplectic_area(p.horizontal, q.horizontal)
     _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
     eps = np.array(grid.values())
     pq = np.repeat(_rows(to_row(p), to_row(q)), len(eps), axis=0)
     product = mul_array(*_split(gauge_dilate_array(gauge, _rows(eps, eps), pq), 2))
-    rows = gauge_dilate_array(gauge, 1.0 / eps, product).tolist()
-    return _trace("rescaled-product", grid, [H1Point(*r) for r in rows],
+    rows = gauge_dilate_array(gauge, 1.0 / eps, product)
+    return _trace("rescaled-product", grid, rows,
                   {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 
 
@@ -359,7 +358,7 @@ def _first_over(eps: np.ndarray, residual: np.ndarray, what: str) -> None:
 def id_derivability_probe(
     gauge: Gauge,
     u: H1Point,
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> ConvergenceTrace:
     """Trace eps -> gauge_dilate(1/eps, dilate(eps, u)).
 
@@ -380,7 +379,6 @@ def id_derivability_probe(
     convex and increasing, so the step up from t also bounds the step down.
     """
     require_verified(gauge)
-    grid = _resolve_grid(grid)
     _scale_check(grid, abs(u.xbar))
     eps = np.array(grid.values())
     rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
@@ -395,7 +393,7 @@ def id_derivability_probe(
     if u.xbar != 0.0:
         _first_over(eps, (np.abs(profile - s) - (profile_up - profile)) / s,
                     "fails the profile round trip G(g(s)) = s, beyond one ulp of g(s),")
-    return _trace("id-derivability", grid, [H1Point(*r) for r in rows.tolist()],
+    return _trace("id-derivability", grid, rows,
                   {"gauge": gauge.label, "u": u.as_tuple(),
                    "closed_form_residual": float(residual.max())})
 
@@ -403,7 +401,7 @@ def id_derivability_probe(
 def metric_differential(
     gauge: Gauge,
     v: H1Point,
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> float:
     """The paper's metric differential of the identity map at v:
     max(horizontal norm, vertical limit), the limit of the rescaled gauge
@@ -425,25 +423,27 @@ def _tail_means(values: np.ndarray, window: int) -> list[float]:
 
 
 def _sup_deviation(values: np.ndarray, grid: EpsGrid):
-    """Tail spreads, tail means and the classified sup-deviation trace of
-    scalar traces on grid, one trace per row of values.
+    """Tail spreads, tail means, the classified sup-deviation trace and the
+    uniform verdict of scalar traces on grid, one trace per row of values.
 
     A trace's spread is max - min over its last 2*window values and its tail
     mean the mean of its last window.  The sup-deviation trace is
-    eps_j -> max over traces |value_j - tail mean|; it converges to ~0 when
-    the traces converge uniformly.
+    eps_j -> max over traces |value_j - tail mean|; the traces converge
+    uniformly when it converges to within atol of 0.
     """
     tail = values[:, -2 * grid.window :]
     spreads = (tail.max(axis=1) - tail.min(axis=1)).tolist()
     means = _tail_means(values, grid.window)
     sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0).tolist()
-    return spreads, means, classify_limit(sup_trace, grid.window, grid.atol)
+    sup_cls = classify_limit(sup_trace, grid.window, grid.atol)
+    uniform = sup_cls.kind == "converged" and abs(sup_cls.limit) <= grid.atol
+    return spreads, means, sup_cls, uniform
 
 
 def uniform_probe(
     probe,
     points,
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> VerificationReport:
     """Uniform convergence of a pointwise probe over a finite sample of a
     compact set: the paper asks the scaling limits to converge uniformly on
@@ -453,7 +453,6 @@ def uniform_probe(
     checks: every pointwise trace converges, and the sup over points of the
     deviation |trace - tail mean| converges (to ~0) as well.
     """
-    grid = _resolve_grid(grid)
     points = list(points)
     if not points:
         raise ValueError("need at least one probe point")
@@ -461,7 +460,7 @@ def uniform_probe(
     report = VerificationReport("uniform-probe")
 
     values = np.array([tr.values for tr in traces], dtype=float)
-    spreads, _, sup_cls = _sup_deviation(values, grid)
+    spreads, _, sup_cls, uniform = _sup_deviation(values, grid)
     worst = max(range(len(points)), key=spreads.__getitem__)
     worst_point = points[worst]
     witness = worst_point.as_tuple() if isinstance(worst_point, H1Point) else worst_point
@@ -476,11 +475,10 @@ def uniform_probe(
         )
     )
 
-    sup_ok = sup_cls.kind == "converged" and abs(sup_cls.limit) <= grid.atol
     report.add(
         PropertyCheck(
             name="uniform-sup-convergence",
-            passed=sup_ok,
+            passed=uniform,
             worst_violation=(abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf),
             tolerance=grid.atol,
             witness=witness,
@@ -560,7 +558,7 @@ def _rescaled_distances(gauge: Gauge, dirs: np.ndarray, eps: np.ndarray) -> np.n
 def metric_diff_probe(
     gauge: Gauge,
     base: H1Point = identity(),
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> MetricDiffReport:
     """Differentiability test: for each direction v of default_direction_grid
     trace the rescaled gauge distance (1/eps) * gauge_dist(base, base *
@@ -577,7 +575,6 @@ def metric_diff_probe(
     reports its first worst violation.
     """
     require_verified(gauge)
-    grid = _resolve_grid(grid)
     dirs = default_direction_grid()
     _scale_check(grid, max(abs(v.xbar) for v in dirs))
 
@@ -587,16 +584,12 @@ def metric_diff_probe(
     traces = tuple(
         _trace("metric-diff", grid, row,
                {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
-        for v, row in zip(dirs, values.tolist())
+        for v, row in zip(dirs, values)
     )
     per_dir = tuple(tr.classification for tr in traces)
 
-    spreads, tail_means, sup_cls = _sup_deviation(values, grid)
-    differentiable = (
-        all(c.kind == "converged" for c in per_dir)
-        and sup_cls.kind == "converged"
-        and abs(sup_cls.limit) <= grid.atol
-    )
+    spreads, tail_means, sup_cls, uniform = _sup_deviation(values, grid)
+    differentiable = uniform and all(c.kind == "converged" for c in per_dir)
     eta = tuple(tail_means) if differentiable else None
     witness = None if differentiable else dirs[int(np.argmax(spreads))]
 
@@ -643,7 +636,7 @@ def metric_diff_probe(
 def limit_equivalence_check(
     gauge: Gauge,
     samples,
-    grid: EpsGrid | None = None,
+    grid: EpsGrid = DEFAULT_GRID,
 ) -> VerificationReport:
     """Agreement between rescaled-product convergence and the scalar vertical
     limit on purely horizontal pairs.
@@ -654,7 +647,6 @@ def limit_equivalence_check(
     times the response at u evaluated at c*eps).  Disagreements are reported
     as findings, not raised.
     """
-    grid = _resolve_grid(grid)
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample pair")

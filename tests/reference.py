@@ -227,10 +227,10 @@ def trace_csv(trace) -> str:
     """A trace's CSV written row by row, one repr per cell, with the scales
     recomputed from the grid's fields: the oracle of ConvergenceTrace.to_csv."""
     grid = trace.grid
-    point_valued = isinstance(trace.values[0], H1Point)
+    point_valued = trace.values.ndim == 2
     lines = ["epsilon,x1,x2,xbar" if point_valued else "epsilon,value"]
-    for j, v in enumerate(trace.values):
-        row = (grid.eps0 * grid.ratio**j, *(v.as_tuple() if point_valued else (v,)))
+    for j, v in enumerate(trace.values.tolist()):
+        row = (grid.eps0 * grid.ratio**j, *(v if point_valued else (v,)))
         lines.append(",".join(repr(c) for c in row))
     return "\n".join(lines) + "\n"
 

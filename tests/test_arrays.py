@@ -151,6 +151,9 @@ def _points(gauge):
 
 
 def _arr(points):
+    """An (n, 3) array of points given as H1Points or already as an array."""
+    if isinstance(points, np.ndarray):
+        return points
     return np.array([p.as_tuple() for p in points])
 
 

@@ -217,6 +217,17 @@ def test_bad_box_is_config_error(capsys):
         assert "--box" in err and "Traceback" not in err, box
 
 
+@pytest.mark.filterwarnings("error")
+def test_kernel_overflow_is_one_line_config_error(capsys):
+    # the kernel's finiteness check reports the overflow; numpy warns nothing
+    # on the way, so stderr is the error line alone
+    code, stdout, err = run(capsys, "probe", "beta",
+                            "--p=1e300,1e300,1e300", "--q=1e300,1e300,1e300")
+    assert code == 2
+    assert err == "error: non-finite value in array\n"
+    assert stdout == ""
+
+
 def test_underflow_grid_is_config_error(capsys):
     code, _, err = run(capsys, "probe", "a", "--count", "550")
     assert code == 2

@@ -17,7 +17,7 @@ import pytest
 from h1gauge import cli
 from h1gauge.dilatations import dilate, gauge_dilate
 from h1gauge.gauges import g_inverse_eval, linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import identity, point
+from h1gauge.heisenberg import H1Point, identity, point
 from h1gauge.limits import (
     CLOSED_FORM_TOL,
     _fmean,
@@ -119,6 +119,13 @@ def test_classifier_input_validation():
         classify_limit([1.0] * 12, window=3.0)
     with pytest.raises(ValueError, match="window must be an integer"):
         classify_point_trace([point(1.0, 0.0, 0.0)] * 12, window=3.0)
+    # a NaN is rejected wherever it sits (an H1Point cannot hold one); an
+    # infinity is a value beyond every bound
+    for values in ([1.0] * 11 + [math.nan], [math.nan] + [1.0] * 11):
+        with pytest.raises(ValueError, match="NaN"):
+            classify_limit(values)
+    for inf in (math.inf, -math.inf):
+        assert classify_limit([1.0] * 11 + [inf]).kind == "diverging"
 
 
 def test_point_trace_combines_componentwise():
@@ -280,6 +287,34 @@ def test_grid_scales_are_computed_once_per_instance():
     # cached per instance, not per parameter set: an equal grid builds its own
     twin = EpsGrid(eps0=0.9, ratio=0.7, count=160)
     assert twin == CSV_GRIDS[1] and twin.values() is not CSV_GRIDS[1].values()
+
+
+@pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
+def test_traces_are_read_only_arrays(gauge, monkeypatch):
+    # a point trace is the kernel's (count, 3) array: the probe builds no
+    # H1Point per scale, so their number does not grow with the grid
+    built = []
+    post_init = H1Point.__post_init__
+    monkeypatch.setattr(H1Point, "__post_init__", lambda self: built.append(post_init(self)))
+    p, q, u = point(1, 0, 0), point(0, 1, 0), point(1, 0, 1)
+    calls = {}
+    for count in (24, 160):
+        grid = EpsGrid(count=count)
+        for name, probe, args in (("beta", rescaled_product_probe, (p, q)),
+                                  ("derivability", id_derivability_probe, (u,))):
+            built.clear()
+            tr = probe(gauge, *args, grid)
+            calls.setdefault(name, set()).add(len(built))
+            assert tr.values.shape == (count, 3) and tr.values.dtype == float
+            assert not tr.values.flags.writeable
+            rows = list(tr.rows())
+            assert len(rows) == count
+            assert all(type(r) is tuple and len(r) == 4 for r in rows)
+            assert all(type(c) is float for r in rows for c in r)
+    assert all(len(n) == 1 and max(n) <= 2 for n in calls.values()), calls
+    tr = vertical_limit_probe(gauge, 1.0, EpsGrid(count=160))
+    assert tr.values.shape == (160,) and not tr.values.flags.writeable
+    assert all(type(e) is float and type(v) is float for e, v in tr.rows())
 
 
 # --- rescaled product probe -------------------------------------------------------
