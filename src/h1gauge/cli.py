@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -114,17 +113,33 @@ class RunConfig:
             raise ConfigError(f"cannot load gauge: {e}") from None
 
 
+# a temp file is created exclusively, as mkstemp creates one, but with mode
+# 0o666 so that the kernel applies the umask
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_CLOEXEC", 0)
+               | getattr(os, "O_BINARY", 0))
+_TEMP_TRIES = 100
+
+
+def _temp_names(path: Path):
+    """The temp file names beside path that _write_atomic tries, in order."""
+    return (f"{path}.{i}.tmp" for i in range(_TEMP_TRIES))
+
+
 def _write_atomic(path: Path, text: str) -> None:
-    """Write text as UTF-8 bytes to a temp file beside path, then rename it
-    over path; on any failure the temp file is removed.  The file gets the
-    mode a plain open would give it, 0o666 less the umask: mkstemp makes
-    it 0o600."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    """Write text as UTF-8 bytes to a new temp file beside path, then rename
+    it over path; on any failure the temp file is removed.  The file gets the
+    mode a plain open would give it, 0o666 less the umask.  A temp name that
+    is taken is left as it is, and the next one is tried."""
+    for tmp in _temp_names(path):
+        try:
+            fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temp name beside {path}")
     try:
         with os.fdopen(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             fh.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:

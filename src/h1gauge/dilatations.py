@@ -68,10 +68,12 @@ def transported_mul(gauge: Gauge, p: H1Point, q: H1Point) -> H1Point:
 
 def _check_eps_array(eps) -> np.ndarray:
     """eps as a column (one scale per row, or one for all), once every scale
-    is checked positive and finite; a NaN propagates into the min."""
+    is checked positive and finite: the least and the greatest scale are
+    tested, read at argmin and argmax, which both find the first NaN.  An
+    empty eps passes."""
     eps = np.asarray(eps)
-    if not (np.minimum.reduce(eps, axis=None, initial=1.0) > 0.0
-            and np.maximum.reduce(eps, axis=None, initial=1.0) < np.inf):
+    flat = eps.ravel()
+    if flat.size and not (flat[flat.argmin()] > 0.0 and flat[flat.argmax()] < np.inf):
         raise ValueError("dilatation scales must be positive and finite")
     return eps[..., None]
 

@@ -11,9 +11,11 @@ because G(t) >= t^2 forces g(s) <= sqrt(s)).
 k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
 _array_path is the one place that picks how (segment-table lookup, the
 linear closed form, or the scalar functions element by element), and it
-runs once per Gauge, when the Gauge is built.  Each kernel call then takes
-one min of its arguments: that one reduction serves the >= 0 guard and, on
-a self-similar table, the test whether every row is at or above the table.
+runs once per Gauge, when the Gauge is built.  Each kernel call then reads
+the least of its arguments once, as the entry at its argmin (the first NaN,
+if there is one), which costs less per call than a ufunc reduction: that one
+value serves the >= 0 guard and, on a self-similar table, the test whether
+every row is at or above the table.
 The scalar k and g of the piecewise and linear gauges are one-element calls
 into their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
 are what the element-by-element path maps over a raw callable, and
@@ -198,7 +200,7 @@ class PiecewiseLinearGauge:
         if q is None or least >= first:
             return table(x)  # every row is at or above the table
         low = (x > 0) & (x < first)
-        if not np.logical_or.reduce(low, axis=None):
+        if not np.count_nonzero(low):
             return table(x)  # or exactly 0
         xl = x[low]
         n = np.ceil((np.log(xl) - math.log(first)) / (arg * math.log(q)))
@@ -342,12 +344,14 @@ def _array_path(gauge: Gauge):
 
 
 def _least(x: np.ndarray, what: str) -> float:
-    """The minimum of x (inf when x is empty), once x >= 0 is checked.  A NaN
-    makes the minimum NaN, and only then does a second pass look for a
-    negative beside it."""
-    least = np.minimum.reduce(x, axis=None) if x.size else math.inf
-    if least < 0.0 or (math.isnan(least) and (x < 0.0).any()):
-        raise ValueError(f"{what} argument must be >= 0, got {float(least)!r}")
+    """The minimum of a 1-d x (inf when x is empty), once x >= 0 is checked.
+    argmin finds the first NaN, so a NaN makes the minimum NaN; only then
+    does a second pass look for the most negative argument beside it, which
+    the error names."""
+    least = x[x.argmin()] if x.size else math.inf
+    worst = np.fmin.reduce(x) if math.isnan(least) else least
+    if worst < 0.0:
+        raise ValueError(f"{what} argument must be >= 0, got {float(worst)!r}")
     return least
 
 
@@ -376,8 +380,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# check_gauge's default inputs, built once: the grid and its midpoint pairs
-_CHECK_GRID = _frozen(np.array(default_check_grid()))
+def _check_grid(pts: np.ndarray) -> np.ndarray:
+    if pts.ndim != 1 or len(pts) < 4 or not (pts > 0.0).all() or (np.diff(pts) < 0.0).any():
+        raise ValueError("check grid must be >= 4 positive ascending points")
+    return pts
+
+
+# check_gauge's default inputs, built and validated once: the grid and its
+# midpoint pairs
+_CHECK_GRID = _frozen(_check_grid(np.array(default_check_grid())))
 _CHECK_PAIRS = tuple(map(_frozen, np.triu_indices(len(_CHECK_GRID[::3]), k=1)))
 
 
@@ -388,9 +399,7 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     midpoint convexity on sampled pairs; g/G round-trips within INV_TOL
     (mixed absolute/relative).  Witnesses reproduce the worst violations.
     """
-    pts = _CHECK_GRID if grid is None else np.array(grid, dtype=float)
-    if pts.ndim != 1 or len(pts) < 4 or not (pts > 0.0).all() or (np.diff(pts) < 0.0).any():
-        raise ValueError("check grid must be >= 4 positive ascending points")
+    pts = _CHECK_GRID if grid is None else _check_grid(np.array(grid, dtype=float))
     report = VerificationReport(f"gauge-check: {gauge.label}")
 
     k0 = gauge.k(0.0)

@@ -70,6 +70,18 @@ def point_scale(*points: H1Point) -> float:
     return max(mags)
 
 
+def point_diff_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The row maxima behind point_diff_array, unguarded, in the form
+    .max(axis=1) that reduces each row in turn."""
+    return np.abs(p - q).max(axis=1)
+
+
+def point_scale_rows(*points: np.ndarray) -> np.ndarray:
+    """The row maxima behind point_scale_array, unguarded, in the form
+    max(1, .max(axis=1))."""
+    return np.maximum(1.0, np.abs(np.concatenate(points, axis=1)).max(axis=1))
+
+
 def point_close(p: H1Point, q: H1Point, tol: float) -> bool:
     return point_diff(p, q) <= tol * point_scale(p, q)
 

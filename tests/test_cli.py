@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from h1gauge.cli import RunConfig, _write_atomic, cmd_verify, main
+from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
 from h1gauge.gauges import Gauge
 
 
@@ -515,6 +515,16 @@ def test_write_atomic_cleans_up_when_rename_fails(tmp_path, monkeypatch):
             _write_atomic(tmp_path / name, "epsilon,value\n")
     assert os.listdir(tmp_path) == ["old.csv"]
     assert (tmp_path / "old.csv").read_bytes() == b"kept\n"
+
+
+def test_write_atomic_steps_past_a_taken_temp_name(tmp_path):
+    target = tmp_path / "out.csv"
+    taken = Path(next(_temp_names(target)))
+    taken.write_bytes(b"not ours\n")
+    _write_atomic(target, "epsilon,value\n")
+    assert target.read_bytes() == b"epsilon,value\n"
+    assert taken.read_bytes() == b"not ours\n"
+    assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", taken.name])
 
 
 # --- scripts/probe_sweep.py -------------------------------------------------------------

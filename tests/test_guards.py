@@ -2,18 +2,24 @@
 input.
 
 Each kernel of heisenberg, gauges, dilatations and metrics is fed a NaN row,
-a +inf row, a -inf row, an input whose result overflows, and an empty
-(0, 3) or (0,) array; the gauge kernels also get a negative argument and a
-NaN beside a negative one, and the dilatations an empty and a bad eps.  The
-exception type and its message are pinned exactly, and empty input must give
-empty output, so a leaner guard cannot raise anywhere the old one did not, or
-say something else when it does.
+a +inf row, a -inf row, a NaN or an infinity at the first, a middle and the
+last position of a finite input, an input whose result overflows, and an
+empty (0, 3) or (0,) array; the gauge kernels also get negative arguments
+with and without NaNs beside them, and the dilatations empty, 0-d and bad
+scales.  check_finite itself is fed every position of 0-d, 1-d, (n, 3) and
+empty arrays.  The exception type and its message are pinned exactly, and
+empty input must give empty output, so a leaner guard cannot raise anywhere
+the old one did not, or say something else when it does.  The row maxima of
+point_diff_array and point_scale_array are held bit for bit to the
+.max(axis=1) form kept in tests/reference.py.
 """
 
 import math
 
 import numpy as np
 import pytest
+import reference as ref
+from hypothesis import given, settings, strategies as st
 
 from h1gauge import dilatations, gauges, heisenberg, metrics
 from h1gauge.gauges import linear_gauge, oscillatory_gauge, verified_gauge
@@ -27,6 +33,23 @@ NON_FINITE = "non-finite value in array"
 BAD_EPS = "dilatation scales must be positive and finite"
 
 GOOD = [0.1, 0.2, 0.3]
+PLACES = ("first", "middle", "last")
+NON_FINITE_VALUES = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+
+
+def _placed(shape, value, where):
+    """An array of 0.25s with value at its first, a middle or its last
+    position in row-major order (none when it is empty)."""
+    a = np.full(shape, 0.25)
+    flat = a.reshape(-1)
+    if flat.size:
+        flat[{"first": 0, "middle": flat.size // 2, "last": flat.size - 1}[where]] = value
+    return a
+
+
+# one non-finite value at one position of a finite input
+PLACED = {f"{name}@{where}": (value, where)
+          for name, value in NON_FINITE_VALUES.items() for where in PLACES}
 # (n, 3) point inputs; "overflow" is also dilated by 1e300
 POINTS = {
     "nan": [GOOD, [math.nan, 0.0, math.nan]],
@@ -34,6 +57,7 @@ POINTS = {
     "-inf": [GOOD, [-math.inf, 0.0, -math.inf]],
     "overflow": [[1e300, -1e300, 1e300]],
     "empty": np.zeros((0, 3)),
+    **{case: _placed((3, 3), *placed) for case, placed in PLACED.items()},
 }
 # 1-d gauge arguments
 ARGS = {
@@ -43,7 +67,10 @@ ARGS = {
     "overflow": [1e300, 1e308],
     "negative": [1.0, -1e-300],
     "nan-negative": [math.nan, -1.0],
+    "negative-nan": [-1.0, math.nan],
+    "negatives-nan": [-1.0, math.nan, -2.0],
     "empty": np.zeros(0),
+    **{case: _placed((5,), *placed).tolist() for case, placed in PLACED.items()},
 }
 
 
@@ -101,13 +128,14 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _assert_pinned(call, case, finite_on_overflow, rows, what=None, bad=None):
+def _assert_pinned(call, case, finite_on_overflow, rows, what=None, bad=()):
     got = _outcome(call)
+    negative = [x for x in bad if x < 0.0]
     if case == "empty":
         assert got[0] == "ok" and got[1][0] == 0, got
-    elif case in ("negative", "-inf", "nan-negative") and what is not None:
-        least = "nan" if case == "nan-negative" else repr(float(min(bad)))
-        assert got == (ValueError, f"{what} argument must be >= 0, got {least}")
+    elif negative and what is not None:
+        # the sign guard names the most negative argument, NaNs beside it or not
+        assert got == (ValueError, f"{what} argument must be >= 0, got {float(min(negative))!r}")
     elif case == "overflow" and finite_on_overflow:
         assert got[0] == "ok" and got[1][0] == rows, got
     else:
@@ -143,14 +171,29 @@ def test_gauge_kernel_guards(name, gauge, case):
                    (name, gauge) in FINITE_ON_OVERFLOW, len(x), what, ARGS[case])
 
 
+@pytest.mark.parametrize("where", PLACES)
+@pytest.mark.parametrize("value", [*NON_FINITE_VALUES, "finite"])
+@pytest.mark.parametrize("shape", [(), (5,), (4, 3), (0,), (0, 3)], ids=repr)
+def test_check_finite_sees_every_position(shape, value, where):
+    a = _placed(shape, NON_FINITE_VALUES.get(value, 0.5), where)
+    if np.isfinite(a).all():
+        assert heisenberg.check_finite(a) is a
+    else:
+        assert _outcome(lambda: heisenberg.check_finite(a)) == (ValueError, NON_FINITE)
+
+
+# a list is one scale per row; a float is one 0-d scale for every row
 @pytest.mark.parametrize("eps", [[math.nan], [math.inf], [-math.inf], [-1.0], [0.0], [-0.0],
-                                 [1.0, math.nan], [math.nan, -1.0], [1.0, 5e-324]],
+                                 [1.0, math.nan], [math.nan, -1.0], [1.0, 5e-324], [5e-324],
+                                 [0.5, 0.25, 1.0, math.nan], [0.5, math.inf, 0.25], [],
+                                 0.5, 0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf],
                          ids=repr)
 @pytest.mark.parametrize("name", sorted(EPS_KERNELS))
 def test_eps_guards(name, eps):
     e = np.array(eps)
-    got = _outcome(lambda: EPS_KERNELS[name](e, np.zeros((len(e), 3))))
-    assert got == (("ok", (len(e), 3)) if all(0.0 < x < math.inf for x in eps)
+    rows = e.size if e.ndim else 2
+    got = _outcome(lambda: EPS_KERNELS[name](e, np.zeros((rows, 3))))
+    assert got == (("ok", (rows, 3)) if all(0.0 < x < math.inf for x in e.ravel().tolist())
                    else (ValueError, BAD_EPS))
 
 
@@ -172,3 +215,41 @@ def test_gauge_kernels_take_integer_arguments(name, gauge):
 
 def test_empty_draw():
     assert metrics.SampleBox().draw(np.random.default_rng(0), 0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("grid", [[[1.0, 2.0, 3.0, 4.0]], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
+                                  [1.0, 3.0, 2.0, 4.0], [1.0, 2.0, math.nan, 4.0]], ids=repr)
+def test_check_gauge_validates_every_grid_it_is_given(grid):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="check grid must be >= 4 positive ascending points"):
+            gauges.check_gauge(LIN, grid)
+    assert gauges.check_gauge(LIN).passed
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 1500), seed=st.integers(0, 2**32 - 1),
+       magnitude=st.sampled_from([1e-300, 1.0, 1e300]),
+       specials=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 4499), st.sampled_from(SPECIAL)),
+                         max_size=8))
+def test_row_maxima_match_the_rowwise_reduction(rows, seed, magnitude, specials):
+    """point_diff_array and point_scale_array take each row's maximum over the
+    leading axis; on finite results they equal the .max(axis=1) form bit for
+    bit, and wherever that form holds a NaN or an infinity they raise."""
+    rng = np.random.default_rng(seed)
+    p, q = rng.standard_normal((2, rows, 3)) * magnitude
+    for which, at, value in specials:
+        if rows:
+            (p, q)[which].reshape(-1)[at % (3 * rows)] = value
+    for kernel, expected in ((lambda: heisenberg.point_diff_array(p, q), ref.point_diff_rows(p, q)),
+                             (lambda: heisenberg.point_scale_array(p), ref.point_scale_rows(p)),
+                             (lambda: heisenberg.point_scale_array(p, q),
+                              ref.point_scale_rows(p, q))):
+        if np.isfinite(expected).all():
+            got = kernel()
+            assert got.shape == (rows,) and got.tobytes() == expected.tobytes()
+        else:
+            assert _outcome(kernel) == (ValueError, NON_FINITE)
