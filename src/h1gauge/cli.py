@@ -7,8 +7,11 @@ pattern), gauge-check (contract checks only).
 Exit codes: 0 success / pattern reproduced, 1 property violation or pattern
 deviation, 2 configuration or usage error.  Configs are validated before any
 computation runs, so exit 2 never leaves partial output files.  All file
-writes are atomic (temp file + rename) and all floats are rendered through
-repr, so identical configs produce byte-identical outputs.
+writes are atomic (temp file + rename, written with os.write and no buffered
+file object) and all floats are rendered through repr, so identical configs
+produce byte-identical outputs.  Reports are rendered by a private recursive
+renderer, not by json's pure-Python indenting encoder; the tests pin its text
+to the standard library's `json.dumps` with `indent=2`, byte for byte.
 """
 
 from __future__ import annotations
@@ -139,8 +142,12 @@ def _write_atomic(path: Path, text: str) -> None:
     else:
         raise FileExistsError(f"no free temp name beside {path}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:  # a write may take only part of what it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -161,8 +168,108 @@ def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
         _write_atomic(out_dir / name, text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+# the float reprs that json spells otherwise
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    r = _float_repr(x)
+    return _FLOAT_WORDS.get(r, r) if r[-1] in "nf" else r
+
+
+def _scalar_text(o) -> str | None:
+    """json's text for a str, bool, None, int or float, tested in json's
+    order; None for any other type."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    return None
+
+
+def _key_text(k) -> str:
+    """json's text for a dict key: a bool, None or number becomes a string."""
+    text = _scalar_text(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return text if isinstance(k, str) else _encode_str(text)
+
+
+def _render(o, append, indent: str) -> None:
+    """Append the text of o, as json.dumps spells it with indent=2, to one
+    chunk list through `append`; `indent` is the newline and the indentation
+    of o's own line.  The exact built-in types are tested first, inline in
+    the container loops; subclasses fall back to isinstance, as in json.
+
+    A module-level function, not a closure over the chunk list: a closure
+    that calls itself is a reference cycle, which keeps each render's chunks
+    alive until the cycle collector runs."""
+    t = type(o)
+    if t is dict or (t is not list and isinstance(o, dict)):
+        if not o:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            append(sep + (_encode_str(k) if type(k) is str else _key_text(k)) + ": ")
+            sep = "," + inner
+            t = type(v)
+            if t is str:
+                append(_encode_str(v))
+            elif t is float:
+                append(_float_text(v))
+            elif v is True:
+                append("true")
+            elif v is False:
+                append("false")
+            elif v is None:
+                append("null")
+            else:
+                _render(v, append, inner)
+        append(indent + "}")
+    elif t is list or t is tuple or isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for v in o:
+            t = type(v)
+            if t is float:
+                append(sep + _float_text(v))
+            elif t is str:
+                append(sep + _encode_str(v))
+            else:
+                append(sep)
+                _render(v, append, inner)
+            sep = "," + inner
+        append(indent + "]")
+    else:
+        text = _scalar_text(o)
+        if text is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        append(text)
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as indented JSON text with a final newline, byte for byte what
+    json.dumps gives with indent=2."""
+    chunks = []
+    _render(obj, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def _finish(config: RunConfig, name: str, payload: dict, table: str,
@@ -181,6 +288,16 @@ def _probe_config_error(e: ValueError) -> ConfigError:
     return ConfigError(f"--eps0: {e}" if isinstance(e, ScaleOverflowError) else str(e))
 
 
+def _checked(gauge: Gauge):
+    """check_gauge's report; a value that overflows on its grid (a spec the
+    constructor accepts, say a piecewise slope near the float maximum) is a
+    configuration error, named by the flag that gave the gauge."""
+    try:
+        return check_gauge(gauge)
+    except ValueError as e:
+        raise ConfigError(f"--gauge: {e}") from None
+
+
 def _verify_stage(config: RunConfig, gauge: Gauge):
     """The gauge contract checks, then, if they pass, the full algebra/metric
     sampler battery (seeds offset per stage) on the gauge marked verified.
@@ -188,7 +305,7 @@ def _verify_stage(config: RunConfig, gauge: Gauge):
     Returns the contract report, the verified gauge (None when the contract
     fails) and the sampler reports (empty when it fails).
     """
-    gauge_report = check_gauge(gauge)
+    gauge_report = _checked(gauge)
     if not gauge_report.passed:
         return gauge_report, None, []
     gauge = gauge if gauge.verified else replace(gauge, verified=True)
@@ -251,7 +368,7 @@ def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
 
 def cmd_gauge_check(config: RunConfig) -> int:
     gauge = config.resolve_gauge(default=linear_gauge)
-    report = check_gauge(gauge)
+    report = _checked(gauge)
     payload = {"command": "gauge-check", "gauge": gauge.label, **report.to_dict()}
     return _finish(config, "gauge_check_report.json", payload, report.to_text(),
                    code=EXIT_OK if report.passed else EXIT_FINDING)

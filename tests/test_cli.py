@@ -1,5 +1,6 @@
 """Exit codes, output files, and determinism of the command-line front end."""
 
+import errno
 import importlib.util
 import json
 import math
@@ -226,6 +227,24 @@ def test_kernel_overflow_is_one_line_config_error(capsys):
     assert code == 2
     assert err == "error: non-finite value in array\n"
     assert stdout == ""
+
+
+OVERFLOWING_PIECEWISE = '{"type":"piecewise","breakpoints":[1],"values":[1e308]}'
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["gauge-check"], ["verify", "--samples", "5"],
+                                     ["counterexample", "--samples", "5"]],
+                         ids=lambda c: c[0])
+def test_overflowing_gauge_is_one_line_config_error(capsys, tmp_path, command):
+    # the constructor accepts the spec, but k overflows on check_gauge's grid
+    out = tmp_path / "never"
+    code, stdout, err = run(capsys, *command, "--gauge", OVERFLOWING_PIECEWISE,
+                            "--out", str(out))
+    assert code == 2
+    assert err == "error: --gauge: non-finite value in array\n"
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_underflow_grid_is_config_error(capsys):
@@ -515,6 +534,45 @@ def test_write_atomic_cleans_up_when_rename_fails(tmp_path, monkeypatch):
             _write_atomic(tmp_path / name, "epsilon,value\n")
     assert os.listdir(tmp_path) == ["old.csv"]
     assert (tmp_path / "old.csv").read_bytes() == b"kept\n"
+
+
+def test_write_atomic_completes_partial_writes(tmp_path, monkeypatch):
+    write = os.write
+    sizes = []
+
+    def short(fd, data):
+        sizes.append(write(fd, data[:7]))
+        return sizes[-1]
+
+    text = "epsilon,value\n" + "".join(f"{i!r},\u03b5\n" for i in range(40))
+    monkeypatch.setattr(os, "write", short)
+    _write_atomic(tmp_path / "out.csv", text)
+    assert (tmp_path / "out.csv").read_bytes() == text.encode("utf-8")
+    assert len(sizes) == -(-len(text.encode("utf-8")) // 7)
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_write_atomic_cleans_up_when_a_write_fails(tmp_path, monkeypatch):
+    write = os.write
+    fds = []
+
+    def failing(fd, data):
+        fds.append(fd)
+        if len(fds) == 3:
+            raise OSError(errno.ENOSPC, "no space left")
+        return write(fd, data[:7])
+
+    (tmp_path / "old.csv").write_bytes(b"kept\n")
+    monkeypatch.setattr(os, "write", failing)
+    with pytest.raises(OSError, match="no space left"):
+        _write_atomic(tmp_path / "old.csv", "epsilon,value\n1.0,0.5\n")
+    assert os.listdir(tmp_path) == ["old.csv"]
+    assert (tmp_path / "old.csv").read_bytes() == b"kept\n"
+    # the temp file's descriptor is closed
+    assert len(set(fds)) == 1
+    with pytest.raises(OSError) as closed:
+        os.fstat(fds[0])
+    assert closed.value.errno == errno.EBADF
 
 
 def test_write_atomic_steps_past_a_taken_temp_name(tmp_path):
