@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -272,13 +273,14 @@ def _json_text(obj) -> str:
     return "".join(chunks)
 
 
-def _finish(config: RunConfig, name: str, payload: dict, table: str,
+def _finish(config: RunConfig, name: str, payload: dict, table: Callable[[], str],
             files: dict[str, str] | None = None, code: int = EXIT_OK) -> int:
     """The one output path: write the payload JSON as `name` plus the extra
-    files under --out, print the JSON or the table, and return code."""
+    files under --out, print the JSON or the table, and return code.  table
+    builds the table text; it is called only when the table is printed."""
     text = _json_text(payload)
     _emit({name: text, **(files or {})}, config.out)
-    sys.stdout.write(text if config.fmt == "structured" else table)
+    sys.stdout.write(text if config.fmt == "structured" else table())
     return code
 
 
@@ -362,7 +364,7 @@ def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
         )
 
     payload = {"command": "verify", "gauge": gauge.label, **report.to_dict()}
-    return _finish(config, "verify_report.json", payload, report.to_text(),
+    return _finish(config, "verify_report.json", payload, report.to_text,
                    code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
@@ -370,7 +372,7 @@ def cmd_gauge_check(config: RunConfig) -> int:
     gauge = config.resolve_gauge(default=linear_gauge)
     report = _checked(gauge)
     payload = {"command": "gauge-check", "gauge": gauge.label, **report.to_dict()}
-    return _finish(config, "gauge_check_report.json", payload, report.to_text(),
+    return _finish(config, "gauge_check_report.json", payload, report.to_text,
                    code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
@@ -411,7 +413,8 @@ def cmd_probe(config: RunConfig, probe: str, points: list) -> int:
         if cls.get(key) is not None:
             lines.append(f"{key}: {cls[key]!r}")
     table = csv + "\n".join(lines) + "\n"
-    return _finish(config, f"probe_{probe}.json", summary, table, {f"probe_{probe}.csv": csv})
+    return _finish(config, f"probe_{probe}.json", summary, lambda: table,
+                   {f"probe_{probe}.csv": csv})
 
 
 def _probe_metric_diff(config, gauge, report) -> int:
@@ -430,7 +433,8 @@ def _probe_metric_diff(config, gauge, report) -> int:
     for c in report.seminorm_checks:
         status = "PASS" if c.passed else "FAIL"
         lines.append(f"  {status}  {c.name}: worst={c.worst_violation!r}")
-    return _finish(config, "probe_metric-diff.json", payload, "\n".join(lines) + "\n", files)
+    table = "\n".join(lines) + "\n"
+    return _finish(config, "probe_metric-diff.json", payload, lambda: table, files)
 
 
 def cmd_counterexample(config: RunConfig) -> int:
@@ -527,7 +531,8 @@ def cmd_counterexample(config: RunConfig) -> int:
         "pattern reproduced" if reproduced
         else f"counterexample pattern not reproduced: {deviation}"
     )
-    return _finish(config, "counterexample_report.json", payload, "\n".join(lines) + "\n",
+    table = "\n".join(lines) + "\n"
+    return _finish(config, "counterexample_report.json", payload, lambda: table,
                    files, EXIT_OK if reproduced else EXIT_FINDING)
 
 

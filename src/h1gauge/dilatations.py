@@ -9,15 +9,16 @@ the gauge dilatation into the euclidean one and transporting the group law.
 The *_array functions hold the formulas and act on (n, 3) point arrays; eps
 may be one scale or one scale per row.  dilate, euclidean_dilate,
 gauge_dilate, flatten, unflatten and transported_mul are one-row calls into
-them; gauge_dilate_at and rescaled_product compose those.
+them; gauge_dilate_at and rescaled_product compose those.  The gauge kernels
+call unchecked private bodies and check only their own result, once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gauges import Gauge, g_array, g_inverse_array, require_verified
-from .heisenberg import H1Point, check_finite, from_row, inv, mul, mul_array, points_array, to_row
+from .gauges import Gauge, _g, _G, require_verified
+from .heisenberg import H1Point, _mul, _points, check_finite, from_row, inv, mul, to_row
 
 
 def dilate(eps: float, p: H1Point) -> H1Point:
@@ -96,29 +97,42 @@ def gauge_dilate_array(gauge: Gauge, eps, p: np.ndarray) -> np.ndarray:
     _check_eps_array(eps)
     require_verified(gauge)
     xbar = p[:, 2]
-    vert = np.sign(xbar) * g_inverse_array(gauge, eps * g_array(gauge, np.abs(xbar)))
-    return points_array(eps * p[:, 0], eps * p[:, 1], vert)
+    vert = np.sign(xbar) * _G(gauge, eps * _g(gauge, np.abs(xbar)))
+    return check_finite(_points(eps * p[:, 0], eps * p[:, 1], vert))
+
+
+def _flatten(gauge: Gauge, p: np.ndarray) -> np.ndarray:
+    xbar = p[:, 2]
+    return _points(p[:, 0], p[:, 1], np.sign(xbar) * _g(gauge, np.abs(xbar)))
+
+
+def _unflatten(gauge: Gauge, p: np.ndarray) -> np.ndarray:
+    t = p[:, 2]
+    return _points(p[:, 0], p[:, 1], np.sign(t) * _G(gauge, np.abs(t)))
 
 
 def flatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
     """Vertical reparametrization (x, xbar) -> (x, sgn(xbar) * g(|xbar|)),
     row by row."""
     require_verified(gauge)
-    xbar = p[:, 2]
-    return points_array(p[:, 0], p[:, 1], np.sign(xbar) * g_array(gauge, np.abs(xbar)))
+    return check_finite(_flatten(gauge, p))
 
 
 def unflatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
     """Inverse reparametrization (x, t) -> (x, sgn(t) * (t^2 + k(|t|))), row
     by row."""
     require_verified(gauge)
-    t = p[:, 2]
-    return points_array(p[:, 0], p[:, 1], np.sign(t) * g_inverse_array(gauge, np.abs(t)))
+    return check_finite(_unflatten(gauge, p))
+
+
+def _transported_mul(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    u = _unflatten(gauge, np.concatenate((p, q)))
+    return _flatten(gauge, _mul(u[:len(p)], u[len(p):]))
 
 
 def transported_mul_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Group product transported through the flattening map, row by row; a
     (1, 3) operand broadcasts.  Both operands are unflattened in one call on
     their rows stacked."""
-    u = unflatten_array(gauge, np.concatenate((p, q)))
-    return flatten_array(gauge, mul_array(u[:len(p)], u[len(p):]))
+    require_verified(gauge)
+    return check_finite(_transported_mul(gauge, p, q))

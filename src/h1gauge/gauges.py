@@ -15,7 +15,8 @@ runs once per Gauge, when the Gauge is built.  Each kernel call then reads
 the least of its arguments once, as the entry at its argmin (the first NaN,
 if there is one), which costs less per call than a ufunc reduction: that one
 value serves the >= 0 guard and, on a self-similar table, the test whether
-every row is at or above the table.
+every row is at or above the table.  Each public kernel is that guard and
+check_finite around an unchecked body (_k, _G, _g) that composites call.
 The scalar k and g of the piecewise and linear gauges are one-element calls
 into their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
 are what the element-by-element path maps over a raw callable, and
@@ -227,13 +228,14 @@ def _linear_g(s: float) -> float:
 
 
 def _linear_g_array(s: np.ndarray, least: float) -> np.ndarray:
-    return 2.0 * s / (1.0 + np.sqrt(1.0 + 4.0 * s))
+    return s / (0.5 + np.sqrt(0.25 + s))
 
 
 def linear_gauge() -> Gauge:
     """k(t) = t.  The profile t + t^2 inverts in closed form; the expression
-    2s/(1 + sqrt(1 + 4s)) is the cancellation-free equivalent of
-    (sqrt(1 + 4s) - 1)/2."""
+    s/(0.5 + sqrt(0.25 + s)) is the cancellation-free equivalent of
+    sqrt(0.25 + s) - 0.5; it rounds as 2s/(1 + sqrt(1 + 4s)) does, but
+    cannot overflow."""
     return Gauge(k=_linear_k, label="linear", g_closed=_linear_g, verified=True,
                  spec={"type": "linear"})
 
@@ -343,31 +345,50 @@ def _array_path(gauge: Gauge):
     return _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
 
 
+def _min(x: np.ndarray) -> float:
+    """The minimum of a 1-d x (inf when x is empty), read at argmin, which
+    finds the first NaN, so a NaN makes the minimum NaN."""
+    return x[x.argmin()] if x.size else math.inf
+
+
 def _least(x: np.ndarray, what: str) -> float:
-    """The minimum of a 1-d x (inf when x is empty), once x >= 0 is checked.
-    argmin finds the first NaN, so a NaN makes the minimum NaN; only then
-    does a second pass look for the most negative argument beside it, which
-    the error names."""
-    least = x[x.argmin()] if x.size else math.inf
+    """_min(x), once x >= 0 is checked.  Only when the minimum is NaN does a
+    second pass look for the most negative argument beside it, which the
+    error names."""
+    least = _min(x)
     worst = np.fmin.reduce(x) if math.isnan(least) else least
     if worst < 0.0:
         raise ValueError(f"{what} argument must be >= 0, got {float(worst)!r}")
     return least
 
 
+# The unchecked bodies of k_array, g_inverse_array and g_array, for entries
+# >= 0 (or NaN); least is their minimum, read here unless the caller has it.
+def _k(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
+    return gauge._path[0](t, _min(t) if least is None else least)
+
+
+def _G(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
+    return _k(gauge, t, least) + t * t
+
+
+def _g(gauge: Gauge, s: np.ndarray, least: float | None = None) -> np.ndarray:
+    return gauge._path[1](s, _min(s) if least is None else least)
+
+
 def k_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     """k on a 1-d array of t >= 0."""
-    return check_finite(gauge._path[0](t, _least(t, "k")))
+    return check_finite(_k(gauge, t, _least(t, "k")))
 
 
 def g_inverse_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     """The profile G(t) = k(t) + t^2 on a 1-d array of t >= 0."""
-    return check_finite(gauge._path[0](t, _least(t, "profile")) + t * t)
+    return check_finite(_G(gauge, t, _least(t, "profile")))
 
 
 def g_array(gauge: Gauge, s: np.ndarray) -> np.ndarray:
     """g on a 1-d array of s >= 0."""
-    return check_finite(gauge._path[1](s, _least(s, "g")))
+    return check_finite(_g(gauge, s, _least(s, "g")))
 
 
 def default_check_grid() -> tuple[float, ...]:
@@ -380,16 +401,20 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_grid(pts: np.ndarray) -> np.ndarray:
+def _check_arrays(grid) -> tuple[np.ndarray, ...]:
+    """check_gauge's inputs on a grid, once it is validated: the grid, the
+    pairs i < j of its every third point (row by row), their midpoints, and
+    max(1, t) on the grid."""
+    pts = np.array(grid, dtype=float)
     if pts.ndim != 1 or len(pts) < 4 or not (pts > 0.0).all() or (np.diff(pts) < 0.0).any():
         raise ValueError("check grid must be >= 4 positive ascending points")
-    return pts
+    sub = pts[::3]
+    a, b = np.triu_indices(len(sub), k=1)
+    return pts, a, b, 0.5 * (sub[a] + sub[b]), np.maximum(1.0, pts)
 
 
-# check_gauge's default inputs, built and validated once: the grid and its
-# midpoint pairs
-_CHECK_GRID = _frozen(_check_grid(np.array(default_check_grid())))
-_CHECK_PAIRS = tuple(map(_frozen, np.triu_indices(len(_CHECK_GRID[::3]), k=1)))
+# check_gauge's default inputs, built and validated once
+_CHECK_ARRAYS = tuple(map(_frozen, _check_arrays(default_check_grid())))
 
 
 def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
@@ -399,7 +424,7 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     midpoint convexity on sampled pairs; g/G round-trips within INV_TOL
     (mixed absolute/relative).  Witnesses reproduce the worst violations.
     """
-    pts = _CHECK_GRID if grid is None else _check_grid(np.array(grid, dtype=float))
+    pts, a, b, mids, scale = _CHECK_ARRAYS if grid is None else _check_arrays(grid)
     report = VerificationReport(f"gauge-check: {gauge.label}")
 
     k0 = gauge.k(0.0)
@@ -414,7 +439,9 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     )
 
     ks = k_array(gauge, pts)
-    gaps = np.diff(ks, prepend=k0)
+    gaps = ks.copy()
+    gaps[1:] -= ks[:-1]
+    gaps[0] -= k0
     i = int(np.argmin(gaps))
     report.add(
         PropertyCheck(
@@ -427,10 +454,9 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     )
 
     sub, subk = pts[::3], ks[::3]
-    # the pairs i < j, row by row
-    a, b = _CHECK_PAIRS if grid is None else np.triu_indices(len(sub), k=1)
-    mid = (k_array(gauge, 0.5 * (sub[a] + sub[b])) - 0.5 * (subk[a] + subk[b])) / np.maximum(
-        1.0, np.maximum(np.abs(subk[a]), np.abs(subk[b]))
+    ka, kb = subk[a], subk[b]
+    mid = (k_array(gauge, mids) - 0.5 * (ka + kb)) / np.maximum(
+        1.0, np.maximum(np.abs(ka), np.abs(kb))
     )
     i = int(np.argmax(mid))
     report.add(
@@ -443,10 +469,9 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
         )
     )
 
-    scale = np.maximum(1.0, pts)
-    there = np.abs(g_array(gauge, g_inverse_array(gauge, pts)) - pts) / scale
-    back = np.abs(g_inverse_array(gauge, g_array(gauge, pts)) - pts) / scale
-    rt = np.stack((there, back), axis=1).ravel()  # per t: g(G(t)) first, then G(g(s))
+    rt = np.empty(2 * len(pts))  # per t: g(G(t)) first, then G(g(s))
+    rt[0::2] = np.abs(g_array(gauge, g_inverse_array(gauge, pts)) - pts) / scale
+    rt[1::2] = np.abs(g_inverse_array(gauge, g_array(gauge, pts)) - pts) / scale
     i = int(np.argmax(rt))
     report.add(
         PropertyCheck(

@@ -6,11 +6,12 @@ row; every array they return passes check_finite, the array form of the
 H1Point invariant.  A scalar function on H1Points is a one-row call into its
 kernel: to_row and from_row carry a point to a (1, 3) array and back.
 
-Guard policy: a kernel checks its result, not its inputs, with one
-finiteness test (check_finite: np.isfinite, then np.count_nonzero against the
-size, which costs less per call than a ufunc reduction).  A NaN or an
+Guard policy: a public kernel checks its result, not its inputs, once, with
+one finiteness test (check_finite: np.isfinite, then np.count_nonzero against
+the size, which costs less per call than a ufunc reduction).  A NaN or an
 infinity in an input, and an overflow on the way, all reach the result, so
-each raises the same ValueError there.
+each raises the same ValueError there.  A composite kernel calls unchecked
+private bodies (_points, _mul, ...) and checks only its own result.
 
 A row maximum (point_diff_array, point_scale_array) is a reduction over the
 leading axis of the transposed, contiguous copy: numpy takes it as a few
@@ -100,17 +101,25 @@ def check_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _points(x1: np.ndarray, x2: np.ndarray, xbar: np.ndarray) -> np.ndarray:
+    return np.array((x1, x2, xbar)).T
+
+
 def points_array(x1: np.ndarray, x2: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     """The (n, 3) array with columns x1, x2, xbar (equally long, checked)."""
-    return check_finite(np.array((x1, x2, xbar)).T)
+    return check_finite(_points(x1, x2, xbar))
+
+
+def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    out = p + q
+    out[:, 2] += 2.0 * symplectic_area(p.T, q.T)
+    return out
 
 
 def mul_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Group product row by row: horizontals add, verticals add plus twice
     the symplectic area.  A (1, 3) operand broadcasts against (n, 3)."""
-    out = p + q
-    out[:, 2] += 2.0 * symplectic_area(p.T, q.T)
-    return check_finite(out)
+    return check_finite(_mul(p, q))
 
 
 def inv_array(p: np.ndarray) -> np.ndarray:

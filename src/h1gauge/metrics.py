@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilatations import (
+    _transported_mul,
     dilate_array,
     euclidean_dilate_array,
     flatten_array,
@@ -37,9 +38,10 @@ from .dilatations import (
     transported_mul_array,
     unflatten_array,
 )
-from .gauges import Gauge, g_array, require_verified
+from .gauges import Gauge, _g, require_verified
 from .heisenberg import (
     H1Point,
+    _mul,
     check_finite,
     inv,
     inv_array,
@@ -84,6 +86,8 @@ def flat_dist(gauge: Gauge, p: H1Point, q: H1Point) -> float:
 
 
 # --- (n, 3) arrays, one point per row ---------------------------------------
+# A distance is the norm of the unchecked group step _mul(-p, q): a NaN or an
+# infinity in the step reaches the norm, whose check is the only one.
 
 
 def _max_with_horizontal(p: np.ndarray, vertical: np.ndarray) -> np.ndarray:
@@ -99,7 +103,7 @@ def intrinsic_norm_array(p: np.ndarray) -> np.ndarray:
 def gauge_norm_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
     """max of the horizontal norm and g of the vertical part, row by row."""
     require_verified(gauge)
-    return _max_with_horizontal(p, g_array(gauge, np.abs(p[:, 2])))
+    return _max_with_horizontal(p, _g(gauge, np.abs(p[:, 2])))
 
 
 def flat_norm_array(p: np.ndarray) -> np.ndarray:
@@ -109,15 +113,16 @@ def flat_norm_array(p: np.ndarray) -> np.ndarray:
 
 
 def intrinsic_dist_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return intrinsic_norm_array(mul_array(inv_array(p), q))
+    return intrinsic_norm_array(_mul(-p, q))
 
 
 def gauge_dist_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return gauge_norm_array(gauge, mul_array(inv_array(p), q))
+    return gauge_norm_array(gauge, _mul(-p, q))
 
 
 def flat_dist_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return flat_norm_array(transported_mul_array(gauge, inv_array(p), q))
+    require_verified(gauge)
+    return flat_norm_array(_transported_mul(gauge, -p, q))
 
 
 # Largest admitted box half-width: products of sampled coordinates stay
@@ -143,9 +148,10 @@ class SampleBox:
                 )
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points from the box as an (n, 3) array."""
+        """n points from the box as an (n, 3) array, finite with no check:
+        no coordinate exceeds a half-width, at most MAX_HALF_WIDTH."""
         half = (self.horizontal, self.horizontal, self.vertical)
-        return check_finite(rng.uniform(-1.0, 1.0, size=(n, 3)) * half)
+        return rng.uniform(-1.0, 1.0, size=(n, 3)) * half
 
 
 def scaled_excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:

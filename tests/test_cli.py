@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
-from h1gauge.gauges import Gauge
+from h1gauge.gauges import Gauge, invert_g, linear_gauge
+from h1gauge.report import VerificationReport
 
 
 def run(capsys, *argv):
@@ -65,6 +66,18 @@ def test_probe_derivability(capsys):
     summary = json.loads(stdout)
     assert summary["classification"]["kind"] == "converged"
     assert summary["parameters"]["closed_form_residual"] <= 1e-9
+
+
+def test_probes_near_the_float_maximum(capsys, tmp_path):
+    """The linear gauge's g stays finite where 4s would overflow: the vertical
+    limit at ubar 5e307 starts at g(5e307), and derivability there holds."""
+    out = tmp_path / "a"
+    code, _, _ = run(capsys, "probe", "a", "--ubar", "5e307", "--out", str(out))
+    assert code == 0
+    eps, value = (out / "probe_a.csv").read_text().split("\n")[1].split(",")
+    assert float(eps) == 1.0
+    assert float(value) == pytest.approx(invert_g(linear_gauge(), 5e307), rel=1e-15)
+    assert run(capsys, "probe", "derivability", "--u=0,0,5e307")[::2] == (0, "")
 
 
 # Exact g, ill-conditioned G: just past a knot the slope of G jumps (1e-6 to
@@ -312,6 +325,16 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 # --- verify ------------------------------------------------------------------------
+
+def test_structured_output_builds_no_table(capsys, monkeypatch):
+    def table(self):
+        raise AssertionError("the table text was built for structured output")
+
+    monkeypatch.setattr(VerificationReport, "to_text", table)
+    for argv in (["verify", "--samples", "12"], ["gauge-check"]):
+        code, stdout, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0 and json.loads(stdout)["passed"] is True
+
 
 def test_verify_linear_passes(capsys, tmp_path):
     out = tmp_path / "v"

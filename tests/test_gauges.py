@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import reference
 from h1gauge.gauges import (
@@ -53,6 +53,30 @@ def test_linear_closed_form_matches_naive_expression():
 @given(st.floats(min_value=0.0, max_value=1e4))
 def test_linear_bisection_agrees_with_closed_form(s):
     assert abs(invert_g(LIN, s) - LIN.g_closed(s)) <= 1e-12
+
+
+@given(st.floats(min_value=0.0, max_value=4e307))
+@example(5e-324)
+@example(2.2250738585072014e-308)
+def test_linear_closed_form_is_the_doubled_form_to_the_bit(s):
+    """s/(0.5 + sqrt(0.25 + s)) is 2s/(1 + sqrt(1 + 4s)) scaled by powers of
+    two, so wherever the doubled form is finite both give the same double."""
+    assert g_array(LIN, np.array([s]))[0] == 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
+
+
+@given(st.floats(min_value=4e307, max_value=1.7976931348623157e308))
+@example(4.49e307)
+@example(8.99e307)
+@example(1.7976931348623157e308)
+def test_linear_g_is_finite_up_to_the_float_maximum(s):
+    """4s overflows from about 4.49e307, but g(s) is about sqrt(s): the
+    closed form agrees with bisection and with the 50-digit root there."""
+    closed = g_eval(LIN, s)
+    assert closed == g_array(LIN, np.array([s]))[0]
+    with mpmath.workdps(50):
+        root = float(mpmath.sqrt(mpmath.mpf(s) + mpmath.mpf(0.25)) - mpmath.mpf(0.5))
+    assert abs(closed - root) <= 1e-15 * root
+    assert abs(closed - invert_g(LIN, s)) <= 1e-15 * root
 
 
 def test_invert_g_rejects_negative():

@@ -5,7 +5,8 @@ Each kernel of heisenberg, gauges, dilatations and metrics is fed a NaN row,
 a +inf row, a -inf row, a NaN or an infinity at the first, a middle and the
 last position of a finite input, an input whose result overflows, and an
 empty (0, 3) or (0,) array; the gauge kernels also get negative arguments
-with and without NaNs beside them, and the dilatations empty, 0-d and bad
+with and without NaNs beside them, the two-operand composites one bad
+operand beside a finite one, and the dilatations empty, 0-d and bad
 scales.  check_finite itself is fed every position of 0-d, 1-d, (n, 3) and
 empty arrays.  The exception type and its message are pinned exactly, and
 empty input must give empty output, so a leaner guard cannot raise anywhere
@@ -14,12 +15,13 @@ point_diff_array and point_scale_array are held bit for bit to the
 .max(axis=1) form kept in tests/reference.py.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import reference as ref
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from h1gauge import dilatations, gauges, heisenberg, metrics
 from h1gauge.gauges import linear_gauge, oscillatory_gauge, verified_gauge
@@ -105,6 +107,17 @@ GAUGE_KERNELS = {
     "g_inverse_array": ("profile", gauges.g_inverse_array),
     "g_array": ("g", gauges.g_array),
 }
+# the two-operand composites, each a check of its own result on unchecked
+# bodies, so each is also fed one bad operand beside a finite one
+TWO_OPERAND_KERNELS = {
+    "mul_array": heisenberg.mul_array,
+    "intrinsic_dist_array": metrics.intrinsic_dist_array,
+    **{f"{name}[{g}]": functools.partial(kernel, gauge)
+       for name, kernel in (("transported_mul_array", dilatations.transported_mul_array),
+                            ("gauge_dist_array", metrics.gauge_dist_array),
+                            ("flat_dist_array", metrics.flat_dist_array))
+       for g, gauge in GAUGES.items()},
+}
 EPS_KERNELS = {
     "dilate_array": dilatations.dilate_array,
     "euclidean_dilate_array": dilatations.euclidean_dilate_array,
@@ -116,7 +129,7 @@ FINITE_ON_OVERFLOW = {
     "check_finite", "points_array", "inv_array", "point_diff_array", "point_scale_array",
     "intrinsic_norm_array", "flat_norm_array", "flatten_array", "gauge_norm_array",
     ("k_array", "linear"), ("k_array", "oscillatory"),
-    ("g_array", "oscillatory"), ("g_array", "square"),
+    ("g_array", "linear"), ("g_array", "oscillatory"), ("g_array", "square"),
 }
 
 
@@ -171,6 +184,26 @@ def test_gauge_kernel_guards(name, gauge, case):
                    (name, gauge) in FINITE_ON_OVERFLOW, len(x), what, ARGS[case])
 
 
+@pytest.mark.parametrize("name", sorted(GAUGE_POINT_KERNELS))
+def test_gauge_point_kernels_reject_an_unverified_gauge(name):
+    raw = gauges.Gauge(k=lambda t: t * t, label="raw")
+    assert _outcome(lambda: GAUGE_POINT_KERNELS[name](raw, np.full((2, 3), 0.25))) == (
+        ValueError, "gauge 'raw' is unverified; pass it through verified_gauge/check_gauge first")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("operand", ["p", "q"])
+@pytest.mark.parametrize("case", sorted(PLACED))
+@pytest.mark.parametrize("name", sorted(TWO_OPERAND_KERNELS))
+def test_two_operand_kernels_see_one_bad_operand(name, case, operand):
+    """A NaN or an infinity at the first, a middle or the last position of
+    one operand, the other finite, raises what the same value in both does."""
+    operands = {"p": np.full((3, 3), 0.25), "q": np.full((3, 3), 0.25)}
+    operands[operand] = _placed((3, 3), *PLACED[case])
+    _assert_pinned(lambda: TWO_OPERAND_KERNELS[name](operands["p"], operands["q"]), case,
+                   False, 3)
+
+
 @pytest.mark.parametrize("where", PLACES)
 @pytest.mark.parametrize("value", [*NON_FINITE_VALUES, "finite"])
 @pytest.mark.parametrize("shape", [(), (5,), (4, 3), (0,), (0, 3)], ids=repr)
@@ -215,6 +248,23 @@ def test_gauge_kernels_take_integer_arguments(name, gauge):
 
 def test_empty_draw():
     assert metrics.SampleBox().draw(np.random.default_rng(0), 0).shape == (0, 3)
+
+
+HALF_WIDTHS = st.floats(0.0, metrics.MAX_HALF_WIDTH, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(horizontal=HALF_WIDTHS, vertical=HALF_WIDTHS, seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(0, 300))
+@example(horizontal=metrics.MAX_HALF_WIDTH, vertical=metrics.MAX_HALF_WIDTH, seed=0, rows=300)
+@example(horizontal=5e-324, vertical=metrics.MAX_HALF_WIDTH, seed=1, rows=1)
+def test_draw_is_finite_for_every_admitted_box(horizontal, vertical, seed, rows):
+    """SampleBox.draw returns its points unchecked: uniform(-1, 1) times a
+    half-width of at most MAX_HALF_WIDTH is finite and no larger than the
+    half-width."""
+    p = metrics.SampleBox(horizontal, vertical).draw(np.random.default_rng(seed), rows)
+    assert p.shape == (rows, 3) and np.isfinite(p).all()
+    assert (np.abs(p) <= [horizontal, horizontal, vertical]).all()
 
 
 @pytest.mark.parametrize("grid", [[[1.0, 2.0, 3.0, 4.0]], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
