@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: parsing, the output path and the table text; the
+library computes the rest (the verify battery is `metrics.sample_battery`).
 
 Subcommands: verify (algebra and metric samplers), probe (limit traces),
 counterexample (one-shot reproduction of the oscillatory-gauge failure
@@ -6,7 +7,8 @@ pattern), gauge-check (contract checks only).
 
 Exit codes: 0 success / pattern reproduced, 1 property violation or pattern
 deviation, 2 configuration or usage error.  Configs are validated before any
-computation runs, so exit 2 never leaves partial output files.  All file
+computation runs, and every output name is checked before the first write, so
+exit 2 leaves no partial output files unless a write itself fails.  All file
 writes are atomic (temp file + rename, written with os.write and no buffered
 file object) and all floats are rendered through repr, so identical configs
 produce byte-identical outputs.  Reports are rendered by a private recursive
@@ -17,6 +19,7 @@ to the standard library's `json.dumps` with `indent=2`, byte for byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -30,11 +33,6 @@ import numpy as np
 from .gauges import Gauge, check_gauge, linear_gauge, load_gauge, oscillatory_gauge
 from .heisenberg import H1Point, identity
 from .limits import (
-    DEFAULT_ATOL,
-    DEFAULT_COUNT,
-    DEFAULT_EPS0,
-    DEFAULT_RATIO,
-    DEFAULT_WINDOW,
     EpsGrid,
     ScaleOverflowError,
     id_derivability_probe,
@@ -43,24 +41,7 @@ from .limits import (
     rescaled_product_probe,
     vertical_limit_probe,
 )
-from .metrics import (
-    SampleBox,
-    flat_dist_array,
-    gauge_dist_array,
-    intrinsic_dist_array,
-    sample_conjugation,
-    sample_flatten_homomorphism,
-    sample_group_axioms,
-    sample_homogeneity,
-    sample_intrinsic_dilation,
-    sample_isometry,
-    sample_left_invariance,
-    sample_lipschitz_id,
-    sample_rescale_identity,
-    sample_semigroup,
-    sample_transported_axioms,
-    sample_triangle,
-)
+from .metrics import SampleBox, sample_battery
 from .report import PropertyCheck, VerificationReport
 
 EXIT_OK = 0
@@ -85,22 +66,12 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     gauge_source: str | None = None
-    eps0: float = DEFAULT_EPS0
-    ratio: float = DEFAULT_RATIO
-    count: int = DEFAULT_COUNT
-    window: int = DEFAULT_WINDOW
-    atol: float = DEFAULT_ATOL
+    grid: EpsGrid = EpsGrid()
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
     box: SampleBox = field(default_factory=SampleBox)
     out: Path | None = None
     fmt: str = "table"
-
-    def grid(self) -> EpsGrid:
-        try:
-            return EpsGrid(self.eps0, self.ratio, self.count, self.window, self.atol)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
 
     def validate_sampling(self) -> None:
         if self.samples < 1:
@@ -159,14 +130,21 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
+    """Write each output under out_dir.  A file in the way of the directory
+    or a directory in the way of any output name is found before the first
+    write; it, or a write that fails, is a configuration error."""
     if out_dir is None:
         return
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as e:  # a file is in the way
+        with os.scandir(out_dir) as entries:  # a symlink is replaced, not followed
+            for entry in entries:
+                if entry.name in outputs and entry.is_dir(follow_symlinks=False):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), entry.path)
+        for name, text in outputs.items():
+            _write_atomic(out_dir / name, text)
+    except OSError as e:
         raise ConfigError(f"--out: {e}") from None
-    for name, text in outputs.items():
-        _write_atomic(out_dir / name, text)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -301,8 +279,8 @@ def _checked(gauge: Gauge):
 
 
 def _verify_stage(config: RunConfig, gauge: Gauge):
-    """The gauge contract checks, then, if they pass, the full algebra/metric
-    sampler battery (seeds offset per stage) on the gauge marked verified.
+    """The gauge contract checks, then, if they pass, the sampler battery on
+    the gauge marked verified.
 
     Returns the contract report, the verified gauge (None when the contract
     fails) and the sampler reports (empty when it fails).
@@ -311,32 +289,7 @@ def _verify_stage(config: RunConfig, gauge: Gauge):
     if not gauge_report.passed:
         return gauge_report, None, []
     gauge = gauge if gauge.verified else replace(gauge, verified=True)
-    n, seed, box = config.samples, config.seed, config.box
-    reports = list(sample_group_axioms(n, seed, box))
-    reports.append(sample_intrinsic_dilation(n, seed + 1, box))
-    reports.append(
-        sample_triangle(intrinsic_dist_array, "triangle-intrinsic", n, seed + 2, box)
-    )
-    reports.append(
-        sample_triangle(
-            lambda p, q: gauge_dist_array(gauge, p, q), "triangle-gauge", n, seed + 3, box
-        )
-    )
-    reports.append(
-        sample_triangle(
-            lambda p, q: flat_dist_array(gauge, p, q), "triangle-transported", n, seed + 4, box
-        )
-    )
-    reports.append(sample_lipschitz_id(gauge, n, seed + 5, box))
-    reports.append(sample_left_invariance(gauge, n, seed + 6, box))
-    reports.append(sample_isometry(gauge, n, seed + 7, box))
-    reports.append(sample_semigroup(gauge, n, seed + 8, box))
-    reports.append(sample_homogeneity(gauge, n, seed + 9, box))
-    reports.append(sample_rescale_identity(gauge, n, seed + 10, box))
-    reports.append(sample_conjugation(gauge, n, seed + 11, box))
-    reports.append(sample_flatten_homomorphism(gauge, n, seed + 12, box))
-    reports.extend(sample_transported_axioms(gauge, n, seed + 13, box))
-    return gauge_report, gauge, reports
+    return gauge_report, gauge, sample_battery(gauge, config.samples, config.seed, config.box)
 
 
 def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
@@ -392,11 +345,10 @@ def cmd_probe(config: RunConfig, probe: str, points: list) -> int:
     """Run one limit probe on its points, in the flag order of `PROBES`;
     classification is a finding, so completion is exit 0 regardless of the
     outcome."""
-    grid = config.grid()
     gauge = config.resolve_gauge(default=linear_gauge)
 
     try:
-        result = PROBES[probe][0](gauge, *points, grid)
+        result = PROBES[probe][0](gauge, *points, config.grid)
     except ValueError as e:
         raise _probe_config_error(e) from None
     except ArithmeticError as e:
@@ -446,7 +398,6 @@ def cmd_counterexample(config: RunConfig) -> int:
     witness, and the rescaled-product/scalar agreement check concurs.  Exit 0
     iff the whole pattern is reproduced; the first deviation is reported.
     """
-    grid = config.grid()
     config.validate_sampling()
     gauge = config.resolve_gauge(default=oscillatory_gauge)
 
@@ -469,7 +420,7 @@ def cmd_counterexample(config: RunConfig) -> int:
     files = {}
     if working is not None:  # without a valid gauge none of the probes can run
         try:
-            trace_a = vertical_limit_probe(working, 1.0, grid)
+            trace_a = vertical_limit_probe(working, 1.0, config.grid)
             cls_a = trace_a.classification
             oscillating = cls_a.kind == "oscillating"
             record(
@@ -481,11 +432,11 @@ def cmd_counterexample(config: RunConfig) -> int:
             )
 
             p, q = H1Point(1.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)
-            trace_b = rescaled_product_probe(working, p, q, grid)
+            trace_b = rescaled_product_probe(working, p, q, config.grid)
             kind_b = trace_b.classification.kind
             record("beta-probe", "non-converged", kind_b, kind_b != "converged")
 
-            md = metric_diff_probe(working, identity(), grid)
+            md = metric_diff_probe(working, identity(), config.grid)
             has_witness = (not md.differentiable) and md.witness is not None
             record(
                 "metric-diff",
@@ -494,7 +445,7 @@ def cmd_counterexample(config: RunConfig) -> int:
                 has_witness,
             )
 
-            eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, grid)
+            eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, config.grid)
             record(
                 "equivalence",
                 "agreement",
@@ -586,8 +537,8 @@ FLAG_GROUPS = {
 
 def _add_command(subs, name: str, help: str, *groups: str) -> argparse.ArgumentParser:
     """A sub-parser with exactly the flags of `groups`, spelled in full.  A
-    flag left out is absent from the parsed namespace, so its `RunConfig`
-    field keeps its default."""
+    flag left out is absent from the parsed namespace, so its `RunConfig` or
+    `EpsGrid` field keeps its default."""
     sub = subs.add_parser(name, help=help, allow_abbrev=False,
                           argument_default=argparse.SUPPRESS)
     for group in groups:
@@ -625,10 +576,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
+_GRID_FIELDS = frozenset(f.name for f in fields(EpsGrid))
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(**{k: v for k, v in vars(args).items() if k in _RUN_FIELDS})
+    """The config of the parsed flags, its grid built from the grid flags given
+    and so validated before anything else."""
+    given = vars(args)
+    try:
+        grid = EpsGrid(**{k: v for k, v in given.items() if k in _GRID_FIELDS})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    return RunConfig(grid=grid, **{k: v for k, v in given.items() if k in _RUN_FIELDS})
 
 
 def main(argv=None) -> int:

@@ -295,6 +295,8 @@ def invert_g(gauge: Gauge, s: float) -> float:
         raise ValueError(f"g argument must be >= 0, got {s!r}")
     if s == 0.0:
         return 0.0
+    if math.isnan(s):  # no bisection step narrows a NaN
+        return s
     lo, hi = 0.0, math.sqrt(s)
     if g_inverse_eval(gauge, hi) <= s:
         return hi

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -419,3 +420,24 @@ def sample_intrinsic_dilation(n: int, seed: int, box: SampleBox = SampleBox()):
 
     draw = _scaled_points(np.random.default_rng(seed), box, 2, -3.0, 3.0)
     return _worst("intrinsic-dilation-scaling", n, TOL_ALGEBRA, draw, violation)
+
+
+def sample_battery(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+    """The verify battery: each sampler above on n samples from box, in report
+    order, its i-th call seeded with seed + i, on a verified gauge."""
+    return [
+        *sample_group_axioms(n, seed, box),
+        sample_intrinsic_dilation(n, seed + 1, box),
+        sample_triangle(intrinsic_dist_array, "triangle-intrinsic", n, seed + 2, box),
+        sample_triangle(partial(gauge_dist_array, gauge), "triangle-gauge", n, seed + 3, box),
+        sample_triangle(partial(flat_dist_array, gauge), "triangle-transported", n, seed + 4, box),
+        sample_lipschitz_id(gauge, n, seed + 5, box),
+        sample_left_invariance(gauge, n, seed + 6, box),
+        sample_isometry(gauge, n, seed + 7, box),
+        sample_semigroup(gauge, n, seed + 8, box),
+        sample_homogeneity(gauge, n, seed + 9, box),
+        sample_rescale_identity(gauge, n, seed + 10, box),
+        sample_conjugation(gauge, n, seed + 11, box),
+        sample_flatten_homomorphism(gauge, n, seed + 12, box),
+        *sample_transported_axioms(gauge, n, seed + 13, box),
+    ]

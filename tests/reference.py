@@ -457,6 +457,23 @@ def sample_intrinsic_dilation(n, seed, box=SampleBox()):
     return _worst("intrinsic-dilation-scaling", n, TOL_ALGEBRA, draw, violation)
 
 
+def sample_battery(gauge, n, seed, box=SampleBox()):
+    """The verify battery of the samplers above: its order, report names and
+    stage seeds seed + 0 .. seed + 13 written out a second time."""
+    reports = [*sample_group_axioms(n, seed, box), sample_intrinsic_dilation(n, seed + 1, box)]
+    dists = {"triangle-intrinsic": intrinsic_dist_array,
+             "triangle-gauge": lambda p, q: gauge_dist_array(gauge, p, q),
+             "triangle-transported": lambda p, q: _flat_dist_rows(gauge, p, q)}
+    for i, (name, dist) in enumerate(dists.items()):
+        reports.append(sample_triangle(dist, name, n, seed + 2 + i, box))
+    samplers = (sample_lipschitz_id, sample_left_invariance, sample_isometry, sample_semigroup,
+                sample_homogeneity, sample_rescale_identity, sample_conjugation,
+                sample_flatten_homomorphism)
+    for i, sample in enumerate(samplers):
+        reports.append(sample(gauge, n, seed + 5 + i, box))
+    return reports + sample_transported_axioms(gauge, n, seed + 13, box)
+
+
 def rescaled_product_rows(gauge, p: H1Point, q: H1Point, eps: np.ndarray) -> np.ndarray:
     """The trace rows of rescaled_product_probe, each point dilated on its own."""
     product = mul_array(gauge_dilate_array(gauge, eps, to_row(p)),

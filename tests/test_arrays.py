@@ -72,13 +72,11 @@ from h1gauge.limits import (
 )
 from h1gauge.metrics import (
     SampleBox,
-    flat_dist_array,
     flat_norm,
     flat_norm_array,
     gauge_dist_array,
     gauge_norm,
     gauge_norm_array,
-    intrinsic_dist_array,
     intrinsic_norm,
     intrinsic_norm_array,
     sample_conjugation,
@@ -550,26 +548,11 @@ def test_probes_match_scalar_formulas(gauge, site, count):
 STACKED_GAUGES = [LIN, OSC, _random_piecewise(4, 9)]
 
 
-def _battery(lib, gauge, n, seed):
-    """The verify battery of cmd_verify, run on the samplers of lib."""
-    dists = (intrinsic_dist_array, lambda p, q: gauge_dist_array(gauge, p, q),
-             lambda p, q: flat_dist_array(gauge, p, q))
-    return [
-        *lib.sample_group_axioms(n, seed),
-        lib.sample_intrinsic_dilation(n, seed + 1),
-        *(lib.sample_triangle(d, f"triangle-{i}", n, seed + 2 + i) for i, d in enumerate(dists)),
-        *(sample(gauge, n, seed + 5 + i) for i, sample in enumerate((
-            lib.sample_lipschitz_id, lib.sample_left_invariance, lib.sample_isometry,
-            lib.sample_semigroup, lib.sample_homogeneity, lib.sample_rescale_identity,
-            lib.sample_conjugation, lib.sample_flatten_homomorphism))),
-        *lib.sample_transported_axioms(gauge, n, seed + 13),
-    ]
-
-
 @pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
 @pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=_gauge_id)
 def test_stacked_samplers_match_unstacked(gauge, n):
-    got, want = _battery(metrics, gauge, n, 5), _battery(ref, gauge, n, 5)
+    box = SampleBox(3.0, 5.0)
+    got, want = metrics.sample_battery(gauge, n, 5, box), ref.sample_battery(gauge, n, 5, box)
     assert [c.name for c in got] == [c.name for c in want]
     for g, w in zip(got, want):
         assert g == w, g.name  # passed, worst_violation, witness and details included

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
-from h1gauge.gauges import Gauge, invert_g, linear_gauge
+from h1gauge.gauges import Gauge, invert_g, linear_gauge, load_gauge
+from h1gauge.metrics import SampleBox, sample_battery
 from h1gauge.report import VerificationReport
 
 
@@ -221,6 +222,41 @@ def test_out_through_a_file_is_config_error(capsys, tmp_path, below):
     assert (tmp_path / "report").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("argv, blocked", [
+    (["verify", "--samples", "5"], "verify_report.json"),
+    (["probe", "a"], "probe_a.csv"),  # the second of two outputs
+], ids=["verify", "probe-a"])
+def test_directory_in_the_way_of_an_output_is_config_error(capsys, tmp_path, argv, blocked):
+    # every output name is checked before the first write, so nothing is
+    # written beside the directory
+    (tmp_path / blocked).mkdir()
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: " \
+                  f"'{tmp_path / blocked}'\n"
+    assert os.listdir(tmp_path) == [blocked]
+
+
+def test_symlink_to_a_directory_is_replaced(capsys, tmp_path):
+    # os.replace swaps the link itself, so a link in the way is no conflict
+    (tmp_path / "d").mkdir()
+    (tmp_path / "gauge_check_report.json").symlink_to("d")
+    assert run(capsys, "gauge-check", "--out", str(tmp_path))[0] == 0
+    assert (tmp_path / "gauge_check_report.json").is_file()
+    assert os.listdir(tmp_path / "d") == []
+
+
+def test_failed_write_is_config_error(capsys, tmp_path, monkeypatch):
+    def full(path, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr("h1gauge.cli._write_atomic", full)
+    code, stdout, err = run(capsys, "gauge-check", "--out", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: --out: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: " \
+                  f"'{tmp_path / 'gauge_check_report.json'}'\n"
+
+
 def test_bad_box_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--box", "1")
     assert code == 2
@@ -318,6 +354,20 @@ def test_non_finite_atol_is_config_error(capsys, tmp_path, command, atol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["counterexample", "--count", "5", "--seed", "-1"], "count must be at least 2*window = 12 "),
+    (["verify", "--seed", "-1", "--gauge", "nope.json"], "--seed must be >= 0, got -1\n"),
+    (["probe", "a", "--atol", "nan", "--gauge", "nope.json"],
+     "--atol must be positive and finite, got nan\n"),
+], ids=["grid-before-sampling", "sampling-before-gauge", "grid-before-gauge"])
+def test_config_errors_come_grid_then_sampling_then_gauge(capsys, tmp_path, monkeypatch, argv,
+                                                          message):
+    monkeypatch.chdir(tmp_path)  # where nope.json does not exist
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -384,6 +434,18 @@ def test_verify_report_schema(capsys, tmp_path, spec, samples):
     code, table, _ = run(capsys, *argv)
     assert code == 0 and "np." not in table and table.endswith("all checks passed\n")
     assert run(capsys, "verify", *gauge, "--samples", "0")[0] == 2
+
+
+@pytest.mark.parametrize("spec", [None, '{"type": "oscillatory"}'], ids=["linear", "oscillatory"])
+def test_verify_runs_the_library_battery(capsys, spec):
+    gauge = ["--gauge", spec] if spec else []
+    code, stdout, _ = run(capsys, "verify", *gauge, "--samples", "40", "--seed", "3",
+                          "--box", "1.5,2.5", "--format", "structured")
+    assert code == 0
+    checks = [c for c in json.loads(stdout)["checks"] if not c["name"].startswith("gauge/")]
+    battery = sample_battery(load_gauge(spec) if spec else linear_gauge(), 40, 3,
+                             SampleBox(1.5, 2.5))
+    assert checks == [c.to_dict() for c in battery]
 
 
 def test_verify_concave_gauge_via_api(capsys, tmp_path):

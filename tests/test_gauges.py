@@ -88,6 +88,18 @@ def test_invert_g_rejects_negative():
         g_inverse_eval(LIN, -0.5)
 
 
+def test_raw_g_of_nan_does_not_bisect():
+    # a NaN is returned at once, not bisected to the step cap; the array
+    # kernel's result check still rejects it
+    calls = []
+    raw = Gauge(k=lambda t: calls.append(t) or t * t, label="raw")
+    calls.clear()
+    with pytest.raises(ValueError, match="non-finite value in array"):
+        g_array(raw, np.array([math.nan]))
+    assert calls == []
+    assert math.isnan(invert_g(raw, math.nan)) and calls == []
+
+
 # --- piecewise construction ---------------------------------------------------
 
 def test_piecewise_interpolation_and_extension():

@@ -10,25 +10,15 @@ from h1gauge.heisenberg import identity, point
 from h1gauge.metrics import (
     SampleBox,
     flat_dist,
-    flat_dist_array,
     flat_norm,
     gauge_dist,
-    gauge_dist_array,
     gauge_norm,
     intrinsic_dist,
     intrinsic_dist_array,
     intrinsic_norm,
-    sample_conjugation,
-    sample_flatten_homomorphism,
-    sample_group_axioms,
-    sample_homogeneity,
-    sample_intrinsic_dilation,
+    sample_battery,
     sample_isometry,
-    sample_left_invariance,
-    sample_lipschitz_id,
-    sample_rescale_identity,
     sample_semigroup,
-    sample_transported_axioms,
     sample_triangle,
 )
 
@@ -103,28 +93,7 @@ def test_triangle_sampler_catches_broken_distance():
 
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
 def test_sampler_battery_passes(gauge):
-    n, seed = 250, 42
-    reports = list(sample_group_axioms(n, seed))
-    reports.append(sample_triangle(intrinsic_dist_array, "triangle-intrinsic", n, seed + 1))
-    reports.append(
-        sample_triangle(
-            lambda p, q: gauge_dist_array(gauge, p, q), "triangle-gauge", n, seed + 2
-        )
-    )
-    reports.append(
-        sample_triangle(lambda p, q: flat_dist_array(gauge, p, q), "triangle-flat", n, seed + 3)
-    )
-    reports.append(sample_lipschitz_id(gauge, n, seed + 4))
-    reports.append(sample_left_invariance(gauge, n, seed + 5))
-    reports.append(sample_isometry(gauge, n, seed + 6))
-    reports.append(sample_semigroup(gauge, n, seed + 7))
-    reports.append(sample_homogeneity(gauge, n, seed + 8))
-    reports.append(sample_rescale_identity(gauge, n, seed + 9))
-    reports.append(sample_conjugation(gauge, n, seed + 10))
-    reports.append(sample_flatten_homomorphism(gauge, n, seed + 11))
-    reports.extend(sample_transported_axioms(gauge, n, seed + 12))
-    reports.append(sample_intrinsic_dilation(n, seed + 13))
-    failures = [r.name for r in reports if not r.passed]
+    failures = [r.name for r in sample_battery(gauge, 250, 42) if not r.passed]
     assert not failures, f"failed samplers: {failures}"
 
 
