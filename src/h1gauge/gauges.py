@@ -99,9 +99,9 @@ class PiecewiseLinearGauge:
     segment is the extension past b_n), m/2 + b for g, and the knot that
     ends the segment (inf for the last).  k_array reads the table directly;
     G is quadratic on each segment, so g = G^-1 is exact (see g_array).
-    It also keeps k at b_1 and g at G(b_1), the table's bottom, where a
-    period's scaling law takes over.  __call__ and g are one-element calls
-    into them.
+    With a period it also keeps k at b_1 and g at G(b_1), the table's
+    bottom, where the scaling law takes over.  __call__ and g are
+    one-element calls into them.
     """
 
     breakpoints: tuple[float, ...]
@@ -124,18 +124,22 @@ class PiecewiseLinearGauge:
             raise GaugeConstructionError("breakpoints must be strictly ascending")
         if q is not None and not (0.0 < q < 1.0 and bp[0] <= bp[-1] * q * q):
             raise GaugeConstructionError(f"period {q!r} must lie in (0, 1) and span two periods")
-        # Secant slopes, origin segment first.  Positive values and ascending
-        # breakpoints make the first one positive, so nondecreasing implies
-        # all positive (strict increase).
+        # Secant slopes, origin segment first: positive (strict increase) and
+        # finite, which the quotient of two finite floats need not be (it can
+        # underflow to 0 or overflow to inf), and nondecreasing (convexity).
         knots, kvals = (0.0, *bp), (0.0, *vv)
         slopes = tuple(
             (kvals[i + 1] - kvals[i]) / (knots[i + 1] - knots[i]) for i in range(len(bp))
         )
-        for i in range(1, len(slopes)):
-            if slopes[i] < slopes[i - 1]:
+        for i, m in enumerate(slopes):
+            if not 0.0 < m < math.inf:
+                raise GaugeConstructionError(
+                    f"secant slopes must be positive and finite: segment {i} has slope {m!r}"
+                )
+            if i and m < slopes[i - 1]:
                 raise GaugeConstructionError(
                     f"secant slopes must be nondecreasing: segment {i - 1} has slope "
-                    f"{slopes[i - 1]!r}, segment {i} has slope {slopes[i]!r}"
+                    f"{slopes[i - 1]!r}, segment {i} has slope {m!r}"
                 )
         table_slopes = (*slopes, slopes[-1])
         gvals = tuple(v + b * b for b, v in zip(knots, kvals))
@@ -144,10 +148,11 @@ class PiecewiseLinearGauge:
         object.__setattr__(self, "_arrays", tuple(
             np.array(col) for col in (knots, kvals, gvals, table_slopes, halfb, upper)
         ))
-        object.__setattr__(self, "_bottoms", tuple(  # (first, table(first)) for k and g
-            (first, table(np.array([first])))
-            for table, first in ((self._k_table, bp[0]), (self._g_table, gvals[1]))
-        ))
+        if q is not None:  # only the scaling law reads the table's bottom
+            object.__setattr__(self, "_bottoms", tuple(  # (first, table(first)) for k and g
+                (first, table(np.array([first])))
+                for table, first in ((self._k_table, bp[0]), (self._g_table, gvals[1]))
+            ))
 
     def __call__(self, t: float) -> float:
         """k(t): one element of k_array, and 0 for t <= 0."""
@@ -197,9 +202,9 @@ class PiecewiseLinearGauge:
         logarithm, corrected once exactly), and its value is scaled by
         q^(value n), capped at the period above's bottom so it cannot fall."""
         q = self.period
-        first, bottom = self._bottoms[which]
-        if q is None or least >= first:
+        if q is None or least >= self._bottoms[which][0]:
             return table(x)  # every row is at or above the table
+        first, bottom = self._bottoms[which]
         low = (x > 0) & (x < first)
         if not np.count_nonzero(low):
             return table(x)  # or exactly 0

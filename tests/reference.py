@@ -15,6 +15,8 @@ transported_mul_array call each kernel once on row-stacked independent
 inputs, and the samplers draw the box points of a chunk in one call; the
 oracles there compose the same kernels one call per input and draw once per
 input, as the package did before stacking, so the two must agree bit for bit.
+Its sample_battery threads one generator, seeded once, through the samplers
+in report order, as the package's does.
 """
 
 import bisect
@@ -459,19 +461,21 @@ def sample_intrinsic_dilation(n, seed, box=SampleBox()):
 
 def sample_battery(gauge, n, seed, box=SampleBox()):
     """The verify battery of the samplers above: its order, report names and
-    stage seeds seed + 0 .. seed + 13 written out a second time."""
-    reports = [*sample_group_axioms(n, seed, box), sample_intrinsic_dilation(n, seed + 1, box)]
+    one generator, seeded once with seed and drawn from by each stage in
+    turn, written out a second time."""
+    rng = np.random.default_rng(seed)
+    reports = [*sample_group_axioms(n, rng, box), sample_intrinsic_dilation(n, rng, box)]
     dists = {"triangle-intrinsic": intrinsic_dist_array,
              "triangle-gauge": lambda p, q: gauge_dist_array(gauge, p, q),
              "triangle-transported": lambda p, q: _flat_dist_rows(gauge, p, q)}
-    for i, (name, dist) in enumerate(dists.items()):
-        reports.append(sample_triangle(dist, name, n, seed + 2 + i, box))
+    for name, dist in dists.items():
+        reports.append(sample_triangle(dist, name, n, rng, box))
     samplers = (sample_lipschitz_id, sample_left_invariance, sample_isometry, sample_semigroup,
                 sample_homogeneity, sample_rescale_identity, sample_conjugation,
                 sample_flatten_homomorphism)
-    for i, sample in enumerate(samplers):
-        reports.append(sample(gauge, n, seed + 5 + i, box))
-    return reports + sample_transported_axioms(gauge, n, seed + 13, box)
+    for sample in samplers:
+        reports.append(sample(gauge, n, rng, box))
+    return reports + sample_transported_axioms(gauge, n, rng, box)
 
 
 def rescaled_product_rows(gauge, p: H1Point, q: H1Point, eps: np.ndarray) -> np.ndarray:

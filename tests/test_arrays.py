@@ -12,6 +12,7 @@ linear closed form, and the element-by-element fallback for a raw callable.
 
 import math
 import random
+from functools import partial
 from statistics import fmean
 
 import numpy as np
@@ -556,6 +557,57 @@ def test_stacked_samplers_match_unstacked(gauge, n):
     assert [c.name for c in got] == [c.name for c in want]
     for g, w in zip(got, want):
         assert g == w, g.name  # passed, worst_violation, witness and details included
+
+
+def _battery_in_report_order(gauge, n, rng, box):
+    """The battery's samplers called one after another on the generator rng."""
+    m = metrics
+    return [
+        *m.sample_group_axioms(n, rng, box),
+        m.sample_intrinsic_dilation(n, rng, box),
+        m.sample_triangle(m.intrinsic_dist_array, "triangle-intrinsic", n, rng, box),
+        m.sample_triangle(lambda p, q: m.gauge_dist_array(gauge, p, q), "triangle-gauge", n,
+                          rng, box),
+        m.sample_triangle(lambda p, q: m.flat_dist_array(gauge, p, q), "triangle-transported",
+                          n, rng, box),
+        *(sample(gauge, n, rng, box) for sample in (
+            m.sample_lipschitz_id, m.sample_left_invariance, m.sample_isometry,
+            m.sample_semigroup, m.sample_homogeneity, m.sample_rescale_identity,
+            m.sample_conjugation, m.sample_flatten_homomorphism)),
+        *m.sample_transported_axioms(gauge, n, rng, box),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
+@pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=_gauge_id)
+def test_battery_draws_from_one_generator(gauge, n):
+    # seeded once, every stage drawing in turn: the reports are those of the
+    # samplers in report order on one generator, which ends in the same state
+    box = SampleBox(3.0, 5.0)
+    shared, passed_in = np.random.default_rng(5), np.random.default_rng(5)
+    want = _battery_in_report_order(gauge, n, shared, box)
+    assert metrics.sample_battery(gauge, n, 5, box) == want
+    assert metrics.sample_battery(gauge, n, passed_in, box) == want
+    assert passed_in.random() == shared.random()
+
+
+SEEDED_SAMPLERS = {
+    "group-axioms": lambda seed: metrics.sample_group_axioms(7, seed),
+    "intrinsic-dilation": lambda seed: metrics.sample_intrinsic_dilation(7, seed),
+    "triangle": lambda seed: metrics.sample_triangle(
+        metrics.intrinsic_dist_array, "triangle-intrinsic", 7, seed),
+    **{sample.__name__: partial(sample, OSC, 7) for sample in (
+        metrics.sample_lipschitz_id, metrics.sample_left_invariance, metrics.sample_isometry,
+        metrics.sample_semigroup, metrics.sample_homogeneity, metrics.sample_rescale_identity,
+        metrics.sample_conjugation, metrics.sample_flatten_homomorphism,
+        metrics.sample_transported_axioms)},
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(SEEDED_SAMPLERS))
+def test_sampler_seed_is_an_int_or_its_generator(sampler):
+    sample = SEEDED_SAMPLERS[sampler]
+    assert sample(11) == sample(np.random.default_rng(11))
 
 
 @pytest.mark.parametrize("count", [24, 160])

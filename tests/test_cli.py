@@ -6,10 +6,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import h1gauge
 from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
 from h1gauge.gauges import Gauge, invert_g, linear_gauge, load_gauge
 from h1gauge.metrics import SampleBox, sample_battery
@@ -296,6 +300,17 @@ def test_overflowing_gauge_is_one_line_config_error(capsys, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_piecewise_slope_underflow_is_one_line_config_error(capsys):
+    # finite positive data whose secant slope rounds to 0: the constructor
+    # rejects it, as it does every other invalid spec
+    spec = '{"type":"piecewise","breakpoints":[1e300],"values":[1e-300]}'
+    code, stdout, err = run(capsys, "gauge-check", "--gauge", spec)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: cannot load gauge: secant slopes must be positive and finite: "
+                   "segment 0 has slope 0.0\n")
+
+
 def test_underflow_grid_is_config_error(capsys):
     code, _, err = run(capsys, "probe", "a", "--count", "550")
     assert code == 2
@@ -446,6 +461,44 @@ def test_verify_runs_the_library_battery(capsys, spec):
     battery = sample_battery(load_gauge(spec) if spec else linear_gauge(), 40, 3,
                              SampleBox(1.5, 2.5))
     assert checks == [c.to_dict() for c in battery]
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["verify", "--samples", "5"], 1),
+    (["verify", "--gauge", '{"type":"oscillatory"}', "--samples", "5000"], 1),
+    (["counterexample", "--samples", "5"], 1),
+    (["probe", "a"], 0),
+    (["probe", "metric-diff", "--count", "40"], 0),
+    (["gauge-check"], 0),
+], ids=["verify", "verify-two-chunks", "counterexample", "probe-a", "probe-metric-diff",
+        "gauge-check"])
+def test_a_run_seeds_at_most_one_generator(capsys, monkeypatch, argv, built):
+    # building a generator from an int costs more than the battery's draws at
+    # small sample counts: the battery builds one and hands it on
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        if not isinstance(seed, np.random.Generator):
+            seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(seeds) == built
+
+
+def test_import_leaves_numpy_random_to_the_samplers():
+    # numpy 2 loads numpy.random on first use; importing the CLI must not
+    # be that use, or every command pays for it at start-up
+    src = str(Path(h1gauge.__file__).parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import h1gauge.cli; "
+            "print(before, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[1] == out[0]
 
 
 def test_verify_concave_gauge_via_api(capsys, tmp_path):

@@ -116,6 +116,31 @@ def test_piecewise_rejects_decreasing_slopes():
         PiecewiseLinearGauge((1.0, 2.0), (1.0, 1.5))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "bps,vals,slope",
+    [
+        ((1e300,), (1e-300,), "0.0"),  # the origin slope underflows
+        ((1e-300,), (1e300,), "inf"),  # and overflows
+        ((1.0, 1.0 + 2.0**-52), (1.0, 1e300), "inf"),  # a later slope overflows
+    ],
+    ids=["underflow", "overflow", "later-overflow"],
+)
+def test_piecewise_rejects_slopes_that_leave_the_floats(bps, vals, slope):
+    # finite positive data whose secant slope rounds to 0 or inf: rejected,
+    # and without a numpy warning on the way
+    with pytest.raises(GaugeConstructionError, match=f"positive and finite: .* slope {slope}$"):
+        PiecewiseLinearGauge(bps, vals)
+
+
+@pytest.mark.filterwarnings("error")
+def test_piecewise_with_an_overflowing_profile_knot_builds_quietly():
+    # G(b_1) = 1e200 + 1e400 is inf; without a period the table's bottom is
+    # never read, so it is not evaluated there
+    gauge = piecewise_gauge([1e200], [1e200])
+    assert gauge.k(3.0) == 3.0 and gauge.g_closed(2.0) == 1.0
+
+
 @pytest.mark.parametrize(
     "bps,vals",
     [
