@@ -11,9 +11,8 @@ computation runs, and every output name is checked before the first write, so
 exit 2 leaves no partial output files unless a write itself fails.  All file
 writes are atomic (temp file + rename, written with os.write and no buffered
 file object) and all floats are rendered through repr, so identical configs
-produce byte-identical outputs.  Reports are rendered by a private recursive
-renderer, not by json's pure-Python indenting encoder; the tests pin its text
-to the standard library's `json.dumps` with `indent=2`, byte for byte.
+produce byte-identical outputs.  Each report is one line of JSON from the
+standard library's `json.dumps` with its defaults.
 """
 
 from __future__ import annotations
@@ -147,116 +146,12 @@ def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
         raise ConfigError(f"--out: {e}") from None
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-_float_repr = float.__repr__
-_int_repr = int.__repr__
-# the float reprs that json spells otherwise
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    r = _float_repr(x)
-    return _FLOAT_WORDS.get(r, r) if r[-1] in "nf" else r
-
-
-def _scalar_text(o) -> str | None:
-    """json's text for a str, bool, None, int or float, tested in json's
-    order; None for any other type."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    return None
-
-
-def _key_text(k) -> str:
-    """json's text for a dict key: a bool, None or number becomes a string."""
-    text = _scalar_text(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return text if isinstance(k, str) else _encode_str(text)
-
-
-def _render(o, append, indent: str) -> None:
-    """Append the text of o, as json.dumps spells it with indent=2, to one
-    chunk list through `append`; `indent` is the newline and the indentation
-    of o's own line.  The exact built-in types are tested first, inline in
-    the container loops; subclasses fall back to isinstance, as in json.
-
-    A module-level function, not a closure over the chunk list: a closure
-    that calls itself is a reference cycle, which keeps each render's chunks
-    alive until the cycle collector runs."""
-    t = type(o)
-    if t is dict or (t is not list and isinstance(o, dict)):
-        if not o:
-            append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for k, v in o.items():
-            append(sep + (_encode_str(k) if type(k) is str else _key_text(k)) + ": ")
-            sep = "," + inner
-            t = type(v)
-            if t is str:
-                append(_encode_str(v))
-            elif t is float:
-                append(_float_text(v))
-            elif v is True:
-                append("true")
-            elif v is False:
-                append("false")
-            elif v is None:
-                append("null")
-            else:
-                _render(v, append, inner)
-        append(indent + "}")
-    elif t is list or t is tuple or isinstance(o, (list, tuple)):
-        if not o:
-            append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for v in o:
-            t = type(v)
-            if t is float:
-                append(sep + _float_text(v))
-            elif t is str:
-                append(sep + _encode_str(v))
-            else:
-                append(sep)
-                _render(v, append, inner)
-            sep = "," + inner
-        append(indent + "]")
-    else:
-        text = _scalar_text(o)
-        if text is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-        append(text)
-
-
-def _json_text(obj) -> str:
-    """obj as indented JSON text with a final newline, byte for byte what
-    json.dumps gives with indent=2."""
-    chunks = []
-    _render(obj, chunks.append, "\n")
-    chunks.append("\n")
-    return "".join(chunks)
-
-
 def _finish(config: RunConfig, name: str, payload: dict, table: Callable[[], str],
             files: dict[str, str] | None = None, code: int = EXIT_OK) -> int:
     """The one output path: write the payload JSON as `name` plus the extra
     files under --out, print the JSON or the table, and return code.  table
     builds the table text; it is called only when the table is printed."""
-    text = _json_text(payload)
+    text = json.dumps(payload) + "\n"
     _emit({name: text, **(files or {})}, config.out)
     sys.stdout.write(text if config.fmt == "structured" else table())
     return code
@@ -491,25 +386,17 @@ def cmd_counterexample(config: RunConfig) -> int:
 # argument parsing
 
 
-def _parse_triple(text: str, flag: str) -> H1Point:
+def _parse_numbers(text: str, flag: str, build, expects: str):
+    """A comma-separated flag value as build(*floats), one number for each
+    field of the dataclass `build`; a wrong count, a non-number or a value
+    that build rejects is a configuration error that names the flag."""
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag} expects three comma-separated numbers, got {text!r}")
+    if len(parts) != len(fields(build)):
+        raise ConfigError(f"{flag} expects {expects}, got {text!r}")
     try:
-        vals = [float(p) for p in parts]
-        return H1Point(*vals)
+        return build(*map(float, parts))
     except ValueError as e:
         raise ConfigError(f"{flag}: {e}") from None
-
-
-def _parse_box(text: str) -> SampleBox:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--box expects 'horizontal,vertical', got {text!r}")
-    try:
-        return SampleBox(float(parts[0]), float(parts[1]))
-    except ValueError as e:
-        raise ConfigError(f"--box: {e}") from None
 
 
 FLAG_GROUPS = {
@@ -529,7 +416,9 @@ FLAG_GROUPS = {
     "sampling": (
         ("--seed", dict(type=int)),
         ("--samples", dict(type=int)),
-        ("--box", dict(type=_parse_box, metavar="H,V",
+        ("--box", dict(type=functools.partial(_parse_numbers, flag="--box", build=SampleBox,
+                                              expects="'horizontal,vertical'"),
+                       metavar="H,V",
                        help="sampling box half-widths: horizontal, vertical")),
     ),
 }
@@ -565,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = _add_command(kinds, kind, f"trace probe {kind}", "output", "grid")
         for flag, default, text in point_flags:
             kwargs = (dict(type=float) if isinstance(default, float) else
-                      dict(type=functools.partial(_parse_triple, flag=f"--{flag}"),
+                      dict(type=functools.partial(_parse_numbers, flag=f"--{flag}", build=H1Point,
+                                                  expects="three comma-separated numbers"),
                            metavar="X1,X2,XBAR"))
             sub.add_argument(f"--{flag}", default=default, help=f"{text} (default {default})",
                              **kwargs)

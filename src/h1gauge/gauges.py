@@ -521,6 +521,8 @@ def gauge_from_spec(spec: dict) -> Gauge:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("gauge spec must be an object with a 'type' key")
     kind = spec["type"]
+    if not isinstance(kind, str):
+        raise ValueError(f"'type' must be a string, got {kind!r}")
     known = {
         "linear": {"type"},
         "piecewise": {"type", "breakpoints", "values"},
@@ -569,8 +571,13 @@ def gauge_to_spec(gauge: Gauge) -> dict:
 
 
 def load_gauge(source: str) -> Gauge:
-    """Accept inline JSON or a path to a JSON gauge spec file."""
+    """Accept inline JSON or a path to a JSON gauge spec file.  JSON nested
+    too deeply for the decoder is a ValueError, as any other bad spec is."""
     text = source
     if not source.lstrip().startswith("{"):
         text = Path(source).read_text()
-    return gauge_from_spec(json.loads(text))
+    try:
+        spec = json.loads(text)
+    except RecursionError:
+        raise ValueError("gauge spec is nested too deeply") from None
+    return gauge_from_spec(spec)

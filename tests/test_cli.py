@@ -179,11 +179,14 @@ def test_malformed_gauge_spec_is_config_error(capsys, tmp_path):
         ('{"type": "oscillatory", "levels": 8.0}', "levels"),
         ('{"type": "oscillatory", "levels": "8"}', "levels"),
         ('{"type": "oscillatory", "levels": true}', "levels"),
+        ('{"type": []}', "type"),
+        ('{"type": {}}', "type"),
     ],
     ids=[
         "breakpoints-and-values-strings", "values-string", "breakpoints-object",
         "breakpoint-bool", "value-string", "M-bool", "M-string", "r-string", "r-null",
         "M-beyond-float", "levels-fraction", "levels-float", "levels-string", "levels-bool",
+        "type-array", "type-object",
     ],
 )
 def test_mistyped_gauge_spec_is_config_error(capsys, tmp_path, spec, key):
@@ -191,6 +194,18 @@ def test_mistyped_gauge_spec_is_config_error(capsys, tmp_path, spec, key):
     code, _, err = run(capsys, "gauge-check", "--gauge", spec, "--out", str(out))
     assert code == 2
     assert "cannot load gauge" in err and repr(key) in err
+    assert not out.exists()
+
+
+def test_over_deep_gauge_spec_is_config_error(capsys, tmp_path):
+    # deeper than the json decoder's recursion limit
+    depth = 100_000
+    spec = tmp_path / "deep.json"
+    spec.write_text('{"type": "linear", "x": ' + "[" * depth + "]" * depth + "}")
+    out = tmp_path / "never"
+    code, stdout, err = run(capsys, "gauge-check", "--gauge", str(spec), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot load gauge: gauge spec is nested too deeply\n"
     assert not out.exists()
 
 
@@ -269,6 +284,17 @@ def test_bad_box_is_config_error(capsys):
         code, _, err = run(capsys, "verify", "--box", box)
         assert code == 2, box
         assert "--box" in err and "Traceback" not in err, box
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["probe", "beta", "--p", "1,0"],
+     "--p expects three comma-separated numbers, got '1,0'"),
+    (["probe", "beta", "--p", "1,x,0"], "--p: could not convert string to float: 'x'"),
+    (["verify", "--box", "1,2,3"], "--box expects 'horizontal,vertical', got '1,2,3'"),
+    (["verify", "--box", "1,y"], "--box: could not convert string to float: 'y'"),
+], ids=["p-count", "p-number", "box-count", "box-number"])
+def test_comma_separated_flag_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -508,9 +534,13 @@ def test_verify_concave_gauge_via_api(capsys, tmp_path):
     code = cmd_verify(config, gauge=Gauge(k=math.sqrt, label="sqrt"))
     capsys.readouterr()
     assert code == 1
-    payload = json.loads((tmp_path / "raw" / "verify_report.json").read_text())
+    text = (tmp_path / "raw" / "verify_report.json").read_text()
+    payload = json.loads(text)
     assert payload["passed"] is False
-    assert any(c["name"] == "samplers-skipped" for c in payload["checks"])
+    skipped = [c for c in payload["checks"] if c["name"] == "samplers-skipped"]
+    assert len(skipped) == 1 and skipped[0]["worst_violation"] == math.inf
+    # the one non-finite value a report holds, spelled as json spells it
+    assert '"name": "samplers-skipped", "passed": false, "worst_violation": Infinity,' in text
 
 
 # --- counterexample -------------------------------------------------------------------

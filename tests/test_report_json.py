@@ -1,6 +1,8 @@
-"""The report JSON: the CLI's renderer against the standard library's
-indented encoder, and every payload the CLI writes against a json round trip."""
+"""The report JSON: the CLI's one output path on edge-case payloads, and
+every payload the CLI writes against a json round trip."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,64 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from h1gauge.cli import _json_text, main
+from h1gauge.cli import RunConfig, _finish, main
 
 
-def _oracle(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-# --- the renderer against json.dumps ---------------------------------------------------
-
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
-               1.7976931348623157e308, 1e16, 1e-7, math.nan, math.inf, -math.inf]
-EDGE_STRINGS = ['"', "\\", '\\"', "\x00\x08\t\n\x0c\r\x1f\x7f", "\u00e9\u2028\u00a0",
-                "\U0001f600", "\ud800", "</script>", ""]
-
-floats = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(EDGE_FLOATS))
-scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-10**60, max_value=10**60),
-    floats,
-    floats.map(np.float64),
-    st.text(),
-    st.sampled_from(EDGE_STRINGS),
-)
-keys = st.one_of(st.text(), st.sampled_from(EDGE_STRINGS), st.integers(), floats,
-                 floats.map(np.float64), st.booleans(), st.none())
-
-
-def _trees(depth):
-    """Values nested up to `depth` containers deep."""
-    if depth == 0:
-        return scalars
-    sub = _trees(depth - 1)
-    return st.one_of(
-        scalars,
-        st.lists(sub, max_size=3),
-        st.lists(sub, max_size=3).map(tuple),
-        st.dictionaries(keys, sub, max_size=3),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(_trees(6))
-def test_renderer_matches_json_dumps(obj):
-    assert _json_text(obj) == _oracle(obj)
-
-
-@pytest.mark.parametrize("obj", [
-    {}, [], (), "", {"a": {}, "b": [], "c": ()}, [[[]]], [{}],
-    {"x": [1.0, math.nan, -math.inf], "y": (True, False, None)},
-    {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
-    {math.nan: 1, math.inf: 2, -math.inf: 3},
-    [np.float64(0.1), {"eta": np.float64(-0.0)}, {np.float64(1e308): "key"}],
-], ids=lambda o: repr(o)[:40])
-def test_renderer_matches_json_dumps_on_edge_cases(obj):
-    assert _json_text(obj) == _oracle(obj)
-
+# --- the output path on edge-case payloads -----------------------------------------------
 
 class _Str(str):
     pass
@@ -89,26 +37,80 @@ class _Dict(dict):
     pass
 
 
-def test_renderer_treats_subclasses_as_json_does():
-    obj = _Dict(a=_List([_Str("s"), _Int(7), _Float(0.5), (_Float(math.nan),)]),
-                b=_Dict({_Str("k"): _List()}))
-    assert _json_text(obj) == _oracle(obj)
+# payload -> the exact report text: one line, the encoder's default separators,
+# json's spellings of non-finite floats and ASCII escapes
+EDGE_PAYLOADS = [
+    ({}, "{}"),
+    ({"a": {}, "b": [], "c": ()}, '{"a": {}, "b": [], "c": []}'),
+    ({"x": [1.0, math.nan, -math.inf], "y": (True, False, None)},
+     '{"x": [1.0, NaN, -Infinity], "y": [true, false, null]}'),
+    ({2: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+     '{"2": "int key", "2.5": "float key", "true": "bool key", "null": "null key"}'),
+    ({math.nan: 1, math.inf: 2, -math.inf: 3}, '{"NaN": 1, "Infinity": 2, "-Infinity": 3}'),
+    ({"v": [np.float64(0.1), {"eta": np.float64(-0.0)}, {np.float64(1e308): "key"}]},
+     '{"v": [0.1, {"eta": -0.0}, {"1e+308": "key"}]}'),
+    ({"f": [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-7]},
+     '{"f": [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e+308, '
+     '1e+16, 1e-07]}'),
+    ({"n": [10**60, -7, 0]}, '{"n": [' + "1" + "0" * 60 + ", -7, 0]}"),
+    ({"s": "\"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800</script>"},
+     r'{"s": "\"\\\n\t\u0000\u001f\u007f\u00e9\u2028\ud83d\ude00\ud800</script>"}'),
+    ({"line\nbreak": "a\r\nb"}, r'{"line\nbreak": "a\r\nb"}'),
+    (_Dict(a=_List([_Str("s"), _Int(7), _Float(0.5), (_Float(math.nan),)]),
+           b=_Dict({_Str("k"): _List()})),
+     '{"a": ["s", 7, 0.5, [NaN]], "b": {"k": []}}'),
+]
+
+
+@pytest.mark.parametrize("payload,text", EDGE_PAYLOADS, ids=lambda o: repr(o)[:40])
+def test_finish_writes_one_line_report(capsys, tmp_path, payload, text):
+    out = tmp_path / "out"
+    config = RunConfig(out=out, fmt="structured")
+    assert _finish(config, "report.json", payload, lambda: "unused", code=1) == 1
+    assert capsys.readouterr().out == text + "\n"
+    assert (out / "report.json").read_text(encoding="utf-8") == text + "\n"
+    assert os.listdir(out) == ["report.json"]
 
 
 @pytest.mark.parametrize("bad", [
     {1, 2}, np.bool_(True), object(), np.int64(3), b"bytes",
     {(1, 2): "tuple key"}, [1.0, {"deep": [frozenset()]}],
 ], ids=["set", "np.bool_", "object", "np.int64", "bytes", "tuple-key", "nested-frozenset"])
-def test_renderer_rejects_what_json_rejects(bad):
+def test_finish_rejects_unencodable_payload_before_writing(capsys, tmp_path, bad):
+    out = tmp_path / "out"
+    config = RunConfig(out=out, fmt="structured")
     with pytest.raises(TypeError):
-        _oracle(bad)
-    with pytest.raises(TypeError):
-        _json_text(bad)
-    with pytest.raises(TypeError):
-        _json_text({"report": [bad]})
+        _finish(config, "report.json", {"report": [bad]}, lambda: "unused",
+                files={"extra.csv": "a,b\n"})
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+floats = st.one_of(st.floats(allow_subnormal=True),
+                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, floats.map(np.float64),
+                    st.text())
+trees = st.recursive(
+    scalars,
+    lambda sub: st.one_of(st.lists(sub, max_size=3), st.lists(sub, max_size=3).map(tuple),
+                          st.dictionaries(st.text(), sub, max_size=3)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(), trees, max_size=4))
+def test_finish_prints_the_encoder_default_text_on_one_line(payload):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert _finish(RunConfig(fmt="structured"), "report.json", payload, str) == 0
+    text = stdout.getvalue()
+    assert text == json.dumps(payload) + "\n"
+    assert "\n" not in text[:-1] and text.isascii()
 
 
 # --- every CLI payload against a json round trip ------------------------------------------
+
 
 GAUGES = {
     "linear": '{"type": "linear"}',
@@ -127,9 +129,9 @@ COMMANDS = {
 
 
 def _round_trip(text: str) -> str:
-    """The text json gives back after reading `text`, which shares no code
-    with the CLI's renderer."""
-    return json.dumps(json.loads(text), indent=2) + "\n"
+    """The text json gives back after reading `text`: one line, from the
+    encoder's defaults, with a final newline."""
+    return json.dumps(json.loads(text)) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
