@@ -7,12 +7,13 @@ pattern), gauge-check (contract checks only).
 
 Exit codes: 0 success / pattern reproduced, 1 property violation or pattern
 deviation, 2 configuration or usage error.  Configs are validated before any
-computation runs, and every output name is checked before the first write, so
+output is written, and every output name is checked before the first write, so
 exit 2 leaves no partial output files unless a write itself fails.  All file
 writes are atomic (temp file + rename, written with os.write and no buffered
 file object) and all floats are rendered through repr, so identical configs
 produce byte-identical outputs.  Each report is one line of JSON from the
-standard library's `json.dumps` with its defaults.
+standard library's `json.dumps` with its defaults, and starts with the same
+header: the command, then the gauge label.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .heisenberg import H1Point, identity
 from .limits import (
     EpsGrid,
     ScaleOverflowError,
+    _equivalence_report,
     id_derivability_probe,
-    limit_equivalence_check,
     metric_diff_probe,
     rescaled_product_probe,
     vertical_limit_probe,
@@ -50,7 +51,9 @@ EXIT_CONFIG = 2
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 500
 
-# Horizontal pairs (nonzero symplectic area) for the equivalence stage.
+# Horizontal pairs (nonzero symplectic area) for the equivalence stage.  The
+# first is the beta stage's pair; the second's scalar trace, at ubar = area/2
+# = 1.0, is the a stage's.
 EQUIVALENCE_PAIRS = (
     (H1Point(1.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)),
     (H1Point(2.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)),
@@ -146,12 +149,14 @@ def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
         raise ConfigError(f"--out: {e}") from None
 
 
-def _finish(config: RunConfig, name: str, payload: dict, table: Callable[[], str],
-            files: dict[str, str] | None = None, code: int = EXIT_OK) -> int:
-    """The one output path: write the payload JSON as `name` plus the extra
-    files under --out, print the JSON or the table, and return code.  table
-    builds the table text; it is called only when the table is printed."""
-    text = json.dumps(payload) + "\n"
+def _finish(config: RunConfig, command: str, gauge: Gauge, name: str, body: dict,
+            table: Callable[[], str], files: dict[str, str] | None = None,
+            code: int = EXIT_OK) -> int:
+    """The one output path: write the report JSON, the header (command, gauge
+    label) then body, as `name` plus the extra files under --out, print the
+    JSON or the table, and return code.  table builds the table text; it is
+    called only when the table is printed."""
+    text = json.dumps({"command": command, "gauge": gauge.label, **body}) + "\n"
     _emit({name: text, **(files or {})}, config.out)
     sys.stdout.write(text if config.fmt == "structured" else table())
     return code
@@ -211,17 +216,15 @@ def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
             )
         )
 
-    payload = {"command": "verify", "gauge": gauge.label, **report.to_dict()}
-    return _finish(config, "verify_report.json", payload, report.to_text,
-                   code=EXIT_OK if report.passed else EXIT_FINDING)
+    return _finish(config, "verify", gauge, "verify_report.json", report.to_dict(),
+                   report.to_text, code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
 def cmd_gauge_check(config: RunConfig) -> int:
     gauge = config.resolve_gauge(default=linear_gauge)
     report = _checked(gauge)
-    payload = {"command": "gauge-check", "gauge": gauge.label, **report.to_dict()}
-    return _finish(config, "gauge_check_report.json", payload, report.to_text,
-                   code=EXIT_OK if report.passed else EXIT_FINDING)
+    return _finish(config, "gauge-check", gauge, "gauge_check_report.json", report.to_dict(),
+                   report.to_text, code=EXIT_OK if report.passed else EXIT_FINDING)
 
 
 # kind -> (probe function, ((flag, default, help), ...)): the point flags of
@@ -260,12 +263,11 @@ def cmd_probe(config: RunConfig, probe: str, points: list) -> int:
         if cls.get(key) is not None:
             lines.append(f"{key}: {cls[key]!r}")
     table = csv + "\n".join(lines) + "\n"
-    return _finish(config, f"probe_{probe}.json", summary, lambda: table,
+    return _finish(config, "probe", gauge, f"probe_{probe}.json", summary, lambda: table,
                    {f"probe_{probe}.csv": csv})
 
 
 def _probe_metric_diff(config, gauge, report) -> int:
-    payload = {"command": "probe", "probe": "metric-diff", "gauge": gauge.label, **report.to_dict()}
     files = {f"probe_metric-diff_{i:02d}.csv": tr.to_csv() for i, tr in enumerate(report.traces)}
     lines = [f"metric-diff probe: {gauge.label}"]
     lines.append(f"base: {report.base.as_tuple()!r}")
@@ -281,7 +283,8 @@ def _probe_metric_diff(config, gauge, report) -> int:
         status = "PASS" if c.passed else "FAIL"
         lines.append(f"  {status}  {c.name}: worst={c.worst_violation!r}")
     table = "\n".join(lines) + "\n"
-    return _finish(config, "probe_metric-diff.json", payload, lambda: table, files)
+    return _finish(config, "probe", gauge, "probe_metric-diff.json",
+                   {"probe": "metric-diff", **report.to_dict()}, lambda: table, files)
 
 
 def cmd_counterexample(config: RunConfig) -> int:
@@ -292,6 +295,8 @@ def cmd_counterexample(config: RunConfig) -> int:
     not converge, the differentiability test at the identity produces a
     witness, and the rescaled-product/scalar agreement check concurs.  Exit 0
     iff the whole pattern is reproduced; the first deviation is reported.
+    Each distinct trace is computed once: the probes are cached, so the
+    agreement check reads back the a and beta stages' traces.
     """
     config.validate_sampling()
     gauge = config.resolve_gauge(default=oscillatory_gauge)
@@ -299,9 +304,7 @@ def cmd_counterexample(config: RunConfig) -> int:
     stages = []
 
     def record(stage, expected, observed, ok, detail=""):
-        stages.append(
-            {"stage": stage, "expected": expected, "observed": observed, "ok": ok, "detail": detail}
-        )
+        stages.append(dict(stage=stage, expected=expected, observed=observed, ok=ok, detail=detail))
 
     gauge_report, working, reports = _verify_stage(config, gauge)
     if working is not None:
@@ -314,57 +317,36 @@ def cmd_counterexample(config: RunConfig) -> int:
 
     files = {}
     if working is not None:  # without a valid gauge none of the probes can run
+        scalar = functools.cache(lambda ubar: vertical_limit_probe(working, ubar, config.grid))
+        product = functools.cache(lambda p, q: rescaled_product_probe(working, p, q, config.grid))
         try:
-            trace_a = vertical_limit_probe(working, 1.0, config.grid)
+            trace_a = scalar(1.0)
             cls_a = trace_a.classification
             oscillating = cls_a.kind == "oscillating"
-            record(
-                "a-probe",
-                "oscillating",
-                cls_a.kind,
-                oscillating,
-                f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if oscillating else "",
-            )
+            record("a-probe", "oscillating", cls_a.kind, oscillating,
+                   f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if oscillating else "")
 
-            p, q = H1Point(1.0, 0.0, 0.0), H1Point(0.0, 1.0, 0.0)
-            trace_b = rescaled_product_probe(working, p, q, config.grid)
+            trace_b = product(*EQUIVALENCE_PAIRS[0])
             kind_b = trace_b.classification.kind
             record("beta-probe", "non-converged", kind_b, kind_b != "converged")
 
             md = metric_diff_probe(working, identity(), config.grid)
             has_witness = (not md.differentiable) and md.witness is not None
-            record(
-                "metric-diff",
-                "non-differentiability witness",
-                f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
-                has_witness,
-            )
+            record("metric-diff", "non-differentiability witness",
+                   f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
+                   has_witness)
 
-            eq = limit_equivalence_check(working, EQUIVALENCE_PAIRS, config.grid)
-            record(
-                "equivalence",
-                "agreement",
-                "agreement" if eq.passed else "disagreement",
-                eq.passed,
-                "" if eq.passed else repr(eq.first_failure().witness),
-            )
+            eq = _equivalence_report(EQUIVALENCE_PAIRS, product, scalar)
+            record("equivalence", "agreement", "agreement" if eq.passed else "disagreement",
+                   eq.passed, "" if eq.passed else repr(eq.first_failure().witness))
         except ValueError as e:
             raise _probe_config_error(e) from None
-        files = {
-            "counterexample_a_trace.csv": trace_a.to_csv(),
-            "counterexample_beta_trace.csv": trace_b.to_csv(),
-        }
+        files = {"counterexample_a_trace.csv": trace_a.to_csv(),
+                 "counterexample_beta_trace.csv": trace_b.to_csv()}
 
     deviation = next((f"{st['stage']}: expected {st['expected']}, observed {st['observed']}"
                       for st in stages if not st["ok"]), None)
     reproduced = deviation is None
-    payload = {
-        "command": "counterexample",
-        "gauge": gauge.label,
-        "reproduced": reproduced,
-        "deviation": deviation,
-        "stages": stages,
-    }
     lines = []
     if working is not None:
         lines.append(f"counterexample: {gauge.label}")
@@ -378,8 +360,9 @@ def cmd_counterexample(config: RunConfig) -> int:
         else f"counterexample pattern not reproduced: {deviation}"
     )
     table = "\n".join(lines) + "\n"
-    return _finish(config, "counterexample_report.json", payload, lambda: table,
-                   files, EXIT_OK if reproduced else EXIT_FINDING)
+    return _finish(config, "counterexample", gauge, "counterexample_report.json",
+                   {"reproduced": reproduced, "deviation": deviation, "stages": stages},
+                   lambda: table, files, EXIT_OK if reproduced else EXIT_FINDING)
 
 
 # ---------------------------------------------------------------------------

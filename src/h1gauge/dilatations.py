@@ -18,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .gauges import Gauge, _g, _G, require_verified
-from .heisenberg import H1Point, _mul, _points, check_finite, from_row, inv, mul, to_row
+from .heisenberg import (
+    H1Point, _mul, _points, _rows, _split, check_finite, from_row, inv, mul, to_row,
+)
 
 
 def dilate(eps: float, p: H1Point) -> H1Point:
@@ -126,8 +128,9 @@ def unflatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:
 
 
 def _transported_mul(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    u = _unflatten(gauge, np.concatenate((p, q)))
-    return _flatten(gauge, _mul(u[:len(p)], u[len(p):]))
+    if len(p) != len(q):  # a (1, 3) operand is repeated to the other's length
+        p, q = np.broadcast_arrays(p, q)
+    return _flatten(gauge, _mul(*_split(_unflatten(gauge, _rows(p, q)), 2)))
 
 
 def transported_mul_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndarray:

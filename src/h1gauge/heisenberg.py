@@ -110,6 +110,16 @@ def points_array(x1: np.ndarray, x2: np.ndarray, xbar: np.ndarray) -> np.ndarray
     return check_finite(_points(x1, x2, xbar))
 
 
+def _rows(*arrays: np.ndarray) -> np.ndarray:
+    """The arrays stacked row-wise, for one kernel call on all of them."""
+    return np.concatenate(arrays)
+
+
+def _split(a: np.ndarray, k: int) -> np.ndarray:
+    """a cut into k equally long row blocks (a view): undoes _rows."""
+    return a.reshape(k, -1, *a.shape[1:])
+
+
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     out = p + q
     out[:, 2] += 2.0 * symplectic_area(p.T, q.T)

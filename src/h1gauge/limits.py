@@ -32,6 +32,8 @@ from .dilatations import dilate_array, gauge_dilate_array
 from .gauges import Gauge, g_array, g_inverse_array, require_verified
 from .heisenberg import (
     H1Point,
+    _rows,
+    _split,
     identity,
     mul_array,
     point_diff_array,
@@ -40,7 +42,7 @@ from .heisenberg import (
     symplectic_area,
     to_row,
 )
-from .metrics import SAMPLE_CHUNK, _rows, _split, gauge_norm_array, scaled_excess
+from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
 from .report import PropertyCheck, VerificationReport
 
 DEFAULT_EPS0 = 1.0
@@ -457,6 +459,8 @@ def uniform_probe(
     if not points:
         raise ValueError("need at least one probe point")
     traces = [probe(pt, grid) for pt in points]
+    if any(tr.values.ndim != 1 for tr in traces):
+        raise ValueError("the probe must be scalar-valued; it returned a point-valued trace")
     report = VerificationReport("uniform-probe")
 
     values = np.array([tr.values for tr in traces], dtype=float)
@@ -647,6 +651,14 @@ def limit_equivalence_check(
     times the response at u evaluated at c*eps).  Disagreements are reported
     as findings, not raised.
     """
+    return _equivalence_report(samples, lambda p, q: rescaled_product_probe(gauge, p, q, grid),
+                               lambda ubar: vertical_limit_probe(gauge, ubar, grid))
+
+
+def _equivalence_report(samples, product, scalar) -> VerificationReport:
+    """limit_equivalence_check on the traces product(p, q) and scalar(ubar)
+    give, each called once per pair, in that order.  A caller that already
+    holds some of those traces passes probes that return them."""
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample pair")
@@ -660,8 +672,8 @@ def limit_equivalence_check(
         area = symplectic_area(p.horizontal, q.horizontal)
         if area == 0.0:
             raise ValueError(f"sample {i}: symplectic area is zero; pair carries no twist")
-        prod_kind = rescaled_product_probe(gauge, p, q, grid).classification.kind
-        scalar_kind = vertical_limit_probe(gauge, 0.5 * area, grid).classification.kind
+        prod_kind = product(p, q).classification.kind
+        scalar_kind = scalar(0.5 * area).classification.kind
         agree = (prod_kind == "converged") == (scalar_kind == "converged")
         report.add(
             PropertyCheck(

@@ -51,6 +51,8 @@ from .gauges import Gauge, _g, require_verified
 from .heisenberg import (
     H1Point,
     _mul,
+    _rows,
+    _split,
     check_finite,
     inv,
     inv_array,
@@ -191,16 +193,6 @@ def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyChec
         if v[i] > worst:
             worst, witness = float(v[i]), [x[i].tolist() for x in inputs]
     return PropertyCheck(name, worst <= tolerance, worst, tolerance, witness, f"{n} samples")
-
-
-def _rows(*arrays: np.ndarray) -> np.ndarray:
-    """The arrays stacked row-wise, for one kernel call on all of them."""
-    return np.concatenate(arrays)
-
-
-def _split(a: np.ndarray, k: int) -> np.ndarray:
-    """a cut into k equally long row blocks (a view): undoes _rows."""
-    return a.reshape(k, -1, *a.shape[1:])
 
 
 def _points(rng: np.random.Generator, box: SampleBox, count: int):

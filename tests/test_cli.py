@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import h1gauge
+from h1gauge import cli
 from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
 from h1gauge.gauges import Gauge, invert_g, linear_gauge, load_gauge
 from h1gauge.metrics import SampleBox, sample_battery
@@ -570,6 +571,41 @@ def test_counterexample_reproduces_at_every_grid_length(capsys, count):
     code, stdout, _ = run(capsys, "counterexample", "--count", str(count), "--samples", "20")
     assert code == 0, stdout
     assert stdout.endswith("pattern reproduced\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the equivalence stage's a(0.5) is the first trace to underflow, after
+    # the battery and three probes have run
+    (["--count", "507"], "error: eps = 4.7733380679681323e-153 drives eps^2 * 0.5 below the "
+     "underflow floor 2.2250738585072014e-305; shorten the grid or rescale\n"),
+    # the beta stage's pair is the first trace to overflow
+    (["--eps0", "1.2e154"],
+     "error: --eps0: eps0 = 1.2e+154 drives eps0^2 * 2.0 to inf; lower eps0 or rescale\n"),
+], ids=["underflow", "overflow"])
+def test_counterexample_first_scale_error(capsys, tmp_path, argv, message):
+    out = tmp_path / "ce"
+    code, stdout, err = run(capsys, "counterexample", *argv, "--samples", "5", "--out", str(out))
+    assert (code, stdout, err) == (2, "", message)
+    assert not out.exists()
+
+
+def test_counterexample_computes_each_trace_once(capsys, monkeypatch):
+    # the a and beta stages' traces are two of the equivalence pairs' six
+    calls = {"vertical_limit_probe": [], "rescaled_product_probe": [], "metric_diff_probe": []}
+
+    def counted(probe, seen):
+        def call(*args):
+            seen.append(args)
+            return probe(*args)
+        return call
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name), seen))
+    code, stdout, _ = run(capsys, "counterexample", "--samples", "5")
+    assert code == 0 and stdout.endswith("pattern reproduced\n")
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "vertical_limit_probe": 3, "rescaled_product_probe": 3, "metric_diff_probe": 1}
+    assert [args[1] for args in calls["vertical_limit_probe"]] == [1.0, 0.5, 0.25]
 
 
 def test_counterexample_linear_gauge_deviates(capsys):

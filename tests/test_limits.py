@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from h1gauge import cli
+from h1gauge import cli, limits
 from h1gauge.dilatations import dilate, gauge_dilate
 from h1gauge.gauges import g_inverse_eval, linear_gauge, oscillatory_gauge
 from h1gauge.heisenberg import H1Point, identity, point
@@ -466,6 +466,19 @@ def test_uniform_probe_classifies_pointwise_traces_by_the_grid_rule():
     assert all(tr.classification.kind == "converged" for tr in traces)
     assert [(c.name, c.passed, c.tolerance) for c in rep.checks] == [
         ("pointwise-convergence", True, 10.0), ("uniform-sup-convergence", True, 10.0)]
+
+
+def test_uniform_probe_rejects_a_point_valued_probe(monkeypatch):
+    # the sup-deviation rule needs one scalar per scale; a point trace is
+    # refused with a ValueError before the rule is reached, where it would
+    # die on a TypeError
+    def sup_deviation(values, grid):
+        raise AssertionError("the sup-deviation rule ran on point traces")
+
+    monkeypatch.setattr(limits, "_sup_deviation", sup_deviation)
+    points = [point(1, 0, 1), point(0, 1, 2)]
+    with pytest.raises(ValueError, match="probe must be scalar-valued"):
+        uniform_probe(lambda p, g: id_derivability_probe(LIN, p, g), points)
 
 
 # --- differentiability report ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The report JSON: the CLI's one output path on edge-case payloads, and
-every payload the CLI writes against a json round trip."""
+every payload the CLI writes against a json round trip and the report
+header."""
 
 import contextlib
 import io
@@ -12,6 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1gauge.cli import RunConfig, _finish, main
+from h1gauge.gauges import linear_gauge
+
+LIN = linear_gauge()
+HEADER = {"command": "test", "gauge": "linear"}
 
 
 # --- the output path on edge-case payloads -----------------------------------------------
@@ -37,8 +42,8 @@ class _Dict(dict):
     pass
 
 
-# payload -> the exact report text: one line, the encoder's default separators,
-# json's spellings of non-finite floats and ASCII escapes
+# body -> the exact report text after the header: one line, the encoder's
+# default separators, json's spellings of non-finite floats and ASCII escapes
 EDGE_PAYLOADS = [
     ({}, "{}"),
     ({"a": {}, "b": [], "c": ()}, '{"a": {}, "b": [], "c": []}'),
@@ -66,9 +71,10 @@ EDGE_PAYLOADS = [
 def test_finish_writes_one_line_report(capsys, tmp_path, payload, text):
     out = tmp_path / "out"
     config = RunConfig(out=out, fmt="structured")
-    assert _finish(config, "report.json", payload, lambda: "unused", code=1) == 1
-    assert capsys.readouterr().out == text + "\n"
-    assert (out / "report.json").read_text(encoding="utf-8") == text + "\n"
+    assert _finish(config, "test", LIN, "report.json", payload, lambda: "unused", code=1) == 1
+    report = '{"command": "test", "gauge": "linear"' + ("}" if text == "{}" else ", " + text[1:])
+    assert capsys.readouterr().out == report + "\n"
+    assert (out / "report.json").read_text(encoding="utf-8") == report + "\n"
     assert os.listdir(out) == ["report.json"]
 
 
@@ -80,7 +86,7 @@ def test_finish_rejects_unencodable_payload_before_writing(capsys, tmp_path, bad
     out = tmp_path / "out"
     config = RunConfig(out=out, fmt="structured")
     with pytest.raises(TypeError):
-        _finish(config, "report.json", {"report": [bad]}, lambda: "unused",
+        _finish(config, "test", LIN, "report.json", {"report": [bad]}, lambda: "unused",
                 files={"extra.csv": "a,b\n"})
     assert capsys.readouterr().out == ""
     assert not out.exists()
@@ -103,9 +109,11 @@ trees = st.recursive(
 def test_finish_prints_the_encoder_default_text_on_one_line(payload):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        assert _finish(RunConfig(fmt="structured"), "report.json", payload, str) == 0
+        assert _finish(RunConfig(fmt="structured"), "test", LIN, "report.json", payload, str) == 0
     text = stdout.getvalue()
-    assert text == json.dumps(payload) + "\n"
+    # the header keys come first even where the body repeats one of them
+    assert text == json.dumps({**HEADER, **payload}) + "\n"
+    assert text.startswith('{"command": ')
     assert "\n" not in text[:-1] and text.isascii()
 
 
@@ -150,3 +158,6 @@ def test_every_payload_round_trips(capsys, tmp_path, command, gauge, fmt):
         reports.append(stdout)
     for text in reports:
         assert text == _round_trip(text)
+        keys = list(json.loads(text))
+        assert keys[:2] == ["command", "gauge"]
+        assert (keys[2] == "probe") == command.startswith("probe")
