@@ -178,32 +178,29 @@ def _checked(gauge: Gauge):
         raise ConfigError(f"--gauge: {e}") from None
 
 
-def _verify_stage(config: RunConfig, gauge: Gauge):
-    """The gauge contract checks, then, if they pass, the sampler battery on
-    the gauge marked verified.
-
-    Returns the contract report, the verified gauge (None when the contract
-    fails) and the sampler reports (empty when it fails).
-    """
-    gauge_report = _checked(gauge)
-    if not gauge_report.passed:
-        return gauge_report, None, []
-    gauge = gauge if gauge.verified else replace(gauge, verified=True)
-    return gauge_report, gauge, sample_battery(gauge, config.samples, config.seed, config.box)
+def _contract(gauge: Gauge):
+    """The gauge contract report and, when the contract passes, the gauge
+    marked verified (None when it fails)."""
+    report = _checked(gauge)
+    if not report.passed:
+        return report, None
+    return report, gauge if gauge.verified else replace(gauge, verified=True)
 
 
 def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
-    """Gauge contract checks plus the sampler battery; exit 0 iff all pass."""
+    """Gauge contract checks plus, if they pass, the sampler battery; exit 0
+    iff all pass."""
     config.validate_sampling()
     if gauge is None:
         gauge = config.resolve_gauge(default=linear_gauge)
 
     report = VerificationReport(f"verify: {gauge.label}")
-    gauge_report, _, reports = _verify_stage(config, gauge)
+    gauge_report, working = _contract(gauge)
     for c in gauge_report.checks:
         report.add(replace(c, name=f"gauge/{c.name}"))
-    report.extend(reports)
-    if not gauge_report.passed:
+    if working is not None:
+        report.extend(sample_battery(working, config.samples, config.seed, config.box))
+    else:
         report.add(
             PropertyCheck(
                 name="samplers-skipped",
@@ -279,9 +276,7 @@ def _probe_metric_diff(config, gauge, report) -> int:
     if report.eta is not None:
         for v, ev in zip(report.directions, report.eta):
             lines.append(f"  eta{v.as_tuple()!r} = {ev!r}")
-    for c in report.seminorm_checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"  {status}  {c.name}: worst={c.worst_violation!r}")
+    lines.extend(c.line() for c in report.seminorm_checks)
     table = "\n".join(lines) + "\n"
     return _finish(config, "probe", gauge, "probe_metric-diff.json",
                    {"probe": "metric-diff", **report.to_dict()}, lambda: table, files)
@@ -306,41 +301,41 @@ def cmd_counterexample(config: RunConfig) -> int:
     def record(stage, expected, observed, ok, detail=""):
         stages.append(dict(stage=stage, expected=expected, observed=observed, ok=ok, detail=detail))
 
-    gauge_report, working, reports = _verify_stage(config, gauge)
-    if working is not None:
-        worst = max(reports, key=lambda r: r.worst_violation - r.tolerance)
-        detail = f"worst sampler: {worst.name} ({worst.worst_violation!r})"
-    else:
-        detail = f"gauge check failed: {gauge_report.first_failure().name}"
-    battery_ok = working is not None and all(r.passed for r in reports)
-    record("verify", "pass", "pass" if battery_ok else "fail", battery_ok, detail)
-
+    gauge_report, working = _contract(gauge)
     files = {}
-    if working is not None:  # without a valid gauge none of the probes can run
+    if working is None:  # without a valid gauge neither the battery nor a probe can run
+        record("verify", "pass", "fail", False,
+               f"gauge check failed: {gauge_report.first_failure().name}")
+    else:
+        # the probes run before the battery, so a grid that one of them
+        # rejects is a configuration error that costs no battery run
         scalar = functools.cache(lambda ubar: vertical_limit_probe(working, ubar, config.grid))
         product = functools.cache(lambda p, q: rescaled_product_probe(working, p, q, config.grid))
         try:
             trace_a = scalar(1.0)
-            cls_a = trace_a.classification
-            oscillating = cls_a.kind == "oscillating"
-            record("a-probe", "oscillating", cls_a.kind, oscillating,
-                   f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if oscillating else "")
-
             trace_b = product(*EQUIVALENCE_PAIRS[0])
-            kind_b = trace_b.classification.kind
-            record("beta-probe", "non-converged", kind_b, kind_b != "converged")
-
             md = metric_diff_probe(working, identity(), config.grid)
-            has_witness = (not md.differentiable) and md.witness is not None
-            record("metric-diff", "non-differentiability witness",
-                   f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
-                   has_witness)
-
             eq = _equivalence_report(EQUIVALENCE_PAIRS, product, scalar)
-            record("equivalence", "agreement", "agreement" if eq.passed else "disagreement",
-                   eq.passed, "" if eq.passed else repr(eq.first_failure().witness))
         except ValueError as e:
             raise _probe_config_error(e) from None
+        reports = sample_battery(working, config.samples, config.seed, config.box)
+
+        worst = max(reports, key=lambda r: r.worst_violation - r.tolerance)
+        battery_ok = all(r.passed for r in reports)
+        record("verify", "pass", "pass" if battery_ok else "fail", battery_ok,
+               f"worst sampler: {worst.name} ({worst.worst_violation!r})")
+        cls_a = trace_a.classification
+        oscillating = cls_a.kind == "oscillating"
+        record("a-probe", "oscillating", cls_a.kind, oscillating,
+               f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if oscillating else "")
+        kind_b = trace_b.classification.kind
+        record("beta-probe", "non-converged", kind_b, kind_b != "converged")
+        has_witness = (not md.differentiable) and md.witness is not None
+        record("metric-diff", "non-differentiability witness",
+               f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
+               has_witness)
+        record("equivalence", "agreement", "agreement" if eq.passed else "disagreement",
+               eq.passed, "" if eq.passed else repr(eq.first_failure().witness))
         files = {"counterexample_a_trace.csv": trace_a.to_csv(),
                  "counterexample_beta_trace.csv": trace_b.to_csv()}
 

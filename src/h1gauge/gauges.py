@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .heisenberg import check_finite
-from .report import PropertyCheck, VerificationReport
+from .report import PropertyCheck, VerificationReport, worst_check
 
 INV_TOL = 1e-13  # mixed abs/rel contract tolerance for g/G round-trips
 _MIDPOINT_TOL = 1e-12
@@ -449,46 +449,23 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     gaps = ks.copy()
     gaps[1:] -= ks[:-1]
     gaps[0] -= k0
-    i = int(np.argmin(gaps))
-    report.add(
-        PropertyCheck(
-            name="strict-increase",
-            passed=bool(gaps[i] > 0.0),
-            worst_violation=-float(gaps[i]),  # positive means a flat or falling step
-            tolerance=0.0,
-            witness=[float(pts[i - 1]) if i else 0.0, float(pts[i])],
-        )
-    )
+    # -gap <= -ulp(0) = -5e-324 exactly when gap > 0: a flat step fails
+    report.add(worst_check("strict-increase", -gaps, -math.ulp(0.0),
+                           lambda i: [float(pts[i - 1]) if i else 0.0, float(pts[i])]))
 
     sub, subk = pts[::3], ks[::3]
     ka, kb = subk[a], subk[b]
     mid = (k_array(gauge, mids) - 0.5 * (ka + kb)) / np.maximum(
         1.0, np.maximum(np.abs(ka), np.abs(kb))
     )
-    i = int(np.argmax(mid))
-    report.add(
-        PropertyCheck(
-            name="midpoint-convexity",
-            passed=bool(mid[i] <= _MIDPOINT_TOL),
-            worst_violation=float(mid[i]),
-            tolerance=_MIDPOINT_TOL,
-            witness=[float(sub[a[i]]), float(sub[b[i]])],
-        )
-    )
+    report.add(worst_check("midpoint-convexity", mid, _MIDPOINT_TOL,
+                           lambda i: [float(sub[a[i]]), float(sub[b[i]])]))
 
     rt = np.empty(2 * len(pts))  # per t: g(G(t)) first, then G(g(s))
     rt[0::2] = np.abs(g_array(gauge, g_inverse_array(gauge, pts)) - pts) / scale
     rt[1::2] = np.abs(g_inverse_array(gauge, g_array(gauge, pts)) - pts) / scale
-    i = int(np.argmax(rt))
-    report.add(
-        PropertyCheck(
-            name="round-trip",
-            passed=bool(rt[i] <= INV_TOL),
-            worst_violation=float(rt[i]),
-            tolerance=INV_TOL,
-            witness=[("g(G(t))", "G(g(s))")[i % 2], float(pts[i // 2])],
-        )
-    )
+    report.add(worst_check("round-trip", rt, INV_TOL,
+                           lambda i: [("g(G(t))", "G(g(s))")[i % 2], float(pts[i // 2])]))
     return report
 
 

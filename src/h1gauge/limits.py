@@ -43,7 +43,7 @@ from .heisenberg import (
     to_row,
 )
 from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
-from .report import PropertyCheck, VerificationReport
+from .report import PropertyCheck, VerificationReport, worst_check
 
 DEFAULT_EPS0 = 1.0
 DEFAULT_RATIO = 0.5
@@ -613,15 +613,12 @@ def metric_diff_probe(
         means = np.array(tail_means)
         scaling = np.abs(scaled_excess(etas[: lams.size], lams * np.repeat(means, n_lam)))
         subadd = scaled_excess(etas[lams.size :], means[left] + means[right])
-        i, j = int(np.argmax(scaling)), int(np.argmax(subadd))
         seminorm_checks = [
-            PropertyCheck(name, worst <= grid.atol, worst, grid.atol, wit)
-            for name, worst, wit in (
-                ("seminorm-scaling", float(scaling[i]),
-                 (SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple()))),
-                ("seminorm-subadditivity", float(subadd[j]),
-                 (list(dirs[left[j]].as_tuple()), list(dirs[right[j]].as_tuple()))),
-            )
+            worst_check("seminorm-scaling", scaling, grid.atol,
+                        lambda i: (SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple()))),
+            worst_check("seminorm-subadditivity", subadd, grid.atol,
+                        lambda j: (list(dirs[left[j]].as_tuple()),
+                                   list(dirs[right[j]].as_tuple()))),
         ]
 
     return MetricDiffReport(

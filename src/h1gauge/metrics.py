@@ -15,9 +15,7 @@ Each sampler draws from np.random.default_rng(seed), so its seed may be an
 int or a Generator, which default_rng hands back unchanged.  sample_battery
 seeds one generator per run and passes it to every sampler in report order:
 a generator built from an int costs far more than its draws at small sample
-counts.  The seed annotations say int alone: a module-level alias for
-int | np.random.Generator would import numpy.random with the package (about
-13 ms), which only the samplers need.
+counts.
 
 Where a sampler applies one kernel to independent inputs, it makes one call
 on the inputs stacked row-wise (_rows) and splits the result (_split).  Every
@@ -62,7 +60,7 @@ from .heisenberg import (
     point_scale_array,
     to_row,
 )
-from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck
+from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck, worst_check
 
 SAMPLE_CHUNK = 4096  # samples drawn and evaluated per array pass
 
@@ -176,23 +174,26 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyCheck:
-    """Worst scaled violation over n samples, SAMPLE_CHUNK at a time.
+    """Worst scaled violation over n >= 1 samples, SAMPLE_CHUNK at a time.
 
     draw(start, size) returns the inputs of samples start .. start + size - 1
     as arrays, one row per sample; violation maps them to one number per
     sample.  Violations are scaled by max(1, magnitudes) of the compared
-    quantities, so tolerance is a flat number.  The witness holds the inputs
+    quantities, so tolerance is a flat number.  Each chunk is one worst_check,
+    and the first worst across chunks is kept.  The witness holds the inputs
     of the first worst sample as plain floats; evaluating violation on them
     (as one-row arrays) reproduces worst_violation exactly.
     """
-    worst, witness = -math.inf, None
+    if n < 1:
+        raise ValueError(f"{name}: need at least one sample, got {n!r}")
+    worst = None
     for start in range(0, n, SAMPLE_CHUNK):
         inputs = draw(start, min(SAMPLE_CHUNK, n - start))
-        v = check_finite(violation(*inputs))
-        i = int(v.argmax())
-        if v[i] > worst:
-            worst, witness = float(v[i]), [x[i].tolist() for x in inputs]
-    return PropertyCheck(name, worst <= tolerance, worst, tolerance, witness, f"{n} samples")
+        check = worst_check(name, check_finite(violation(*inputs)), tolerance,
+                            lambda i: [x[i].tolist() for x in inputs], f"{n} samples")
+        if worst is None or check.worst_violation > worst.worst_violation:
+            worst = check
+    return worst
 
 
 def _points(rng: np.random.Generator, box: SampleBox, count: int):
@@ -212,7 +213,8 @@ _IDENTITY = np.zeros((1, 3))
 _IDENTITY.flags.writeable = False
 
 
-def sample_triangle(dist, name: str, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_triangle(dist, name: str, n: int,
+                    seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """Triangle inequality dist(p,r) <= dist(p,q) + dist(q,r) on random triples.
     dist maps two (n, 3) point arrays to n distances, row by row."""
 
@@ -223,7 +225,8 @@ def sample_triangle(dist, name: str, n: int, seed: int, box: SampleBox = SampleB
     return _worst(name, n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation)
 
 
-def sample_lipschitz_id(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_lipschitz_id(gauge: Gauge, n: int,
+                        seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """The identity map is 1-Lipschitz from the intrinsic to the gauge distance."""
 
     def violation(p, q):
@@ -235,7 +238,8 @@ def sample_lipschitz_id(gauge: Gauge, n: int, seed: int, box: SampleBox = Sample
     )
 
 
-def sample_left_invariance(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_left_invariance(gauge: Gauge, n: int,
+                           seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     def violation(z, p, q):
         zp, zq = _split(mul_array(_rows(z, z), _rows(p, q)), 2)
         return _gap(*_split(gauge_dist_array(gauge, _rows(zp, p), _rows(zq, q)), 2))
@@ -245,7 +249,8 @@ def sample_left_invariance(gauge: Gauge, n: int, seed: int, box: SampleBox = Sam
     )
 
 
-def sample_isometry(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_isometry(gauge: Gauge, n: int,
+                    seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """flat_dist(flatten(p), flatten(q)) equals gauge_dist(p, q)."""
 
     def violation(p, q):
@@ -266,7 +271,7 @@ def _assoc_violation(prod):
     return violation
 
 
-def sample_group_axioms(n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_group_axioms(n: int, seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """Associativity, identity, inverse on random triples; three reports."""
     rng = np.random.default_rng(seed)
 
@@ -292,7 +297,8 @@ def dyadic_scales(low: int = -10, high: int = 10) -> tuple[float, ...]:
     return tuple(2.0**j for j in range(low, high + 1))
 
 
-def sample_semigroup(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_semigroup(gauge: Gauge, n: int,
+                     seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """gauge_dilate(eps) o gauge_dilate(mu) = gauge_dilate(eps * mu) over the
     dyadic scale grid 2^-10 .. 2^10, cycling scale pairs across n samples
     (at least one full cycle)."""
@@ -312,7 +318,8 @@ def sample_semigroup(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox
     return _worst("dilatation-semigroup", max(n, pairs), TOL_GAUGE, draw, violation)
 
 
-def sample_homogeneity(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_homogeneity(gauge: Gauge, n: int,
+                       seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """gauge_norm(gauge_dilate(eps, p)) = eps * gauge_norm(p), eps in [1e-6, 1e3]."""
 
     def violation(eps, p):
@@ -323,7 +330,8 @@ def sample_homogeneity(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleB
     return _worst("dilatation-homogeneity", n, TOL_GAUGE, draw, violation)
 
 
-def sample_rescale_identity(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_rescale_identity(gauge: Gauge, n: int,
+                            seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """(1/eps) * gauge_dist(gauge_dilate(eps,p), gauge_dilate(eps,q)) equals
     gauge_norm(rescaled_product(eps, inv(p), q)); eps cycles over 2^0..2^-20."""
 
@@ -348,7 +356,8 @@ def sample_rescale_identity(gauge: Gauge, n: int, seed: int, box: SampleBox = Sa
     return _worst("rescaled-distance-identity", n, TOL_GAUGE, draw, violation)
 
 
-def sample_conjugation(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_conjugation(gauge: Gauge, n: int,
+                       seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """Residual of gauge_dilate = unflatten o euclidean_dilate o flatten."""
 
     def violation(eps, p):
@@ -360,7 +369,8 @@ def sample_conjugation(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleB
     return _worst("conjugation", n, TOL_GAUGE, draw, violation)
 
 
-def sample_flatten_homomorphism(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_flatten_homomorphism(gauge: Gauge, n: int,
+                                seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """flatten(p * q) equals the transported product of the flattened points."""
 
     def violation(p, q):
@@ -372,7 +382,8 @@ def sample_flatten_homomorphism(gauge: Gauge, n: int, seed: int, box: SampleBox 
     return _worst("flatten-homomorphism", n, TOL_GAUGE, draw, violation)
 
 
-def sample_transported_axioms(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_transported_axioms(gauge: Gauge, n: int,
+                              seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """Associativity / identity / inverse for the transported product, plus
     homogeneity of the transported norm under the euclidean dilatation.
 
@@ -410,7 +421,8 @@ def sample_transported_axioms(gauge: Gauge, n: int, seed: int, box: SampleBox = 
     ]
 
 
-def sample_intrinsic_dilation(n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_intrinsic_dilation(n: int,
+                              seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """The intrinsic dilatation is a group automorphism scaling intrinsic_dist."""
 
     def violation(eps, p, q):
@@ -422,7 +434,8 @@ def sample_intrinsic_dilation(n: int, seed: int, box: SampleBox = SampleBox()):
     return _worst("intrinsic-dilation-scaling", n, TOL_ALGEBRA, draw, violation)
 
 
-def sample_battery(gauge: Gauge, n: int, seed: int, box: SampleBox = SampleBox()):
+def sample_battery(gauge: Gauge, n: int,
+                   seed: int | np.random.Generator, box: SampleBox = SampleBox()):
     """The verify battery: each sampler above on n samples from box, in report
     order, all drawing in turn from one generator seeded with seed, on a
     verified gauge."""

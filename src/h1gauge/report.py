@@ -1,4 +1,9 @@
-"""Pass/fail bookkeeping shared by the gauge checker, the samplers and the CLI."""
+"""Pass/fail bookkeeping shared by the gauge checker, the samplers and the CLI.
+
+One pass rule serves every check: it passes exactly when its worst violation
+is <= its tolerance (a NaN violation fails).  worst_check applies it to an
+array of violations, whose first worst entry is the witness.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +37,21 @@ class PropertyCheck:
             "details": self.details,
         }
 
+    def line(self) -> str:
+        """The check's line in a table."""
+        status = "PASS" if self.passed else "FAIL"
+        return f"  {status}  {self.name}: worst={self.worst_violation!r} tol={self.tolerance!r}"
+
+
+def worst_check(name: str, violations, tolerance: float, witness,
+                details: str = "") -> PropertyCheck:
+    """The check of a nonempty 1-d array of violations: its worst entry, read
+    at argmax (the first worst entry, or the first NaN), passes when it is <=
+    tolerance; witness(i) gives the witness of entry i."""
+    i = int(violations.argmax())
+    worst = float(violations[i])
+    return PropertyCheck(name, worst <= tolerance, worst, tolerance, witness(i), details)
+
 
 @dataclass
 class VerificationReport:
@@ -63,10 +83,6 @@ class VerificationReport:
 
     def to_text(self) -> str:
         lines = [self.title]
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(
-                f"  {status}  {c.name}: worst={c.worst_violation!r} tol={c.tolerance!r}"
-            )
+        lines.extend(c.line() for c in self.checks)
         lines.append(("all checks passed" if self.passed else "CHECKS FAILED"))
         return "\n".join(lines) + "\n"

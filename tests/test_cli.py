@@ -18,7 +18,7 @@ from h1gauge import cli
 from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
 from h1gauge.gauges import Gauge, invert_g, linear_gauge, load_gauge
 from h1gauge.metrics import SampleBox, sample_battery
-from h1gauge.report import VerificationReport
+from h1gauge.report import PropertyCheck, VerificationReport
 
 
 def run(capsys, *argv):
@@ -575,7 +575,7 @@ def test_counterexample_reproduces_at_every_grid_length(capsys, count):
 
 @pytest.mark.parametrize("argv, message", [
     # the equivalence stage's a(0.5) is the first trace to underflow, after
-    # the battery and three probes have run
+    # three probes have run (the battery runs after the probes)
     (["--count", "507"], "error: eps = 4.7733380679681323e-153 drives eps^2 * 0.5 below the "
      "underflow floor 2.2250738585072014e-305; shorten the grid or rescale\n"),
     # the beta stage's pair is the first trace to overflow
@@ -587,6 +587,19 @@ def test_counterexample_first_scale_error(capsys, tmp_path, argv, message):
     code, stdout, err = run(capsys, "counterexample", *argv, "--samples", "5", "--out", str(out))
     assert (code, stdout, err) == (2, "", message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--count", "507"], ["--eps0", "1.2e154"]],
+                         ids=["underflow", "overflow"])
+def test_counterexample_rejects_a_bad_grid_before_the_battery(capsys, monkeypatch, argv):
+    want = run(capsys, "counterexample", *argv, "--samples", "5")
+
+    def battery(*args):
+        raise AssertionError("the battery ran")
+
+    monkeypatch.setattr(cli, "sample_battery", battery)
+    assert run(capsys, "counterexample", *argv, "--samples", "5") == want
+    assert want[0] == 2
 
 
 def test_counterexample_computes_each_trace_once(capsys, monkeypatch):
@@ -822,3 +835,37 @@ def test_sweep_writes_one_csv_pair_per_gauge(capsys, tmp_path):
         "sweep_linear.csv", "sweep_oscillatory_M3.csv",
         "traces_linear.csv", "traces_oscillatory_M3.csv"]
     assert capsys.readouterr().out.count("7 probes") == 2
+
+
+# --- one pass rule -------------------------------------------------------------
+
+# k(t) = 1e-320 * t up to t = 1 rounds to 0 at the small points of
+# check_gauge's grid: a flat step, which strict-increase fails
+FLAT_STEP = '{"type":"piecewise","breakpoints":[1],"values":[1e-320]}'
+
+
+@pytest.mark.parametrize("argv, code, failing", [
+    (["verify", "--samples", "50"], 0, []),
+    (["verify", "--gauge", '{"type": "oscillatory"}', "--samples", "50"], 0, []),
+    (["gauge-check", "--gauge", '{"type": "oscillatory"}'], 0, []),
+    (["probe", "metric-diff"], 0, []),  # linear: differentiable, so the seminorm checks run
+    (["verify", "--gauge", FLAT_STEP], 1, ["gauge/strict-increase", "samplers-skipped"]),
+    (["gauge-check", "--gauge", FLAT_STEP], 1, ["strict-increase"]),
+], ids=["verify-linear", "verify-osc", "gauge-check-osc", "metric-diff", "verify-flat",
+        "gauge-check-flat"])
+def test_every_check_passes_exactly_within_its_tolerance(capsys, argv, code, failing):
+    got, stdout, err = run(capsys, *argv, "--format", "structured")
+    report = json.loads(stdout)
+    checks = report["checks"] if "checks" in report else report["seminorm_checks"]
+    assert (got, err) == (code, "") and checks
+    for c in checks:
+        assert c["passed"] == (c["worst_violation"] <= c["tolerance"]), c
+    assert [c["name"] for c in checks if not c["passed"]] == failing
+
+
+def test_metric_diff_table_prints_the_report_check_lines(capsys):
+    _, table, _ = run(capsys, "probe", "metric-diff")
+    _, stdout, _ = run(capsys, "probe", "metric-diff", "--format", "structured")
+    lines = [PropertyCheck(**c).line() for c in json.loads(stdout)["seminorm_checks"]]
+    assert len(lines) == 2 and table.endswith("\n".join(lines) + "\n")
+    assert " tol=0.0001" in lines[0]

@@ -91,6 +91,12 @@ def test_triangle_sampler_catches_broken_distance():
     assert report.witness is not None
 
 
+def test_a_sampler_needs_a_sample():
+    # zero samples have no worst violation to report
+    with pytest.raises(ValueError, match="triangle: need at least one sample, got 0"):
+        sample_triangle(intrinsic_dist_array, "triangle", 0, seed=5)
+
+
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
 def test_sampler_battery_passes(gauge):
     failures = [r.name for r in sample_battery(gauge, 250, 42) if not r.passed]
