@@ -187,12 +187,11 @@ def _contract(gauge: Gauge):
     return report, gauge if gauge.verified else replace(gauge, verified=True)
 
 
-def cmd_verify(config: RunConfig, gauge: Gauge | None = None) -> int:
+def cmd_verify(config: RunConfig) -> int:
     """Gauge contract checks plus, if they pass, the sampler battery; exit 0
     iff all pass."""
     config.validate_sampling()
-    if gauge is None:
-        gauge = config.resolve_gauge(default=linear_gauge)
+    gauge = config.resolve_gauge(default=linear_gauge)
 
     report = VerificationReport(f"verify: {gauge.label}")
     gauge_report, working = _contract(gauge)

@@ -39,11 +39,9 @@ from typing import Callable
 import numpy as np
 
 from .heisenberg import check_finite
-from .report import PropertyCheck, VerificationReport, worst_check
+from .report import TOL_ALGEBRA, PropertyCheck, VerificationReport, worst_check
 
 INV_TOL = 1e-13  # mixed abs/rel contract tolerance for g/G round-trips
-_MIDPOINT_TOL = 1e-12
-_ORIGIN_TOL = 1e-12
 _BISECT_CAP = 2000  # never reached; bisection exhausts binary64 long before
 
 
@@ -438,9 +436,9 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     report.add(
         PropertyCheck(
             name="origin",
-            passed=abs(k0) <= _ORIGIN_TOL,
+            passed=abs(k0) <= TOL_ALGEBRA,
             worst_violation=abs(k0),
-            tolerance=_ORIGIN_TOL,
+            tolerance=TOL_ALGEBRA,
             witness=0.0,
         )
     )
@@ -458,7 +456,7 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     mid = (k_array(gauge, mids) - 0.5 * (ka + kb)) / np.maximum(
         1.0, np.maximum(np.abs(ka), np.abs(kb))
     )
-    report.add(worst_check("midpoint-convexity", mid, _MIDPOINT_TOL,
+    report.add(worst_check("midpoint-convexity", mid, TOL_ALGEBRA,
                            lambda i: [float(sub[a[i]]), float(sub[b[i]])]))
 
     rt = np.empty(2 * len(pts))  # per t: g(G(t)) first, then G(g(s))

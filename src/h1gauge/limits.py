@@ -43,7 +43,7 @@ from .heisenberg import (
     to_row,
 )
 from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
-from .report import PropertyCheck, VerificationReport, worst_check
+from .report import TOL_GAUGE, PropertyCheck, VerificationReport, worst_check
 
 DEFAULT_EPS0 = 1.0
 DEFAULT_RATIO = 0.5
@@ -51,7 +51,6 @@ DEFAULT_COUNT = 24
 DEFAULT_WINDOW = 6
 DEFAULT_ATOL = 1e-4
 DEFAULT_DIVERGENCE_BOUND = 1e6
-CLOSED_FORM_TOL = 1e-9
 SEMINORM_SCALES = (0.5, 0.25, 2.0)  # lam in the check eta(dilate(lam, v)) = lam * eta(v)
 
 # Squared scales fed to g must stay clear of the subnormal range.
@@ -347,13 +346,13 @@ def rescaled_product_probe(
 
 def _first_over(eps: np.ndarray, residual: np.ndarray, what: str) -> None:
     """Raise ArithmeticError naming the first eps whose residual exceeds
-    CLOSED_FORM_TOL."""
-    bad = np.flatnonzero(residual > CLOSED_FORM_TOL)
+    TOL_GAUGE."""
+    bad = np.flatnonzero(residual > TOL_GAUGE)
     if bad.size:
         j = int(bad[0])
         raise ArithmeticError(
             f"derivability trace at eps={float(eps[j])!r} {what} "
-            f"by {float(residual[j])!r} (> {CLOSED_FORM_TOL!r})"
+            f"by {float(residual[j])!r} (> {TOL_GAUGE!r})"
         )
 
 
@@ -368,16 +367,16 @@ def id_derivability_probe(
     the intrinsic to the gauge dilatation structure.  Every trace point is
     cross-checked against the closed form (u_h, sgn(ubar) * G(g(eps^2
     |ubar|)/eps)) — agreement is an algebraic identity through one profile
-    round-trip, enforced at CLOSED_FORM_TOL (the first eps of the grid that
+    round-trip, enforced at TOL_GAUGE (the first eps of the grid that
     exceeds it is named); the max residual is recorded in
     meta["closed_form_residual"].  Both sides apply the same g, so a wrong g
     passes that check; each trace point's t = g(s), s = eps^2 |ubar|, is
     therefore also held to the profile round trip
-    |G(t) - s| <= CLOSED_FORM_TOL * s + (G(t⁺) - G(t)), t⁺ the next float
+    |G(t) - s| <= TOL_GAUGE * s + (G(t⁺) - G(t)), t⁺ the next float
     above t (skipped when ubar = 0), again naming the first offending eps.
     The one-ulp term is the conditioning of G at t: even an exact g returns t
     rounded to a float, which moves G by up to that step, and on a steep
-    segment just past a knot the step can exceed CLOSED_FORM_TOL * s.  G is
+    segment just past a knot the step can exceed TOL_GAUGE * s.  G is
     convex and increasing, so the step up from t also bounds the step down.
     """
     require_verified(gauge)
@@ -465,19 +464,14 @@ def uniform_probe(
 
     values = np.array([tr.values for tr in traces], dtype=float)
     spreads, _, sup_cls, uniform = _sup_deviation(values, grid)
-    worst = max(range(len(points)), key=spreads.__getitem__)
-    worst_point = points[worst]
-    witness = worst_point.as_tuple() if isinstance(worst_point, H1Point) else worst_point
-    report.add(
-        PropertyCheck(
-            name="pointwise-convergence",
-            passed=all(tr.classification.kind == "converged" for tr in traces),
-            worst_violation=spreads[worst],
-            tolerance=grid.atol,
-            witness=witness,
-            details=f"{len(points)} probe points; violation is the worst tail spread",
-        )
-    )
+
+    def witness(i):
+        return points[i].as_tuple() if isinstance(points[i], H1Point) else points[i]
+
+    unconverged = np.array([tr.classification.kind != "converged" for tr in traces], dtype=float)
+    report.add(worst_check("pointwise-convergence", unconverged, 0.0, witness,
+                           f"{len(points)} probe points; violation is 1 where a trace "
+                           "did not converge"))
 
     report.add(
         PropertyCheck(
@@ -485,7 +479,7 @@ def uniform_probe(
             passed=uniform,
             worst_violation=(abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf),
             tolerance=grid.atol,
-            witness=witness,
+            witness=witness(max(range(len(points)), key=spreads.__getitem__)),
             details=f"sup-deviation trace classified {sup_cls.kind}",
         )
     )

@@ -1,35 +1,36 @@
-"""Distances on H(1) and the randomized property samplers.
+"""Distances on H(1) and the verify battery.
 
 Three left-invariant distances: the intrinsic max-distance
 max(|x|, sqrt(|xbar|)), the gauge-deformed distance max(|x|, g(|xbar|)), and
 the flat distance max(|x|, |xbar|) taken in the transported group.  Each norm
 is written once, as an array kernel on (n, 3) point arrays; the scalar norm on
 H1Point is a one-row call into it, and each scalar distance composes its norm
-with the group law.  The samplers draw seeded points from a box and report
-worst-case violations of the triangle inequality, 1-Lipschitzness of the
-identity, left invariance, the flattening isometry, and the dilatation
-identities.  They run on arrays, SAMPLE_CHUNK samples at a time, so memory
-stays bounded for any sample count.
+with the group law.
 
-Each sampler draws from np.random.default_rng(seed), so its seed may be an
-int or a Generator, which default_rng hands back unchanged.  sample_battery
-seeds one generator per run and passes it to every sampler in report order:
-a generator built from an int costs far more than its draws at small sample
-counts.
+The verify battery is one table, BATTERY, built at import: one Row per
+check, in report order, holding its name, its tolerance, the layout of a
+sample's inputs (box points, after a log-uniform scale or a cycled scale
+table) and its violation function.  The checks are the triangle inequality,
+1-Lipschitzness of the identity, left invariance, the flattening isometry,
+and the group and dilatation identities.  sample_battery runs the rows on
+seeded draws from a box, each reporting its worst-case violation, all drawing
+in turn from one generator; each row runs SAMPLE_CHUNK samples at a time, so
+memory stays bounded for any sample count.
 
-Where a sampler applies one kernel to independent inputs, it makes one call
+Where a violation applies one kernel to independent inputs, it makes one call
 on the inputs stacked row-wise (_rows) and splits the result (_split).  Every
 kernel is row by row, so the numbers are those of the separate calls: stacking
 cuts only the per-call dispatch cost, which dominates at small sample counts.
-The draws are merged the same way: the count box arrays a chunk needs come
-from one draw of count times the rows, split in order (_points).  The
-generator yields its doubles in sequence, so those are the points of count
-separate draws.
+The draws are merged the same way: the box points a chunk needs come from one
+draw of their count times the rows, split in order (Row._draw).  The
+generator yields its doubles in sequence, so those are the points of separate
+draws.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -196,196 +197,168 @@ def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyChec
     return worst
 
 
-def _points(rng: np.random.Generator, box: SampleBox, count: int):
-    """draw for samples of count independent box points, taken from one draw
-    of count times the rows."""
-    return lambda start, size: tuple(_split(box.draw(rng, count * size), count))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _scaled_points(rng: np.random.Generator, box: SampleBox, count: int, low: float, high: float):
-    """draw for samples of one scale 10^u, u uniform in [low, high], and count
-    box points."""
-    points = _points(rng, box, count)
-    return lambda start, size: (10.0 ** rng.uniform(low, high, size=size), *points(start, size))
-
-
-_IDENTITY = np.zeros((1, 3))
-_IDENTITY.flags.writeable = False
-
-
-def sample_triangle(dist, name: str, n: int,
-                    seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """Triangle inequality dist(p,r) <= dist(p,q) + dist(q,r) on random triples.
-    dist maps two (n, 3) point arrays to n distances, row by row."""
-
-    def violation(p, q, r):
-        pr, pq, qr = _split(dist(_rows(p, p, q), _rows(r, q, r)), 3)
-        return scaled_excess(pr, pq + qr)
-
-    return _worst(name, n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation)
-
-
-def sample_lipschitz_id(gauge: Gauge, n: int,
-                        seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """The identity map is 1-Lipschitz from the intrinsic to the gauge distance."""
-
-    def violation(p, q):
-        step = mul_array(inv_array(p), q)
-        return scaled_excess(gauge_norm_array(gauge, step), intrinsic_norm_array(step))
-
-    return _worst(
-        "lipschitz-id", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 2), violation
-    )
-
-
-def sample_left_invariance(gauge: Gauge, n: int,
-                           seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    def violation(z, p, q):
-        zp, zq = _split(mul_array(_rows(z, z), _rows(p, q)), 2)
-        return _gap(*_split(gauge_dist_array(gauge, _rows(zp, p), _rows(zq, q)), 2))
-
-    return _worst(
-        "left-invariance", n, TOL_ALGEBRA, _points(np.random.default_rng(seed), box, 3), violation
-    )
-
-
-def sample_isometry(gauge: Gauge, n: int,
-                    seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """flat_dist(flatten(p), flatten(q)) equals gauge_dist(p, q)."""
-
-    def violation(p, q):
-        fp, fq = _split(flatten_array(gauge, _rows(p, q)), 2)
-        return _gap(flat_dist_array(gauge, fp, fq), gauge_dist_array(gauge, p, q))
-
-    return _worst(
-        "flatten-isometry", n, TOL_GAUGE, _points(np.random.default_rng(seed), box, 2), violation
-    )
-
-
-def _assoc_violation(prod):
-    def violation(p, q, r):
-        pq, qr = _split(prod(_rows(p, q), _rows(q, r)), 2)
-        a, b = _split(prod(_rows(pq, p), _rows(r, qr)), 2)
-        return point_diff_array(a, b) / point_scale_array(a, b)
-
-    return violation
-
-
-def sample_group_axioms(n: int, seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """Associativity, identity, inverse on random triples; three reports."""
-    rng = np.random.default_rng(seed)
-
-    def identity_violation(p):
-        e = np.zeros_like(p)
-        d = point_diff_array(mul_array(_rows(p, e), _rows(e, p)), _rows(p, p))
-        return np.maximum(*_split(d, 2)) / point_scale_array(p)
-
-    def inverse_violation(p):
-        ip = inv_array(p)
-        d = point_diff_array(mul_array(_rows(p, ip), _rows(ip, p)), _IDENTITY)
-        return np.maximum(*_split(d, 2)) / point_scale_array(p)
-
-    return [
-        _worst("group-associativity", n, TOL_ALGEBRA, _points(rng, box, 3),
-               _assoc_violation(mul_array)),
-        _worst("group-identity", n, TOL_ALGEBRA, _points(rng, box, 1), identity_violation),
-        _worst("group-inverse", n, TOL_ALGEBRA, _points(rng, box, 1), inverse_violation),
-    ]
+_IDENTITY = _read_only(np.zeros((1, 3)))
 
 
 def dyadic_scales(low: int = -10, high: int = 10) -> tuple[float, ...]:
     return tuple(2.0**j for j in range(low, high + 1))
 
 
-def sample_semigroup(gauge: Gauge, n: int,
-                     seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """gauge_dilate(eps) o gauge_dilate(mu) = gauge_dilate(eps * mu) over the
-    dyadic scale grid 2^-10 .. 2^10, cycling scale pairs across n samples
-    (at least one full cycle)."""
-    rng = np.random.default_rng(seed)
-    scales = np.array(dyadic_scales())
-    pairs = len(scales) ** 2
+@dataclass(frozen=True)
+class Row:
+    """One check of the verify battery: its report name and tolerance, the
+    layout of one sample's inputs, and violation(gauge, *inputs), which maps
+    the inputs of a chunk of samples to one number per sample.
 
-    def draw(start, size):
-        i = np.arange(start, start + size) % pairs
-        return scales[i // len(scales)], scales[i % len(scales)], box.draw(rng, size)
+    A sample's inputs are `points` box points, after either one scale 10^u,
+    u uniform in `log_scale` and drawn before the points, or one entry of each
+    column of `table`, whose rows are cycled in sample order.  The check runs
+    on at least `min_samples` samples.
+    """
 
-    def violation(eps, mu, p):
-        inner, b = _split(gauge_dilate_array(gauge, _rows(mu, eps * mu), _rows(p, p)), 2)
-        a = gauge_dilate_array(gauge, eps, inner)
-        return point_diff_array(a, b) / point_scale_array(a, b)
+    name: str
+    tolerance: float
+    points: int
+    violation: Callable
+    log_scale: tuple[float, float] | None = None
+    table: tuple[np.ndarray, ...] = ()
+    min_samples: int = 0
 
-    return _worst("dilatation-semigroup", max(n, pairs), TOL_GAUGE, draw, violation)
+    def _draw(self, rng: np.random.Generator, box: SampleBox, start: int, size: int):
+        """The inputs of samples start .. start + size - 1; the box points come
+        from one draw of points times size rows, split in order."""
+        scales = ()
+        if self.log_scale is not None:
+            scales = (10.0 ** rng.uniform(*self.log_scale, size=size),)
+        elif self.table:
+            i = np.arange(start, start + size) % len(self.table[0])
+            scales = tuple(column[i] for column in self.table)
+        return (*scales, *_split(box.draw(rng, self.points * size), self.points))
+
+    def _run(self, gauge: Gauge, n: int, rng: np.random.Generator, box: SampleBox):
+        """The check on n samples (at least min_samples) drawn from rng."""
+        return _worst(self.name, max(n, self.min_samples), self.tolerance,
+                      partial(self._draw, rng, box), partial(self.violation, gauge))
 
 
-def sample_homogeneity(gauge: Gauge, n: int,
-                       seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """gauge_norm(gauge_dilate(eps, p)) = eps * gauge_norm(p), eps in [1e-6, 1e3]."""
-
-    def violation(eps, p):
-        a, b = _split(gauge_norm_array(gauge, _rows(gauge_dilate_array(gauge, eps, p), p)), 2)
-        return _gap(a, eps * b)
-
-    draw = _scaled_points(np.random.default_rng(seed), box, 1, -6.0, 3.0)
-    return _worst("dilatation-homogeneity", n, TOL_GAUGE, draw, violation)
+_DYADIC = np.array(dyadic_scales())
+# the 441 (eps, mu) pairs of the dyadic grid, eps-major
+_DYADIC_PAIRS = (_read_only(np.repeat(_DYADIC, len(_DYADIC))),
+                 _read_only(np.tile(_DYADIC, len(_DYADIC))))
+_RESCALE_SCALES = (_read_only(np.array([2.0**j for j in range(0, -21, -4)])),)
 
 
-def sample_rescale_identity(gauge: Gauge, n: int,
-                            seed: int | np.random.Generator, box: SampleBox = SampleBox()):
+# --- violations, one per check: violation(gauge, *inputs) ---------------------------
+# Each looks its kernels up when it runs, so a kernel rebound on the module
+# (as a tracer or a test does) is the one called.
+
+
+def _triangle(dist, p, q, r):
+    """dist(p,r) <= dist(p,q) + dist(q,r); dist maps two (n, 3) point arrays to
+    n distances, row by row."""
+    pr, pq, qr = _split(dist(_rows(p, p, q), _rows(r, q, r)), 3)
+    return scaled_excess(pr, pq + qr)
+
+
+def _associativity(prod, p, q, r):
+    pq, qr = _split(prod(_rows(p, q), _rows(q, r)), 2)
+    a, b = _split(prod(_rows(pq, p), _rows(r, qr)), 2)
+    return point_diff_array(a, b) / point_scale_array(a, b)
+
+
+def _group_identity(gauge, p):
+    e = np.zeros_like(p)
+    d = point_diff_array(mul_array(_rows(p, e), _rows(e, p)), _rows(p, p))
+    return np.maximum(*_split(d, 2)) / point_scale_array(p)
+
+
+def _group_inverse(gauge, p):
+    ip = inv_array(p)
+    d = point_diff_array(mul_array(_rows(p, ip), _rows(ip, p)), _IDENTITY)
+    return np.maximum(*_split(d, 2)) / point_scale_array(p)
+
+
+def _intrinsic_dilation(gauge, eps, p, q):
+    """The intrinsic dilatation is a group automorphism scaling intrinsic_dist."""
+    dp, dq = _split(dilate_array(_rows(eps, eps), _rows(p, q)), 2)
+    a, b = _split(intrinsic_dist_array(_rows(dp, p), _rows(dq, q)), 2)
+    return _gap(a, eps * b)
+
+
+def _lipschitz_id(gauge, p, q):
+    """The identity map is 1-Lipschitz from the intrinsic to the gauge distance."""
+    step = mul_array(inv_array(p), q)
+    return scaled_excess(gauge_norm_array(gauge, step), intrinsic_norm_array(step))
+
+
+def _left_invariance(gauge, z, p, q):
+    zp, zq = _split(mul_array(_rows(z, z), _rows(p, q)), 2)
+    return _gap(*_split(gauge_dist_array(gauge, _rows(zp, p), _rows(zq, q)), 2))
+
+
+def _isometry(gauge, p, q):
+    """flat_dist(flatten(p), flatten(q)) equals gauge_dist(p, q)."""
+    fp, fq = _split(flatten_array(gauge, _rows(p, q)), 2)
+    return _gap(flat_dist_array(gauge, fp, fq), gauge_dist_array(gauge, p, q))
+
+
+def _semigroup(gauge, eps, mu, p):
+    """gauge_dilate(eps) o gauge_dilate(mu) = gauge_dilate(eps * mu)."""
+    inner, b = _split(gauge_dilate_array(gauge, _rows(mu, eps * mu), _rows(p, p)), 2)
+    a = gauge_dilate_array(gauge, eps, inner)
+    return point_diff_array(a, b) / point_scale_array(a, b)
+
+
+def _homogeneity(gauge, eps, p):
+    """gauge_norm(gauge_dilate(eps, p)) = eps * gauge_norm(p)."""
+    a, b = _split(gauge_norm_array(gauge, _rows(gauge_dilate_array(gauge, eps, p), p)), 2)
+    return _gap(a, eps * b)
+
+
+def _rescale_identity(gauge, eps, p, q):
     """(1/eps) * gauge_dist(gauge_dilate(eps,p), gauge_dilate(eps,q)) equals
-    gauge_norm(rescaled_product(eps, inv(p), q)); eps cycles over 2^0..2^-20."""
-
-    def violation(eps, p, q):
-        dp, dq, dip = _split(
-            gauge_dilate_array(gauge, _rows(eps, eps, eps), _rows(p, q, inv_array(p))), 3
-        )
-        # gauge_dist(dp, dq) is the norm of inv(dp) * dq
-        step, product = _split(mul_array(_rows(inv_array(dp), dip), _rows(dq, dq)), 2)
-        undilated = gauge_dilate_array(gauge, 1.0 / eps, product)
-        a, b = _split(gauge_norm_array(gauge, _rows(step, undilated)), 2)
-        return _gap(a / eps, b)
-
-    rng = np.random.default_rng(seed)
-    scales = np.array([2.0**j for j in range(0, -21, -4)])
-
-    points = _points(rng, box, 2)
-
-    def draw(start, size):
-        return scales[np.arange(start, start + size) % len(scales)], *points(start, size)
-
-    return _worst("rescaled-distance-identity", n, TOL_GAUGE, draw, violation)
+    gauge_norm(rescaled_product(eps, inv(p), q))."""
+    dp, dq, dip = _split(
+        gauge_dilate_array(gauge, _rows(eps, eps, eps), _rows(p, q, inv_array(p))), 3
+    )
+    # gauge_dist(dp, dq) is the norm of inv(dp) * dq
+    step, product = _split(mul_array(_rows(inv_array(dp), dip), _rows(dq, dq)), 2)
+    undilated = gauge_dilate_array(gauge, 1.0 / eps, product)
+    a, b = _split(gauge_norm_array(gauge, _rows(step, undilated)), 2)
+    return _gap(a / eps, b)
 
 
-def sample_conjugation(gauge: Gauge, n: int,
-                       seed: int | np.random.Generator, box: SampleBox = SampleBox()):
+def _conjugation(gauge, eps, p):
     """Residual of gauge_dilate = unflatten o euclidean_dilate o flatten."""
-
-    def violation(eps, p):
-        direct = gauge_dilate_array(gauge, eps, p)
-        conjugated = unflatten_array(gauge, euclidean_dilate_array(eps, flatten_array(gauge, p)))
-        return point_diff_array(direct, conjugated) / point_scale_array(direct, p)
-
-    draw = _scaled_points(np.random.default_rng(seed), box, 1, -6.0, 3.0)
-    return _worst("conjugation", n, TOL_GAUGE, draw, violation)
+    direct = gauge_dilate_array(gauge, eps, p)
+    conjugated = unflatten_array(gauge, euclidean_dilate_array(eps, flatten_array(gauge, p)))
+    return point_diff_array(direct, conjugated) / point_scale_array(direct, p)
 
 
-def sample_flatten_homomorphism(gauge: Gauge, n: int,
-                                seed: int | np.random.Generator, box: SampleBox = SampleBox()):
+def _flatten_homomorphism(gauge, p, q):
     """flatten(p * q) equals the transported product of the flattened points."""
-
-    def violation(p, q):
-        a, fp, fq = _split(flatten_array(gauge, _rows(mul_array(p, q), p, q)), 3)
-        b = transported_mul_array(gauge, fp, fq)
-        return point_diff_array(a, b) / point_scale_array(a, b)
-
-    draw = _points(np.random.default_rng(seed), box, 2)
-    return _worst("flatten-homomorphism", n, TOL_GAUGE, draw, violation)
+    a, fp, fq = _split(flatten_array(gauge, _rows(mul_array(p, q), p, q)), 3)
+    b = transported_mul_array(gauge, fp, fq)
+    return point_diff_array(a, b) / point_scale_array(a, b)
 
 
-def sample_transported_axioms(gauge: Gauge, n: int,
-                              seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """Associativity / identity / inverse for the transported product, plus
-    homogeneity of the transported norm under the euclidean dilatation.
+def _transported_unit_inverse(gauge, p):
+    """Identity and inverse of the transported product, whose inverse is the
+    plain one, (-x, -xbar)."""
+    e = np.zeros_like(p)
+    d = point_diff_array(transported_mul_array(gauge, _rows(p, e, p), _rows(e, p, inv_array(p))),
+                         _rows(p, p, e))
+    right, left, inverse = _split(d, 3)
+    return np.maximum(np.maximum(right, left), inverse) / point_scale_array(p)
+
+
+def _transported_norm_homogeneity(gauge, eps, p):
+    """Homogeneity of the transported norm under the euclidean dilatation.
 
     The euclidean dilatation is deliberately NOT checked as an automorphism
     of the transported product: it is not one.  Conjugating that claim back
@@ -393,66 +366,48 @@ def sample_transported_axioms(gauge: Gauge, n: int,
     automorphism of the group itself, which already fails for the linear
     gauge on horizontal points (and would force the rescaled product to
     collapse to the plain product, emptying the whole limit question).  What
-    does hold exactly is norm homogeneity, checked here.  The transported
-    inverse is the plain one, (-x, -xbar).
+    does hold exactly is norm homogeneity, checked here.
     """
+    a, b = _split(flat_norm_array(_rows(euclidean_dilate_array(eps, p), p)), 2)
+    return _gap(a, eps * b)
+
+
+# The verify battery in report order, built once.
+BATTERY = (
+    Row("group-associativity", TOL_ALGEBRA, 3,
+        lambda gauge, p, q, r: _associativity(mul_array, p, q, r)),
+    Row("group-identity", TOL_ALGEBRA, 1, _group_identity),
+    Row("group-inverse", TOL_ALGEBRA, 1, _group_inverse),
+    Row("intrinsic-dilation-scaling", TOL_ALGEBRA, 2, _intrinsic_dilation, log_scale=(-3.0, 3.0)),
+    Row("triangle-intrinsic", TOL_ALGEBRA, 3,
+        lambda gauge, p, q, r: _triangle(intrinsic_dist_array, p, q, r)),
+    Row("triangle-gauge", TOL_ALGEBRA, 3,
+        lambda gauge, p, q, r: _triangle(partial(gauge_dist_array, gauge), p, q, r)),
+    Row("triangle-transported", TOL_ALGEBRA, 3,
+        lambda gauge, p, q, r: _triangle(partial(flat_dist_array, gauge), p, q, r)),
+    Row("lipschitz-id", TOL_ALGEBRA, 2, _lipschitz_id),
+    Row("left-invariance", TOL_ALGEBRA, 3, _left_invariance),
+    Row("flatten-isometry", TOL_GAUGE, 2, _isometry),
+    # every (eps, mu) pair of the dyadic grid 2^-10 .. 2^10, so few samples
+    # still cover it
+    Row("dilatation-semigroup", TOL_GAUGE, 1, _semigroup,
+        table=_DYADIC_PAIRS, min_samples=len(_DYADIC_PAIRS[0])),
+    Row("dilatation-homogeneity", TOL_GAUGE, 1, _homogeneity, log_scale=(-6.0, 3.0)),
+    Row("rescaled-distance-identity", TOL_GAUGE, 2, _rescale_identity, table=_RESCALE_SCALES),
+    Row("conjugation", TOL_GAUGE, 1, _conjugation, log_scale=(-6.0, 3.0)),
+    Row("flatten-homomorphism", TOL_GAUGE, 2, _flatten_homomorphism),
+    Row("transported-associativity", TOL_GAUGE, 3,
+        lambda gauge, p, q, r: _associativity(partial(transported_mul_array, gauge), p, q, r)),
+    Row("transported-unit-inverse", TOL_GAUGE, 1, _transported_unit_inverse),
+    Row("transported-norm-homogeneity", TOL_ALGEBRA, 1, _transported_norm_homogeneity,
+        log_scale=(-3.0, 3.0)),
+)
+
+
+def sample_battery(gauge: Gauge, n: int, seed: int,
+                   box: SampleBox = SampleBox()) -> list[PropertyCheck]:
+    """The verify battery on a verified gauge: each row of BATTERY on n samples
+    from box, in report order, all drawing in turn from one generator seeded
+    with seed."""
     rng = np.random.default_rng(seed)
-
-    def product(p, q):
-        return transported_mul_array(gauge, p, q)
-
-    def unit_inverse_violation(p):
-        e = np.zeros_like(p)
-        d = point_diff_array(product(_rows(p, e, p), _rows(e, p, inv_array(p))), _rows(p, p, e))
-        right, left, inverse = _split(d, 3)
-        return np.maximum(np.maximum(right, left), inverse) / point_scale_array(p)
-
-    def norm_homogeneity_violation(eps, p):
-        a, b = _split(flat_norm_array(_rows(euclidean_dilate_array(eps, p), p)), 2)
-        return _gap(a, eps * b)
-
-    return [
-        _worst("transported-associativity", n, TOL_GAUGE, _points(rng, box, 3),
-               _assoc_violation(product)),
-        _worst("transported-unit-inverse", n, TOL_GAUGE, _points(rng, box, 1),
-               unit_inverse_violation),
-        _worst("transported-norm-homogeneity", n, TOL_ALGEBRA,
-               _scaled_points(rng, box, 1, -3.0, 3.0), norm_homogeneity_violation),
-    ]
-
-
-def sample_intrinsic_dilation(n: int,
-                              seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """The intrinsic dilatation is a group automorphism scaling intrinsic_dist."""
-
-    def violation(eps, p, q):
-        dp, dq = _split(dilate_array(_rows(eps, eps), _rows(p, q)), 2)
-        a, b = _split(intrinsic_dist_array(_rows(dp, p), _rows(dq, q)), 2)
-        return _gap(a, eps * b)
-
-    draw = _scaled_points(np.random.default_rng(seed), box, 2, -3.0, 3.0)
-    return _worst("intrinsic-dilation-scaling", n, TOL_ALGEBRA, draw, violation)
-
-
-def sample_battery(gauge: Gauge, n: int,
-                   seed: int | np.random.Generator, box: SampleBox = SampleBox()):
-    """The verify battery: each sampler above on n samples from box, in report
-    order, all drawing in turn from one generator seeded with seed, on a
-    verified gauge."""
-    rng = np.random.default_rng(seed)
-    return [
-        *sample_group_axioms(n, rng, box),
-        sample_intrinsic_dilation(n, rng, box),
-        sample_triangle(intrinsic_dist_array, "triangle-intrinsic", n, rng, box),
-        sample_triangle(partial(gauge_dist_array, gauge), "triangle-gauge", n, rng, box),
-        sample_triangle(partial(flat_dist_array, gauge), "triangle-transported", n, rng, box),
-        sample_lipschitz_id(gauge, n, rng, box),
-        sample_left_invariance(gauge, n, rng, box),
-        sample_isometry(gauge, n, rng, box),
-        sample_semigroup(gauge, n, rng, box),
-        sample_homogeneity(gauge, n, rng, box),
-        sample_rescale_identity(gauge, n, rng, box),
-        sample_conjugation(gauge, n, rng, box),
-        sample_flatten_homomorphism(gauge, n, rng, box),
-        *sample_transported_axioms(gauge, n, rng, box),
-    ]
+    return [row._run(gauge, n, rng, box) for row in BATTERY]

@@ -10,6 +10,7 @@ import json
 import os
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from h1gauge.cli import main
@@ -22,29 +23,23 @@ from h1gauge.limits import (
     rescaled_product_probe,
     vertical_limit_probe,
 )
-from h1gauge.metrics import (
-    gauge_dist_array,
-    intrinsic_dist_array,
-    sample_conjugation,
-    sample_flatten_homomorphism,
-    sample_group_axioms,
-    sample_homogeneity,
-    sample_isometry,
-    sample_lipschitz_id,
-    sample_rescale_identity,
-    sample_semigroup,
-    sample_transported_axioms,
-    sample_triangle,
-)
+from h1gauge.metrics import BATTERY, SampleBox
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
 GAUGES = [("linear", LIN), ("oscillatory", OSC)]
+ROWS = {row.name: row for row in BATTERY}
 
 
 def criterion(num: int, ok: bool, desc: str) -> None:
     print(f"ACC{num} {'PASS' if ok else 'FAIL'}  {desc}")
     assert ok, f"ACC{num} failed: {desc}"
+
+
+def run_rows(gauge, n, seed, *names):
+    """The named battery rows run in turn on one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    return [ROWS[name]._run(gauge, n, rng, SampleBox()) for name in names]
 
 
 def _quiet_main(argv) -> int:
@@ -53,7 +48,8 @@ def _quiet_main(argv) -> int:
 
 
 def test_acc1_group_algebra_suite():
-    reports = sample_group_axioms(10_000, seed=10_001)
+    reports = run_rows(LIN, 10_000, 10_001,
+                       "group-associativity", "group-identity", "group-inverse")
     worst = max(r.worst_violation for r in reports)
     criterion(
         1,
@@ -65,12 +61,10 @@ def test_acc1_group_algebra_suite():
 def test_acc2_deformed_distance_is_1_lipschitz_metric():
     worsts = []
     for name, gauge in GAUGES:
-        tri = sample_triangle(
-            lambda p, q: gauge_dist_array(gauge, p, q), f"tri-{name}", 10_000, seed=10_002
-        )
-        lip = sample_lipschitz_id(gauge, 10_000, seed=10_003)
+        [tri] = run_rows(gauge, 10_000, 10_002, "triangle-gauge")
+        [lip] = run_rows(gauge, 10_000, 10_003, "lipschitz-id")
         worsts.append((name, tri.worst_violation, lip.worst_violation))
-    tri_d = sample_triangle(intrinsic_dist_array, "tri-intrinsic", 10_000, seed=10_004)
+    [tri_d] = run_rows(LIN, 10_000, 10_004, "triangle-intrinsic")
     ok = (
         all(t <= 1e-12 and l <= 1e-12 for _, t, l in worsts)
         and tri_d.worst_violation <= 1e-12
@@ -82,9 +76,9 @@ def test_acc2_deformed_distance_is_1_lipschitz_metric():
 def test_acc3_dilatation_axioms():
     oks, details = [], []
     for name, gauge in GAUGES:
-        semi = sample_semigroup(gauge, 441, seed=10_005)
-        homo = sample_homogeneity(gauge, 10_000, seed=10_006)
-        resc = sample_rescale_identity(gauge, 1_000, seed=10_007)
+        [semi] = run_rows(gauge, 441, 10_005, "dilatation-semigroup")
+        [homo] = run_rows(gauge, 10_000, 10_006, "dilatation-homogeneity")
+        [resc] = run_rows(gauge, 1_000, 10_007, "rescaled-distance-identity")
         worst = max(semi.worst_violation, homo.worst_violation, resc.worst_violation)
         oks.append(worst <= 1e-9)
         details.append(f"{name}: {worst:.2e}")
@@ -99,10 +93,10 @@ def test_acc3_dilatation_axioms():
 def test_acc4_transport_identities():
     oks, details = [], []
     for name, gauge in GAUGES:
-        conj = sample_conjugation(gauge, 1_000, seed=10_008)
-        iso = sample_isometry(gauge, 10_000, seed=10_009)
-        homo = sample_flatten_homomorphism(gauge, 10_000, seed=10_010)
-        assoc = sample_transported_axioms(gauge, 10_000, seed=10_011)[0]
+        [conj] = run_rows(gauge, 1_000, 10_008, "conjugation")
+        [iso] = run_rows(gauge, 10_000, 10_009, "flatten-isometry")
+        [homo] = run_rows(gauge, 10_000, 10_010, "flatten-homomorphism")
+        [assoc] = run_rows(gauge, 10_000, 10_011, "transported-associativity")
         worst = max(
             conj.worst_violation,
             iso.worst_violation,

@@ -80,11 +80,7 @@ from h1gauge.metrics import (
     gauge_norm_array,
     intrinsic_norm,
     intrinsic_norm_array,
-    sample_conjugation,
-    sample_homogeneity,
-    sample_semigroup,
-    sample_transported_axioms,
-    sample_triangle,
+    sample_battery,
 )
 from h1gauge.report import TOL_ALGEBRA
 
@@ -323,6 +319,9 @@ def test_sample_box_rejects_infinite_half_width():
 
 # --- witnesses ----------------------------------------------------------------------
 
+ROWS = {row.name: row for row in metrics.BATTERY}
+
+
 def _one(point_row):
     return np.array([point_row])
 
@@ -333,41 +332,49 @@ def _scaled_gap(a, b):
 
 @pytest.mark.parametrize("gauge", [LIN, OSC, SQUARE], ids=_gauge_id)
 def test_witness_reproduces_worst_violation(gauge, monkeypatch):
-    monkeypatch.setattr(metrics, "SAMPLE_CHUNK", 64)  # several chunks per sampler
+    monkeypatch.setattr(metrics, "SAMPLE_CHUNK", 64)  # several chunks per check
     n, seed = 300, 21
+    battery = {check.name: check for check in sample_battery(gauge, n, seed)}
+    for row in metrics.BATTERY:  # each witness, as one-row inputs, gives its worst
+        check = battery[row.name]
+        v = row.violation(gauge, *(np.array([x]) for x in check.witness))
+        assert float(v[0]) == check.worst_violation, row.name
+
+    def run(name):
+        return ROWS[name]._run(gauge, n, np.random.default_rng(seed), SampleBox())
 
     dist = lambda p, q: gauge_dist_array(gauge, p, q)
-    tri = sample_triangle(dist, "tri", n, seed)
+    tri = run("triangle-gauge")
     p, q, r = map(_one, tri.witness)
     direct, via = float(dist(p, r)[0]), float((dist(p, q) + dist(q, r))[0])
     assert (direct - via) / max(1.0, abs(direct), abs(via)) == tri.worst_violation
 
-    semi = sample_semigroup(gauge, n, seed)
+    semi = run("dilatation-semigroup")
     eps, mu, p = semi.witness
     a = gauge_dilate_array(gauge, eps, gauge_dilate_array(gauge, mu, _one(p)))
     b = gauge_dilate_array(gauge, eps * mu, _one(p))
     assert float((point_diff_array(a, b) / point_scale_array(a, b))[0]) == semi.worst_violation
 
-    homo = sample_homogeneity(gauge, n, seed)
+    homo = run("dilatation-homogeneity")
     eps, p = homo.witness
     a = float(gauge_norm_array(gauge, gauge_dilate_array(gauge, eps, _one(p)))[0])
     b = eps * float(gauge_norm_array(gauge, _one(p))[0])
     assert _scaled_gap(a, b) == homo.worst_violation
 
-    conj = sample_conjugation(gauge, n, seed)
+    conj = run("conjugation")
     eps, p = conj.witness
     direct = gauge_dilate_array(gauge, eps, _one(p))
     back = unflatten_array(gauge, euclidean_dilate_array(eps, flatten_array(gauge, _one(p))))
     v = point_diff_array(direct, back) / point_scale_array(direct, _one(p))
     assert float(v[0]) == conj.worst_violation
 
-    assoc = sample_transported_axioms(gauge, n, seed)[0]
+    assoc = run("transported-associativity")
     p, q, r = map(_one, assoc.witness)
     tm = lambda x, y: transported_mul_array(gauge, x, y)
     a, b = tm(tm(p, q), r), tm(p, tm(q, r))
     assert float((point_diff_array(a, b) / point_scale_array(a, b))[0]) == assoc.worst_violation
 
-    for check in (tri, semi, homo, conj, assoc):
+    for check in battery.values():
         assert type(check.worst_violation) is float
         assert "np." not in repr(check.witness)
 
@@ -559,55 +566,29 @@ def test_stacked_samplers_match_unstacked(gauge, n):
         assert g == w, g.name  # passed, worst_violation, witness and details included
 
 
-def _battery_in_report_order(gauge, n, rng, box):
-    """The battery's samplers called one after another on the generator rng."""
-    m = metrics
-    return [
-        *m.sample_group_axioms(n, rng, box),
-        m.sample_intrinsic_dilation(n, rng, box),
-        m.sample_triangle(m.intrinsic_dist_array, "triangle-intrinsic", n, rng, box),
-        m.sample_triangle(lambda p, q: m.gauge_dist_array(gauge, p, q), "triangle-gauge", n,
-                          rng, box),
-        m.sample_triangle(lambda p, q: m.flat_dist_array(gauge, p, q), "triangle-transported",
-                          n, rng, box),
-        *(sample(gauge, n, rng, box) for sample in (
-            m.sample_lipschitz_id, m.sample_left_invariance, m.sample_isometry,
-            m.sample_semigroup, m.sample_homogeneity, m.sample_rescale_identity,
-            m.sample_conjugation, m.sample_flatten_homomorphism)),
-        *m.sample_transported_axioms(gauge, n, rng, box),
-    ]
-
-
 @pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
 @pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=_gauge_id)
-def test_battery_draws_from_one_generator(gauge, n):
-    # seeded once, every stage drawing in turn: the reports are those of the
-    # samplers in report order on one generator, which ends in the same state
+def test_battery_draws_from_one_generator(gauge, n, monkeypatch):
+    # one generator, made once from the int seed, every row drawing from it in
+    # turn: the reports are those of the rows run in report order on one
+    # generator, which ends where a fresh one that drew all their doubles does
+    made, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
     box = SampleBox(3.0, 5.0)
-    shared, passed_in = np.random.default_rng(5), np.random.default_rng(5)
-    want = _battery_in_report_order(gauge, n, shared, box)
-    assert metrics.sample_battery(gauge, n, 5, box) == want
-    assert metrics.sample_battery(gauge, n, passed_in, box) == want
-    assert passed_in.random() == shared.random()
-
-
-SEEDED_SAMPLERS = {
-    "group-axioms": lambda seed: metrics.sample_group_axioms(7, seed),
-    "intrinsic-dilation": lambda seed: metrics.sample_intrinsic_dilation(7, seed),
-    "triangle": lambda seed: metrics.sample_triangle(
-        metrics.intrinsic_dist_array, "triangle-intrinsic", 7, seed),
-    **{sample.__name__: partial(sample, OSC, 7) for sample in (
-        metrics.sample_lipschitz_id, metrics.sample_left_invariance, metrics.sample_isometry,
-        metrics.sample_semigroup, metrics.sample_homogeneity, metrics.sample_rescale_identity,
-        metrics.sample_conjugation, metrics.sample_flatten_homomorphism,
-        metrics.sample_transported_axioms)},
-}
-
-
-@pytest.mark.parametrize("sampler", sorted(SEEDED_SAMPLERS))
-def test_sampler_seed_is_an_int_or_its_generator(sampler):
-    sample = SEEDED_SAMPLERS[sampler]
-    assert sample(11) == sample(np.random.default_rng(11))
+    reports = sample_battery(gauge, n, 5, box)
+    [rng] = made
+    doubles = sum(max(n, row.min_samples) * ((row.log_scale is not None) + 3 * row.points)
+                  for row in metrics.BATTERY)
+    fresh = default_rng(5)
+    fresh.random(doubles)
+    assert rng.random() == fresh.random()
+    shared = default_rng(5)
+    assert [row._run(gauge, n, shared, box) for row in metrics.BATTERY] == reports
 
 
 @pytest.mark.parametrize("count", [24, 160])
@@ -647,8 +628,8 @@ def test_merged_draws_match_consecutive_draws(count, n):
     box = SampleBox(3.0, 5.0)
     for name, args in (("_points", ()), ("_scaled_points", (-3.0, 3.0))):
         rngs = [np.random.default_rng(n), np.random.default_rng(n)]
-        draws = [getattr(mod, name)(rng, box, count, *args)
-                 for mod, rng in zip((metrics, ref), rngs)]
+        row = metrics.Row(name, 0.0, count, None, log_scale=args or None)
+        draws = [partial(row._draw, rngs[0], box), getattr(ref, name)(rngs[1], box, count, *args)]
         for start in range(0, n, metrics.SAMPLE_CHUNK):
             size = min(metrics.SAMPLE_CHUNK, n - start)
             got, want = (draw(start, size) for draw in draws)

@@ -15,8 +15,8 @@ import pytest
 
 import h1gauge
 from h1gauge import cli
-from h1gauge.cli import RunConfig, _temp_names, _write_atomic, cmd_verify, main
-from h1gauge.gauges import Gauge, invert_g, linear_gauge, load_gauge
+from h1gauge.cli import _temp_names, _write_atomic, main
+from h1gauge.gauges import invert_g, linear_gauge, load_gauge
 from h1gauge.metrics import SampleBox, sample_battery
 from h1gauge.report import PropertyCheck, VerificationReport
 
@@ -451,7 +451,7 @@ VERIFY_CHECKS = [
 CHECK_KEYS = ["name", "passed", "worst_violation", "tolerance", "witness", "details"]
 
 
-@pytest.mark.parametrize("samples", [12, 500])
+@pytest.mark.parametrize("samples", [1, 12, 500])
 @pytest.mark.parametrize("spec", [None, '{"type": "oscillatory"}'], ids=["linear", "oscillatory"])
 def test_verify_report_schema(capsys, tmp_path, spec, samples):
     # the schema that consumers of verify_report.json parse: check names and
@@ -528,12 +528,10 @@ def test_import_leaves_numpy_random_to_the_samplers():
     assert out[1] == out[0]
 
 
-def test_verify_concave_gauge_via_api(capsys, tmp_path):
-    # raw evaluables reach cmd_verify only through the API; the gauge stage
-    # fails and the samplers are skipped
-    config = RunConfig(samples=50, out=tmp_path / "raw")
-    code = cmd_verify(config, gauge=Gauge(k=math.sqrt, label="sqrt"))
-    capsys.readouterr()
+def test_verify_skips_samplers_when_the_contract_fails(capsys, tmp_path):
+    # a flat step of k fails the gauge contract, so the samplers are skipped
+    code, _, _ = run(capsys, "verify", "--samples", "50", "--out", str(tmp_path / "raw"),
+                     "--gauge", '{"type":"piecewise","breakpoints":[1],"values":[1e-320]}')
     assert code == 1
     text = (tmp_path / "raw" / "verify_report.json").read_text()
     payload = json.loads(text)

@@ -19,13 +19,13 @@ from h1gauge.dilatations import dilate, gauge_dilate
 from h1gauge.gauges import g_inverse_eval, linear_gauge, oscillatory_gauge
 from h1gauge.heisenberg import H1Point, identity, point
 from h1gauge.limits import (
-    CLOSED_FORM_TOL,
     _fmean,
     Classification,
     EpsGrid,
     NonConvergentLimitError,
     ScaleOverflowError,
     classify_limit,
+    DEFAULT_GRID,
     classify_point_trace,
     default_direction_grid,
     id_derivability_probe,
@@ -37,6 +37,7 @@ from h1gauge.limits import (
     vertical_limit_probe,
     vertical_response,
 )
+from h1gauge.report import TOL_GAUGE
 from reference import point_diff, point_scale, trace_csv
 
 LIN = linear_gauge()
@@ -382,7 +383,7 @@ def test_derivability_guard_names_first_offending_eps(capsys, monkeypatch):
         ref = point(u.x1, u.x2, g_inverse_eval(gauge, vertical_response(gauge, e, u.xbar)))
         return point_diff(val, ref) / point_scale(val, ref)
 
-    first = next(e for e in grid.values() if residual(e) > CLOSED_FORM_TOL)
+    first = next(e for e in grid.values() if residual(e) > TOL_GAUGE)
     assert first != grid.eps0  # the grid starts inside the tolerance
     with pytest.raises(ArithmeticError, match=re.escape(f"at eps={first!r} deviates")):
         id_derivability_probe(gauge, u, grid)
@@ -465,7 +466,29 @@ def test_uniform_probe_classifies_pointwise_traces_by_the_grid_rule():
     assert all(tr.grid is grid for tr in traces)
     assert all(tr.classification.kind == "converged" for tr in traces)
     assert [(c.name, c.passed, c.tolerance) for c in rep.checks] == [
-        ("pointwise-convergence", True, 10.0), ("uniform-sup-convergence", True, 10.0)]
+        ("pointwise-convergence", True, 0.0), ("uniform-sup-convergence", True, 10.0)]
+
+
+@pytest.mark.parametrize("ladder_at", [None, 1.0, 2.0])
+def test_uniform_probe_checks_pass_by_their_numbers(ladder_at):
+    # both checks follow the one pass rule; the pointwise check's violation is
+    # 1 for each trace that did not converge, its witness the first such point
+    def probe(ub, grid):
+        return vertical_limit_probe(OSC if ub == ladder_at else LIN, ub, grid)
+
+    ubars = [0.5, 1.0, 2.0]
+    rep = uniform_probe(probe, ubars)
+    for c in rep.checks:
+        assert c.passed == (c.worst_violation <= c.tolerance), c
+    pointwise = rep.checks[0]
+    assert pointwise.name == "pointwise-convergence" and pointwise.tolerance == 0.0
+    if ladder_at is None:
+        assert rep.passed
+        assert (pointwise.worst_violation, pointwise.witness) == (0.0, 0.5)
+    else:
+        assert probe(ladder_at, DEFAULT_GRID).classification.kind == "oscillating"
+        assert not pointwise.passed and not rep.passed
+        assert (pointwise.worst_violation, pointwise.witness) == (1.0, ladder_at)
 
 
 def test_uniform_probe_rejects_a_point_valued_probe(monkeypatch):
