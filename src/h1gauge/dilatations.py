@@ -9,8 +9,12 @@ the gauge dilatation into the euclidean one and transporting the group law.
 The *_array functions hold the formulas and act on (n, 3) point arrays; eps
 may be one scale or one scale per row.  dilate, euclidean_dilate,
 gauge_dilate, flatten, unflatten and transported_mul are one-row calls into
-them; gauge_dilate_at and rescaled_product compose those.  The gauge kernels
-call unchecked private bodies and check only their own result, once.
+them; gauge_dilate_at and rescaled_product compose those.  Each *_array
+kernel is its scale check (_check_eps), require_verified and check_finite
+around a private unchecked body (_dilate, _euclidean_dilate, _gauge_dilate,
+_flatten, _unflatten, _transported_mul) that holds its formula; the
+composites and the verify battery's violations call the bodies and check only
+their own result, once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .gauges import Gauge, _g, _G, require_verified
 from .heisenberg import (
-    H1Point, _mul, _points, _rows, _split, check_finite, from_row, inv, mul, to_row,
+    H1Point, _mul, _rows, _split, check_finite, from_row, inv, mul, to_row,
 )
 
 
@@ -69,48 +73,67 @@ def transported_mul(gauge: Gauge, p: H1Point, q: H1Point) -> H1Point:
 # --- (n, 3) arrays, one point per row ---------------------------------------
 
 
-def _check_eps_array(eps) -> np.ndarray:
-    """eps as a column (one scale per row, or one for all), once every scale
-    is checked positive and finite: the least and the greatest scale are
-    tested, read at argmin and argmax, which both find the first NaN.  An
-    empty eps passes."""
-    eps = np.asarray(eps)
-    flat = eps.ravel()
+def _check_eps(eps) -> None:
+    """Raise ValueError unless every scale of eps (one, or one per row) is
+    positive and finite: the least and the greatest scale are tested, read at
+    argmin and argmax, which both find the first NaN.  An empty eps passes."""
+    flat = np.asarray(eps).ravel()
     if flat.size and not (flat[flat.argmin()] > 0.0 and flat[flat.argmax()] < np.inf):
         raise ValueError("dilatation scales must be positive and finite")
-    return eps[..., None]
+
+
+# The unchecked bodies of the dilatation kernels: eps is one scale or one per
+# row, and each public kernel is its scale check and check_finite around one.
+def _dilate(eps, p: np.ndarray) -> np.ndarray:
+    e = np.asarray(eps)[..., None]
+    return p * np.concatenate((e, e, e * e), axis=-1)
+
+
+def _euclidean_dilate(eps, p: np.ndarray) -> np.ndarray:
+    return p * np.asarray(eps)[..., None]
+
+
+def _gauge_dilate(gauge: Gauge, eps, p: np.ndarray) -> np.ndarray:
+    # the horizontal part scales as the euclidean dilatation's does
+    xbar = p[:, 2]
+    out = _euclidean_dilate(eps, p)
+    out[:, 2] = np.sign(xbar) * _G(gauge, eps * _g(gauge, np.abs(xbar)))
+    return out
 
 
 def dilate_array(eps, p: np.ndarray) -> np.ndarray:
     """Intrinsic dilatation (eps * x, eps^2 * xbar), row by row.  A group
     automorphism."""
-    e = _check_eps_array(eps)
-    return check_finite(p * np.concatenate((e, e, e * e), axis=-1))
+    _check_eps(eps)
+    return check_finite(_dilate(eps, p))
 
 
 def euclidean_dilate_array(eps, p: np.ndarray) -> np.ndarray:
     """Componentwise scaling (eps * x, eps * xbar), row by row."""
-    return check_finite(p * _check_eps_array(eps))
+    _check_eps(eps)
+    return check_finite(_euclidean_dilate(eps, p))
 
 
 def gauge_dilate_array(gauge: Gauge, eps, p: np.ndarray) -> np.ndarray:
     """Gauge dilatation, row by row: horizontal part scaled by eps, vertical
     part sgn(xbar) * G(eps * g(|xbar|)) with sgn(0) = 0."""
-    _check_eps_array(eps)
+    _check_eps(eps)
     require_verified(gauge)
-    xbar = p[:, 2]
-    vert = np.sign(xbar) * _G(gauge, eps * _g(gauge, np.abs(xbar)))
-    return check_finite(_points(eps * p[:, 0], eps * p[:, 1], vert))
+    return check_finite(_gauge_dilate(gauge, eps, p))
 
 
 def _flatten(gauge: Gauge, p: np.ndarray) -> np.ndarray:
+    out = p.copy()
     xbar = p[:, 2]
-    return _points(p[:, 0], p[:, 1], np.sign(xbar) * _g(gauge, np.abs(xbar)))
+    out[:, 2] = np.sign(xbar) * _g(gauge, np.abs(xbar))
+    return out
 
 
 def _unflatten(gauge: Gauge, p: np.ndarray) -> np.ndarray:
+    out = p.copy()
     t = p[:, 2]
-    return _points(p[:, 0], p[:, 1], np.sign(t) * _G(gauge, np.abs(t)))
+    out[:, 2] = np.sign(t) * _G(gauge, np.abs(t))
+    return out
 
 
 def flatten_array(gauge: Gauge, p: np.ndarray) -> np.ndarray:

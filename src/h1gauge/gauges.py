@@ -11,12 +11,14 @@ because G(t) >= t^2 forces g(s) <= sqrt(s)).
 k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
 _array_path is the one place that picks how (segment-table lookup, the
 linear closed form, or the scalar functions element by element), and it
-runs once per Gauge, when the Gauge is built.  Each kernel call then reads
-the least of its arguments once, as the entry at its argmin (the first NaN,
-if there is one), which costs less per call than a ufunc reduction: that one
-value serves the >= 0 guard and, on a self-similar table, the test whether
-every row is at or above the table.  Each public kernel is that guard and
-check_finite around an unchecked body (_k, _G, _g) that composites call.
+runs once per Gauge, when the Gauge is built.  Each public kernel call then
+reads the least of its arguments once, as the entry at its argmin (the first
+NaN, if there is one), which costs less per call than a ufunc reduction: that
+one value serves the >= 0 guard and, on a self-similar table, the test
+whether every row is at or above the table.  Each public kernel is that guard
+and check_finite around an unchecked body (_k, _G, _g) that composites call;
+a body reads the least argument only on a self-similar table, the one path
+that uses it.
 The scalar k and g of the piecewise and linear gauges are one-element calls
 into their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
 are what the element-by-element path maps over a raw callable, and
@@ -160,14 +162,15 @@ class PiecewiseLinearGauge:
         """g(s) for s >= 0: one element of g_array."""
         return _at(self.g_array, s)
 
-    def k_array(self, t: np.ndarray, least: float) -> np.ndarray:
+    def k_array(self, t: np.ndarray, least: float | None) -> np.ndarray:
         """k on an array of t >= 0 whose minimum is least (inf when t is
-        empty), by np.searchsorted in the segment table."""
+        empty, None when not yet read), by np.searchsorted in the segment
+        table."""
         return self._scaled(self._k_table, t, least, 0, 1, 2)
 
-    def g_array(self, s: np.ndarray, least: float) -> np.ndarray:
+    def g_array(self, s: np.ndarray, least: float | None) -> np.ndarray:
         """Exact profile inverse g on an array of s >= 0 whose minimum is
-        least (inf when s is empty).
+        least (inf when s is empty, None when not yet read).
 
         On the segment starting at knot b with profile value G(b) and slope m,
         G(b + x) = G(b) + B x + x^2 with B = m + 2b.  The segment is the last
@@ -192,15 +195,16 @@ class PiecewiseLinearGauge:
         h = halfb[i]
         return np.minimum(knots[i] + d / (h + np.hypot(h, np.sqrt(d))), upper[i])
 
-    def _scaled(self, table, x: np.ndarray, least: float, which: int, arg: int,
+    def _scaled(self, table, x: np.ndarray, least: float | None, which: int, arg: int,
                 value: int) -> np.ndarray:
         """table(x), continued by the scaling law: with a period q, a row
         0 < x < first (b_1 for k, which = 0; G(b_1) for g, which = 1) is
         divided by q^(arg n) for the least n lifting it to first (a
         logarithm, corrected once exactly), and its value is scaled by
-        q^(value n), capped at the period above's bottom so it cannot fall."""
+        q^(value n), capped at the period above's bottom so it cannot fall.
+        least is read here when the caller passes None."""
         q = self.period
-        if q is None or least >= self._bottoms[which][0]:
+        if q is None or (_min(x) if least is None else least) >= self._bottoms[which][0]:
             return table(x)  # every row is at or above the table
         first, bottom = self._bottoms[which]
         low = (x > 0) & (x < first)
@@ -331,8 +335,9 @@ def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray, float], n
 
 def _array_path(gauge: Gauge):
     """(k, g) for the gauge's kind, each called as f(x, least) on a 1-d float
-    array x >= 0 and its minimum.  Gauge.__post_init__ calls this once and
-    keeps the pair; the kernels read it from there.
+    array x >= 0 and its minimum, or None when the caller has not read it.
+    Gauge.__post_init__ calls this once and keeps the pair; the kernels read
+    it from there.
 
     - A piecewise-linear k carrying its own closed-form g (every piecewise
       and oscillatory gauge) looks up its segment table with np.searchsorted.
@@ -368,9 +373,9 @@ def _least(x: np.ndarray, what: str) -> float:
 
 
 # The unchecked bodies of k_array, g_inverse_array and g_array, for entries
-# >= 0 (or NaN); least is their minimum, read here unless the caller has it.
+# >= 0 (or NaN); least is their minimum if the caller has read it.
 def _k(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
-    return gauge._path[0](t, _min(t) if least is None else least)
+    return gauge._path[0](t, least)
 
 
 def _G(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
@@ -378,7 +383,7 @@ def _G(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
 
 
 def _g(gauge: Gauge, s: np.ndarray, least: float | None = None) -> np.ndarray:
-    return gauge._path[1](s, _min(s) if least is None else least)
+    return gauge._path[1](s, least)
 
 
 def k_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:

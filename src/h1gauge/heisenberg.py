@@ -10,8 +10,10 @@ Guard policy: a public kernel checks its result, not its inputs, once, with
 one finiteness test (check_finite: np.isfinite, then np.count_nonzero against
 the size, which costs less per call than a ufunc reduction).  A NaN or an
 infinity in an input, and an overflow on the way, all reach the result, so
-each raises the same ValueError there.  A composite kernel calls unchecked
-private bodies (_points, _mul, ...) and checks only its own result.
+each raises the same ValueError there.  Each public kernel is that check
+around a private unchecked body (_points, _mul, _inv, _point_diff,
+_point_scale) that holds its formula; composite kernels and the verify
+battery's violations call the bodies and check only their own result.
 
 A row maximum (point_diff_array, point_scale_array) is a reduction over the
 leading axis of the transposed, contiguous copy: numpy takes it as a few
@@ -122,7 +124,8 @@ def _split(a: np.ndarray, k: int) -> np.ndarray:
 
 def _mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     out = p + q
-    out[:, 2] += 2.0 * symplectic_area(p.T, q.T)
+    vertical = out[:, 2]
+    vertical += 2.0 * symplectic_area(p.T, q.T)
     return out
 
 
@@ -132,17 +135,29 @@ def mul_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return check_finite(_mul(p, q))
 
 
+def _inv(p: np.ndarray) -> np.ndarray:
+    return -p
+
+
 def inv_array(p: np.ndarray) -> np.ndarray:
-    return check_finite(-p)
+    return check_finite(_inv(p))
+
+
+def _point_diff(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(np.abs(p - q).T.copy(), axis=0)
 
 
 def point_diff_array(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Max componentwise absolute difference, row by row."""
-    return check_finite(np.maximum.reduce(np.abs(p - q).T.copy(), axis=0))
+    return check_finite(_point_diff(p, q))
+
+
+def _point_scale(*points: np.ndarray) -> np.ndarray:
+    rows = np.abs(np.concatenate(points, axis=1))
+    return np.maximum.reduce(rows.T.copy(), axis=0, initial=1.0)
 
 
 def point_scale_array(*points: np.ndarray) -> np.ndarray:
     """Normalization max(1, |components|) for scaled comparisons, row by row
     over equally long point arrays."""
-    rows = np.abs(np.concatenate(points, axis=1))
-    return check_finite(np.maximum.reduce(rows.T.copy(), axis=0, initial=1.0))
+    return check_finite(_point_scale(*points))

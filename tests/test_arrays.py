@@ -591,6 +591,40 @@ def test_battery_draws_from_one_generator(gauge, n, monkeypatch):
     assert [row._run(gauge, n, shared, box) for row in metrics.BATTERY] == reports
 
 
+class _CountedGenerator:
+    """A generator that records the size of each random and uniform call."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def uniform(self, *args, **kwargs):
+        self.calls.append(("uniform", kwargs.get("size")))
+        return self.rng.uniform(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, metrics.SAMPLE_CHUNK + 3])
+def test_battery_draws_its_doubles_in_blocks(n, monkeypatch):
+    # a battery at a few samples is one draw of every double its rows take;
+    # at many, draws of at most DRAW_BLOCK doubles, all of them together
+    want = sample_battery(OSC, n, 5)
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(_CountedGenerator(default_rng(seed))) or made[-1])
+    assert sample_battery(OSC, n, 5) == want
+    [rng] = made
+    total = sum(row._doubles(max(n, row.min_samples)) for row in metrics.BATTERY)
+    if total <= metrics.DRAW_BLOCK:
+        assert rng.calls == [("random", total)]
+    else:
+        assert {kind for kind, _ in rng.calls} == {"random"}
+        assert max(size for _, size in rng.calls) <= metrics.DRAW_BLOCK
+        assert sum(size for _, size in rng.calls) == total
+
+
 @pytest.mark.parametrize("count", [24, 160])
 @pytest.mark.parametrize("site", sorted(PROBE_SITES))
 @pytest.mark.parametrize("gauge", PROBE_GAUGES, ids=_gauge_id)

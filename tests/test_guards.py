@@ -13,6 +13,12 @@ empty input must give empty output, so a leaner guard cannot raise anywhere
 the old one did not, or say something else when it does.  The row maxima of
 point_diff_array and point_scale_array are held bit for bit to the
 .max(axis=1) form kept in tests/reference.py.
+
+The verify battery's rows compose the unchecked kernel bodies and are guarded
+once, by _worst's check of the violation array.  Each row is fed a NaN, an
+infinity of either sign and an overflowing value at every input position, and
+must raise what the unstacked composition of public kernels in
+tests/reference.py raises, or return the same violation array bit for bit.
 """
 
 import functools
@@ -24,7 +30,7 @@ import reference as ref
 from hypothesis import example, given, settings, strategies as st
 
 from h1gauge import dilatations, gauges, heisenberg, metrics
-from h1gauge.gauges import linear_gauge, oscillatory_gauge, verified_gauge
+from h1gauge.gauges import linear_gauge, oscillatory_gauge, piecewise_gauge, verified_gauge
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
@@ -261,10 +267,12 @@ HALF_WIDTHS = st.floats(0.0, metrics.MAX_HALF_WIDTH, exclude_min=True)
 def test_draw_is_finite_for_every_admitted_box(horizontal, vertical, seed, rows):
     """SampleBox.draw returns its points unchecked: uniform(-1, 1) times a
     half-width of at most MAX_HALF_WIDTH is finite and no larger than the
-    half-width."""
+    half-width.  Its points are those of Generator.uniform, bit for bit."""
     p = metrics.SampleBox(horizontal, vertical).draw(np.random.default_rng(seed), rows)
     assert p.shape == (rows, 3) and np.isfinite(p).all()
     assert (np.abs(p) <= [horizontal, horizontal, vertical]).all()
+    uniform = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(rows, 3))
+    assert p.tobytes() == (uniform * (horizontal, horizontal, vertical)).tobytes()
 
 
 @pytest.mark.parametrize("grid", [[[1.0, 2.0, 3.0, 4.0]], [1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0],
@@ -303,3 +311,75 @@ def test_row_maxima_match_the_rowwise_reduction(rows, seed, magnitude, specials)
             assert got.shape == (rows,) and got.tobytes() == expected.tobytes()
         else:
             assert _outcome(kernel) == (ValueError, NON_FINITE)
+
+
+# --- the battery's rows against the public kernels --------------------------------
+
+SCAN_GAUGES = {**GAUGES, "piecewise": piecewise_gauge([1, 2, 4], [1, 3, 9])}
+SCAN_VALUES = {**NON_FINITE_VALUES, "overflow": 1e300}
+
+
+@functools.cache
+def _reference_violations(gauge_name):
+    """Row name -> the violation of the unstacked composition of public
+    kernels in tests/reference.py, taken from its calls to _worst."""
+    found = {}
+
+    def keep(name, n, tolerance, draw, violation):
+        found[name] = violation
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ref, "_worst", keep)
+        ref.sample_battery(SCAN_GAUGES[gauge_name], 1, 0)
+    return found
+
+
+def _checked(call):
+    """("ok", bytes) for a violation array that passes _worst's guard, else
+    (exception type, message)."""
+    try:
+        return "ok", heisenberg.check_finite(call()).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the type is what is pinned
+        return type(exc), str(exc)
+
+
+def _scan(gauge_name, row):
+    """Every (input, position, value) at which the row's check and the
+    reference composition's differ, on three samples from the row's own draw
+    with one value placed in the middle sample."""
+    gauge, reference = SCAN_GAUGES[gauge_name], _reference_violations(gauge_name)[row.name]
+    base = row._draw(np.random.default_rng(3), metrics.SampleBox(), 0, 3)
+    cases = [(None, None, None)] + [
+        (k, where, value) for k, x in enumerate(base)
+        for where in ([1] if x.ndim == 1 else [(1, c) for c in range(3)])
+        for value in SCAN_VALUES]
+    differ = []
+    for k, where, value in cases:
+        inputs = [x.copy() for x in base]
+        if k is not None:
+            inputs[k][where] = SCAN_VALUES[value]
+        got = _checked(lambda: row.violation(gauge, *inputs))
+        want = _checked(lambda: reference(*inputs))
+        if got != want:
+            differ.append((k, where, value, got[0], want[0]))
+    return differ
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", [row.name for row in metrics.BATTERY])
+@pytest.mark.parametrize("gauge_name", sorted(SCAN_GAUGES))
+def test_battery_rows_guard_like_the_public_kernels(gauge_name, name):
+    row = next(row for row in metrics.BATTERY if row.name == name)
+    assert _scan(gauge_name, row) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guard_scan_sees_a_dropped_nan(monkeypatch):
+    """A norm body that drops a NaN (np.fmax for np.maximum) passes a
+    non-finite vertical part where a public kernel before the norm would
+    have raised: the scan must report it."""
+    monkeypatch.setattr(metrics, "_max_with_horizontal",
+                        lambda p, vertical: np.fmax(np.hypot(p[:, 0], p[:, 1]), vertical))
+    row = next(row for row in metrics.BATTERY if row.name == "dilatation-homogeneity")
+    differ = _scan("linear", row)
+    assert differ and all(got == "ok" and want is ValueError for *_, got, want in differ)

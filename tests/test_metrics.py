@@ -16,7 +16,6 @@ from h1gauge.metrics import (
     gauge_dist,
     gauge_norm,
     intrinsic_dist,
-    intrinsic_dist_array,
     intrinsic_norm,
     sample_battery,
 )
@@ -92,9 +91,9 @@ def test_sample_box_validation_and_bounds():
 
 def test_triangle_sampler_catches_broken_distance(monkeypatch):
     # squared distance violates the triangle inequality on collinear triples;
-    # a row looks its kernels up when it runs, so it sees the rebinding
-    broken = lambda p, q: intrinsic_dist_array(p, q) ** 2
-    monkeypatch.setattr(metrics, "intrinsic_dist_array", broken)
+    # a row looks its kernel bodies up when it runs, so it sees the rebinding
+    body = metrics._intrinsic_dist
+    monkeypatch.setattr(metrics, "_intrinsic_dist", lambda p, q: body(p, q) ** 2)
     report = run_row("triangle-intrinsic", LIN, 300, 5)
     assert not report.passed
     assert report.witness is not None
