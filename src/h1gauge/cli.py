@@ -203,7 +203,6 @@ def cmd_verify(config: RunConfig) -> int:
         report.add(
             PropertyCheck(
                 name="samplers-skipped",
-                passed=False,
                 worst_violation=float("inf"),
                 tolerance=0.0,
                 witness=gauge_report.first_failure().name,

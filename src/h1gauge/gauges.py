@@ -11,14 +11,12 @@ because G(t) >= t^2 forces g(s) <= sqrt(s)).
 k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
 _array_path is the one place that picks how (segment-table lookup, the
 linear closed form, or the scalar functions element by element), and it
-runs once per Gauge, when the Gauge is built.  Each public kernel call then
-reads the least of its arguments once, as the entry at its argmin (the first
-NaN, if there is one), which costs less per call than a ufunc reduction: that
-one value serves the >= 0 guard and, on a self-similar table, the test
-whether every row is at or above the table.  Each public kernel is that guard
-and check_finite around an unchecked body (_k, _G, _g) that composites call;
-a body reads the least argument only on a self-similar table, the one path
-that uses it.
+runs once per Gauge, when the Gauge is built.  Each public kernel is its
+>= 0 guard and check_finite around an unchecked body (_k, _G, _g) that
+composites call.  The guard and, on a self-similar table, the test whether
+every row is at or above the table each read the least argument as the entry
+at its argmin (the first NaN, if there is one), which costs less per call
+than a ufunc reduction.
 The scalar k and g of the piecewise and linear gauges are one-element calls
 into their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
 are what the element-by-element path maps over a raw callable, and
@@ -27,7 +25,9 @@ invert_g is the bisection reference for the closed forms.
 Raw user-supplied evaluables are accepted but stay unverified: the metric and
 dilatation layers reject a gauge until its contract has been established,
 either by construction (piecewise-linear data is slope-checked, the linear
-gauge is analytic) or by passing check_gauge.
+gauge is analytic) or by passing check_gauge.  check_gauge records each
+worst violation as a Python float, whatever number type a raw k returns, and
+each check's verdict follows from it (see report.PropertyCheck).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .heisenberg import check_finite
+from .heisenberg import _read_only, check_finite
 from .report import TOL_ALGEBRA, PropertyCheck, VerificationReport, worst_check
 
 INV_TOL = 1e-13  # mixed abs/rel contract tolerance for g/G round-trips
@@ -162,15 +162,12 @@ class PiecewiseLinearGauge:
         """g(s) for s >= 0: one element of g_array."""
         return _at(self.g_array, s)
 
-    def k_array(self, t: np.ndarray, least: float | None) -> np.ndarray:
-        """k on an array of t >= 0 whose minimum is least (inf when t is
-        empty, None when not yet read), by np.searchsorted in the segment
-        table."""
-        return self._scaled(self._k_table, t, least, 0, 1, 2)
+    def k_array(self, t: np.ndarray) -> np.ndarray:
+        """k on an array of t >= 0, by np.searchsorted in the segment table."""
+        return self._scaled(self._k_table, t, 0, 1, 2)
 
-    def g_array(self, s: np.ndarray, least: float | None) -> np.ndarray:
-        """Exact profile inverse g on an array of s >= 0 whose minimum is
-        least (inf when s is empty, None when not yet read).
+    def g_array(self, s: np.ndarray) -> np.ndarray:
+        """Exact profile inverse g on an array of s >= 0.
 
         On the segment starting at knot b with profile value G(b) and slope m,
         G(b + x) = G(b) + B x + x^2 with B = m + 2b.  The segment is the last
@@ -181,7 +178,7 @@ class PiecewiseLinearGauge:
         capped at the segment's upper knot: just below a profile knot G(b')
         it can round one float above b', and g would fall across the knot.
         """
-        return self._scaled(self._g_table, s, least, 1, 2, 1)
+        return self._scaled(self._g_table, s, 1, 2, 1)
 
     def _k_table(self, t: np.ndarray) -> np.ndarray:
         knots, kvals, _, slopes, _, _ = self._arrays
@@ -195,16 +192,14 @@ class PiecewiseLinearGauge:
         h = halfb[i]
         return np.minimum(knots[i] + d / (h + np.hypot(h, np.sqrt(d))), upper[i])
 
-    def _scaled(self, table, x: np.ndarray, least: float | None, which: int, arg: int,
-                value: int) -> np.ndarray:
+    def _scaled(self, table, x: np.ndarray, which: int, arg: int, value: int) -> np.ndarray:
         """table(x), continued by the scaling law: with a period q, a row
         0 < x < first (b_1 for k, which = 0; G(b_1) for g, which = 1) is
         divided by q^(arg n) for the least n lifting it to first (a
         logarithm, corrected once exactly), and its value is scaled by
-        q^(value n), capped at the period above's bottom so it cannot fall.
-        least is read here when the caller passes None."""
+        q^(value n), capped at the period above's bottom so it cannot fall."""
         q = self.period
-        if q is None or (_min(x) if least is None else least) >= self._bottoms[which][0]:
+        if q is None or _min(x) >= self._bottoms[which][0]:
             return table(x)  # every row is at or above the table
         first, bottom = self._bottoms[which]
         low = (x > 0) & (x < first)
@@ -220,10 +215,9 @@ class PiecewiseLinearGauge:
         return out
 
 
-def _at(f: Callable[[np.ndarray, float], np.ndarray], x: float) -> float:
-    """The array function f at the one argument x (also its minimum), as a
-    finite float."""
-    return check_finite(f(np.array([x]), x))[0].item()
+def _at(f: Callable[[np.ndarray], np.ndarray], x: float) -> float:
+    """The array function f at the one argument x, as a finite float."""
+    return check_finite(f(np.array([x])))[0].item()
 
 
 def _linear_k(t):
@@ -234,7 +228,7 @@ def _linear_g(s: float) -> float:
     return _at(_linear_g_array, s)
 
 
-def _linear_g_array(s: np.ndarray, least: float) -> np.ndarray:
+def _linear_g_array(s: np.ndarray) -> np.ndarray:
     return s / (0.5 + np.sqrt(0.25 + s))
 
 
@@ -329,19 +323,19 @@ def g_eval(gauge: Gauge, s: float) -> float:
     return invert_g(gauge, s)
 
 
-def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray, float], np.ndarray]:
-    return lambda x, least: np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda x: np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
 
 
 def _array_path(gauge: Gauge):
-    """(k, g) for the gauge's kind, each called as f(x, least) on a 1-d float
-    array x >= 0 and its minimum, or None when the caller has not read it.
-    Gauge.__post_init__ calls this once and keeps the pair; the kernels read
-    it from there.
+    """(k, g) for the gauge's kind, each called as f(x) on a 1-d float array
+    x >= 0.  Gauge.__post_init__ calls this once and keeps the pair; the
+    kernels read it from there.
 
     - A piecewise-linear k carrying its own closed-form g (every piecewise
       and oscillatory gauge) looks up its segment table with np.searchsorted.
-    - The linear gauge uses its closed forms.
+    - The linear gauge uses its closed forms; its k is a copy of t, so
+      k_array never returns its input.
     - Any other gauge, raw callables in particular, falls back to the scalar
       k and g_eval element by element: the same numbers as the scalar path,
       at the cost of one Python call (and, without a closed form, one
@@ -351,7 +345,7 @@ def _array_path(gauge: Gauge):
     if isinstance(k, PiecewiseLinearGauge) and gauge.g_closed == k.g:
         return k.k_array, k.g_array
     if k is _linear_k and gauge.g_closed is _linear_g:
-        return (lambda t, least: t.copy()), _linear_g_array
+        return np.ndarray.copy, _linear_g_array
     return _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
 
 
@@ -361,54 +355,49 @@ def _min(x: np.ndarray) -> float:
     return x[x.argmin()] if x.size else math.inf
 
 
-def _least(x: np.ndarray, what: str) -> float:
-    """_min(x), once x >= 0 is checked.  Only when the minimum is NaN does a
-    second pass look for the most negative argument beside it, which the
-    error names."""
+def _nonneg(x: np.ndarray, what: str) -> np.ndarray:
+    """x, once x >= 0 is checked on _min(x).  Only when the minimum is NaN
+    does a second pass look for the most negative argument beside it, which
+    the error names."""
     least = _min(x)
     worst = np.fmin.reduce(x) if math.isnan(least) else least
     if worst < 0.0:
         raise ValueError(f"{what} argument must be >= 0, got {float(worst)!r}")
-    return least
+    return x
 
 
 # The unchecked bodies of k_array, g_inverse_array and g_array, for entries
-# >= 0 (or NaN); least is their minimum if the caller has read it.
-def _k(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
-    return gauge._path[0](t, least)
+# >= 0 (or NaN).
+def _k(gauge: Gauge, t: np.ndarray) -> np.ndarray:
+    return gauge._path[0](t)
 
 
-def _G(gauge: Gauge, t: np.ndarray, least: float | None = None) -> np.ndarray:
-    return _k(gauge, t, least) + t * t
+def _G(gauge: Gauge, t: np.ndarray) -> np.ndarray:
+    return _k(gauge, t) + t * t
 
 
-def _g(gauge: Gauge, s: np.ndarray, least: float | None = None) -> np.ndarray:
-    return gauge._path[1](s, least)
+def _g(gauge: Gauge, s: np.ndarray) -> np.ndarray:
+    return gauge._path[1](s)
 
 
 def k_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     """k on a 1-d array of t >= 0."""
-    return check_finite(_k(gauge, t, _least(t, "k")))
+    return check_finite(_k(gauge, _nonneg(t, "k")))
 
 
 def g_inverse_array(gauge: Gauge, t: np.ndarray) -> np.ndarray:
     """The profile G(t) = k(t) + t^2 on a 1-d array of t >= 0."""
-    return check_finite(_G(gauge, t, _least(t, "profile")))
+    return check_finite(_G(gauge, _nonneg(t, "profile")))
 
 
 def g_array(gauge: Gauge, s: np.ndarray) -> np.ndarray:
     """g on a 1-d array of s >= 0."""
-    return check_finite(_g(gauge, s, _least(s, "g")))
+    return check_finite(_g(gauge, _nonneg(s, "g")))
 
 
 def default_check_grid() -> tuple[float, ...]:
     """Geometric grid for check_gauge, 12 points per decade over [1e-9, 1e6]."""
     return tuple(10.0 ** (-9.0 + i / 12.0) for i in range(15 * 12 + 1))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _check_arrays(grid) -> tuple[np.ndarray, ...]:
@@ -424,7 +413,7 @@ def _check_arrays(grid) -> tuple[np.ndarray, ...]:
 
 
 # check_gauge's default inputs, built and validated once
-_CHECK_ARRAYS = tuple(map(_frozen, _check_arrays(default_check_grid())))
+_CHECK_ARRAYS = tuple(map(_read_only, _check_arrays(default_check_grid())))
 
 
 def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
@@ -438,15 +427,7 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     report = VerificationReport(f"gauge-check: {gauge.label}")
 
     k0 = gauge.k(0.0)
-    report.add(
-        PropertyCheck(
-            name="origin",
-            passed=abs(k0) <= TOL_ALGEBRA,
-            worst_violation=abs(k0),
-            tolerance=TOL_ALGEBRA,
-            witness=0.0,
-        )
-    )
+    report.add(PropertyCheck("origin", float(abs(k0)), TOL_ALGEBRA, witness=0.0))
 
     ks = k_array(gauge, pts)
     gaps = ks.copy()

@@ -103,6 +103,12 @@ def check_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Return a, made read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
 def _points(x1: np.ndarray, x2: np.ndarray, xbar: np.ndarray) -> np.ndarray:
     return np.array((x1, x2, xbar)).T
 

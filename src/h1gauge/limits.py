@@ -9,6 +9,9 @@ admits traces still descending linearly toward their limit while rejecting
 level shifts), and *oscillating* otherwise — oscillation observed in one
 window alone never suffices, it must leave its mark on both.  liminf/limsup
 estimates are the tail min/max; the reported limit is the last window's mean.
+A verdict is computed by the type that reports it, from its own numbers: a
+ConvergenceTrace classifies its values on its grid when it is built, and a
+PointClassification derives its kind and limit from its three components.
 
 The probes themselves: the scalar vertical response g(eps^2 |ubar|)/eps, the
 rescaled product of two points, derivability of the identity map between the
@@ -32,6 +35,7 @@ from .dilatations import dilate_array, gauge_dilate_array
 from .gauges import Gauge, g_array, g_inverse_array, require_verified
 from .heisenberg import (
     H1Point,
+    _read_only,
     _rows,
     _split,
     identity,
@@ -138,15 +142,24 @@ class Classification:
 
 @dataclass(frozen=True)
 class PointClassification:
-    """Componentwise classification of a point-valued trace.
+    """Componentwise classification of a point-valued trace, built from the
+    three component classifications alone."""
 
-    diverging if any component diverges, converged only if all three are,
-    oscillating otherwise.
-    """
-
-    kind: str
     components: tuple[Classification, Classification, Classification]
-    limit: H1Point | None = None
+
+    @cached_property
+    def kind(self) -> str:
+        """diverging if any component diverges, converged only if all three
+        are, oscillating otherwise."""
+        kinds = [c.kind for c in self.components]
+        if "diverging" in kinds:
+            return "diverging"
+        return "converged" if kinds.count("converged") == 3 else "oscillating"
+
+    @cached_property
+    def limit(self) -> H1Point | None:
+        """The point of the component limits when converged, else None."""
+        return H1Point(*(c.limit for c in self.components)) if self.kind == "converged" else None
 
     def to_dict(self) -> dict:
         return {
@@ -215,28 +228,26 @@ def _columns(values: np.ndarray) -> list[list[float]]:
 def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGENCE_BOUND):
     """classify_limit of a (count,) trace, the PointClassification of a (count, 3) one."""
     comps = tuple(classify_limit(c, window, atol, divergence_bound) for c in _columns(values))
-    if values.ndim == 1:
-        return comps[0]
-    kinds = {c.kind for c in comps}
-    if "diverging" in kinds:
-        kind = "diverging"
-    elif kinds == {"converged"}:
-        kind = "converged"
-    else:
-        kind = "oscillating"
-    limit = H1Point(*(c.limit for c in comps)) if kind == "converged" else None
-    return PointClassification(kind, comps, limit)
+    return comps[0] if values.ndim == 1 else PointClassification(comps)
 
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
-    """A probe trace over an eps-grid together with its tail classification."""
+    """A probe trace over an eps-grid together with its tail classification.
+
+    Building one makes values read-only (in place) and classifies them by the
+    grid's tail rule; the classification is never passed in.
+    """
 
     name: str
     grid: EpsGrid
-    values: np.ndarray  # read-only, one row per scale: (count,), or (count, 3) for points
-    classification: Classification | PointClassification
+    values: np.ndarray  # one row per scale: (count,), or (count, 3) for points
+    classification: Classification | PointClassification = field(init=False)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "classification", _classify(
+            _read_only(self.values), self.grid.window, self.grid.atol))
 
     def header(self) -> str:
         return "epsilon,x1,x2,xbar" if self.values.ndim == 2 else "epsilon,value"
@@ -267,12 +278,6 @@ class ConvergenceTrace:
                 **{k: v for k, v in self.meta.items() if k != "gauge"},
             },
         }
-
-
-def _trace(name, grid, values: np.ndarray, meta) -> ConvergenceTrace:
-    """Classify values by the grid's tail rule; wrap them, read-only, in a trace."""
-    values.setflags(write=False)
-    return ConvergenceTrace(name, grid, values, _classify(values, grid.window, grid.atol), meta)
 
 
 def _scale_check(grid: EpsGrid, magnitude: float) -> None:
@@ -323,7 +328,7 @@ def vertical_limit_probe(
         raise ValueError(f"ubar must be finite, got {ubar!r}")
     _scale_check(grid, abs(ubar))
     values = _vertical_response_array(gauge, np.array(grid.values()), ubar)
-    return _trace("vertical-limit", grid, values, {"gauge": gauge.label, "ubar": ubar})
+    return ConvergenceTrace("vertical-limit", grid, values, {"gauge": gauge.label, "ubar": ubar})
 
 
 def rescaled_product_probe(
@@ -340,8 +345,8 @@ def rescaled_product_probe(
     pq = np.repeat(_rows(to_row(p), to_row(q)), len(eps), axis=0)
     product = mul_array(*_split(gauge_dilate_array(gauge, _rows(eps, eps), pq), 2))
     rows = gauge_dilate_array(gauge, 1.0 / eps, product)
-    return _trace("rescaled-product", grid, rows,
-                  {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
+    return ConvergenceTrace("rescaled-product", grid, rows,
+                            {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 
 
 def _first_over(eps: np.ndarray, residual: np.ndarray, what: str) -> None:
@@ -394,9 +399,9 @@ def id_derivability_probe(
     if u.xbar != 0.0:
         _first_over(eps, (np.abs(profile - s) - (profile_up - profile)) / s,
                     "fails the profile round trip G(g(s)) = s, beyond one ulp of g(s),")
-    return _trace("id-derivability", grid, rows,
-                  {"gauge": gauge.label, "u": u.as_tuple(),
-                   "closed_form_residual": float(residual.max())})
+    return ConvergenceTrace("id-derivability", grid, rows,
+                            {"gauge": gauge.label, "u": u.as_tuple(),
+                             "closed_form_residual": float(residual.max())})
 
 
 def metric_differential(
@@ -424,21 +429,22 @@ def _tail_means(values: np.ndarray, window: int) -> list[float]:
 
 
 def _sup_deviation(values: np.ndarray, grid: EpsGrid):
-    """Tail spreads, tail means, the classified sup-deviation trace and the
-    uniform verdict of scalar traces on grid, one trace per row of values.
+    """Tail spreads, tail means, the classified sup-deviation trace and its
+    excess, for scalar traces on grid, one trace per row of values.
 
     A trace's spread is max - min over its last 2*window values and its tail
     mean the mean of its last window.  The sup-deviation trace is
-    eps_j -> max over traces |value_j - tail mean|; the traces converge
-    uniformly when it converges to within atol of 0.
+    eps_j -> max over traces |value_j - tail mean|, and its excess is |limit|
+    when it converges, inf otherwise; the traces converge uniformly when the
+    excess is <= atol.
     """
     tail = values[:, -2 * grid.window :]
     spreads = (tail.max(axis=1) - tail.min(axis=1)).tolist()
     means = _tail_means(values, grid.window)
     sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0).tolist()
     sup_cls = classify_limit(sup_trace, grid.window, grid.atol)
-    uniform = sup_cls.kind == "converged" and abs(sup_cls.limit) <= grid.atol
-    return spreads, means, sup_cls, uniform
+    excess = abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf
+    return spreads, means, sup_cls, excess
 
 
 def uniform_probe(
@@ -463,7 +469,7 @@ def uniform_probe(
     report = VerificationReport("uniform-probe")
 
     values = np.array([tr.values for tr in traces], dtype=float)
-    spreads, _, sup_cls, uniform = _sup_deviation(values, grid)
+    spreads, _, sup_cls, excess = _sup_deviation(values, grid)
 
     def witness(i):
         return points[i].as_tuple() if isinstance(points[i], H1Point) else points[i]
@@ -473,16 +479,9 @@ def uniform_probe(
                            f"{len(points)} probe points; violation is 1 where a trace "
                            "did not converge"))
 
-    report.add(
-        PropertyCheck(
-            name="uniform-sup-convergence",
-            passed=uniform,
-            worst_violation=(abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf),
-            tolerance=grid.atol,
-            witness=witness(max(range(len(points)), key=spreads.__getitem__)),
-            details=f"sup-deviation trace classified {sup_cls.kind}",
-        )
-    )
+    report.add(PropertyCheck("uniform-sup-convergence", excess, grid.atol,
+                             witness(max(range(len(points)), key=spreads.__getitem__)),
+                             f"sup-deviation trace classified {sup_cls.kind}"))
     return report
 
 
@@ -580,14 +579,14 @@ def metric_diff_probe(
     d = np.array([v.as_tuple() for v in dirs])
     values = _rescaled_distances(gauge, d, eps)
     traces = tuple(
-        _trace("metric-diff", grid, row,
-               {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
+        ConvergenceTrace("metric-diff", grid, row,
+                         {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
         for v, row in zip(dirs, values)
     )
     per_dir = tuple(tr.classification for tr in traces)
 
-    spreads, tail_means, sup_cls, uniform = _sup_deviation(values, grid)
-    differentiable = uniform and all(c.kind == "converged" for c in per_dir)
+    spreads, tail_means, sup_cls, excess = _sup_deviation(values, grid)
+    differentiable = excess <= grid.atol and all(c.kind == "converged" for c in per_dir)
     eta = tuple(tail_means) if differentiable else None
     witness = None if differentiable else dirs[int(np.argmax(spreads))]
 
@@ -669,7 +668,6 @@ def _equivalence_report(samples, product, scalar) -> VerificationReport:
         report.add(
             PropertyCheck(
                 name=f"agreement[{i}]",
-                passed=agree,
                 worst_violation=0.0 if agree else 1.0,
                 tolerance=0.0,
                 witness={

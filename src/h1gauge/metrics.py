@@ -64,6 +64,7 @@ from .heisenberg import (
     _mul,
     _point_diff,
     _point_scale,
+    _read_only,
     _rows,
     _split,
     check_finite,
@@ -194,8 +195,7 @@ class SampleBox:
                     f"box half-widths must lie in (0, {MAX_HALF_WIDTH!r}], got {half!r}"
                 )
         widths = np.array((self.horizontal, self.horizontal, self.vertical)) * 2.0
-        widths.flags.writeable = False
-        object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "_widths", _read_only(widths))
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n points from the box as an (n, 3) array, finite with no check:
@@ -242,11 +242,6 @@ def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyChec
         if worst is None or check.worst_violation > worst.worst_violation:
             worst = check
     return worst
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 _IDENTITY = _read_only(np.zeros((1, 3)))

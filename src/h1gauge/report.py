@@ -1,8 +1,10 @@
 """Pass/fail bookkeeping shared by the gauge checker, the samplers and the CLI.
 
 One pass rule serves every check: it passes exactly when its worst violation
-is <= its tolerance (a NaN violation fails).  worst_check applies it to an
-array of violations, whose first worst entry is the witness.
+is <= its tolerance (a NaN violation fails).  PropertyCheck.passed is that
+rule, computed from the check's own numbers; no caller hands a verdict in.
+worst_check builds the check of an array of violations, whose first worst
+entry is the witness.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ class PropertyCheck:
     """One verified property: its worst observed violation and a witness."""
 
     name: str
-    passed: bool
     worst_violation: float
     tolerance: float
     witness: object = None  # JSON-friendly: numbers, strings, lists, dicts, None
     details: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """The pass rule: worst_violation <= tolerance, so a NaN fails."""
+        return bool(self.worst_violation <= self.tolerance)
 
     def to_dict(self) -> dict:
         return {
@@ -46,11 +52,10 @@ class PropertyCheck:
 def worst_check(name: str, violations, tolerance: float, witness,
                 details: str = "") -> PropertyCheck:
     """The check of a nonempty 1-d array of violations: its worst entry, read
-    at argmax (the first worst entry, or the first NaN), passes when it is <=
-    tolerance; witness(i) gives the witness of entry i."""
+    at argmax (the first worst entry, or the first NaN); witness(i) gives the
+    witness of entry i."""
     i = int(violations.argmax())
-    worst = float(violations[i])
-    return PropertyCheck(name, worst <= tolerance, worst, tolerance, witness(i), details)
+    return PropertyCheck(name, float(violations[i]), tolerance, witness(i), details)
 
 
 @dataclass

@@ -511,3 +511,13 @@ def test_load_gauge_inline_and_file(tmp_path):
 def test_oscillatory_defaults_from_spec():
     g = gauge_from_spec({"type": "oscillatory"})
     assert g.label == OSC.label
+
+
+def test_numpy_valued_raw_gauge_reports_plain_numbers():
+    # k returns numpy floats: the origin check still holds a float and a bool
+    report = check_gauge(Gauge(k=lambda t: np.float64(t) * 1.0))
+    origin = report.checks[0]
+    assert type(origin.worst_violation) is float and origin.passed is True
+    assert all(type(c.passed) is bool for c in report.checks)
+    assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
+    assert "  PASS  origin: worst=0.0 tol=1e-12\n" in report.to_text()

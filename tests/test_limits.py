@@ -5,6 +5,7 @@ values at the oscillatory breakpoints have the closed form 1/sqrt(1+c) with c
 the local slope ratio, and the linear-gauge response tends to zero linearly.
 """
 
+import itertools
 import math
 import random
 import re
@@ -12,6 +13,7 @@ import statistics
 import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from h1gauge import cli, limits
@@ -21,8 +23,10 @@ from h1gauge.heisenberg import H1Point, identity, point
 from h1gauge.limits import (
     _fmean,
     Classification,
+    ConvergenceTrace,
     EpsGrid,
     NonConvergentLimitError,
+    PointClassification,
     ScaleOverflowError,
     classify_limit,
     DEFAULT_GRID,
@@ -581,3 +585,50 @@ def test_equivalence_check_input_validation():
         limit_equivalence_check(LIN, [(point(1, 0, 0), point(2, 0, 0))])
     with pytest.raises(ValueError):
         limit_equivalence_check(LIN, [])
+
+
+# --- verdicts computed from their numbers -----------------------------------------
+
+COMPONENT = {
+    "converged": lambda i: Classification("converged", limit=float(i)),
+    "oscillating": lambda i: Classification("oscillating", liminf=0.0, limsup=1.0),
+    "diverging": lambda i: Classification("diverging"),
+}
+
+
+@pytest.mark.parametrize("kinds", list(itertools.product(COMPONENT, repeat=3)))
+def test_point_classification_kind_and_limit_follow_the_components(kinds):
+    comps = tuple(COMPONENT[k](i) for i, k in enumerate(kinds))
+    c = PointClassification(comps)
+    want = ("diverging" if "diverging" in kinds
+            else "converged" if kinds == ("converged",) * 3
+            else "oscillating")
+    assert c.kind == want
+    assert c.limit == (H1Point(0.0, 1.0, 2.0) if want == "converged" else None)
+    with pytest.raises(TypeError):
+        PointClassification(want, comps)
+
+
+def test_trace_classifies_itself_and_freezes_its_values():
+    values = np.linspace(1.0, 2.0, DEFAULT_GRID.count)
+    assert values.flags.writeable
+    tr = ConvergenceTrace("t", DEFAULT_GRID, values, {"gauge": "none"})
+    assert tr.values is values and not values.flags.writeable
+    assert tr.classification == classify_limit(values.tolist(), DEFAULT_GRID.window,
+                                               DEFAULT_GRID.atol)
+    with pytest.raises(TypeError):
+        ConvergenceTrace("t", DEFAULT_GRID, values, classification=tr.classification)
+
+
+@pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
+def test_every_probe_trace_is_classified_by_its_grid(gauge):
+    grid = EpsGrid(count=40, window=8)
+    traces = [
+        vertical_limit_probe(gauge, 1.0, grid),
+        rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0), grid),
+        id_derivability_probe(gauge, point(1, 0, 1), grid),
+        *metric_diff_probe(gauge, grid=grid).traces,
+    ]
+    for tr in traces:
+        assert tr.grid is grid
+        assert tr.classification == limits._classify(tr.values, grid.window, grid.atol)

@@ -4,13 +4,15 @@ violation is <= its tolerance, and its witness is its first worst entry."""
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, strategies as st
 
 from h1gauge.report import PropertyCheck, worst_check
 
 
 def test_ties_keep_the_first_index():
     check = worst_check("tie", np.array([0.5, 2.0, -1.0, 2.0]), 2.0, lambda i: i)
-    assert check == PropertyCheck("tie", True, 2.0, 2.0, 1)
+    assert check == PropertyCheck("tie", 2.0, 2.0, 1)
     assert type(check.worst_violation) is float and type(check.passed) is bool
 
 
@@ -39,3 +41,22 @@ def test_strict_increase_tolerance_is_the_pass_rule_for_gap_gt_0():
         check = worst_check("strict-increase", -np.array([gap]), -math.ulp(0.0), lambda i: i)
         assert check.passed == bool(gap > 0.0)
 
+
+
+EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
+
+
+@given(st.sampled_from(EDGES) | st.floats(), st.sampled_from(EDGES) | st.floats())
+def test_passed_is_the_pass_rule_on_its_numbers(worst, tol):
+    for w in (worst, np.float64(worst)):  # a numpy violation still gives a bool
+        check = PropertyCheck("rule", w, tol)
+        assert check.passed is (worst <= tol)
+        check.worst_violation, check.tolerance = tol, worst  # follows its numbers
+        assert check.passed is (tol <= worst)
+
+
+def test_a_check_takes_no_verdict():
+    with pytest.raises(TypeError):
+        PropertyCheck("rule", passed=True, worst_violation=0.0, tolerance=0.0)
+    assert list(PropertyCheck("rule", 0.0, 0.0).to_dict()) == [
+        "name", "passed", "worst_violation", "tolerance", "witness", "details"]
