@@ -13,7 +13,10 @@ writes are atomic (temp file + rename, written with os.write and no buffered
 file object) and all floats are rendered through repr, so identical configs
 produce byte-identical outputs.  Each report is one line of JSON from the
 standard library's `json.dumps` with its defaults, and starts with the same
-header: the command, then the gauge label.
+header: the command, then the gauge label.  Traces go beside it as CSV: one
+file per probe, metric-diff's direction traces as one table (a column per
+direction) and counterexample's two traces as two files.  A CSV is rendered
+only when it is written or printed, and at most once per run.
 """
 
 from __future__ import annotations
@@ -131,12 +134,10 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
+def _emit(outputs: dict[str, str], out_dir: Path) -> None:
     """Write each output under out_dir.  A file in the way of the directory
     or a directory in the way of any output name is found before the first
     write; it, or a write that fails, is a configuration error."""
-    if out_dir is None:
-        return
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         with os.scandir(out_dir) as entries:  # a symlink is replaced, not followed
@@ -150,14 +151,16 @@ def _emit(outputs: dict[str, str], out_dir: Path | None) -> None:
 
 
 def _finish(config: RunConfig, command: str, gauge: Gauge, name: str, body: dict,
-            table: Callable[[], str], files: dict[str, str] | None = None,
+            table: Callable[[], str], files: Callable[[], dict[str, str]] | None = None,
             code: int = EXIT_OK) -> int:
     """The one output path: write the report JSON, the header (command, gauge
     label) then body, as `name` plus the extra files under --out, print the
-    JSON or the table, and return code.  table builds the table text; it is
-    called only when the table is printed."""
+    JSON or the table, and return code.  table builds the table text and
+    files the extra files; each is called only when its output is printed or
+    written."""
     text = json.dumps({"command": command, "gauge": gauge.label, **body}) + "\n"
-    _emit({name: text, **(files or {})}, config.out)
+    if config.out is not None:
+        _emit({name: text, **(files() if files else {})}, config.out)
     sys.stdout.write(text if config.fmt == "structured" else table())
     return code
 
@@ -250,20 +253,18 @@ def cmd_probe(config: RunConfig, probe: str, points: list) -> int:
     if probe == "metric-diff":
         return _probe_metric_diff(config, gauge, result)
 
-    csv, summary = result.to_csv(), result.summary()
+    csv, summary = functools.cache(result.to_csv), result.summary()  # rendered at most once
     cls = summary["classification"]
     lines = [f"probe: {summary['probe']}", f"gauge: {summary['gauge']}",
              f"classification: {cls['kind']}"]
     for key in ("limit", "liminf", "limsup"):
         if cls.get(key) is not None:
             lines.append(f"{key}: {cls[key]!r}")
-    table = csv + "\n".join(lines) + "\n"
-    return _finish(config, "probe", gauge, f"probe_{probe}.json", summary, lambda: table,
-                   {f"probe_{probe}.csv": csv})
+    return _finish(config, "probe", gauge, f"probe_{probe}.json", summary,
+                   lambda: csv() + "\n".join(lines) + "\n", lambda: {f"probe_{probe}.csv": csv()})
 
 
 def _probe_metric_diff(config, gauge, report) -> int:
-    files = {f"probe_metric-diff_{i:02d}.csv": tr.to_csv() for i, tr in enumerate(report.traces)}
     lines = [f"metric-diff probe: {gauge.label}"]
     lines.append(f"base: {report.base.as_tuple()!r}")
     lines.append(f"differentiable: {report.differentiable}")
@@ -277,7 +278,8 @@ def _probe_metric_diff(config, gauge, report) -> int:
     lines.extend(c.line() for c in report.seminorm_checks)
     table = "\n".join(lines) + "\n"
     return _finish(config, "probe", gauge, "probe_metric-diff.json",
-                   {"probe": "metric-diff", **report.to_dict()}, lambda: table, files)
+                   {"probe": "metric-diff", **report.to_dict()}, lambda: table,
+                   lambda: {"probe_metric-diff.csv": report.to_csv()})
 
 
 def cmd_counterexample(config: RunConfig) -> int:
@@ -300,7 +302,7 @@ def cmd_counterexample(config: RunConfig) -> int:
         stages.append(dict(stage=stage, expected=expected, observed=observed, ok=ok, detail=detail))
 
     gauge_report, working = _contract(gauge)
-    files = {}
+    files = None
     if working is None:  # without a valid gauge neither the battery nor a probe can run
         record("verify", "pass", "fail", False,
                f"gauge check failed: {gauge_report.first_failure().name}")
@@ -334,8 +336,8 @@ def cmd_counterexample(config: RunConfig) -> int:
                has_witness)
         record("equivalence", "agreement", "agreement" if eq.passed else "disagreement",
                eq.passed, "" if eq.passed else repr(eq.first_failure().witness))
-        files = {"counterexample_a_trace.csv": trace_a.to_csv(),
-                 "counterexample_beta_trace.csv": trace_b.to_csv()}
+        files = lambda: {"counterexample_a_trace.csv": trace_a.to_csv(),
+                         "counterexample_beta_trace.csv": trace_b.to_csv()}
 
     deviation = next((f"{st['stage']}: expected {st['expected']}, observed {st['observed']}"
                       for st in stages if not st["ok"]), None)

@@ -20,6 +20,9 @@ test of the identity map at a base point.  Each probe evaluates its whole
 eps-grid at once on the (n, 3) array kernels, one grid point per row;
 metric_diff_probe stacks all its directions into one array and evaluates it
 SAMPLE_CHUNK rows at a time.
+
+Traces are written as CSV by one renderer: a trace as its own table, and a
+metric-diff report's direction traces as one table, a column per direction.
 """
 
 from __future__ import annotations
@@ -231,6 +234,14 @@ def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGE
     return comps[0] if values.ndim == 1 else PointClassification(comps)
 
 
+def _csv(header: str, grid: EpsGrid, columns: list[list[float]]) -> str:
+    """The one CSV renderer: the header, then one line per scale, the grid's
+    shared epsilon column joined with the value columns, every float rendered
+    by repr."""
+    line = "{}" + ",{!r}" * len(columns)
+    return "\n".join((header, *map(line.format, grid.eps_column, *columns), ""))
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
     """A probe trace over an eps-grid together with its tail classification.
@@ -257,11 +268,7 @@ class ConvergenceTrace:
         return zip(self.grid.values(), *_columns(self.values))
 
     def to_csv(self) -> str:
-        """The header, then one line per scale: the grid's shared epsilon
-        column joined with the value columns, every float rendered by repr."""
-        columns = _columns(self.values)
-        line = "{}" + ",{!r}" * len(columns)
-        return "\n".join((self.header(), *map(line.format, self.grid.eps_column, *columns), ""))
+        return _csv(self.header(), self.grid, _columns(self.values))
 
     def summary(self) -> dict:
         return {
@@ -508,7 +515,11 @@ def default_direction_grid() -> tuple[H1Point, ...]:
 
 @dataclass
 class MetricDiffReport:
-    """Outcome of the metric-differentiability test of the identity map."""
+    """Outcome of the metric-differentiability test of the identity map.
+
+    traces[NN] is the trace of directions[NN], all on one grid; to_csv
+    writes them as one table, its column vNN that trace.
+    """
 
     base: H1Point
     directions: tuple[H1Point, ...]
@@ -531,6 +542,10 @@ class MetricDiffReport:
             "per_direction": [c.to_dict() for c in self.per_direction],
             "seminorm_checks": [c.to_dict() for c in self.seminorm_checks],
         }
+
+    def to_csv(self) -> str:
+        header = ",".join(("epsilon", *(f"v{i:02d}" for i in range(len(self.traces)))))
+        return _csv(header, self.traces[0].grid, [tr.values.tolist() for tr in self.traces])
 
 
 def _rescaled_distances(gauge: Gauge, dirs: np.ndarray, eps: np.ndarray) -> np.ndarray:

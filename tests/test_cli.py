@@ -17,6 +17,8 @@ import h1gauge
 from h1gauge import cli
 from h1gauge.cli import _temp_names, _write_atomic, main
 from h1gauge.gauges import invert_g, linear_gauge, load_gauge
+from h1gauge.heisenberg import identity, point
+from h1gauge.limits import ConvergenceTrace, EpsGrid, MetricDiffReport, metric_diff_probe
 from h1gauge.metrics import SampleBox, sample_battery
 from h1gauge.report import PropertyCheck, VerificationReport
 
@@ -109,7 +111,62 @@ def test_probe_metric_diff_writes_direction_traces(capsys, tmp_path):
     payload = json.loads(stdout)
     assert payload["differentiable"] is True
     csvs = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
-    assert len(csvs) == len(payload["directions"])
+    assert csvs == ["probe_metric-diff.csv"]  # one table: epsilon, then a column per direction
+    header = (out / csvs[0]).read_text().split("\n", 1)[0].split(",")
+    assert len(header) == len(payload["directions"]) + 1
+
+
+@pytest.mark.parametrize("count", [24, 160])
+@pytest.mark.parametrize("base", [None, "0.3,-0.2,0.5"], ids=["identity", "base"])
+@pytest.mark.parametrize("spec", [None, '{"type": "oscillatory"}'], ids=["linear", "oscillatory"])
+def test_metric_diff_table_keeps_every_number(capsys, tmp_path, spec, base, count):
+    argv = ["probe", "metric-diff", "--count", str(count), "--format", "structured",
+            *([] if spec is None else ["--gauge", spec]),
+            *([] if base is None else [f"--base={base}"])]
+    code, stdout, _ = run(capsys, *argv, "--out", str(tmp_path / "r1"))
+    assert code == 0
+    directions = json.loads(stdout)["directions"]
+    grid = EpsGrid(count=count)
+    report = metric_diff_probe(linear_gauge() if spec is None else load_gauge(spec),
+                               identity() if base is None else point(0.3, -0.2, 0.5), grid)
+    assert directions == [list(v.as_tuple()) for v in report.directions]
+
+    lines = (tmp_path / "r1" / "probe_metric-diff.csv").read_text().split("\n")
+    assert lines[0] == ",".join(["epsilon", *(f"v{i:02d}" for i in range(len(directions)))])
+    assert lines[-1] == ""
+    epsilon, *columns = zip(*(line.split(",") for line in lines[1:-1]))
+    assert epsilon == grid.eps_column
+    assert len(columns) == len(report.traces)
+    for column, trace in zip(columns, report.traces):  # column vNN is directions[NN]'s trace
+        assert np.array([float(x) for x in column]).tobytes() == trace.values.tobytes()
+
+    code, rerun, _ = run(capsys, *argv, "--out", str(tmp_path / "r2"))
+    assert (code, rerun) == (0, stdout)
+    assert _collect(tmp_path / "r2") == _collect(tmp_path / "r1")
+
+
+CSV_RUNS = [(["probe", "a"], 1), (["probe", "beta"], 1), (["probe", "derivability"], 1),
+            (["probe", "metric-diff"], 1), (["counterexample", "--samples", "5"], 2)]
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["no-out", "out"])
+@pytest.mark.parametrize("fmt", ["structured", "table"])
+@pytest.mark.parametrize("argv, n_csv", CSV_RUNS,
+                         ids=["a", "beta", "derivability", "metric-diff", "counterexample"])
+def test_trace_csvs_are_rendered_only_when_written_or_printed(
+        capsys, monkeypatch, tmp_path, argv, n_csv, fmt, out):
+    rendered = []
+    for cls in (ConvergenceTrace, MetricDiffReport):
+        monkeypatch.setattr(cls, "to_csv", lambda self, render=cls.to_csv:
+                            rendered.append(self) or render(self))
+    code, _, _ = run(capsys, *argv, "--format", fmt, *(["--out", str(tmp_path)] if out else []))
+    assert code == 0
+    written = [f for f in os.listdir(tmp_path) if f.endswith(".csv")]
+    assert len(written) == (n_csv if out else 0)
+    # a single probe's table starts with its CSV; the other tables hold none
+    printed = fmt == "table" and argv[0] == "probe" and argv[1] != "metric-diff"
+    assert len(rendered) == (len(written) if out else int(printed))
+    assert len({id(obj) for obj in rendered}) == len(rendered)  # each CSV rendered once
 
 
 # --- config errors: exit 2, no partial output ------------------------------------
@@ -650,7 +707,7 @@ OUTPUT_CASES = [
     (["probe", "derivability"], "probe_derivability.json", "probe_derivability.csv",
      ["probe_derivability.csv", "probe_derivability.json"]),
     (["probe", "metric-diff"], "probe_metric-diff.json", None,
-     ["probe_metric-diff.json"] + [f"probe_metric-diff_{i:02d}.csv" for i in range(13)]),
+     ["probe_metric-diff.csv", "probe_metric-diff.json"]),
     (["counterexample", "--samples", "20"], "counterexample_report.json", None,
      ["counterexample_a_trace.csv", "counterexample_beta_trace.csv",
       "counterexample_report.json"]),
@@ -703,7 +760,7 @@ def test_verify_runs_are_byte_identical(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv, n_files",
-    [(["probe", "metric-diff", "--count", "160", "--base=0.3,-0.2,0.5"], 14),
+    [(["probe", "metric-diff", "--count", "160", "--base=0.3,-0.2,0.5"], 2),
      (["counterexample", "--samples", "20"], 3)],
     ids=["probe-metric-diff", "counterexample"],
 )

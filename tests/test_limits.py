@@ -280,6 +280,12 @@ def test_trace_csv_matches_row_by_row_oracle(grid, gauge):
     for tr in traces:
         assert tr.grid is grid
         assert tr.to_csv().encode() == trace_csv(tr).encode()
+    # the metric-diff table: column vNN holds trace NN's own CSV lines, byte for byte
+    header, *rows, end = md.to_csv().split("\n")
+    assert (header, end) == ("epsilon," + ",".join(f"v{i:02d}" for i in range(13)), "")
+    cells = [row.split(",") for row in rows]
+    for i, tr in enumerate(md.traces):
+        assert [f"{c[0]},{c[i + 1]}" for c in cells] == tr.to_csv().split("\n")[1:-1]
 
 
 def test_grid_scales_are_computed_once_per_instance():

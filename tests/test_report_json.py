@@ -87,7 +87,7 @@ def test_finish_rejects_unencodable_payload_before_writing(capsys, tmp_path, bad
     config = RunConfig(out=out, fmt="structured")
     with pytest.raises(TypeError):
         _finish(config, "test", LIN, "report.json", {"report": [bad]}, lambda: "unused",
-                files={"extra.csv": "a,b\n"})
+                files=lambda: {"extra.csv": "a,b\n"})
     assert capsys.readouterr().out == ""
     assert not out.exists()
 
