@@ -27,7 +27,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -74,7 +74,7 @@ class RunConfig:
     grid: EpsGrid = EpsGrid()
     seed: int = DEFAULT_SEED
     samples: int = DEFAULT_SAMPLES
-    box: SampleBox = field(default_factory=SampleBox)
+    box: SampleBox = SampleBox()
     out: Path | None = None
     fmt: str = "table"
 
@@ -137,13 +137,18 @@ def _write_atomic(path: Path, text: str) -> None:
 def _emit(outputs: dict[str, str], out_dir: Path) -> None:
     """Write each output under out_dir.  A file in the way of the directory
     or a directory in the way of any output name is found before the first
-    write; it, or a write that fails, is a configuration error."""
+    write; it, or a write that fails, is a configuration error.  A directory
+    made here is empty, so only one that was there already is scanned."""
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with os.scandir(out_dir) as entries:  # a symlink is replaced, not followed
-            for entry in entries:
-                if entry.name in outputs and entry.is_dir(follow_symlinks=False):
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), entry.path)
+        try:
+            out_dir.mkdir(parents=True)
+        except OSError:  # there already, or in the way: the checked path below
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with os.scandir(out_dir) as entries:  # a symlink is replaced, not followed
+                for entry in entries:
+                    if entry.name in outputs and entry.is_dir(follow_symlinks=False):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                                entry.path)
         for name, text in outputs.items():
             _write_atomic(out_dir / name, text)
     except OSError as e:

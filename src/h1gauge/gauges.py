@@ -328,25 +328,28 @@ def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarr
 
 
 def _array_path(gauge: Gauge):
-    """(k, g) for the gauge's kind, each called as f(x) on a 1-d float array
-    x >= 0.  Gauge.__post_init__ calls this once and keeps the pair; the
-    kernels read it from there.
+    """(k, g, G) for the gauge's kind, each called as f(x) on a 1-d float
+    array x >= 0, G the profile k(t) + t^2.  Gauge.__post_init__ calls this
+    once and keeps the triple; the kernels read it from there.
 
+    - The linear gauge uses its closed forms; its k is a copy of t, so
+      k_array never returns its input, and its profile t + t^2 adds to t
+      without that copy.
     - A piecewise-linear k carrying its own closed-form g (every piecewise
       and oscillatory gauge) looks up its segment table with np.searchsorted.
-    - The linear gauge uses its closed forms; its k is a copy of t, so
-      k_array never returns its input.
     - Any other gauge, raw callables in particular, falls back to the scalar
       k and g_eval element by element: the same numbers as the scalar path,
       at the cost of one Python call (and, without a closed form, one
       bisection) per element.
     """
     k = gauge.k
-    if isinstance(k, PiecewiseLinearGauge) and gauge.g_closed == k.g:
-        return k.k_array, k.g_array
     if k is _linear_k and gauge.g_closed is _linear_g:
-        return np.ndarray.copy, _linear_g_array
-    return _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
+        return np.ndarray.copy, _linear_g_array, lambda t: t + t * t
+    if isinstance(k, PiecewiseLinearGauge) and gauge.g_closed == k.g:
+        k, g = k.k_array, k.g_array
+    else:
+        k, g = _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
+    return k, g, lambda t: k(t) + t * t
 
 
 def _min(x: np.ndarray) -> float:
@@ -373,7 +376,7 @@ def _k(gauge: Gauge, t: np.ndarray) -> np.ndarray:
 
 
 def _G(gauge: Gauge, t: np.ndarray) -> np.ndarray:
-    return _k(gauge, t) + t * t
+    return gauge._path[2](t)
 
 
 def _g(gauge: Gauge, s: np.ndarray) -> np.ndarray:

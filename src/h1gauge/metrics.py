@@ -20,22 +20,23 @@ count.
 
 Each row is one unguarded pass from its draw to its one check.  A violation
 composes the private bodies of the kernels (_mul, _gauge_dilate, _gauge_dist,
-...), never a public *_array kernel, so the finiteness check of the violation
-array in _worst is the row's only guard; sample_battery checks the gauge once,
+...), never a public *_array kernel, so the runner's finiteness check of the
+violations is the row's only guard; sample_battery checks the gauge once,
 and a row that takes scales checks them once.  Where a violation applies one
 body to independent inputs, it makes one call on the inputs stacked row-wise
 (_rows) and splits the result (_split).  Every kernel is row by row, so the
 numbers are those of the separate calls: stacking cuts only the per-call
 dispatch cost, which dominates at small sample counts.
 
-The draws are merged the same way.  A battery makes one generator from its
-seed, and _Blocks hands its doubles to the rows in report order, drawn
-DRAW_BLOCK at a time: one draw for the whole battery at a few samples, and
-bounded memory at many.  Each row maps its slice of doubles to inputs (the
-log-uniform scales, then the box points, split in order).  The generator
-yields its doubles in sequence whatever the call sizes, and each mapping
-rounds as the Generator.uniform call it stands for, so the inputs are those
-of one draw per input.
+One runner, _run_rows, draws and scans the rows.  A battery makes one
+generator from its seed; the runner cuts the rows' samples into chunks, in
+report order, and draws consecutive whole chunks in one call of at most
+DRAW_BLOCK doubles: one draw for a battery of a few samples.  It maps a draw
+to box points once per offset (mod 3) at which a chunk's points start, each
+chunk reads its inputs as views into the draw, and one finiteness check
+covers a draw's violations.  The generator yields its doubles in sequence
+whatever the call sizes, and each mapping rounds as the Generator.uniform
+call it stands for, so the inputs are those of one draw per input.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from .heisenberg import (
     mul,
     to_row,
 )
-from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck, worst_check
+from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck
 
 SAMPLE_CHUNK = 4096  # samples drawn and evaluated per array pass
 
@@ -221,29 +222,6 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(scaled_excess(a, b))
 
 
-def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyCheck:
-    """Worst scaled violation over n >= 1 samples, SAMPLE_CHUNK at a time.
-
-    draw(start, size) returns the inputs of samples start .. start + size - 1
-    as arrays, one row per sample; violation maps them to one number per
-    sample.  Violations are scaled by max(1, magnitudes) of the compared
-    quantities, so tolerance is a flat number.  Each chunk is one worst_check,
-    and the first worst across chunks is kept.  The witness holds the inputs
-    of the first worst sample as plain floats; evaluating violation on them
-    (as one-row arrays) reproduces worst_violation exactly.
-    """
-    if n < 1:
-        raise ValueError(f"{name}: need at least one sample, got {n!r}")
-    worst = None
-    for start in range(0, n, SAMPLE_CHUNK):
-        inputs = draw(start, min(SAMPLE_CHUNK, n - start))
-        check = worst_check(name, check_finite(violation(*inputs)), tolerance,
-                            lambda i: [x[i].tolist() for x in inputs], f"{n} samples")
-        if worst is None or check.worst_violation > worst.worst_violation:
-            worst = check
-    return worst
-
-
 _IDENTITY = _read_only(np.zeros((1, 3)))
 
 
@@ -276,51 +254,9 @@ class Row:
         log-uniform scale."""
         return size * (3 * self.points + (self.log_scale is not None))
 
-    def _draw(self, rng: np.random.Generator | _Blocks, box: SampleBox, start: int, size: int):
-        """The inputs of samples start .. start + size - 1, from one call
-        rng.random(k) for their k doubles: the log-uniform scales first, then
-        the box points, split in order.  lo + (hi - lo) u rounds as
-        Generator.uniform(lo, hi) does."""
-        u = rng.random(self._doubles(size))
-        scales = ()
-        if self.log_scale is not None:
-            low, high = self.log_scale
-            scales, u = (10.0 ** (low + (high - low) * u[:size]),), u[size:]
-        elif self.table:
-            i = np.arange(start, start + size) % len(self.table[0])
-            scales = tuple(column[i] for column in self.table)
-        return (*scales, *_split(box._points(u), self.points))
-
-    def _run(self, gauge: Gauge, n: int, rng: np.random.Generator | _Blocks, box: SampleBox):
+    def _run(self, gauge: Gauge, n: int, rng: np.random.Generator, box: SampleBox):
         """The check on n samples (at least min_samples) drawn from rng."""
-        return _worst(self.name, max(n, self.min_samples), self.tolerance,
-                      partial(self._draw, rng, box), partial(self.violation, gauge))
-
-
-# Doubles drawn from the generator per call: all a battery needs at small
-# sample counts, and a bound on the memory the draw holds at large ones.
-DRAW_BLOCK = 1 << 16
-
-
-class _Blocks:
-    """The doubles of rng in sequence, drawn DRAW_BLOCK at a time (more only
-    for a larger request) and never past total: random(k) returns the next k
-    of them, those rng.random(k) would return.  The generator yields its
-    doubles in sequence whatever the call sizes, so the rows see the numbers
-    of their own draws."""
-
-    def __init__(self, rng: np.random.Generator, total: int):
-        self._rng, self._left = rng, total
-        self._block, self._at = np.empty(0), 0
-
-    def random(self, k: int) -> np.ndarray:
-        if self._at + k > len(self._block):
-            rest = self._block[self._at:]
-            fresh = self._rng.random(min(self._left, max(DRAW_BLOCK, k - len(rest))))
-            self._left -= len(fresh)
-            self._block, self._at = np.concatenate((rest, fresh)), 0
-        self._at += k
-        return self._block[self._at - k:self._at]
+        return _run_rows((self,), gauge, n, rng, box)[0]
 
 
 _DYADIC = np.array(dyadic_scales())
@@ -331,8 +267,8 @@ _RESCALE_SCALES = (_read_only(np.array([2.0**j for j in range(0, -21, -4)])),)
 
 
 # --- violations, one per check: violation(gauge, *inputs) ---------------------------
-# Each composes the unchecked kernel bodies, so _worst's check of the
-# violation array is the row's one finiteness guard: a NaN or an infinity in
+# Each composes the unchecked kernel bodies, so the runner's check of the
+# violations is the row's one finiteness guard: a NaN or an infinity in
 # an input or an overflow on the way reaches that array.  A row that takes
 # scales checks them first, as the dilatation kernels do.  Each looks its
 # bodies up when it runs, so a body rebound on the module (as a test does) is
@@ -491,12 +427,66 @@ BATTERY = (
 )
 
 
+# Doubles drawn from the generator per call: all a battery needs at small
+# sample counts, and a bound on the memory a draw holds at large ones.  A
+# chunk takes at most 10 doubles a sample, so one always fits.
+DRAW_BLOCK = 1 << 16
+
+
+def _run_rows(rows, gauge: Gauge, n: int, rng: np.random.Generator,
+              box: SampleBox) -> list[PropertyCheck]:
+    """Each row's check on n samples (at least its min_samples), the rows
+    drawing from rng in turn, SAMPLE_CHUNK samples at a time.  Violations are
+    scaled by max(1, magnitudes), so a tolerance is a flat number.  A row
+    keeps its first worst sample across its chunks; the witness holds that
+    sample's inputs as plain floats, on which (as one-row arrays) the
+    violation reproduces worst_violation exactly."""
+    draws, chunks, total = [], [], 0  # a draw: its chunks and its doubles
+    for k, row in enumerate(rows):
+        count = max(n, row.min_samples)
+        if count < 1:
+            raise ValueError(f"{row.name}: need at least one sample, got {count!r}")
+        for start in range(0, count, SAMPLE_CHUNK):
+            size = min(SAMPLE_CHUNK, count - start)
+            doubles = row._doubles(size)
+            if chunks and total + doubles > DRAW_BLOCK:
+                draws.append((chunks, total))
+                chunks, total = [], 0
+            chunks.append((k, row, start, size, total))
+            total += doubles
+    draws.append((chunks, total))
+    worst = [None] * len(rows)  # each row's (worst violation, witness)
+    for chunks, total in draws:
+        u, mapped, ran = rng.random(total), {}, []
+        for k, row, start, size, at in chunks:
+            scales = ()
+            if row.log_scale is not None:
+                low, high = row.log_scale
+                scales, at = (10.0 ** (low + (high - low) * u[at:at + size]),), at + size
+            elif row.table:
+                i = np.arange(start, start + size) % len(row.table[0])
+                scales = tuple(column[i] for column in row.table)
+            r = at % 3
+            if r not in mapped:
+                mapped[r] = box._points(u[r:total - (total - r) % 3])
+            m, first = mapped[r], at // 3
+            points = [m[j:j + size] for j in range(first, first + size * row.points, size)]
+            inputs = (*scales, *points)
+            ran.append((k, inputs, row.violation(gauge, *inputs)))
+        check_finite(np.concatenate([v for _, _, v in ran]))
+        for k, inputs, v in ran:
+            i = int(v.argmax())
+            if worst[k] is None or v[i] > worst[k][0]:
+                worst[k] = float(v[i]), [x[i].tolist() for x in inputs]
+    return [PropertyCheck(row.name, value, row.tolerance, witness,
+                          f"{max(n, row.min_samples)} samples")
+            for row, (value, witness) in zip(rows, worst)]
+
+
 def sample_battery(gauge: Gauge, n: int, seed: int,
                    box: SampleBox = SampleBox()) -> list[PropertyCheck]:
     """The verify battery on a verified gauge: each row of BATTERY on n samples
     from box, in report order, all drawing in turn from one generator seeded
-    with seed, whose doubles for every row come from one _Blocks."""
+    with seed."""
     require_verified(gauge)
-    total = sum(row._doubles(max(n, row.min_samples)) for row in BATTERY)
-    doubles = _Blocks(np.random.default_rng(seed), total)
-    return [row._run(gauge, n, doubles, box) for row in BATTERY]
+    return _run_rows(BATTERY, gauge, n, np.random.default_rng(seed), box)

@@ -21,6 +21,7 @@ in report order, as the package's does.
 
 import bisect
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,6 +36,7 @@ from h1gauge.dilatations import (
 from h1gauge.gauges import PiecewiseLinearGauge, g_array, g_eval, g_inverse_array, linear_gauge
 from h1gauge.heisenberg import (
     H1Point,
+    check_finite,
     inv_array,
     mul_array,
     point_diff_array,
@@ -44,9 +46,10 @@ from h1gauge.heisenberg import (
 )
 from h1gauge.metrics import (
     _IDENTITY,
+    SAMPLE_CHUNK,
     SampleBox,
     _gap,
-    _worst,
+    _run_rows,
     dyadic_scales,
     flat_norm_array,
     gauge_dist_array,
@@ -54,7 +57,7 @@ from h1gauge.metrics import (
     intrinsic_dist_array,
     scaled_excess,
 )
-from h1gauge.report import TOL_ALGEBRA, TOL_GAUGE
+from h1gauge.report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck, worst_check
 
 _LINEAR_G = linear_gauge().g_closed
 
@@ -251,9 +254,46 @@ def trace_csv(trace) -> str:
 
 # --- unstacked sampler and probe compositions --------------------------------------
 #
-# Each sampler below draws the same numbers as its h1gauge.metrics namesake,
-# one box.draw per input, and scans with the same _worst; its violation calls
-# each kernel once per input.
+# Each sampler below draws the same numbers as the battery row of its name,
+# one box.draw per input, and scans them chunk by chunk with _worst, which
+# shares no code with the package's runner; its violation calls each kernel
+# once per input.
+
+
+def _worst(name: str, n: int, tolerance: float, draw, violation) -> PropertyCheck:
+    """Worst scaled violation over n >= 1 samples, SAMPLE_CHUNK at a time.
+
+    draw(start, size) returns the inputs of samples start .. start + size - 1
+    as arrays, one row per sample; violation maps them to one number per
+    sample.  Violations are scaled by max(1, magnitudes) of the compared
+    quantities, so tolerance is a flat number.  Each chunk is one worst_check,
+    and the first worst across chunks is kept.  The witness holds the inputs
+    of the first worst sample as plain floats; evaluating violation on them
+    (as one-row arrays) reproduces worst_violation exactly.
+    """
+    if n < 1:
+        raise ValueError(f"{name}: need at least one sample, got {n!r}")
+    worst = None
+    for start in range(0, n, SAMPLE_CHUNK):
+        inputs = draw(start, min(SAMPLE_CHUNK, n - start))
+        check = worst_check(name, check_finite(violation(*inputs)), tolerance,
+                            lambda i: [x[i].tolist() for x in inputs], f"{n} samples")
+        if worst is None or check.worst_violation > worst.worst_violation:
+            worst = check
+    return worst
+
+
+def chunk_inputs(row, n, rng, box):
+    """The inputs the package's runner hands row's violation on n samples
+    (at least row.min_samples) drawn from rng, one tuple per chunk."""
+    seen = []
+
+    def keep(gauge, *inputs):
+        seen.append(inputs)
+        return np.zeros(len(inputs[0]))
+
+    _run_rows((replace(row, violation=keep),), None, n, rng, box)
+    return seen
 
 
 def _points(rng, box, count):

@@ -12,7 +12,6 @@ linear closed form, and the element-by-element fallback for a raw callable.
 
 import math
 import random
-from functools import partial
 from statistics import fmean
 
 import numpy as np
@@ -384,19 +383,24 @@ def test_chunked_scan_keeps_the_first_global_worst(monkeypatch):
     monkeypatch.setattr(metrics, "SAMPLE_CHUNK", 7)
     seen = []
 
-    def draw(start, size):
-        seen.append(size)
-        return (np.arange(start, start + size, dtype=float),)
+    def run(name, n, violation):
+        # one table column and no box points: sample j's input is the number j
+        def scan(gauge, x):
+            seen.append(len(x))
+            return violation(x)
+
+        row = metrics.Row(name, 0.5, 0, scan, table=(np.arange(50.0),))
+        return metrics._run_rows((row,), LIN, n, np.random.default_rng(0), SampleBox())[0]
 
     # the worst sample sits in the fifth chunk; ties keep the first one
-    check = metrics._worst("peak", 50, 0.5, draw, lambda x: -np.abs(x - 30.0))
+    check = run("peak", 50, lambda x: -np.abs(x - 30.0))
     assert seen == [7] * 7 + [1]
     assert (check.worst_violation, check.witness, check.details) == (-0.0, [30.0], "50 samples")
     assert check.passed
-    flat = metrics._worst("flat", 50, 0.5, draw, lambda x: np.ones_like(x))
+    flat = run("flat", 50, lambda x: np.ones_like(x))
     assert flat.witness == [0.0] and not flat.passed
     with pytest.raises(ValueError, match="non-finite"):
-        metrics._worst("nan", 3, 0.5, draw, lambda x: x / 0.0)
+        run("nan", 3, lambda x: x / 0.0)
 
 
 # --- check_gauge against the scalar loop it replaced ---------------------------------
@@ -556,7 +560,10 @@ def test_probes_match_scalar_formulas(gauge, site, count):
 STACKED_GAUGES = [LIN, OSC, _random_piecewise(4, 9)]
 
 
-@pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
+# 601 and 602 samples: the battery's doubles in one draw and in two; 4096 and
+# 4097: every row in one chunk and in two
+@pytest.mark.parametrize("n", [1, 7, 601, 602, metrics.SAMPLE_CHUNK, metrics.SAMPLE_CHUNK + 1,
+                               metrics.SAMPLE_CHUNK + 3])
 @pytest.mark.parametrize("gauge", STACKED_GAUGES, ids=_gauge_id)
 def test_stacked_samplers_match_unstacked(gauge, n):
     box = SampleBox(3.0, 5.0)
@@ -606,7 +613,7 @@ class _CountedGenerator:
         return self.rng.uniform(*args, **kwargs)
 
 
-@pytest.mark.parametrize("n", [1, 7, 16, metrics.SAMPLE_CHUNK + 3])
+@pytest.mark.parametrize("n", [1, 7, 16, 601, 602, metrics.SAMPLE_CHUNK + 3])
 def test_battery_draws_its_doubles_in_blocks(n, monkeypatch):
     # a battery at a few samples is one draw of every double its rows take;
     # at many, draws of at most DRAW_BLOCK doubles, all of them together
@@ -658,15 +665,16 @@ def test_stacked_transported_mul_matches_unstacked(gauge, n):
 @pytest.mark.parametrize("n", [1, 7, metrics.SAMPLE_CHUNK + 3])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_merged_draws_match_consecutive_draws(count, n):
-    # a chunk's box points come from one draw, split in order
+    # a chunk's inputs are views into one draw, split in order
     box = SampleBox(3.0, 5.0)
     for name, args in (("_points", ()), ("_scaled_points", (-3.0, 3.0))):
         rngs = [np.random.default_rng(n), np.random.default_rng(n)]
         row = metrics.Row(name, 0.0, count, None, log_scale=args or None)
-        draws = [partial(row._draw, rngs[0], box), getattr(ref, name)(rngs[1], box, count, *args)]
-        for start in range(0, n, metrics.SAMPLE_CHUNK):
-            size = min(metrics.SAMPLE_CHUNK, n - start)
-            got, want = (draw(start, size) for draw in draws)
+        draw = getattr(ref, name)(rngs[1], box, count, *args)
+        chunks = ref.chunk_inputs(row, n, rngs[0], box)
+        assert len(chunks) == len(range(0, n, metrics.SAMPLE_CHUNK))
+        for start, got in zip(range(0, n, metrics.SAMPLE_CHUNK), chunks):
+            want = draw(start, min(metrics.SAMPLE_CHUNK, n - start))
             assert len(got) == len(want) == count + bool(args)
             assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
         assert rngs[0].random() == rngs[1].random()  # the same doubles consumed

@@ -323,6 +323,18 @@ def test_symlink_to_a_directory_is_replaced(capsys, tmp_path):
     assert os.listdir(tmp_path / "d") == []
 
 
+def test_only_an_existing_out_directory_is_scanned(capsys, tmp_path, monkeypatch):
+    # a directory this run makes is empty, so nothing in it can be in the way
+    scanned, scandir = [], os.scandir
+    monkeypatch.setattr(os, "scandir", lambda path: scanned.append(path) or scandir(path))
+    out = tmp_path / "new" / "run"
+    assert run(capsys, "gauge-check", "--out", str(out))[0] == 0
+    assert scanned == []
+    assert run(capsys, "gauge-check", "--out", str(out))[0] == 0
+    assert scanned == [out]
+    assert os.listdir(out) == ["gauge_check_report.json"]
+
+
 def test_failed_write_is_config_error(capsys, tmp_path, monkeypatch):
     def full(path, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
@@ -332,6 +344,15 @@ def test_failed_write_is_config_error(capsys, tmp_path, monkeypatch):
     assert (code, stdout) == (2, "")
     assert err == f"error: --out: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: " \
                   f"'{tmp_path / 'gauge_check_report.json'}'\n"
+
+
+def test_configs_share_the_default_box():
+    # a SampleBox is frozen with read-only widths, so one default serves all
+    parser = cli.build_parser()
+    a, b = (cli._config_from(parser.parse_args(["verify"])) for _ in range(2))
+    assert a.box is b.box and a.box == SampleBox()
+    own = cli._config_from(parser.parse_args(["verify", "--box", "3,5"])).box
+    assert own == SampleBox(3.0, 5.0) and own is not a.box
 
 
 def test_bad_box_is_config_error(capsys):

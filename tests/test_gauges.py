@@ -13,6 +13,7 @@ from h1gauge.gauges import (
     Gauge,
     GaugeConstructionError,
     PiecewiseLinearGauge,
+    _G,
     check_gauge,
     g_array,
     g_eval,
@@ -62,6 +63,20 @@ def test_linear_closed_form_is_the_doubled_form_to_the_bit(s):
     """s/(0.5 + sqrt(0.25 + s)) is 2s/(1 + sqrt(1 + 4s)) scaled by powers of
     two, so wherever the doubled form is finite both give the same double."""
     assert g_array(LIN, np.array([s]))[0] == 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
+
+
+def test_linear_profile_makes_no_copy():
+    # G(t) = t + t^2 on the linear gauge, bit for bit and in a new array,
+    # without calling the k path (a copy of t); k_array still copies its input
+    gauge, calls = linear_gauge(), []
+    k = gauge._path[0]
+    object.__setattr__(gauge, "_path", (lambda t: calls.append(t) or k(t), *gauge._path[1:]))
+    t = np.array([0.0, 5e-324, 1e-8, 0.5, 1.0, 3.0, 1e150])
+    profile = _G(gauge, t)
+    assert profile is not t and profile.tobytes() == (t + t * t).tobytes()
+    assert calls == []
+    kt = k_array(gauge, t)
+    assert kt is not t and kt.tobytes() == t.tobytes() and len(calls) == 1
 
 
 @given(st.floats(min_value=4e307, max_value=1.7976931348623157e308))

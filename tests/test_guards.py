@@ -15,12 +15,13 @@ point_diff_array and point_scale_array are held bit for bit to the
 .max(axis=1) form kept in tests/reference.py.
 
 The verify battery's rows compose the unchecked kernel bodies and are guarded
-once, by _worst's check of the violation array.  Each row is fed a NaN, an
+once, by the runner's check of the violations.  Each row is fed a NaN, an
 infinity of either sign and an overflowing value at every input position, and
 must raise what the unstacked composition of public kernels in
 tests/reference.py raises, or return the same violation array bit for bit.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -335,7 +336,7 @@ def _reference_violations(gauge_name):
 
 
 def _checked(call):
-    """("ok", bytes) for a violation array that passes _worst's guard, else
+    """("ok", bytes) for a violation array that passes the runner's guard, else
     (exception type, message)."""
     try:
         return "ok", heisenberg.check_finite(call()).tobytes()
@@ -348,7 +349,8 @@ def _scan(gauge_name, row):
     reference composition's differ, on three samples from the row's own draw
     with one value placed in the middle sample."""
     gauge, reference = SCAN_GAUGES[gauge_name], _reference_violations(gauge_name)[row.name]
-    base = row._draw(np.random.default_rng(3), metrics.SampleBox(), 0, 3)
+    [base] = ref.chunk_inputs(dataclasses.replace(row, min_samples=0), 3,
+                              np.random.default_rng(3), metrics.SampleBox())
     cases = [(None, None, None)] + [
         (k, where, value) for k, x in enumerate(base)
         for where in ([1] if x.ndim == 1 else [(1, c) for c in range(3)])
