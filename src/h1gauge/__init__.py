@@ -4,19 +4,14 @@ Group arithmetic lives in heisenberg, convex gauges and their profile inverse
 in gauges, the three distances and the verify battery in metrics,
 the dilatation families and the flattening conjugation in dilatations, limit
 probes and trace classification in limits, and the command-line front end in
-cli.
+cli.  Every operation is an array kernel on (n, 3) point arrays (the *_array
+functions of each module).  The names here that compute at one point, mul,
+the three distances and rescaled_product, are each one row of a kernel, and
+g_eval is one element of g_array; g_inverse_eval and invert_g are the scalar
+profile and the scalar bisection reference.
 """
 
-from .dilatations import (
-    dilate,
-    euclidean_dilate,
-    flatten,
-    gauge_dilate,
-    gauge_dilate_at,
-    rescaled_product,
-    transported_mul,
-    unflatten,
-)
+from .dilatations import rescaled_product
 from .gauges import (
     Gauge,
     GaugeConstructionError,
@@ -32,7 +27,7 @@ from .gauges import (
     piecewise_gauge,
     verified_gauge,
 )
-from .heisenberg import H1Point, identity, inv, mul, point, symplectic_area
+from .heisenberg import H1Point, identity, mul, point, symplectic_area
 from .limits import (
     Classification,
     ConvergenceTrace,
@@ -49,17 +44,8 @@ from .limits import (
     rescaled_product_probe,
     uniform_probe,
     vertical_limit_probe,
-    vertical_response,
 )
-from .metrics import (
-    SampleBox,
-    flat_dist,
-    flat_norm,
-    gauge_dist,
-    gauge_norm,
-    intrinsic_dist,
-    intrinsic_norm,
-)
+from .metrics import SampleBox, flat_dist, gauge_dist, intrinsic_dist
 from .report import PropertyCheck, VerificationReport
 
 __version__ = "0.1.0"
@@ -80,24 +66,15 @@ __all__ = [
     "check_gauge",
     "classify_limit",
     "default_direction_grid",
-    "dilate",
-    "euclidean_dilate",
     "flat_dist",
-    "flat_norm",
-    "flatten",
     "g_eval",
     "g_inverse_eval",
-    "gauge_dilate",
-    "gauge_dilate_at",
     "gauge_dist",
     "gauge_from_spec",
-    "gauge_norm",
     "gauge_to_spec",
     "identity",
     "id_derivability_probe",
     "intrinsic_dist",
-    "intrinsic_norm",
-    "inv",
     "invert_g",
     "limit_equivalence_check",
     "linear_gauge",
@@ -111,10 +88,7 @@ __all__ = [
     "rescaled_product",
     "rescaled_product_probe",
     "symplectic_area",
-    "transported_mul",
-    "unflatten",
     "uniform_probe",
     "verified_gauge",
     "vertical_limit_probe",
-    "vertical_response",
 ]

@@ -7,14 +7,14 @@ eps).  The flattening map reparametrizes the vertical axis by g, conjugating
 the gauge dilatation into the euclidean one and transporting the group law.
 
 The *_array functions hold the formulas and act on (n, 3) point arrays; eps
-may be one scale or one scale per row.  dilate, euclidean_dilate,
-gauge_dilate, flatten, unflatten and transported_mul are one-row calls into
-them; gauge_dilate_at and rescaled_product compose those.  Each *_array
-kernel is its scale check (_check_eps), require_verified and check_finite
-around a private unchecked body (_dilate, _euclidean_dilate, _gauge_dilate,
-_flatten, _unflatten, _transported_mul) that holds its formula; the
-composites and the verify battery's violations call the bodies and check only
-their own result, once.
+may be one scale or one scale per row.  Each *_array kernel is its scale
+check (_check_eps), require_verified and check_finite around a private
+unchecked body (_dilate, _euclidean_dilate, _gauge_dilate, _flatten,
+_unflatten, _transported_mul) that holds its formula; the composites and the
+verify battery's violations call the bodies and check only their own result,
+once.  The rescaled product is written once, as _rescaled_product on arrays:
+rescaled_product is one row of it, and the rescaled-product probe maps it
+over its grid.
 """
 
 from __future__ import annotations
@@ -23,51 +23,14 @@ import numpy as np
 
 from .gauges import Gauge, _g, _G, require_verified
 from .heisenberg import (
-    H1Point, _mul, _rows, _split, check_finite, from_row, inv, mul, to_row,
+    H1Point, _mul, _rows, _split, check_finite, from_row, mul_array, to_row,
 )
 
 
-def dilate(eps: float, p: H1Point) -> H1Point:
-    """Intrinsic dilatation: one row of dilate_array."""
-    return from_row(dilate_array(eps, to_row(p)))
-
-
-def euclidean_dilate(eps: float, p: H1Point) -> H1Point:
-    """Euclidean dilatation: one row of euclidean_dilate_array."""
-    return from_row(euclidean_dilate_array(eps, to_row(p)))
-
-
-def gauge_dilate(gauge: Gauge, eps: float, p: H1Point) -> H1Point:
-    """Gauge dilatation: one row of gauge_dilate_array."""
-    return from_row(gauge_dilate_array(gauge, eps, to_row(p)))
-
-
-def gauge_dilate_at(gauge: Gauge, eps: float, base: H1Point, q: H1Point) -> H1Point:
-    """The gauge dilatation of scale eps centered at base: the paper's
-    dilatation family based at an arbitrary point, obtained from the one at
-    the identity by conjugating with the left translation by base."""
-    return mul(base, gauge_dilate(gauge, eps, mul(inv(base), q)))
-
-
 def rescaled_product(gauge: Gauge, eps: float, p: H1Point, q: H1Point) -> H1Point:
-    """Dilate both points by eps, multiply, undilate the product by 1/eps."""
-    product = mul(gauge_dilate(gauge, eps, p), gauge_dilate(gauge, eps, q))
-    return gauge_dilate(gauge, 1.0 / eps, product)
-
-
-def flatten(gauge: Gauge, p: H1Point) -> H1Point:
-    """The flattening map: one row of flatten_array."""
-    return from_row(flatten_array(gauge, to_row(p)))
-
-
-def unflatten(gauge: Gauge, p: H1Point) -> H1Point:
-    """The inverse of the flattening map: one row of unflatten_array."""
-    return from_row(unflatten_array(gauge, to_row(p)))
-
-
-def transported_mul(gauge: Gauge, p: H1Point, q: H1Point) -> H1Point:
-    """The transported group product: one row of transported_mul_array."""
-    return from_row(transported_mul_array(gauge, to_row(p), to_row(q)))
+    """Dilate both points by eps, multiply, undilate the product by 1/eps:
+    one row of _rescaled_product."""
+    return from_row(_rescaled_product(gauge, np.array([eps]), _rows(to_row(p), to_row(q))))
 
 
 # --- (n, 3) arrays, one point per row ---------------------------------------
@@ -162,3 +125,12 @@ def transported_mul_array(gauge: Gauge, p: np.ndarray, q: np.ndarray) -> np.ndar
     their rows stacked."""
     require_verified(gauge)
     return check_finite(_transported_mul(gauge, p, q))
+
+
+def _rescaled_product(gauge: Gauge, eps: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """gauge_dilate(1/eps) of the product of p and q each dilated by eps,
+    row by row, on the checked kernels.  pq is the rows of p stacked on
+    those of q, one row of each per scale of eps, so both are dilated in one
+    call."""
+    product = mul_array(*_split(gauge_dilate_array(gauge, _rows(eps, eps), pq), 2))
+    return gauge_dilate_array(gauge, 1.0 / eps, product)

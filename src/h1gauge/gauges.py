@@ -6,28 +6,29 @@ distance and the gauge dilatations.  g is evaluated through a closed form
 when one is attached: the linear gauge and every piecewise-linear gauge
 (oscillatory included) carry an exact formula.  Only raw callables without
 one fall back to bracketed bisection on [0, sqrt(s)] (the bracket is valid
-because G(t) >= t^2 forces g(s) <= sqrt(s)).
+because G(t) >= t^2 forces g(s) <= sqrt(s)), run on every element of an
+array at once.
 
 k_array, g_inverse_array and g_array evaluate k, G and g on float arrays;
 _array_path is the one place that picks how (segment-table lookup, the
-linear closed form, or the scalar functions element by element), and it
-runs once per Gauge, when the Gauge is built.  Each public kernel is its
->= 0 guard and check_finite around an unchecked body (_k, _G, _g) that
+linear closed form, or a raw k with its g_closed or the lockstep bisection),
+and it runs once per Gauge, when the Gauge is built.  Each public kernel is
+its >= 0 guard and check_finite around an unchecked body (_k, _G, _g) that
 composites call.  The guard and, on a self-similar table, the test whether
 every row is at or above the table each read the least argument as the entry
 at its argmin (the first NaN, if there is one), which costs less per call
 than a ufunc reduction.
-The scalar k and g of the piecewise and linear gauges are one-element calls
-into their array forms.  g_eval, g_inverse_eval and invert_g stay scalar: they
-are what the element-by-element path maps over a raw callable, and
-invert_g is the bisection reference for the closed forms.
+g_eval is one element of g_array.  g_inverse_eval and invert_g stay scalar:
+invert_g is the bisection reference that the closed forms and the lockstep
+bisection are checked against.
 
-Raw user-supplied evaluables are accepted but stay unverified: the metric and
-dilatation layers reject a gauge until its contract has been established,
-either by construction (piecewise-linear data is slope-checked, the linear
-gauge is analytic) or by passing check_gauge.  check_gauge records each
-worst violation as a Python float, whatever number type a raw k returns, and
-each check's verdict follows from it (see report.PropertyCheck).
+A raw k, and a raw g_closed, is called on a 1-d float array and must return
+one of the same length.  Raw evaluables are accepted but stay unverified:
+the metric and dilatation layers reject a gauge until its contract has been
+established, either by construction (piecewise-linear data is slope-checked,
+the linear gauge is analytic) or by passing check_gauge.  check_gauge
+records each worst violation as a Python float, whatever number type a raw k
+returns, and each check's verdict follows from it (see report.PropertyCheck).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -61,9 +63,9 @@ class Gauge:
     path (see _array_path) is picked once, here.
     """
 
-    k: Callable[[float], float]
+    k: Callable[[np.ndarray], np.ndarray]
     label: str = "custom"
-    g_closed: Callable[[float], float] | None = None
+    g_closed: Callable[[np.ndarray], np.ndarray] | None = None
     verified: bool = False
     spec: dict | None = None  # from the constructors: the spec that rebuilds it
     _path: tuple = field(init=False, repr=False, default=())
@@ -100,8 +102,8 @@ class PiecewiseLinearGauge:
     ends the segment (inf for the last).  k_array reads the table directly;
     G is quadratic on each segment, so g = G^-1 is exact (see g_array).
     With a period it also keeps k at b_1 and g at G(b_1), the table's
-    bottom, where the scaling law takes over.  __call__ and g are
-    one-element calls into them.
+    bottom, where the scaling law takes over.  __call__ is a one-element
+    call into k_array.
     """
 
     breakpoints: tuple[float, ...]
@@ -156,11 +158,7 @@ class PiecewiseLinearGauge:
 
     def __call__(self, t: float) -> float:
         """k(t): one element of k_array, and 0 for t <= 0."""
-        return 0.0 if t <= 0.0 else _at(self.k_array, t)
-
-    def g(self, s: float) -> float:
-        """g(s) for s >= 0: one element of g_array."""
-        return _at(self.g_array, s)
+        return 0.0 if t <= 0.0 else check_finite(self.k_array(np.array([t])))[0].item()
 
     def k_array(self, t: np.ndarray) -> np.ndarray:
         """k on an array of t >= 0, by np.searchsorted in the segment table."""
@@ -215,17 +213,8 @@ class PiecewiseLinearGauge:
         return out
 
 
-def _at(f: Callable[[np.ndarray], np.ndarray], x: float) -> float:
-    """The array function f at the one argument x, as a finite float."""
-    return check_finite(f(np.array([x])))[0].item()
-
-
 def _linear_k(t):
     return t
-
-
-def _linear_g(s: float) -> float:
-    return _at(_linear_g_array, s)
 
 
 def _linear_g_array(s: np.ndarray) -> np.ndarray:
@@ -237,7 +226,7 @@ def linear_gauge() -> Gauge:
     s/(0.5 + sqrt(0.25 + s)) is the cancellation-free equivalent of
     sqrt(0.25 + s) - 0.5; it rounds as 2s/(1 + sqrt(1 + 4s)) does, but
     cannot overflow."""
-    return Gauge(k=_linear_k, label="linear", g_closed=_linear_g, verified=True,
+    return Gauge(k=_linear_k, label="linear", g_closed=_linear_g_array, verified=True,
                  spec={"type": "linear"})
 
 
@@ -247,7 +236,7 @@ def piecewise_gauge(breakpoints, values, label: str = "piecewise") -> Gauge:
         tuple(float(b) for b in breakpoints), tuple(float(v) for v in values)
     )
     spec = {"type": "piecewise", "breakpoints": list(pwl.breakpoints), "values": list(pwl.values)}
-    return Gauge(k=pwl, label=label, g_closed=pwl.g, verified=True, spec=spec)
+    return Gauge(k=pwl, label=label, g_closed=pwl.g_array, verified=True, spec=spec)
 
 
 def oscillatory_gauge(M: float = 10.0, r: float = 1e-3) -> Gauge:
@@ -271,12 +260,13 @@ def oscillatory_gauge(M: float = 10.0, r: float = 1e-3) -> Gauge:
     bs = [r**n for n in ns]
     vs = [(M if n % 2 == 0 else 1.0 / M) * b * b for n, b in zip(ns, bs)]
     pwl = PiecewiseLinearGauge(tuple(bs), tuple(vs), period=r * r)
-    return Gauge(k=pwl, label=f"oscillatory(M={M!r},r={r!r})", g_closed=pwl.g, verified=True,
-                 spec={"type": "oscillatory", "M": M, "r": r})
+    return Gauge(k=pwl, label=f"oscillatory(M={M!r},r={r!r})", g_closed=pwl.g_array,
+                 verified=True, spec={"type": "oscillatory", "M": M, "r": r})
 
 
 def g_inverse_eval(gauge: Gauge, t: float) -> float:
-    """Profile G(t) = k(t) + t^2, the inverse of g."""
+    """Profile G(t) = k(t) + t^2, the inverse of g, at one t: k is called
+    on the float t itself."""
     if t < 0.0:
         raise ValueError(f"profile argument must be >= 0, got {t!r}")
     return gauge.k(t) + t * t
@@ -285,12 +275,11 @@ def g_inverse_eval(gauge: Gauge, t: float) -> float:
 def invert_g(gauge: Gauge, s: float) -> float:
     """Numeric g(s) by bisection on [0, sqrt(s)], run to float exhaustion.
 
-    g_eval uses this only for gauges without a closed form, i.e. raw callables
-    wrapped by Gauge or verified_gauge; it is also the reference the closed
-    forms are cross-checked against.  Exhaustion (midpoint hits an endpoint)
-    lands within an ulp of the root, well inside the INV_TOL round-trip
-    contract; of the two final endpoints the one with the smaller profile
-    residual is returned.
+    The scalar reference that the closed forms and the lockstep bisection
+    behind g_array (_bisect_g) are checked against.  Exhaustion (midpoint
+    hits an endpoint) lands within an ulp of the root, well inside the
+    INV_TOL round-trip contract; of the two final endpoints the one with the
+    smaller profile residual is returned.
     """
     if s < 0.0:
         raise ValueError(f"g argument must be >= 0, got {s!r}")
@@ -314,17 +303,38 @@ def invert_g(gauge: Gauge, s: float) -> float:
     return hi
 
 
+def _bisect_g(G: Callable[[np.ndarray], np.ndarray], s: np.ndarray) -> np.ndarray:
+    """invert_g run on every element of s at once, G the profile on arrays:
+    the same bracket, steps, exits and final pick, so the same bits.  s = 0
+    and NaN are finished at once, and so is G(sqrt s) <= s; an element leaves
+    when its midpoint meets an endpoint.  G sees only elements with s > 0,
+    and is not called when there are none."""
+    out = np.sqrt(s + 0.0)  # + 0.0 turns -0.0 into the 0.0 invert_g returns
+    i = np.flatnonzero(s > 0.0)
+    if i.size:
+        i = i[~(G(out[i]) <= s[i])]
+    lo, hi, left = np.zeros(i.size), out[i], []
+    for _ in range(_BISECT_CAP):
+        mid = 0.5 * (lo + hi)
+        leave = (mid <= lo) | (mid >= hi)
+        if leave.any():
+            left.append((i[leave], lo[leave], hi[leave]))
+            on = ~leave
+            i, lo, hi, mid = i[on], lo[on], hi[on], mid[on]
+        if not i.size:
+            break
+        below = G(mid) < s[i]
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    i, lo, hi = (np.concatenate(c) for c in zip((i, lo, hi), *left))
+    if i.size:
+        t, ends = s[i], G(np.concatenate((lo, hi)))
+        out[i] = np.where(t - ends[:i.size] <= ends[i.size:] - t, lo, hi)
+    return out
+
+
 def g_eval(gauge: Gauge, s: float) -> float:
-    """g(s), via the closed form when the gauge carries one."""
-    if s < 0.0:
-        raise ValueError(f"g argument must be >= 0, got {s!r}")
-    if gauge.g_closed is not None:
-        return gauge.g_closed(s)
-    return invert_g(gauge, s)
-
-
-def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+    """g(s): one element of g_array."""
+    return g_array(gauge, np.array([s], dtype=float))[0].item()
 
 
 def _array_path(gauge: Gauge):
@@ -335,21 +345,21 @@ def _array_path(gauge: Gauge):
     - The linear gauge uses its closed forms; its k is a copy of t, so
       k_array never returns its input, and its profile t + t^2 adds to t
       without that copy.
-    - A piecewise-linear k carrying its own closed-form g (every piecewise
-      and oscillatory gauge) looks up its segment table with np.searchsorted.
-    - Any other gauge, raw callables in particular, falls back to the scalar
-      k and g_eval element by element: the same numbers as the scalar path,
-      at the cost of one Python call (and, without a closed form, one
-      bisection) per element.
+    - A piecewise-linear k (every piecewise and oscillatory gauge) looks up
+      its segment table with np.searchsorted.
+    - Any other k is the raw callable itself.  g is the gauge's g_closed,
+      and without one the lockstep bisection _bisect_g on G.
     """
-    k = gauge.k
-    if k is _linear_k and gauge.g_closed is _linear_g:
-        return np.ndarray.copy, _linear_g_array, lambda t: t + t * t
-    if isinstance(k, PiecewiseLinearGauge) and gauge.g_closed == k.g:
-        k, g = k.k_array, k.g_array
-    else:
-        k, g = _elementwise(k), _elementwise(lambda s: g_eval(gauge, s))
-    return k, g, lambda t: k(t) + t * t
+    k, g = gauge.k, gauge.g_closed
+    if k is _linear_k and g is _linear_g_array:
+        return np.ndarray.copy, g, lambda t: t + t * t
+    if isinstance(k, PiecewiseLinearGauge):
+        k = k.k_array
+
+    def G(t):
+        return k(t) + t * t
+
+    return k, partial(_bisect_g, G) if g is None else g, G
 
 
 def _min(x: np.ndarray) -> float:
@@ -404,15 +414,15 @@ def default_check_grid() -> tuple[float, ...]:
 
 
 def _check_arrays(grid) -> tuple[np.ndarray, ...]:
-    """check_gauge's inputs on a grid, once it is validated: the grid, the
-    pairs i < j of its every third point (row by row), their midpoints, and
-    max(1, t) on the grid."""
+    """check_gauge's inputs on a grid, once it is validated: 0 followed by
+    the grid, the pairs i < j of the grid's every third point (row by row),
+    their midpoints, and max(1, t) on the grid."""
     pts = np.array(grid, dtype=float)
     if pts.ndim != 1 or len(pts) < 4 or not (pts > 0.0).all() or (np.diff(pts) < 0.0).any():
         raise ValueError("check grid must be >= 4 positive ascending points")
     sub = pts[::3]
     a, b = np.triu_indices(len(sub), k=1)
-    return pts, a, b, 0.5 * (sub[a] + sub[b]), np.maximum(1.0, pts)
+    return np.concatenate(([0.0], pts)), a, b, 0.5 * (sub[a] + sub[b]), np.maximum(1.0, pts)
 
 
 # check_gauge's default inputs, built and validated once
@@ -426,19 +436,17 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
     midpoint convexity on sampled pairs; g/G round-trips within INV_TOL
     (mixed absolute/relative).  Witnesses reproduce the worst violations.
     """
-    pts, a, b, mids, scale = _CHECK_ARRAYS if grid is None else _check_arrays(grid)
+    ts, a, b, mids, scale = _CHECK_ARRAYS if grid is None else _check_arrays(grid)
+    pts = ts[1:]
     report = VerificationReport(f"gauge-check: {gauge.label}")
 
-    k0 = gauge.k(0.0)
-    report.add(PropertyCheck("origin", float(abs(k0)), TOL_ALGEBRA, witness=0.0))
+    kt = _k(gauge, ts)  # k at 0 and on the grid, in one call
+    ks = check_finite(kt[1:])
+    report.add(PropertyCheck("origin", float(abs(kt[0])), TOL_ALGEBRA, witness=0.0))
 
-    ks = k_array(gauge, pts)
-    gaps = ks.copy()
-    gaps[1:] -= ks[:-1]
-    gaps[0] -= k0
     # -gap <= -ulp(0) = -5e-324 exactly when gap > 0: a flat step fails
-    report.add(worst_check("strict-increase", -gaps, -math.ulp(0.0),
-                           lambda i: [float(pts[i - 1]) if i else 0.0, float(pts[i])]))
+    report.add(worst_check("strict-increase", -np.diff(kt), -math.ulp(0.0),
+                           lambda i: [float(ts[i]), float(ts[i + 1])]))
 
     sub, subk = pts[::3], ks[::3]
     ka, kb = subk[a], subk[b]
@@ -457,9 +465,9 @@ def check_gauge(gauge: Gauge, grid=None) -> VerificationReport:
 
 
 def verified_gauge(
-    k: Callable[[float], float],
+    k: Callable[[np.ndarray], np.ndarray],
     label: str = "custom",
-    g_closed: Callable[[float], float] | None = None,
+    g_closed: Callable[[np.ndarray], np.ndarray] | None = None,
     grid=None,
 ) -> Gauge:
     """Wrap a raw evaluable, run check_gauge, and return a verified Gauge.

@@ -1,10 +1,11 @@
 """The first Heisenberg group: points, symplectic area, group law.
 
-H1Point is the validated value type at the API boundary.  The *_array
-functions hold the formulas and act on (n, 3) float arrays, one point per
-row; every array they return passes check_finite, the array form of the
-H1Point invariant.  A scalar function on H1Points is a one-row call into its
-kernel: to_row and from_row carry a point to a (1, 3) array and back.
+H1Point is the validated value type at the API boundary: the type of a
+probe's or the CLI's point arguments.  The *_array functions hold the
+formulas and act on (n, 3) float arrays, one point per row; every array they
+return passes check_finite, the array form of the H1Point invariant.  to_row
+and from_row carry a point to a (1, 3) array and back; mul, the one group
+operation on H1Points, is one row of mul_array.
 
 Guard policy: a public kernel checks its result, not its inputs, once, with
 one finiteness test (check_finite: np.isfinite, then np.count_nonzero against
@@ -76,10 +77,6 @@ def symplectic_area(a, b):
 def mul(p: H1Point, q: H1Point) -> H1Point:
     """Group product: one row of mul_array."""
     return from_row(mul_array(to_row(p), to_row(q)))
-
-
-def inv(p: H1Point) -> H1Point:
-    return H1Point(-p.x1, -p.x2, -p.xbar)
 
 
 # --- (n, 3) arrays, one point per row ---------------------------------------

@@ -13,13 +13,14 @@ A verdict is computed by the type that reports it, from its own numbers: a
 ConvergenceTrace classifies its values on its grid when it is built, and a
 PointClassification derives its kind and limit from its three components.
 
-The probes themselves: the scalar vertical response g(eps^2 |ubar|)/eps, the
-rescaled product of two points, derivability of the identity map between the
-intrinsic and gauge dilatation structures, and the metric-differentiability
-test of the identity map at a base point.  Each probe evaluates its whole
-eps-grid at once on the (n, 3) array kernels, one grid point per row;
-metric_diff_probe stacks all its directions into one array and evaluates it
-SAMPLE_CHUNK rows at a time.
+The probes themselves: the scalar vertical response g(eps^2 |ubar|)/eps
+(_vertical_response_array), the rescaled product of two points, derivability
+of the identity map between the intrinsic and gauge dilatation structures,
+and the metric-differentiability test of the identity map at a base point.
+Each probe evaluates its whole eps-grid at once on the (n, 3) array kernels,
+one grid point per row (the rescaled product is dilatations._rescaled_product
+on the grid); metric_diff_probe stacks all its directions into one array and
+evaluates it SAMPLE_CHUNK rows at a time.
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's direction traces as one table, a column per direction.
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from .dilatations import dilate_array, gauge_dilate_array
+from .dilatations import _rescaled_product, dilate_array, gauge_dilate_array
 from .gauges import Gauge, g_array, g_inverse_array, require_verified
 from .heisenberg import (
     H1Point,
@@ -89,6 +90,9 @@ class EpsGrid:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
+        for f in fields(self):  # bool is an int, and so a number, to Python
+            if isinstance(getattr(self, f.name), bool):
+                raise ValueError(f"{f.name} must be a number, got {getattr(self, f.name)!r}")
         if not (math.isfinite(self.eps0) and self.eps0 > 0.0):
             raise ValueError(f"eps0 must be positive and finite, got {self.eps0!r}")
         if not (0.0 < self.ratio < 1.0):
@@ -190,7 +194,7 @@ def classify_limit(
     classifies identically with limit estimates scaled by c.
     """
     vals = [float(v) for v in values]
-    if not isinstance(window, int) or window < 1:
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise ValueError(f"window must be an integer >= 1, got {window!r}")
     if len(vals) < 2 * window:
         raise ValueError(
@@ -309,17 +313,11 @@ def _scale_check(grid: EpsGrid, magnitude: float) -> None:
         )
 
 
-def vertical_response(gauge: Gauge, eps: float, ubar: float) -> float:
-    """The paper's scalar response g(eps^2 * |ubar|) / eps at one scale: the
-    gauge distance from the identity to the intrinsic dilatation of the
-    vertical point (0, 0, ubar), divided by eps.  Whether it converges as
-    eps -> 0 decides every limit question here.  One element of
-    _vertical_response_array."""
-    return _vertical_response_array(gauge, np.array([eps]), ubar)[0].item()
-
-
 def _vertical_response_array(gauge: Gauge, eps: np.ndarray, ubar: float) -> np.ndarray:
-    """g(eps^2 * |ubar|) / eps at every scale of eps."""
+    """The paper's scalar response g(eps^2 * |ubar|) / eps at every scale of
+    eps: the gauge distance from the identity to the intrinsic dilatation of
+    the vertical point (0, 0, ubar), divided by eps.  Whether it converges as
+    eps -> 0 decides every limit question here."""
     return g_array(gauge, eps * eps * abs(ubar)) / eps
 
 
@@ -350,8 +348,7 @@ def rescaled_product_probe(
     _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
     eps = np.array(grid.values())
     pq = np.repeat(_rows(to_row(p), to_row(q)), len(eps), axis=0)
-    product = mul_array(*_split(gauge_dilate_array(gauge, _rows(eps, eps), pq), 2))
-    rows = gauge_dilate_array(gauge, 1.0 / eps, product)
+    rows = _rescaled_product(gauge, eps, pq)
     return ConvergenceTrace("rescaled-product", grid, rows,
                             {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
 

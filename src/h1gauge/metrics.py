@@ -4,9 +4,9 @@ Three left-invariant distances: the intrinsic max-distance
 max(|x|, sqrt(|xbar|)), the gauge-deformed distance max(|x|, g(|xbar|)), and
 the flat distance max(|x|, |xbar|) taken in the transported group.  Each norm
 is written once, as the unchecked body of an array kernel on (n, 3) point
-arrays; the public *_array kernel is check_finite around it, the scalar norm
-on H1Point is a one-row call into that kernel, and each scalar distance
-composes its norm with the group law.
+arrays, and each distance composes its norm with the group law; the public
+*_array kernel is check_finite around its body, and each distance on two
+H1Points is one row of its *_dist_array kernel.
 
 The verify battery is one table, BATTERY, built at import: one Row per
 check, in report order, holding its name, its tolerance, the layout of a
@@ -56,7 +56,6 @@ from .dilatations import (
     _gauge_dilate,
     _transported_mul,
     _unflatten,
-    transported_mul,
 )
 from .gauges import Gauge, _g, require_verified
 from .heisenberg import (
@@ -69,8 +68,6 @@ from .heisenberg import (
     _rows,
     _split,
     check_finite,
-    inv,
-    mul,
     to_row,
 )
 from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck
@@ -78,33 +75,20 @@ from .report import TOL_ALGEBRA, TOL_GAUGE, PropertyCheck
 SAMPLE_CHUNK = 4096  # samples drawn and evaluated per array pass
 
 
-def intrinsic_norm(p: H1Point) -> float:
-    """One row of intrinsic_norm_array."""
-    return intrinsic_norm_array(to_row(p))[0].item()
-
-
 def intrinsic_dist(p: H1Point, q: H1Point) -> float:
-    return intrinsic_norm(mul(inv(p), q))
-
-
-def gauge_norm(gauge: Gauge, p: H1Point) -> float:
-    """One row of gauge_norm_array."""
-    return gauge_norm_array(gauge, to_row(p))[0].item()
+    """One row of intrinsic_dist_array."""
+    return intrinsic_dist_array(to_row(p), to_row(q))[0].item()
 
 
 def gauge_dist(gauge: Gauge, p: H1Point, q: H1Point) -> float:
-    return gauge_norm(gauge, mul(inv(p), q))
-
-
-def flat_norm(p: H1Point) -> float:
-    """One row of flat_norm_array."""
-    return flat_norm_array(to_row(p))[0].item()
+    """One row of gauge_dist_array."""
+    return gauge_dist_array(gauge, to_row(p), to_row(q))[0].item()
 
 
 def flat_dist(gauge: Gauge, p: H1Point, q: H1Point) -> float:
-    """Distance in the transported group; isometric image of gauge_dist.
-    The transported inverse is the plain one, (-x, -xbar)."""
-    return flat_norm(transported_mul(gauge, inv(p), q))
+    """Distance in the transported group, the isometric image of gauge_dist:
+    one row of flat_dist_array."""
+    return flat_dist_array(gauge, to_row(p), to_row(q))[0].item()
 
 
 # --- (n, 3) arrays, one point per row ---------------------------------------

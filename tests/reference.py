@@ -1,10 +1,9 @@
 """Scalar reference formulas, the row-by-row trace CSV, and the unstacked
 sampler and probe compositions: the oracles of the parity tests.
 
-Every operation of the package is written once, as an array kernel, and its
-scalar H1Point form is a one-row call into that kernel.  This module keeps an
-independent second writing of each formula in plain Python on H1Points and
-floats, for the tests to compare the kernels against.  Those formulas use no
+Every operation of the package is written once, as an array kernel.  This
+module keeps an independent second writing of each formula in plain Python on
+H1Points and floats, for the tests to compare the kernels against.  Those formulas use no
 *_array kernel and do not read a gauge's segment table: the piecewise k and g
 are looked up here from the gauge's breakpoints, values and period, with
 bisect, math.hypot and a plain loop over periods where the package uses
@@ -33,7 +32,7 @@ from h1gauge.dilatations import (
     gauge_dilate_array,
     unflatten_array,
 )
-from h1gauge.gauges import PiecewiseLinearGauge, g_array, g_eval, g_inverse_array, linear_gauge
+from h1gauge.gauges import PiecewiseLinearGauge, g_array, g_inverse_array, invert_g, linear_gauge
 from h1gauge.heisenberg import (
     H1Point,
     check_finite,
@@ -118,7 +117,7 @@ def _table(breakpoints, values):
 def _piecewise(gauge):
     """The segment table and the period of a piecewise gauge, else None."""
     pwl = gauge.k
-    if isinstance(pwl, PiecewiseLinearGauge) and gauge.g_closed == pwl.g:
+    if isinstance(pwl, PiecewiseLinearGauge) and gauge.g_closed == pwl.g_array:
         return _table(pwl.breakpoints, pwl.values), pwl.period
     return None
 
@@ -154,8 +153,9 @@ def G(gauge, t: float) -> float:
 def g(gauge, s: float) -> float:
     """The profile inverse: the segment lookup and cancellation-free root for
     piecewise gauges, the closed form 2s/(1 + sqrt(1 + 4s)) for the linear
-    one, and g_eval (a raw closed form, or bisection) for any other gauge.
-    Self-similar gauges are first lifted into their table by a plain loop."""
+    one, and the scalar bisection invert_g, which shares no code with the
+    lockstep bisection behind g_array, for any other gauge.  Self-similar
+    gauges are first lifted into their table by a plain loop."""
     piecewise = _piecewise(gauge)
     if piecewise is not None:
         (knots, _, gvals, _, halfb), period = piecewise
@@ -166,7 +166,7 @@ def g(gauge, s: float) -> float:
         return c * (knots[i] + d / (h + math.hypot(h, math.sqrt(d))))
     if gauge.g_closed is _LINEAR_G:
         return 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
-    return g_eval(gauge, s)
+    return invert_g(gauge, s)
 
 
 # --- group law, dilatations and flattening -----------------------------------------

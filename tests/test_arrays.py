@@ -1,13 +1,14 @@
 """Array kernels and the limit probes against the scalar reference formulas.
 
-Each operation of the package is written once, as an array kernel, and its
-single-point form is a one-row call into it: those calls must equal row 0 of
-the kernel bit for bit.  The oracle for the kernels themselves is
+Each operation of the package is written once, as an array kernel; the few
+public names that compute at one point (mul, the distances, rescaled_product,
+g_eval and a piecewise k) are one row or one element of a kernel, and must
+equal it bit for bit.  The oracle for the kernels themselves is
 tests/reference.py, an independent plain-Python writing of every formula on
 H1Points: each kernel row, and each probe trace at each grid point, must match
 it within TOL_ALGEBRA (scaled by max(1, |value|)).  The gauges cover the three
 array paths: the segment table (oscillatory and random piecewise gauges), the
-linear closed form, and the element-by-element fallback for a raw callable.
+linear closed form, and the lockstep bisection for a raw callable.
 """
 
 import math
@@ -22,17 +23,13 @@ import h1gauge
 import h1gauge.metrics as metrics
 import reference as ref
 from h1gauge.dilatations import (
-    dilate,
+    _rescaled_product,
     dilate_array,
-    euclidean_dilate,
     euclidean_dilate_array,
-    flatten,
     flatten_array,
-    gauge_dilate,
     gauge_dilate_array,
-    transported_mul,
+    rescaled_product,
     transported_mul_array,
-    unflatten,
     unflatten_array,
 )
 from h1gauge.gauges import (
@@ -50,6 +47,7 @@ from h1gauge.gauges import (
 )
 from h1gauge.heisenberg import (
     H1Point,
+    _rows,
     inv_array,
     mul,
     mul_array,
@@ -60,7 +58,6 @@ from h1gauge.heisenberg import (
 from h1gauge.limits import (
     DEFAULT_ATOL,
     EpsGrid,
-    _vertical_response_array,
     classify_limit,
     classify_point_trace,
     default_direction_grid,
@@ -68,16 +65,17 @@ from h1gauge.limits import (
     metric_diff_probe,
     rescaled_product_probe,
     vertical_limit_probe,
-    vertical_response,
 )
 from h1gauge.metrics import (
     SampleBox,
-    flat_norm,
+    flat_dist,
+    flat_dist_array,
     flat_norm_array,
+    gauge_dist,
     gauge_dist_array,
-    gauge_norm,
     gauge_norm_array,
-    intrinsic_norm,
+    intrinsic_dist,
+    intrinsic_dist_array,
     intrinsic_norm_array,
     sample_battery,
 )
@@ -99,7 +97,7 @@ def _random_piecewise(seed, n):
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
-SQUARE = verified_gauge(lambda t: t * t, label="square")  # raw callable: scalar fallback
+SQUARE = verified_gauge(lambda t: t * t, label="square")  # raw callable: lockstep bisection
 GAUGES = [LIN, OSC, _random_piecewise(1, 3), _random_piecewise(2, 30), SQUARE]
 
 
@@ -228,7 +226,7 @@ def test_gauge_kernels_reject_negative_arguments():
             fn(OSC, np.array([1.0, -1e-300]))
 
 
-# --- single points are rows of the kernels -----------------------------------------
+# --- one-point names are rows of the kernels ----------------------------------------
 
 def _assert_same_bits(single, row):
     """single (an H1Point or a float) equals the kernel row bit for bit."""
@@ -241,19 +239,13 @@ def _assert_single_points_are_rows(gauge, p, q, eps, s):
     a, b, e, x = _arr([p]), _arr([q]), np.array([eps]), np.array([s])
     pairs = [
         (mul(p, q), mul_array(a, b)[0]),
-        (dilate(eps, p), dilate_array(e, a)[0]),
-        (euclidean_dilate(eps, p), euclidean_dilate_array(e, a)[0]),
-        (gauge_dilate(gauge, eps, p), gauge_dilate_array(gauge, e, a)[0]),
-        (flatten(gauge, p), flatten_array(gauge, a)[0]),
-        (unflatten(gauge, p), unflatten_array(gauge, a)[0]),
-        (transported_mul(gauge, p, q), transported_mul_array(gauge, a, b)[0]),
-        (intrinsic_norm(p), intrinsic_norm_array(a)[0]),
-        (gauge_norm(gauge, p), gauge_norm_array(gauge, a)[0]),
-        (flat_norm(p), flat_norm_array(a)[0]),
-        (vertical_response(gauge, eps, p.xbar), _vertical_response_array(gauge, e, p.xbar)[0]),
+        (intrinsic_dist(p, q), intrinsic_dist_array(a, b)[0]),
+        (gauge_dist(gauge, p, q), gauge_dist_array(gauge, a, b)[0]),
+        (flat_dist(gauge, p, q), flat_dist_array(gauge, a, b)[0]),
+        (rescaled_product(gauge, eps, p, q), _rescaled_product(gauge, e, _rows(a, b))[0]),
         (g_eval(gauge, s), g_array(gauge, x)[0]),
     ]
-    if isinstance(gauge.k, PiecewiseLinearGauge):  # g_eval already calls its g
+    if isinstance(gauge.k, PiecewiseLinearGauge):
         pairs.append((gauge.k(s), k_array(gauge, x)[0]))
     for single, row in pairs:
         _assert_same_bits(single, row)
@@ -286,13 +278,12 @@ def test_public_names_resolve():
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=_gauge_id)
 def test_overflowing_dilatation_raises_like_scalar(gauge):
+    # one row alone, and beside a finite row
     box_point = point(1.5, -0.5, 3.0)
-    with pytest.raises(ValueError):
-        gauge_dilate(gauge, 1e300, box_point)
+    with pytest.raises(ValueError, match="non-finite"):
+        gauge_dilate_array(gauge, 1e300, _arr([box_point]))
     with pytest.raises(ValueError, match="non-finite"):
         gauge_dilate_array(gauge, 1e300, _arr([point(0.1, 0.2, 0.3), box_point]))
-    with pytest.raises(ValueError):
-        dilate(1e300, box_point)
     with pytest.raises(ValueError, match="non-finite"):
         dilate_array(1e300, _arr([box_point]))
 
@@ -437,8 +428,9 @@ def _check_gauge_loop(gauge, pts):
     return out
 
 
-# its smallest increase is the first step, from the origin to the grid
-QUARTIC = Gauge(k=lambda t: t**4, label="quartic")
+# its smallest increase is the first step, from the origin to the grid; t**4
+# would round apart on arrays (numpy's power) and on floats (Python's pow)
+QUARTIC = Gauge(k=lambda t: (t * t) * (t * t), label="quartic")
 
 
 @pytest.mark.parametrize("gauge", GAUGES + [QUARTIC], ids=_gauge_id)

@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from h1gauge.gauges import (
@@ -53,7 +53,7 @@ def test_linear_closed_form_matches_naive_expression():
 
 @given(st.floats(min_value=0.0, max_value=1e4))
 def test_linear_bisection_agrees_with_closed_form(s):
-    assert abs(invert_g(LIN, s) - LIN.g_closed(s)) <= 1e-12
+    assert abs(invert_g(LIN, s) - g_eval(LIN, s)) <= 1e-12
 
 
 @given(st.floats(min_value=0.0, max_value=4e307))
@@ -115,6 +115,50 @@ def test_raw_g_of_nan_does_not_bisect():
     assert math.isnan(invert_g(raw, math.nan)) and calls == []
 
 
+def _convex_k(seed):
+    """A seeded convex, increasing piecewise-linear k through the origin,
+    written as the largest of its segments' lines: a plain callable that maps
+    an array to an array (and a float to a float, for invert_g)."""
+    rng = random.Random(seed)
+    knots = [0.0, *sorted(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(6))]
+    slopes = sorted(10.0 ** rng.uniform(-3.0, 2.0) for _ in knots)
+    values = [0.0]
+    for i in range(1, len(knots)):
+        values.append(values[-1] + slopes[i - 1] * (knots[i] - knots[i - 1]))
+    lines = list(zip(knots, values, slopes))
+    return lambda t: functools.reduce(np.maximum, [v + m * (t - b) for b, v, m in lines])
+
+
+# (t*t)*(t*t) underflows to 0 at sqrt(s) for s below about 1e-162, where
+# G(sqrt s) <= s ends the bisection at once
+RAW_KS = {"t": lambda t: t, "t*t": lambda t: t * t, "t+t^3": lambda t: t + t * t * t,
+          "t^4": lambda t: (t * t) * (t * t), "convex": _convex_k(7)}
+log_uniform = st.floats(-300.0, 12.0).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("name", sorted(RAW_KS))
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), log_uniform), min_size=1, max_size=20))
+def test_raw_g_array_is_invert_g_to_the_bit(name, s):
+    # the lockstep bisection is invert_g run on every element at once
+    gauge = Gauge(k=RAW_KS[name], label=name)
+    want = np.array([invert_g(gauge, x) for x in s])
+    assert g_array(gauge, np.array(s)).tobytes() == want.tobytes()
+
+
+def test_raw_k_is_called_on_arrays():
+    # the lockstep bisection calls k once per step on every element still
+    # bisecting, never on one float; a scalar-only k fails at its first call
+    calls = []
+    raw = Gauge(k=lambda t: calls.append(t) or t * t, label="raw")
+    s = np.geomspace(1e-300, 1e12, 500)
+    g_array(raw, s)
+    assert calls and all(type(t) is np.ndarray for t in calls)
+    assert len(calls) < 2000 and max(t.size for t in calls) >= s.size
+    with pytest.raises(TypeError):
+        check_gauge(Gauge(k=math.sqrt, label="sqrt"))
+
+
 # --- piecewise construction ---------------------------------------------------
 
 def test_piecewise_interpolation_and_extension():
@@ -153,7 +197,7 @@ def test_piecewise_with_an_overflowing_profile_knot_builds_quietly():
     # G(b_1) = 1e200 + 1e400 is inf; without a period the table's bottom is
     # never read, so it is not evaluated there
     gauge = piecewise_gauge([1e200], [1e200])
-    assert gauge.k(3.0) == 3.0 and gauge.g_closed(2.0) == 1.0
+    assert gauge.k(3.0) == 3.0 and g_eval(gauge, 2.0) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -438,7 +482,7 @@ def test_piecewise_constructors_attach_closed_form():
 # --- contract checking on raw evaluables ---------------------------------------
 
 def test_concave_gauge_fails_convexity():
-    raw = Gauge(k=math.sqrt, label="sqrt")
+    raw = Gauge(k=np.sqrt, label="sqrt")
     report = check_gauge(raw)
     assert not report.passed
     names = {c.name for c in report.checks if not c.passed}
@@ -454,7 +498,7 @@ def test_verified_gauge_accepts_square():
 
 def test_verified_gauge_rejects_concave():
     with pytest.raises(GaugeConstructionError, match="midpoint-convexity"):
-        verified_gauge(math.sqrt, label="sqrt")
+        verified_gauge(np.sqrt, label="sqrt")
 
 
 def test_require_verified_gates_raw_gauges():

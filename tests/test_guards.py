@@ -35,7 +35,7 @@ from h1gauge.gauges import linear_gauge, oscillatory_gauge, piecewise_gauge, ver
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
-SQUARE = verified_gauge(lambda t: t * t, label="square")  # raw callable: scalar fallback
+SQUARE = verified_gauge(lambda t: t * t, label="square")  # raw callable: lockstep bisection
 GAUGES = {"linear": LIN, "oscillatory": OSC, "square": SQUARE}
 
 NON_FINITE = "non-finite value in array"

@@ -10,18 +10,18 @@ import math
 import random
 import re
 import statistics
-import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from h1gauge import cli, limits
-from h1gauge.dilatations import dilate, gauge_dilate
-from h1gauge.gauges import g_inverse_eval, linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import H1Point, identity, point
+from h1gauge.dilatations import dilate_array, gauge_dilate_array
+from h1gauge.gauges import g_inverse_array, linear_gauge, oscillatory_gauge
+from h1gauge.heisenberg import H1Point, from_row, identity, point, to_row
 from h1gauge.limits import (
     _fmean,
+    _vertical_response_array,
     Classification,
     ConvergenceTrace,
     EpsGrid,
@@ -39,7 +39,6 @@ from h1gauge.limits import (
     rescaled_product_probe,
     uniform_probe,
     vertical_limit_probe,
-    vertical_response,
 )
 from h1gauge.report import TOL_GAUGE
 from reference import point_diff, point_scale, trace_csv
@@ -133,6 +132,12 @@ def test_classifier_input_validation():
         assert classify_limit([1.0] * 11 + [inf]).kind == "diverging"
 
 
+def test_classifier_rejects_a_bool_window():
+    # True is an int to Python, but not a window length
+    with pytest.raises(ValueError, match="window must be an integer"):
+        classify_limit([1.0] * 4, window=True)
+
+
 def test_point_trace_combines_componentwise():
     pts = [point(1.0, 2.0 ** (-j), float(2**j)) for j in range(24)]
     c = classify_point_trace(pts)
@@ -174,6 +179,15 @@ def test_grid_values_are_geometric():
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
         EpsGrid(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["eps0", "ratio", "count", "window", "atol"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_grid_rejects_bools(field, flag):
+    # a bool is an int to Python; a grid built from one would report
+    # "eps0": true in a probe's parameters
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {flag!r}$"):
+        EpsGrid(**{field: flag})
 
 
 def test_probe_underflow_guard():
@@ -237,7 +251,7 @@ def test_breakpoint_response_closed_form():
         b = r**n
         eps = b * math.sqrt(1.0 + c)
         want = 1.0 / math.sqrt(1.0 + c)
-        got = vertical_response(OSC, eps, 1.0)
+        got = _vertical_response_array(OSC, np.array([eps]), 1.0)[0]
         assert got == pytest.approx(want, rel=1e-10), (n, c)
 
 
@@ -379,7 +393,7 @@ def _lumpy_gauge():
     differently.
     """
     def k(t):
-        return t * (1.0 + 1e-6 * (struct.pack("<d", t)[0] & 1))
+        return t * (1.0 + 1e-6 * (t.view(np.uint64) & 1))
 
     return replace(linear_gauge(), k=k, label="lumpy")
 
@@ -388,9 +402,11 @@ def test_derivability_guard_names_first_offending_eps(capsys, monkeypatch):
     gauge, u = _lumpy_gauge(), point(1, 0, 1)
     grid = EpsGrid(ratio=0.7)
 
-    def residual(e):  # the closed-form check of one grid point, through H1Point
-        val = gauge_dilate(gauge, 1.0 / e, dilate(e, u))
-        ref = point(u.x1, u.x2, g_inverse_eval(gauge, vertical_response(gauge, e, u.xbar)))
+    def residual(e):  # the closed-form check of one grid point, on one-row kernels
+        e = np.array([e])
+        val = from_row(gauge_dilate_array(gauge, 1.0 / e, dilate_array(e, to_row(u))))
+        vert = g_inverse_array(gauge, _vertical_response_array(gauge, e, u.xbar))[0]
+        ref = point(u.x1, u.x2, vert)
         return point_diff(val, ref) / point_scale(val, ref)
 
     first = next(e for e in grid.values() if residual(e) > TOL_GAUGE)

@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1gauge import metrics
-from h1gauge.dilatations import flatten
+from h1gauge.dilatations import flatten_array
 from h1gauge.gauges import Gauge, linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import identity, point
+from h1gauge.heisenberg import from_row, identity, point, to_row
 from h1gauge.metrics import (
     BATTERY,
     SampleBox,
     flat_dist,
-    flat_norm,
+    flat_norm_array,
     gauge_dist,
-    gauge_norm,
+    gauge_norm_array,
     intrinsic_dist,
-    intrinsic_norm,
+    intrinsic_norm_array,
     sample_battery,
 )
 
@@ -35,26 +35,28 @@ coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 points = st.builds(point, coord, coord, coord)
 
 
+def rows(*points):
+    return np.array([p.as_tuple() for p in points])
+
+
 def test_norm_values():
-    assert intrinsic_norm(point(3, 4, 25)) == 5.0
-    assert intrinsic_norm(point(0, 0, 36)) == 6.0
-    assert gauge_norm(LIN, point(0, 0, 6)) == 2.0
-    assert gauge_norm(LIN, point(3, 4, 0)) == 5.0
-    assert flat_norm(point(3, 4, 5)) == 5.0
-    assert flat_norm(point(0, 0, -7)) == 7.0
+    assert intrinsic_norm_array(rows(point(3, 4, 25), point(0, 0, 36))).tolist() == [5.0, 6.0]
+    assert gauge_norm_array(LIN, rows(point(0, 0, 6), point(3, 4, 0))).tolist() == [2.0, 5.0]
+    assert flat_norm_array(rows(point(3, 4, 5), point(0, 0, -7))).tolist() == [5.0, 7.0]
 
 
 def test_norms_vanish_only_at_identity():
-    assert intrinsic_norm(identity()) == 0.0
-    assert gauge_norm(LIN, identity()) == 0.0
-    assert flat_norm(identity()) == 0.0
-    assert intrinsic_norm(point(0, 0, 1e-12)) > 0.0
+    e = rows(identity())
+    assert intrinsic_norm_array(e).tolist() == [0.0]
+    assert gauge_norm_array(LIN, e).tolist() == [0.0]
+    assert flat_norm_array(e).tolist() == [0.0]
+    assert intrinsic_norm_array(rows(point(0, 0, 1e-12)))[0] > 0.0
 
 
 def test_gauge_norm_requires_verified_gauge():
     raw = Gauge(k=lambda t: t)
     with pytest.raises(ValueError, match="unverified"):
-        gauge_norm(raw, point(1, 0, 0))
+        gauge_norm_array(raw, rows(point(1, 0, 0)))
 
 
 @given(points, points)
@@ -66,7 +68,8 @@ def test_gauge_never_exceeds_intrinsic(p, q):
 @settings(max_examples=60)
 @given(points, points)
 def test_flatten_is_isometric(p, q):
-    a = flat_dist(OSC, flatten(OSC, p), flatten(OSC, q))
+    fp, fq = (from_row(flatten_array(OSC, to_row(x))) for x in (p, q))
+    a = flat_dist(OSC, fp, fq)
     b = gauge_dist(OSC, p, q)
     assert abs(a - b) <= 1e-9 * max(1.0, a, b)
 
