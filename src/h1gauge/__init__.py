@@ -7,8 +7,8 @@ probes and trace classification in limits, and the command-line front end in
 cli.  Every operation is an array kernel on (n, 3) point arrays (the *_array
 functions of each module).  The names here that compute at one point, mul,
 the three distances and rescaled_product, are each one row of a kernel, and
-g_eval is one element of g_array; g_inverse_eval and invert_g are the scalar
-profile and the scalar bisection reference.
+g_eval is one element of g_array and g_inverse_eval one element of the
+profile; invert_g is the scalar bisection reference.
 """
 
 from .dilatations import rescaled_product

@@ -18,9 +18,9 @@ composites call.  The guard and, on a self-similar table, the test whether
 every row is at or above the table each read the least argument as the entry
 at its argmin (the first NaN, if there is one), which costs less per call
 than a ufunc reduction.
-g_eval is one element of g_array.  g_inverse_eval and invert_g stay scalar:
-invert_g is the bisection reference that the closed forms and the lockstep
-bisection are checked against.
+g_eval is one element of g_array.  g_inverse_eval is one element of the
+profile on arrays.  invert_g stays scalar: it is the bisection reference that
+the closed forms and the lockstep bisection are checked against.
 
 A raw k, and a raw g_closed, is called on a 1-d float array and must return
 one of the same length.  Raw evaluables are accepted but stay unverified:
@@ -265,11 +265,12 @@ def oscillatory_gauge(M: float = 10.0, r: float = 1e-3) -> Gauge:
 
 
 def g_inverse_eval(gauge: Gauge, t: float) -> float:
-    """Profile G(t) = k(t) + t^2, the inverse of g, at one t: k is called
-    on the float t itself."""
+    """Profile G(t) = k(t) + t^2, the inverse of g, at one t.  k is the
+    gauge's unchecked k on arrays, called on the one-element array [t], as it
+    is called everywhere else; it rounds as k on the float t would."""
     if t < 0.0:
         raise ValueError(f"profile argument must be >= 0, got {t!r}")
-    return gauge.k(t) + t * t
+    return _k(gauge, np.array([float(t)])).item() + t * t
 
 
 def invert_g(gauge: Gauge, s: float) -> float:

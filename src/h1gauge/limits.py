@@ -24,6 +24,10 @@ evaluates it SAMPLE_CHUNK rows at a time.
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's direction traces as one table, a column per direction.
+The renderer calls repr once per distinct value of a table (distinct by bit
+pattern, so -0.0 is not 0.0) and writes the bytes that one repr per cell
+would.  The classifier reads a trace as one float array: one NaN test over
+all of it, and only the tail as Python floats.
 """
 
 from __future__ import annotations
@@ -190,10 +194,17 @@ def classify_limit(
 ) -> Classification:
     """Classify the tail (last 2*window values) of a scalar trace.
 
+    values is a 1-d array, read as floats, or any iterable of numbers, each
+    converted by float().  The whole trace is tested for NaN once; only the
+    tail is read as Python floats.
+
     Scale-equivariant: multiplying values, atol and divergence_bound by c > 0
     classifies identically with limit estimates scaled by c.
     """
-    vals = [float(v) for v in values]
+    vals = np.asarray(values if isinstance(values, np.ndarray) else [float(v) for v in values],
+                      dtype=float)
+    if vals.ndim != 1:
+        raise TypeError(f"a trace is 1-d, got an array of shape {vals.shape}")
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise ValueError(f"window must be an integer >= 1, got {window!r}")
     if len(vals) < 2 * window:
@@ -202,9 +213,9 @@ def classify_limit(
         )
     if not (atol > 0.0 and divergence_bound > 0.0):
         raise ValueError("atol and divergence_bound must be positive")
-    if any(map(math.isnan, vals)):
+    if np.isnan(vals).any():
         raise ValueError("cannot classify a trace holding NaN")
-    tail = vals[-2 * window :]
+    tail = vals[-2 * window :].tolist()
     if any(abs(v) > divergence_bound for v in tail):
         return Classification("diverging")
     prev, last = tail[:window], tail[window:]
@@ -226,10 +237,9 @@ def classify_point_trace(
     return _classify(values, window, atol, divergence_bound)
 
 
-def _columns(values: np.ndarray) -> list[list[float]]:
-    """The columns of a (count,) or (count, 3) trace as lists of Python
-    floats (a numpy scalar's repr is not a float's)."""
-    return np.atleast_2d(values.T).tolist()
+def _columns(values: np.ndarray) -> np.ndarray:
+    """The columns of a (count,) or (count, 3) trace, one row each."""
+    return np.atleast_2d(values.T)
 
 
 def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGENCE_BOUND):
@@ -238,12 +248,21 @@ def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGE
     return comps[0] if values.ndim == 1 else PointClassification(comps)
 
 
-def _csv(header: str, grid: EpsGrid, columns: list[list[float]]) -> str:
+def _csv(header: str, grid: EpsGrid, values: np.ndarray) -> str:
     """The one CSV renderer: the header, then one line per scale, the grid's
-    shared epsilon column joined with the value columns, every float rendered
-    by repr."""
-    line = "{}" + ",{!r}" * len(columns)
-    return "\n".join((header, *map(line.format, grid.eps_column, *columns), ""))
+    shared epsilon column joined with that scale's row of values, a float
+    array of shape (count,) or (count, k), every float rendered by repr.
+
+    repr runs once per distinct value: the values are told apart by their
+    64-bit patterns (so 0.0 and -0.0 stay apart), and each cell is looked up
+    by its index among them.  The bytes are those of one repr per cell.
+    """
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    cells = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    table = np.empty((len(values), values.size // len(values) + 1), dtype=object)
+    table[:, 0] = grid.eps_column
+    table[:, 1:] = cells[inverse.reshape(len(values), -1)]  # flat on numpy 1.x
+    return "\n".join((header, *map(",".join, table.tolist()), ""))
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,10 +288,10 @@ class ConvergenceTrace:
 
     def rows(self):
         """(eps, value) or (eps, x1, x2, xbar) per scale, as Python floats."""
-        return zip(self.grid.values(), *_columns(self.values))
+        return zip(self.grid.values(), *_columns(self.values).tolist())
 
     def to_csv(self) -> str:
-        return _csv(self.header(), self.grid, _columns(self.values))
+        return _csv(self.header(), self.grid, self.values)
 
     def summary(self) -> dict:
         return {
@@ -445,7 +464,7 @@ def _sup_deviation(values: np.ndarray, grid: EpsGrid):
     tail = values[:, -2 * grid.window :]
     spreads = (tail.max(axis=1) - tail.min(axis=1)).tolist()
     means = _tail_means(values, grid.window)
-    sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0).tolist()
+    sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0)
     sup_cls = classify_limit(sup_trace, grid.window, grid.atol)
     excess = abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf
     return spreads, means, sup_cls, excess
@@ -542,7 +561,7 @@ class MetricDiffReport:
 
     def to_csv(self) -> str:
         header = ",".join(("epsilon", *(f"v{i:02d}" for i in range(len(self.traces)))))
-        return _csv(header, self.traces[0].grid, [tr.values.tolist() for tr in self.traces])
+        return _csv(header, self.traces[0].grid, np.column_stack([tr.values for tr in self.traces]))
 
 
 def _rescaled_distances(gauge: Gauge, dirs: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -192,8 +192,13 @@ class SampleBox:
         point: (u - 0.5) times the box's full widths.  Those doubles are
         multiples of 2^-53, so u - 0.5 and doubling a half-width are exact,
         and the product is the one rounding of (2u - 1) * half that
-        Generator.uniform(-1, 1) times the half-width also makes."""
-        return (u.reshape(-1, 3) - 0.5) * self._widths
+        Generator.uniform(-1, 1) times the half-width also makes.
+
+        The widths are kept repeated along the longest u seen so far, so the
+        product is one contiguous multiply of two flat arrays."""
+        if self._widths.size < u.size:
+            object.__setattr__(self, "_widths", _read_only(np.tile(self._widths[:3], u.size // 3)))
+        return ((u - 0.5) * self._widths[: u.size]).reshape(-1, 3)
 
 
 def scaled_excess(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -451,9 +456,10 @@ def _run_rows(rows, gauge: Gauge, n: int, rng: np.random.Generator,
                 i = np.arange(start, start + size) % len(row.table[0])
                 scales = tuple(column[i] for column in row.table)
             r = at % 3
-            if r not in mapped:
-                mapped[r] = box._points(u[r:total - (total - r) % 3])
-            m, first = mapped[r], at // 3
+            if r not in mapped:  # the draw's points at this offset, from this chunk on
+                mapped[r] = at, box._points(u[at:total - (total - at) % 3])
+            origin, m = mapped[r]
+            first = (at - origin) // 3
             points = [m[j:j + size] for j in range(first, first + size * row.points, size)]
             inputs = (*scales, *points)
             ran.append((k, inputs, row.violation(gauge, *inputs)))

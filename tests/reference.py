@@ -240,16 +240,20 @@ def vertical_response(gauge, eps: float, ubar: float) -> float:
 # --- trace output -----------------------------------------------------------------
 
 
-def trace_csv(trace) -> str:
-    """A trace's CSV written row by row, one repr per cell, with the scales
-    recomputed from the grid's fields: the oracle of ConvergenceTrace.to_csv."""
-    grid = trace.grid
-    point_valued = trace.values.ndim == 2
-    lines = ["epsilon,x1,x2,xbar" if point_valued else "epsilon,value"]
-    for j, v in enumerate(trace.values.tolist()):
-        row = (grid.eps0 * grid.ratio**j, *(v if point_valued else (v,)))
-        lines.append(",".join(repr(c) for c in row))
+def table_csv(header: str, grid, rows) -> str:
+    """A CSV table written row by row, one repr per cell: the header, then
+    scale j of the grid, recomputed from its fields, before row j of rows."""
+    lines = [header]
+    for j, row in enumerate(rows):
+        lines.append(",".join(repr(c) for c in (grid.eps0 * grid.ratio**j, *row)))
     return "\n".join(lines) + "\n"
+
+
+def trace_csv(trace) -> str:
+    """A trace's CSV by table_csv: the oracle of ConvergenceTrace.to_csv."""
+    point_valued = trace.values.ndim == 2
+    return table_csv("epsilon,x1,x2,xbar" if point_valued else "epsilon,value", trace.grid,
+                     trace.values.reshape(len(trace.values), -1).tolist())
 
 
 # --- unstacked sampler and probe compositions --------------------------------------

@@ -39,6 +39,8 @@ from h1gauge.gauges import (
     g_array,
     g_eval,
     g_inverse_array,
+    g_inverse_eval,
+    invert_g,
     k_array,
     linear_gauge,
     oscillatory_gauge,
@@ -431,6 +433,25 @@ def _check_gauge_loop(gauge, pts):
 # its smallest increase is the first step, from the origin to the grid; t**4
 # would round apart on arrays (numpy's power) and on floats (Python's pow)
 QUARTIC = Gauge(k=lambda t: (t * t) * (t * t), label="quartic")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("gauge", GAUGES + [QUARTIC], ids=_gauge_id)
+def test_scalar_profile_keeps_the_bits_of_k_on_floats(gauge):
+    # g_inverse_eval calls k on a one-element array; every gauge gives the
+    # bits of k called on the float, k(t) + t^2, so invert_g bisects on the
+    # same profile values
+    ts = [0.0, -0.0, 5e-324, 1e-300, 1e-9, 1e-3, 0.25, 0.5, 1.0, 1.0 + 2**-52, 3.0,
+          1e6, 1e150, 1e200]
+    if isinstance(gauge.k, PiecewiseLinearGauge):
+        ts += [b * f for b in gauge.k.breakpoints for f in (1.0 - 2**-53, 1.0, 1.0 + 2**-52)]
+    for t in ts:
+        got = g_inverse_eval(gauge, t)
+        assert type(got) is float
+        assert got.hex() == float(gauge.k(t) + t * t).hex(), t
+    for s in (1e-12, 0.5, 7.0, 1e9):
+        t = invert_g(gauge, s)
+        assert type(t) is float and abs(g_inverse_eval(gauge, t) - s) <= 1e-13 * s
 
 
 @pytest.mark.parametrize("gauge", GAUGES + [QUARTIC], ids=_gauge_id)

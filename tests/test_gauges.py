@@ -449,8 +449,9 @@ def test_piecewise_closed_form_matches_bisection_and_mpmath(gauge):
     args = _cross_check_args(pwl, random.Random(len(pwl.breakpoints)))
     # the bisection runs on the plain-Python k of the reference module, so
     # it shares no code with the segment table behind g_array; the ladders'
-    # oracle is built from (M, r), not from the tabulated breakpoints
-    bisected = Gauge(k=lambda t: reference.k(gauge, t))
+    # oracle is built from (M, r), not from the tabulated breakpoints.  A raw
+    # k is called on arrays, so the plain-Python k runs element by element
+    bisected = Gauge(k=lambda t: np.array([reference.k(gauge, x) for x in t.tolist()]))
     if gauge.spec["type"] == "oscillatory":
         exact_g = functools.partial(_mp_ladder_g, gauge.spec["M"], gauge.spec["r"])
     else:

@@ -14,10 +14,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from h1gauge import cli, limits
+from h1gauge import cli, heisenberg, limits
 from h1gauge.dilatations import dilate_array, gauge_dilate_array
-from h1gauge.gauges import g_inverse_array, linear_gauge, oscillatory_gauge
+from h1gauge.gauges import (
+    _bisect_g,
+    g_inverse_array,
+    g_inverse_eval,
+    invert_g,
+    linear_gauge,
+    oscillatory_gauge,
+)
 from h1gauge.heisenberg import H1Point, from_row, identity, point, to_row
 from h1gauge.limits import (
     _fmean,
@@ -41,7 +49,7 @@ from h1gauge.limits import (
     vertical_limit_probe,
 )
 from h1gauge.report import TOL_GAUGE
-from reference import point_diff, point_scale, trace_csv
+from reference import point_diff, point_scale, table_csv, trace_csv
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
@@ -136,6 +144,64 @@ def test_classifier_rejects_a_bool_window():
     # True is an int to Python, but not a window length
     with pytest.raises(ValueError, match="window must be an integer"):
         classify_limit([1.0] * 4, window=True)
+
+
+CLASSIFIER_TRACES = {
+    "constant-ints": [3] * 12,
+    "diverging-ints": [2**j for j in range(24)],
+    "alternating": [0.32 if j % 2 else 0.95 for j in range(24)],
+    "decaying": [2.0 ** -j for j in range(24)],
+    "level-shift": [0.0] * 18 + [1e-3] * 6,
+    "signed-zeros": [-0.0, 0.0] * 6,
+    "infinite-head": [math.inf] * 6 + [1.0] * 12,
+    "huge-int": [2**53 + 1] * 12,  # rounds to 2^53 as float() rounds it
+}
+
+
+@pytest.mark.parametrize("values", CLASSIFIER_TRACES.values(), ids=CLASSIFIER_TRACES.keys())
+def test_classifier_reads_any_sequence_of_numbers(values):
+    # the classification of a trace is that of its values as Python floats,
+    # whatever sequence holds them
+    want = classify_limit([float(v) for v in values])
+    stacked = np.array([values, values, values], dtype=float).T  # a strided column view
+    forms = {
+        "list": lambda: list(values),
+        "tuple": lambda: tuple(values),
+        "generator": lambda: (v for v in values),
+        "float-array": lambda: np.array(values, dtype=float),
+        "column-view": lambda: stacked[:, 1],
+        "read-only": lambda: heisenberg._read_only(np.array(values, dtype=float)),
+    }
+    if all(isinstance(v, int) and abs(v) < 2**63 for v in values):
+        forms["int-array"] = lambda: np.array(values, dtype=np.int64)
+    for name, form in forms.items():
+        assert classify_limit(form()) == want, name
+        assert classify_limit(form(), window=3, atol=1e-3) == classify_limit(
+            [float(v) for v in values], window=3, atol=1e-3), name
+
+
+@pytest.mark.parametrize("form", [list, tuple, iter, np.array], ids=["list", "tuple", "iter", "array"])
+def test_classifier_errors_keep_their_order_and_messages(form):
+    # window, then length, then atol and divergence_bound, then NaN: each
+    # error is raised while the later ones would also apply
+    nan = math.nan
+    cases = [
+        ([nan] * 3, {"window": 0, "atol": 0.0}, "window must be an integer >= 1, got 0"),
+        ([nan] * 3, {"window": 2.0, "atol": 0.0}, "window must be an integer >= 1, got 2.0"),
+        ([nan] * 3, {"window": 2, "atol": 0.0}, "need at least 4 trace values to classify, got 3"),
+        ([nan] * 4, {"window": 2, "atol": 0.0}, "atol and divergence_bound must be positive"),
+        ([nan] * 4, {"window": 2, "divergence_bound": -1.0},
+         "atol and divergence_bound must be positive"),
+        ([1.0] * 3 + [nan], {"window": 2}, "cannot classify a trace holding NaN"),
+        ([nan] + [1.0] * 23, {}, "cannot classify a trace holding NaN"),
+    ]
+    for values, kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify_limit(form(values), **kwargs)
+    # a value that is no number fails as float() fails, before any of them
+    if form is not np.array:
+        with pytest.raises(TypeError):
+            classify_limit(form([None] * 3), window=0)
 
 
 def test_point_trace_combines_componentwise():
@@ -302,6 +368,66 @@ def test_trace_csv_matches_row_by_row_oracle(grid, gauge):
         assert [f"{c[0]},{c[i + 1]}" for c in cells] == tr.to_csv().split("\n")[1:-1]
 
 
+def test_signed_zeros_render_apart(capsys, tmp_path):
+    # probe beta --p=-1,-0.0,-0.0 --q=-1,-0.0,0: every row holds -0.0 and 0.0,
+    # which compare equal as floats but render apart
+    tr = rescaled_product_probe(LIN, point(-1.0, -0.0, -0.0), point(-1.0, -0.0, 0.0))
+    csv = tr.to_csv()
+    assert csv.encode() == trace_csv(tr).encode()
+    rows = csv.split("\n")[1:-1]
+    assert len(rows) == DEFAULT_GRID.count
+    assert all(row.split(",", 1)[1] == "-2.0,-0.0,0.0" for row in rows)
+    code = cli.main(["probe", "beta", "--p=-1,-0.0,-0.0", "--q=-1,-0.0,0", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    assert (tmp_path / "probe_beta.csv").read_bytes() == csv.encode()
+
+
+# Cell values for the renderer: signed zeros, the least subnormal and other
+# subnormals, the largest magnitudes, the infinities, NaNs of both signs, and
+# ordinary values.
+CSV_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
+            1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan,
+            1.0, -2.0, 0.1, 1 / 3, -1e-5, 123456.789)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csv_renders_each_cell_as_its_repr(data):
+    count = data.draw(st.integers(2, 30), "count")
+    k = data.draw(st.integers(1, 5), "k")
+    pool = CSV_POOL + tuple(data.draw(st.lists(st.floats(), max_size=4), "extra"))
+    cells = data.draw(st.lists(st.sampled_from(pool), min_size=count * k, max_size=count * k))
+    values = np.array(cells, dtype=float).reshape(count, k)
+    if data.draw(st.booleans(), "strided"):  # a point trace may be a transposed array
+        values = np.array(cells, dtype=float).reshape(k, count).T
+    grid = EpsGrid(count=count, window=1)
+    assert limits._csv("h", grid, values) == table_csv("h", grid, values.tolist())
+
+
+def test_metric_diff_table_renders_each_distinct_value_once(monkeypatch):
+    # a linear metric-diff table at --count 160 holds 13 * 160 cells, most
+    # of them repeats: horizontal directions keep their value over eps
+    grid = EpsGrid(count=160)
+    md = metric_diff_probe(LIN, identity(), grid)
+    values = np.column_stack([tr.values for tr in md.traces])
+    distinct = np.unique(values.view(np.int64)).size
+    assert distinct < values.size // 2
+    assert "eps_column" not in vars(grid)  # the epsilon column is rendered below too
+    rendered = []
+
+    def counted_repr(x):
+        rendered.append(repr(x))
+        return rendered[-1]
+
+    monkeypatch.setattr(limits, "repr", counted_repr, raising=False)
+    csv = md.to_csv()
+    assert len(rendered) <= distinct + grid.count
+    # and every cell came out of a counted call
+    assert {c for row in csv.split("\n")[1:-1] for c in row.split(",")} <= set(rendered)
+    assert csv == table_csv(csv.split("\n")[0], grid, values.tolist())
+
+
 def test_grid_scales_are_computed_once_per_instance():
     for grid in CSV_GRIDS:
         values = grid.values()
@@ -396,6 +522,18 @@ def _lumpy_gauge():
         return t * (1.0 + 1e-6 * (t.view(np.uint64) & 1))
 
     return replace(linear_gauge(), k=k, label="lumpy")
+
+
+def test_scalar_profile_takes_a_k_written_for_arrays():
+    # the lumpy k reads mantissa bits through an array view: the scalar
+    # profile and the scalar bisection call it on one-element arrays
+    gauge = _lumpy_gauge()
+    for t in (0.5, 1.0, 1.0 + 2**-52, 3.0 + 2**-51):
+        want = g_inverse_array(gauge, np.array([t]))[0]
+        assert g_inverse_eval(gauge, t) == want
+    assert g_inverse_eval(gauge, 1.0 + 2**-52) > (1.0 + 2**-52) * (2.0 + 2**-52)  # k raised
+    for s in (1e-9, 0.5, 2.0, 1e6):
+        assert invert_g(gauge, s) == _bisect_g(gauge._path[2], np.array([s]))[0]
 
 
 def test_derivability_guard_names_first_offending_eps(capsys, monkeypatch):
