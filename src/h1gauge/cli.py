@@ -14,9 +14,9 @@ file object) and all floats are rendered through repr, so identical configs
 produce byte-identical outputs.  Each report is one line of JSON from the
 standard library's `json.dumps` with its defaults, and starts with the same
 header: the command, then the gauge label.  Traces go beside it as CSV: one
-file per probe, metric-diff's direction traces as one table (a column per
-direction) and counterexample's two traces as two files.  A CSV is rendered
-only when it is written or printed, and at most once per run.
+file per probe, metric-diff's array as one table (a column per direction)
+and counterexample's two traces as two files.  A CSV is rendered only when it
+is written or printed, and at most once per run.
 """
 
 from __future__ import annotations
@@ -187,12 +187,10 @@ def _checked(gauge: Gauge):
 
 
 def _contract(gauge: Gauge):
-    """The gauge contract report and, when the contract passes, the gauge
-    marked verified (None when it fails)."""
+    """The gauge contract report and, when the contract passes, the gauge (None
+    when it fails).  Every gauge resolve_gauge builds is verified already."""
     report = _checked(gauge)
-    if not report.passed:
-        return report, None
-    return report, gauge if gauge.verified else replace(gauge, verified=True)
+    return report, gauge if report.passed else None
 
 
 def cmd_verify(config: RunConfig) -> int:

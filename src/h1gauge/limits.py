@@ -10,8 +10,10 @@ level shifts), and *oscillating* otherwise — oscillation observed in one
 window alone never suffices, it must leave its mark on both.  liminf/limsup
 estimates are the tail min/max; the reported limit is the last window's mean.
 A verdict is computed by the type that reports it, from its own numbers: a
-ConvergenceTrace classifies its values on its grid when it is built, and a
-PointClassification derives its kind and limit from its three components.
+ConvergenceTrace classifies its values on its grid when it is built, a
+MetricDiffReport derives its verdict, eta and witness from its one
+(directions, count) array, and a PointClassification derives its kind and
+limit from its three components.
 
 The probes themselves: the scalar vertical response g(eps^2 |ubar|)/eps
 (_vertical_response_array), the rescaled product of two points, derivability
@@ -19,11 +21,12 @@ of the identity map between the intrinsic and gauge dilatation structures,
 and the metric-differentiability test of the identity map at a base point.
 Each probe evaluates its whole eps-grid at once on the (n, 3) array kernels,
 one grid point per row (the rescaled product is dilatations._rescaled_product
-on the grid); metric_diff_probe stacks all its directions into one array and
-evaluates it SAMPLE_CHUNK rows at a time.
+on the grid); metric_diff_probe stacks all its directions into one array,
+evaluates it SAMPLE_CHUNK rows at a time and keeps it, a row per direction,
+without building a trace per direction.
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
-metric-diff report's direction traces as one table, a column per direction.
+metric-diff report's array as one table, a column per direction.
 The renderer calls repr once per distinct value of a table (distinct by bit
 pattern, so -0.0 is not 0.0) and writes the bytes that one repr per cell
 would.  The classifier reads a trace as one float array: one NaN test over
@@ -529,23 +532,41 @@ def default_direction_grid() -> tuple[H1Point, ...]:
     return tuple(H1Point(*row) for row in data)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetricDiffReport:
     """Outcome of the metric-differentiability test of the identity map.
 
-    traces[NN] is the trace of directions[NN], all on one grid; to_csv
-    writes them as one table, its column vNN that trace.
+    values[NN] is the trace of directions[NN] on grid; to_csv writes values
+    as one table, its column vNN that trace.  Building one makes values
+    read-only (in place) and derives the rest from it, never passed in: each
+    row's classification by the grid's tail rule, and by _sup_deviation the
+    sup classification, the verdict, eta (the tail means, when
+    differentiable) and the witness (the direction of widest tail spread).
     """
 
     base: H1Point
     directions: tuple[H1Point, ...]
-    differentiable: bool
-    eta: tuple[float, ...] | None  # seminorm estimates, aligned with directions
-    witness: H1Point | None  # a non-converging direction when not differentiable
-    sup_classification: Classification
-    per_direction: tuple[Classification, ...]
-    seminorm_checks: list[PropertyCheck]
-    traces: tuple[ConvergenceTrace, ...]
+    grid: EpsGrid
+    values: np.ndarray  # (len(directions), grid.count)
+    seminorm_checks: list[PropertyCheck] = field(default_factory=list)
+    per_direction: tuple[Classification, ...] = field(init=False)
+    sup_classification: Classification = field(init=False)
+    differentiable: bool = field(init=False)
+    eta: tuple[float, ...] | None = field(init=False)
+    witness: H1Point | None = field(init=False)
+
+    def __post_init__(self):
+        if self.values.shape != (len(self.directions), self.grid.count):
+            raise ValueError(f"values must be (directions, count), got shape {self.values.shape}")
+        grid, values = self.grid, _read_only(self.values)
+        per_dir = tuple(classify_limit(row, grid.window, grid.atol) for row in values)
+        spreads, means, sup_cls, excess = _sup_deviation(values, grid)
+        ok = excess <= grid.atol and all(c.kind == "converged" for c in per_dir)
+        derived = {"per_direction": per_dir, "sup_classification": sup_cls, "differentiable": ok,
+                   "eta": tuple(means) if ok else None,
+                   "witness": None if ok else self.directions[int(np.argmax(spreads))]}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {
@@ -560,8 +581,8 @@ class MetricDiffReport:
         }
 
     def to_csv(self) -> str:
-        header = ",".join(("epsilon", *(f"v{i:02d}" for i in range(len(self.traces)))))
-        return _csv(header, self.traces[0].grid, np.column_stack([tr.values for tr in self.traces]))
+        header = ",".join(("epsilon", *(f"v{i:02d}" for i in range(len(self.directions)))))
+        return _csv(header, self.grid, self.values.T)
 
 
 def _rescaled_distances(gauge: Gauge, dirs: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -608,21 +629,8 @@ def metric_diff_probe(
 
     eps = np.array(grid.values())
     d = np.array([v.as_tuple() for v in dirs])
-    values = _rescaled_distances(gauge, d, eps)
-    traces = tuple(
-        ConvergenceTrace("metric-diff", grid, row,
-                         {"gauge": gauge.label, "base": base.as_tuple(), "direction": v.as_tuple()})
-        for v, row in zip(dirs, values)
-    )
-    per_dir = tuple(tr.classification for tr in traces)
-
-    spreads, tail_means, sup_cls, excess = _sup_deviation(values, grid)
-    differentiable = excess <= grid.atol and all(c.kind == "converged" for c in per_dir)
-    eta = tuple(tail_means) if differentiable else None
-    witness = None if differentiable else dirs[int(np.argmax(spreads))]
-
-    seminorm_checks: list[PropertyCheck] = []
-    if differentiable:
+    report = MetricDiffReport(base, dirs, grid, _rescaled_distances(gauge, d, eps))
+    if report.differentiable:
         # eta of every dilated direction (SEMINORM_SCALES within each
         # direction) and of every pairwise product (pairs i < j in row-major
         # order); only their tail means are needed, so only the last window
@@ -634,28 +642,17 @@ def metric_diff_probe(
                                 mul_array(d[left], d[right])))
         tail = _rescaled_distances(gauge, extra, eps[-grid.window :])
         etas = np.array(_tail_means(tail, grid.window))
-        means = np.array(tail_means)
+        means = np.array(report.eta)
         scaling = np.abs(scaled_excess(etas[: lams.size], lams * np.repeat(means, n_lam)))
         subadd = scaled_excess(etas[lams.size :], means[left] + means[right])
-        seminorm_checks = [
+        report.seminorm_checks.extend((
             worst_check("seminorm-scaling", scaling, grid.atol,
                         lambda i: (SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple()))),
             worst_check("seminorm-subadditivity", subadd, grid.atol,
                         lambda j: (list(dirs[left[j]].as_tuple()),
                                    list(dirs[right[j]].as_tuple()))),
-        ]
-
-    return MetricDiffReport(
-        base=base,
-        directions=dirs,
-        differentiable=differentiable,
-        eta=eta,
-        witness=witness,
-        sup_classification=sup_cls,
-        per_direction=per_dir,
-        seminorm_checks=seminorm_checks,
-        traces=traces,
-    )
+        ))
+    return report
 
 
 def limit_equivalence_check(

@@ -154,8 +154,8 @@ def g(gauge, s: float) -> float:
     """The profile inverse: the segment lookup and cancellation-free root for
     piecewise gauges, the closed form 2s/(1 + sqrt(1 + 4s)) for the linear
     one, and the scalar bisection invert_g, which shares no code with the
-    lockstep bisection behind g_array, for any other gauge.  Self-similar
-    gauges are first lifted into their table by a plain loop."""
+    lockstep bisection behind g_array, memoized, for any other gauge.
+    Self-similar gauges are first lifted into their table by a plain loop."""
     piecewise = _piecewise(gauge)
     if piecewise is not None:
         (knots, _, gvals, _, halfb), period = piecewise
@@ -166,6 +166,14 @@ def g(gauge, s: float) -> float:
         return c * (knots[i] + d / (h + math.hypot(h, math.sqrt(d))))
     if gauge.g_closed is _LINEAR_G:
         return 2.0 * s / (1.0 + math.sqrt(1.0 + 4.0 * s))
+    return _invert_g(gauge, s)
+
+
+@lru_cache(maxsize=None)
+def _invert_g(gauge, s: float) -> float:
+    """invert_g, once per (gauge, s): a probe trace asks for the same s at many
+    grid points and directions, and each call is a full bisection.  A Gauge
+    hashes by identity; invert_g gives 0.0 for both signed zeros."""
     return invert_g(gauge, s)
 
 

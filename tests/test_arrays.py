@@ -549,7 +549,7 @@ def test_probes_match_scalar_formulas(gauge, site, count):
 
     rep = metric_diff_probe(gauge, base, grid)
     want = _scalar_metric_diff(gauge, grid)
-    _assert_close([tr.values for tr in rep.traces], want["traces"])
+    _assert_close(rep.values, want["traces"])
     assert [c.kind for c in rep.per_direction] == want["kinds"]
     assert rep.sup_classification.kind == want["sup"]
     assert rep.witness == want["witness"]

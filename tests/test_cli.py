@@ -16,7 +16,7 @@ import pytest
 import h1gauge
 from h1gauge import cli
 from h1gauge.cli import _temp_names, _write_atomic, main
-from h1gauge.gauges import invert_g, linear_gauge, load_gauge
+from h1gauge.gauges import invert_g, linear_gauge, load_gauge, oscillatory_gauge
 from h1gauge.heisenberg import identity, point
 from h1gauge.limits import ConvergenceTrace, EpsGrid, MetricDiffReport, metric_diff_probe
 from h1gauge.metrics import SampleBox, sample_battery
@@ -136,9 +136,9 @@ def test_metric_diff_table_keeps_every_number(capsys, tmp_path, spec, base, coun
     assert lines[-1] == ""
     epsilon, *columns = zip(*(line.split(",") for line in lines[1:-1]))
     assert epsilon == grid.eps_column
-    assert len(columns) == len(report.traces)
-    for column, trace in zip(columns, report.traces):  # column vNN is directions[NN]'s trace
-        assert np.array([float(x) for x in column]).tobytes() == trace.values.tobytes()
+    assert len(columns) == len(report.values)
+    for column, row in zip(columns, report.values):  # column vNN is directions[NN]'s trace
+        assert np.array([float(x) for x in column]).tobytes() == row.tobytes()
 
     code, rerun, _ = run(capsys, *argv, "--out", str(tmp_path / "r2"))
     assert (code, rerun) == (0, stdout)
@@ -715,6 +715,24 @@ def test_gauge_check_passes(capsys, tmp_path):
     payload = json.loads((out / "gauge_check_report.json").read_text())
     assert payload["command"] == "gauge-check"
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("source, default", [
+    (None, linear_gauge),
+    (None, oscillatory_gauge),
+    ('{"type": "linear"}', linear_gauge),
+    ('{"type": "piecewise", "breakpoints": [1, 2, 4], "values": [1, 3, 9]}', linear_gauge),
+    ('{"type": "oscillatory", "M": 4, "r": 0.01, "levels": 6}', linear_gauge),
+    # its contract fails (a flat step), but its constructor verified it
+    ('{"type": "piecewise", "breakpoints": [1], "values": [1e-320]}', linear_gauge),
+], ids=["default-linear", "default-ladder", "linear", "piecewise", "oscillatory", "flat-step"])
+def test_every_resolved_gauge_is_verified(source, default):
+    # so the contract hands back the gauge itself when it passes, else None
+    gauge = cli.RunConfig(gauge_source=source).resolve_gauge(default=default)
+    assert gauge.verified
+    report, working = cli._contract(gauge)
+    assert working is (gauge if report.passed else None)
+    assert report.passed == (source is None or "1e-320" not in source)
 
 
 # --- output contract ----------------------------------------------------------------------

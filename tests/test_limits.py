@@ -10,7 +10,7 @@ import math
 import random
 import re
 import statistics
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from h1gauge.limits import (
     Classification,
     ConvergenceTrace,
     EpsGrid,
+    MetricDiffReport,
     NonConvergentLimitError,
     PointClassification,
     ScaleOverflowError,
@@ -349,14 +350,16 @@ CSV_GRIDS = [EpsGrid(), EpsGrid(eps0=0.9, ratio=0.7, count=160)]
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
 def test_trace_csv_matches_row_by_row_oracle(grid, gauge):
     md = metric_diff_probe(gauge, point(0.3, -0.2, 0.5), grid)
+    # a trace of each metric-diff direction, built here from its row
+    per_direction = [ConvergenceTrace("metric-diff", grid, row) for row in md.values]
     traces = [
         vertical_limit_probe(gauge, 1.0, grid),
         vertical_limit_probe(gauge, 0.0, grid),
         rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0), grid),
         id_derivability_probe(gauge, point(1, 0, 1), grid),
-        *md.traces,
+        *per_direction,
     ]
-    assert len(md.traces) == 13
+    assert md.values.shape == (13, grid.count) and md.grid is grid
     for tr in traces:
         assert tr.grid is grid
         assert tr.to_csv().encode() == trace_csv(tr).encode()
@@ -364,7 +367,7 @@ def test_trace_csv_matches_row_by_row_oracle(grid, gauge):
     header, *rows, end = md.to_csv().split("\n")
     assert (header, end) == ("epsilon," + ",".join(f"v{i:02d}" for i in range(13)), "")
     cells = [row.split(",") for row in rows]
-    for i, tr in enumerate(md.traces):
+    for i, tr in enumerate(per_direction):
         assert [f"{c[0]},{c[i + 1]}" for c in cells] == tr.to_csv().split("\n")[1:-1]
 
 
@@ -410,7 +413,7 @@ def test_metric_diff_table_renders_each_distinct_value_once(monkeypatch):
     # of them repeats: horizontal directions keep their value over eps
     grid = EpsGrid(count=160)
     md = metric_diff_probe(LIN, identity(), grid)
-    values = np.column_stack([tr.values for tr in md.traces])
+    values = md.values.T
     distinct = np.unique(values.view(np.int64)).size
     assert distinct < values.size // 2
     assert "eps_column" not in vars(grid)  # the epsilon column is rendered below too
@@ -702,6 +705,85 @@ def test_metric_diff_probe_exact_at_nonzero_base(count):
     assert all(c.passed for c in rep.seminorm_checks)
 
 
+def _hand_made_report(values):
+    return MetricDiffReport(identity(), default_direction_grid(), DEFAULT_GRID, values)
+
+
+def test_metric_diff_report_derives_its_verdict_from_its_array():
+    n, count = len(default_direction_grid()), DEFAULT_GRID.count
+    levels = np.arange(1.0, n + 1.0) / 4.0
+    flat = _hand_made_report(np.repeat(levels[:, None], count, axis=1))
+    assert flat.differentiable and flat.witness is None
+    assert flat.eta == tuple(levels.tolist())
+    assert [c.limit for c in flat.per_direction] == levels.tolist()
+    assert (flat.sup_classification.kind, flat.sup_classification.limit) == ("converged", 0.0)
+
+    # two rows oscillate; the wider one is the witness, whatever its position
+    values = np.repeat(levels[:, None], count, axis=1)
+    values[4] += 0.5 * (np.arange(count) % 2)
+    values[9] += 3.0 * (np.arange(count) % 2)
+    rep = _hand_made_report(values)
+    assert not rep.differentiable and rep.eta is None
+    assert rep.witness == default_direction_grid()[9]
+    assert [i for i, c in enumerate(rep.per_direction) if c.kind != "converged"] == [4, 9]
+    # row 9 sits 1.5 off its tail mean at every scale: the sup-deviation
+    # trace converges, but to 1.5, not to 0
+    assert (rep.sup_classification.kind, rep.sup_classification.limit) == ("converged", 1.5)
+    assert rep.seminorm_checks == []
+
+    # every row converges, row 2 by a steep descent onto its limit, yet its
+    # deviation from that limit escapes the divergence bound: the sup rule
+    # alone refuses the verdict
+    values = np.repeat(levels[:, None], count, axis=1)
+    values[2, -12:] = [*np.linspace(0.9e6, -0.9e6, 6), *[-0.9e6] * 6]
+    rep = _hand_made_report(values)
+    assert all(c.kind == "converged" for c in rep.per_direction)
+    assert rep.sup_classification.kind == "diverging"
+    assert not rep.differentiable and rep.witness == default_direction_grid()[2]
+
+    # and the other way round: row 7 alternates by 1.5 atol, so it does not
+    # converge, while its deviation from its tail mean, 0.75 atol, passes the
+    # sup rule
+    values = np.repeat(levels[:, None], count, axis=1)
+    values[7] += 1.5 * DEFAULT_GRID.atol * (np.arange(count) % 2)
+    rep = _hand_made_report(values)
+    assert rep.per_direction[7].kind == "oscillating"
+    assert rep.sup_classification.kind == "converged"
+    assert rep.sup_classification.limit <= DEFAULT_GRID.atol
+    assert not rep.differentiable and rep.witness == default_direction_grid()[7]
+
+
+@pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
+def test_metric_diff_probe_report_is_its_array(gauge):
+    rep = metric_diff_probe(gauge)
+    again = _hand_made_report(rep.values)
+    for name in ("per_direction", "sup_classification", "differentiable", "eta", "witness"):
+        assert getattr(again, name) == getattr(rep, name), name
+
+
+@pytest.mark.parametrize("name", ["differentiable", "eta", "witness", "per_direction",
+                                  "sup_classification"])
+def test_metric_diff_report_refuses_its_derived_fields(name):
+    values = np.ones((len(default_direction_grid()), DEFAULT_GRID.count))
+    with pytest.raises(TypeError):
+        MetricDiffReport(identity(), default_direction_grid(), DEFAULT_GRID, values,
+                         **{name: None})
+
+
+def test_metric_diff_report_freezes_its_values():
+    values = np.ones((len(default_direction_grid()), DEFAULT_GRID.count))
+    assert values.flags.writeable
+    rep = _hand_made_report(values)
+    assert rep.values is values and not values.flags.writeable
+    with pytest.raises(ValueError):
+        rep.values[0, 0] = 2.0
+    with pytest.raises(FrozenInstanceError):
+        rep.differentiable = False
+    # one row per direction and one column per scale, nothing else
+    with pytest.raises(ValueError, match="must be \\(directions, count\\)"):
+        _hand_made_report(np.ones((DEFAULT_GRID.count, len(default_direction_grid()))))
+
+
 def test_metric_diff_probe_base_independence():
     at_e = metric_diff_probe(LIN)
     shifted = metric_diff_probe(LIN, base=point(0.5, -0.25, 1.0))
@@ -787,8 +869,11 @@ def test_every_probe_trace_is_classified_by_its_grid(gauge):
         vertical_limit_probe(gauge, 1.0, grid),
         rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0), grid),
         id_derivability_probe(gauge, point(1, 0, 1), grid),
-        *metric_diff_probe(gauge, grid=grid).traces,
     ]
     for tr in traces:
         assert tr.grid is grid
         assert tr.classification == limits._classify(tr.values, grid.window, grid.atol)
+    md = metric_diff_probe(gauge, grid=grid)
+    assert md.grid is grid
+    assert md.per_direction == tuple(limits._classify(row, grid.window, grid.atol)
+                                     for row in md.values)
