@@ -3,12 +3,14 @@
 Group arithmetic lives in heisenberg, convex gauges and their profile inverse
 in gauges, the three distances and the verify battery in metrics,
 the dilatation families and the flattening conjugation in dilatations, limit
-probes and trace classification in limits, and the command-line front end in
-cli.  Every operation is an array kernel on (n, 3) point arrays (the *_array
-functions of each module).  The names here that compute at one point, mul,
-the three distances and rescaled_product, are each one row of a kernel, and
-g_eval is one element of g_array and g_inverse_eval one element of the
-profile; invert_g is the scalar bisection reference.
+probes and trace classification in limits (a probe's verdict is that of one
+response, R(delta) = g(delta^2)/delta, at any input scale), and the
+command-line front end in cli.  Every operation is an array kernel on (n, 3)
+point arrays (the *_array functions of each module).  The names here that
+compute at one point, mul, the three distances and rescaled_product, are
+each one row of a kernel, and g_eval is one element of g_array and
+g_inverse_eval one element of the profile; invert_g is the scalar bisection
+reference.
 """
 
 from .dilatations import rescaled_product
@@ -33,16 +35,12 @@ from .limits import (
     ConvergenceTrace,
     EpsGrid,
     MetricDiffReport,
-    NonConvergentLimitError,
     PointClassification,
     classify_limit,
     default_direction_grid,
     id_derivability_probe,
-    limit_equivalence_check,
     metric_diff_probe,
-    metric_differential,
     rescaled_product_probe,
-    uniform_probe,
     vertical_limit_probe,
 )
 from .metrics import SampleBox, flat_dist, gauge_dist, intrinsic_dist
@@ -58,7 +56,6 @@ __all__ = [
     "GaugeConstructionError",
     "H1Point",
     "MetricDiffReport",
-    "NonConvergentLimitError",
     "PointClassification",
     "PropertyCheck",
     "SampleBox",
@@ -76,11 +73,9 @@ __all__ = [
     "id_derivability_probe",
     "intrinsic_dist",
     "invert_g",
-    "limit_equivalence_check",
     "linear_gauge",
     "load_gauge",
     "metric_diff_probe",
-    "metric_differential",
     "mul",
     "oscillatory_gauge",
     "piecewise_gauge",
@@ -88,7 +83,6 @@ __all__ = [
     "rescaled_product",
     "rescaled_product_probe",
     "symplectic_area",
-    "uniform_probe",
     "verified_gauge",
     "vertical_limit_probe",
 ]

@@ -9,21 +9,29 @@ admits traces still descending linearly toward their limit while rejecting
 level shifts), and *oscillating* otherwise — oscillation observed in one
 window alone never suffices, it must leave its mark on both.  liminf/limsup
 estimates are the tail min/max; the reported limit is the last window's mean.
+
+One response decides every limit question: R(delta) = g(delta^2)/delta.  As
+g(eps^2 |ubar|)/eps = sqrt|ubar| * R(eps sqrt|ubar|) exactly, probe a is
+sqrt|ubar| * R, and the vertical part of derivability at ubar, or of beta on
+a horizontal pair with ubar = 2 * area, is sgn(ubar) * G(sqrt|ubar| * R).
+These traces take their kind from R on the user's grid read as a delta-grid
+(_response) and report R's limit or band mapped, so a verdict does not depend
+on the input's scale; where a trace is constant (ubar = 0, area 0) or no map
+of R (beta operands with a vertical part) the tail rule decides alone.
+
 A verdict is computed by the type that reports it, from its own numbers: a
-ConvergenceTrace classifies its values on its grid when it is built, a
+ConvergenceTrace classifies its values, or R, when it is built, a
 MetricDiffReport derives its verdict, eta and witness from its one
 (directions, count) array, and a PointClassification derives its kind and
 limit from its three components.
 
-The probes themselves: the scalar vertical response g(eps^2 |ubar|)/eps
-(_vertical_response_array), the rescaled product of two points, derivability
-of the identity map between the intrinsic and gauge dilatation structures,
-and the metric-differentiability test of the identity map at a base point.
-Each probe evaluates its whole eps-grid at once on the (n, 3) array kernels,
-one grid point per row (the rescaled product is dilatations._rescaled_product
-on the grid); metric_diff_probe stacks all its directions into one array,
-evaluates it SAMPLE_CHUNK rows at a time and keeps it, a row per direction,
-without building a trace per direction.
+The probes: the scalar vertical response, the rescaled product of two points,
+derivability of the identity map between the intrinsic and gauge dilatation
+structures, and the metric-differentiability test of the identity map at a
+base point.  Each evaluates its whole eps-grid at once on the (n, 3) array
+kernels, one grid point per row; metric_diff_probe stacks all its directions
+into one array, evaluated SAMPLE_CHUNK rows at a time and kept, a row per
+direction, without building a trace per direction.
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's array as one table, a column per direction.
@@ -39,6 +47,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -58,7 +67,7 @@ from .heisenberg import (
     to_row,
 )
 from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
-from .report import TOL_GAUGE, PropertyCheck, VerificationReport, worst_check
+from .report import TOL_GAUGE, PropertyCheck, worst_check
 
 DEFAULT_EPS0 = 1.0
 DEFAULT_RATIO = 0.5
@@ -70,10 +79,6 @@ SEMINORM_SCALES = (0.5, 0.25, 2.0)  # lam in the check eta(dilate(lam, v)) = lam
 
 # Squared scales fed to g must stay clear of the subnormal range.
 UNDERFLOW_FLOOR = 1e3 * sys.float_info.min
-
-
-class NonConvergentLimitError(ArithmeticError):
-    """A limit value was requested from a trace that does not converge."""
 
 
 class ScaleOverflowError(ValueError):
@@ -251,6 +256,18 @@ def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGE
     return comps[0] if values.ndim == 1 else PointClassification(comps)
 
 
+def _mapped(r: Classification, to_trace: Callable[[np.ndarray], np.ndarray]) -> Classification:
+    """R's classification r carried by the monotone map to_trace (on float
+    arrays) to a trace column: r's kind, and r's limit or band mapped, the
+    band's ends in order (a decreasing map swaps them)."""
+    if r.kind == "converged":
+        return Classification("converged", limit=to_trace(np.array([r.limit])).item())
+    if r.kind == "oscillating":
+        liminf, limsup = sorted(to_trace(np.array([r.liminf, r.limsup])).tolist())
+        return Classification("oscillating", liminf=liminf, limsup=limsup)
+    return r
+
+
 def _csv(header: str, grid: EpsGrid, values: np.ndarray) -> str:
     """The one CSV renderer: the header, then one line per scale, the grid's
     shared epsilon column joined with that scale's row of values, a float
@@ -270,10 +287,13 @@ def _csv(header: str, grid: EpsGrid, values: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceTrace:
-    """A probe trace over an eps-grid together with its tail classification.
+    """A probe trace over an eps-grid together with its classification.
 
     Building one makes values read-only (in place) and classifies them by the
-    grid's tail rule; the classification is never passed in.
+    grid's tail rule, never passed in.  A trace that holds `response`, R on
+    the grid, and `response_map`, the monotone map of R to its last column,
+    takes R's kind and R's limit or band mapped; its horizontal part, constant
+    by the same identity, converges to its last window's mean.
     """
 
     name: str
@@ -281,10 +301,20 @@ class ConvergenceTrace:
     values: np.ndarray  # one row per scale: (count,), or (count, 3) for points
     classification: Classification | PointClassification = field(init=False)
     meta: dict = field(default_factory=dict)
+    response: np.ndarray | None = None
+    response_map: Callable[[np.ndarray], np.ndarray] | None = None
+    response_classification: Classification | None = field(init=False)  # None: the tail rule
 
     def __post_init__(self):
-        object.__setattr__(self, "classification", _classify(
-            _read_only(self.values), self.grid.window, self.grid.atol))
+        values, window, atol = _read_only(self.values), self.grid.window, self.grid.atol
+        r = None if self.response is None else classify_limit(
+            _read_only(self.response), window, atol)
+        cls = _classify(values, window, atol) if r is None else _mapped(r, self.response_map)
+        if r is not None and values.ndim == 2:
+            cls = PointClassification((*(Classification("converged", limit=_fmean(c))
+                                         for c in values[-window:, :2].T.tolist()), cls))
+        object.__setattr__(self, "response_classification", r)
+        object.__setattr__(self, "classification", cls)
 
     def header(self) -> str:
         return "epsilon,x1,x2,xbar" if self.values.ndim == 2 else "epsilon,value"
@@ -297,10 +327,12 @@ class ConvergenceTrace:
         return _csv(self.header(), self.grid, self.values)
 
     def summary(self) -> dict:
+        r = self.response_classification
         return {
             "gauge": self.meta.get("gauge"),
             "probe": self.name,
             "classification": self.classification.to_dict(),
+            "response": None if r is None else r.to_dict(),
             "parameters": {
                 "eps0": self.grid.eps0,
                 "ratio": self.grid.ratio,
@@ -335,12 +367,19 @@ def _scale_check(grid: EpsGrid, magnitude: float) -> None:
         )
 
 
-def _vertical_response_array(gauge: Gauge, eps: np.ndarray, ubar: float) -> np.ndarray:
-    """The paper's scalar response g(eps^2 * |ubar|) / eps at every scale of
-    eps: the gauge distance from the identity to the intrinsic dilatation of
-    the vertical point (0, 0, ubar), divided by eps.  Whether it converges as
-    eps -> 0 decides every limit question here."""
-    return g_array(gauge, eps * eps * abs(ubar)) / eps
+def _response(gauge: Gauge, eps: np.ndarray, s: np.ndarray = np.empty(0)):
+    """g(s), and the paper's response R(delta) = g(delta^2)/delta on the
+    scales eps read as delta (ubar = 1), from one g_array call.  Whether R
+    converges as delta -> 0 decides every limit question here."""
+    gs = g_array(gauge, _rows(s, eps * eps))
+    return gs[: s.size], gs[s.size :] / eps
+
+
+def _vertical_map(gauge: Gauge, c: float):
+    """The map x -> sgn(c) * G(sqrt|c| * x) of R to the vertical part of a
+    derivability trace at ubar = c, or of a beta trace of area c/2."""
+    root, sign = math.sqrt(abs(c)), math.copysign(1.0, c)
+    return lambda x: sign * g_inverse_array(gauge, root * x)
 
 
 def vertical_limit_probe(
@@ -348,14 +387,18 @@ def vertical_limit_probe(
     ubar: float,
     grid: EpsGrid = DEFAULT_GRID,
 ) -> ConvergenceTrace:
-    """Trace eps -> g(eps^2 |ubar|)/eps, the scalar limit behind both the
-    derivability of the identity map and the metric differential."""
+    """Trace eps -> g(eps^2 |ubar|)/eps = sqrt|ubar| * R(eps sqrt|ubar|), the
+    scalar limit behind both the derivability of the identity map and the
+    metric differential."""
     require_verified(gauge)
     if not math.isfinite(ubar):
         raise ValueError(f"ubar must be finite, got {ubar!r}")
     _scale_check(grid, abs(ubar))
-    values = _vertical_response_array(gauge, np.array(grid.values()), ubar)
-    return ConvergenceTrace("vertical-limit", grid, values, {"gauge": gauge.label, "ubar": ubar})
+    eps = np.array(grid.values())
+    gs, response = _response(gauge, eps, eps * eps * abs(ubar))
+    root = math.sqrt(abs(ubar))
+    return ConvergenceTrace("vertical-limit", grid, gs / eps, {"gauge": gauge.label, "ubar": ubar},
+                            *((response, lambda x: root * x) if ubar else ()))
 
 
 def rescaled_product_probe(
@@ -364,15 +407,21 @@ def rescaled_product_probe(
     q: H1Point,
     grid: EpsGrid = DEFAULT_GRID,
 ) -> ConvergenceTrace:
-    """Trace eps -> rescaled_product(eps, p, q), classified componentwise."""
+    """Trace eps -> rescaled_product(eps, p, q), classified componentwise.
+    On a horizontal pair of nonzero area the vertical part is the map of R
+    at ubar = 2 * area."""
     require_verified(gauge)
     area = symplectic_area(p.horizontal, q.horizontal)
     _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
     eps = np.array(grid.values())
     pq = np.repeat(_rows(to_row(p), to_row(q)), len(eps), axis=0)
     rows = _rescaled_product(gauge, eps, pq)
+    twisted = area != 0.0 and p.xbar == q.xbar == 0.0
     return ConvergenceTrace("rescaled-product", grid, rows,
-                            {"gauge": gauge.label, "p": p.as_tuple(), "q": q.as_tuple()})
+                            {"gauge": gauge.label, "p": list(p.as_tuple()),
+                             "q": list(q.as_tuple())},
+                            *((_response(gauge, eps)[1], _vertical_map(gauge, 2.0 * area))
+                              if twisted else ()))
 
 
 def _first_over(eps: np.ndarray, residual: np.ndarray, what: str) -> None:
@@ -415,7 +464,7 @@ def id_derivability_probe(
     eps = np.array(grid.values())
     rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
     s = eps * eps * abs(u.xbar)
-    gs = g_array(gauge, s)
+    gs, response = _response(gauge, eps, s)
     closed, profile, profile_up = _split(
         g_inverse_array(gauge, _rows(gs / eps, gs, np.nextafter(gs, np.inf))), 3)
     ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2),
@@ -426,26 +475,9 @@ def id_derivability_probe(
         _first_over(eps, (np.abs(profile - s) - (profile_up - profile)) / s,
                     "fails the profile round trip G(g(s)) = s, beyond one ulp of g(s),")
     return ConvergenceTrace("id-derivability", grid, rows,
-                            {"gauge": gauge.label, "u": u.as_tuple(),
-                             "closed_form_residual": float(residual.max())})
-
-
-def metric_differential(
-    gauge: Gauge,
-    v: H1Point,
-    grid: EpsGrid = DEFAULT_GRID,
-) -> float:
-    """The paper's metric differential of the identity map at v:
-    max(horizontal norm, vertical limit), the limit of the rescaled gauge
-    distance (1/eps) * gauge_dist(e, dilate(eps, v)).  Defined only when the
-    vertical limit exists; raises NonConvergentLimitError otherwise."""
-    c = vertical_limit_probe(gauge, v.xbar, grid).classification
-    if c.kind != "converged":
-        raise NonConvergentLimitError(
-            f"vertical limit at ubar={v.xbar!r} is {c.kind}; the metric "
-            f"differential does not exist for gauge {gauge.label!r}"
-        )
-    return max(v.horizontal_norm(), c.limit)
+                            {"gauge": gauge.label, "u": list(u.as_tuple()),
+                             "closed_form_residual": float(residual.max())},
+                            *((response, _vertical_map(gauge, u.xbar)) if u.xbar else ()))
 
 
 def _tail_means(values: np.ndarray, window: int) -> list[float]:
@@ -471,44 +503,6 @@ def _sup_deviation(values: np.ndarray, grid: EpsGrid):
     sup_cls = classify_limit(sup_trace, grid.window, grid.atol)
     excess = abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf
     return spreads, means, sup_cls, excess
-
-
-def uniform_probe(
-    probe,
-    points,
-    grid: EpsGrid = DEFAULT_GRID,
-) -> VerificationReport:
-    """Uniform convergence of a pointwise probe over a finite sample of a
-    compact set: the paper asks the scaling limits to converge uniformly on
-    compacts, not only pointwise.
-
-    probe(point, grid) must return a scalar-valued ConvergenceTrace.  Two
-    checks: every pointwise trace converges, and the sup over points of the
-    deviation |trace - tail mean| converges (to ~0) as well.
-    """
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one probe point")
-    traces = [probe(pt, grid) for pt in points]
-    if any(tr.values.ndim != 1 for tr in traces):
-        raise ValueError("the probe must be scalar-valued; it returned a point-valued trace")
-    report = VerificationReport("uniform-probe")
-
-    values = np.array([tr.values for tr in traces], dtype=float)
-    spreads, _, sup_cls, excess = _sup_deviation(values, grid)
-
-    def witness(i):
-        return points[i].as_tuple() if isinstance(points[i], H1Point) else points[i]
-
-    unconverged = np.array([tr.classification.kind != "converged" for tr in traces], dtype=float)
-    report.add(worst_check("pointwise-convergence", unconverged, 0.0, witness,
-                           f"{len(points)} probe points; violation is 1 where a trace "
-                           "did not converge"))
-
-    report.add(PropertyCheck("uniform-sup-convergence", excess, grid.atol,
-                             witness(max(range(len(points)), key=spreads.__getitem__)),
-                             f"sup-deviation trace classified {sup_cls.kind}"))
-    return report
 
 
 def default_direction_grid() -> tuple[H1Point, ...]:
@@ -647,63 +641,10 @@ def metric_diff_probe(
         subadd = scaled_excess(etas[lams.size :], means[left] + means[right])
         report.seminorm_checks.extend((
             worst_check("seminorm-scaling", scaling, grid.atol,
-                        lambda i: (SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple()))),
+                        lambda i: [SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple())]),
             worst_check("seminorm-subadditivity", subadd, grid.atol,
-                        lambda j: (list(dirs[left[j]].as_tuple()),
-                                   list(dirs[right[j]].as_tuple()))),
+                        lambda j: [list(dirs[left[j]].as_tuple()),
+                                   list(dirs[right[j]].as_tuple())]),
         ))
     return report
 
-
-def limit_equivalence_check(
-    gauge: Gauge,
-    samples,
-    grid: EpsGrid = DEFAULT_GRID,
-) -> VerificationReport:
-    """Agreement between rescaled-product convergence and the scalar vertical
-    limit on purely horizontal pairs.
-
-    For p = (x, 0), q = (y, 0) the rescaled product's vertical trace is the
-    profile transport of the scalar response at ubar = area/2 (any positive
-    multiple classifies identically, since the response at c^2*u equals c
-    times the response at u evaluated at c*eps).  Disagreements are reported
-    as findings, not raised.
-    """
-    return _equivalence_report(samples, lambda p, q: rescaled_product_probe(gauge, p, q, grid),
-                               lambda ubar: vertical_limit_probe(gauge, ubar, grid))
-
-
-def _equivalence_report(samples, product, scalar) -> VerificationReport:
-    """limit_equivalence_check on the traces product(p, q) and scalar(ubar)
-    give, each called once per pair, in that order.  A caller that already
-    holds some of those traces passes probes that return them."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample pair")
-    report = VerificationReport("limit-equivalence")
-    for i, (p, q) in enumerate(samples):
-        if p.xbar != 0.0 or q.xbar != 0.0:
-            raise ValueError(
-                f"sample {i}: pairs must be horizontal (zero vertical part), "
-                f"got {p.as_tuple()}, {q.as_tuple()}"
-            )
-        area = symplectic_area(p.horizontal, q.horizontal)
-        if area == 0.0:
-            raise ValueError(f"sample {i}: symplectic area is zero; pair carries no twist")
-        prod_kind = product(p, q).classification.kind
-        scalar_kind = scalar(0.5 * area).classification.kind
-        agree = (prod_kind == "converged") == (scalar_kind == "converged")
-        report.add(
-            PropertyCheck(
-                name=f"agreement[{i}]",
-                worst_violation=0.0 if agree else 1.0,
-                tolerance=0.0,
-                witness={
-                    "p": list(p.as_tuple()),
-                    "q": list(q.as_tuple()),
-                    "rescaled_product": prod_kind,
-                    "scalar_vertical": scalar_kind,
-                },
-            )
-        )
-    return report

@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from h1gauge.cli import main
-from h1gauge.gauges import invert_g, linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import point
+from h1gauge.gauges import g_inverse_array, invert_g, linear_gauge, oscillatory_gauge
+from h1gauge.heisenberg import point, symplectic_area
 from h1gauge.limits import (
     EpsGrid,
-    limit_equivalence_check,
     metric_diff_probe,
     rescaled_product_probe,
     vertical_limit_probe,
 )
 from h1gauge.metrics import BATTERY, SampleBox
+from h1gauge.report import TOL_GAUGE
 
 LIN = linear_gauge()
 OSC = oscillatory_gauge()
@@ -161,10 +161,17 @@ def test_acc6_oscillatory_counterexample(tmp_path):
     md = metric_diff_probe(OSC)
     ok_md = (not md.differentiable) and md.witness is not None
 
-    eq = limit_equivalence_check(
-        OSC, [(point(1, 0, 0), point(0, 1, 0)), (point(2, 0, 0), point(0, 1, 0))]
-    )
-    ok_eq = eq.passed
+    # the formulations agree: on a horizontal pair of area c/2, beta's vertical
+    # trace is sgn(c) * G(the a-probe's trace at ubar = c), and the two agree
+    # on whether they converge
+    ok_eq = True
+    for p, q in [(point(1, 0, 0), point(0, 1, 0)), (point(2, 0, 0), point(0, 1, 0))]:
+        c = 2.0 * symplectic_area(p.horizontal, q.horizontal)
+        tr_p, tr_s = rescaled_product_probe(OSC, p, q), vertical_limit_probe(OSC, c)
+        got, want = tr_p.values[:, 2], np.sign(c) * g_inverse_array(OSC, tr_s.values)
+        residual = np.abs(got - want) / np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+        ok_eq &= bool(residual.max() <= TOL_GAUGE)
+        ok_eq &= len({tr.classification.kind == "converged" for tr in (tr_p, tr_s)}) == 1
 
     code = _quiet_main(
         ["counterexample", "--samples", "200", "--out", str(tmp_path / "ce")]

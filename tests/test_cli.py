@@ -650,10 +650,11 @@ def test_counterexample_reproduces_at_every_grid_length(capsys, count):
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the equivalence stage's a(0.5) is the first trace to underflow, after
-    # three probes have run (the battery runs after the probes)
-    (["--count", "507"], "error: eps = 4.7733380679681323e-153 drives eps^2 * 0.5 below the "
-     "underflow floor 2.2250738585072014e-305; shorten the grid or rescale\n"),
+    # every stage's trace has a vertical magnitude of at least 1, so none
+    # underflows on a grid that the grid's own check admits: that check fails
+    # first, at 508 scales (507 reproduces the pattern)
+    (["--count", "508"], "error: grid underflow: eps[507] = 2.3866690339840662e-153 has square "
+     "below the floor 2.2250738585072014e-305\n"),
     # the beta stage's pair is the first trace to overflow
     (["--eps0", "1.2e154"],
      "error: --eps0: eps0 = 1.2e+154 drives eps0^2 * 2.0 to inf; lower eps0 or rescale\n"),
@@ -665,7 +666,7 @@ def test_counterexample_first_scale_error(capsys, tmp_path, argv, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["--count", "507"], ["--eps0", "1.2e154"]],
+@pytest.mark.parametrize("argv", [["--count", "508"], ["--eps0", "1.2e154"]],
                          ids=["underflow", "overflow"])
 def test_counterexample_rejects_a_bad_grid_before_the_battery(capsys, monkeypatch, argv):
     want = run(capsys, "counterexample", *argv, "--samples", "5")
@@ -694,7 +695,58 @@ def test_counterexample_computes_each_trace_once(capsys, monkeypatch):
     assert code == 0 and stdout.endswith("pattern reproduced\n")
     assert {name: len(seen) for name, seen in calls.items()} == {
         "vertical_limit_probe": 3, "rescaled_product_probe": 3, "metric_diff_probe": 1}
-    assert [args[1] for args in calls["vertical_limit_probe"]] == [1.0, 0.5, 0.25]
+    # the equivalence stage reads the a-probe at ubar = 2 * area: 2, 4 and 1
+    assert [args[1] for args in calls["vertical_limit_probe"]] == [1.0, 2.0, 4.0]
+
+
+@pytest.mark.parametrize("skew, code", [(1e-10, 0), (1e-6, 1)])
+def test_counterexample_equivalence_is_an_identity_residual(capsys, monkeypatch, skew, code):
+    # a beta trace whose vertical part is off its map of the a-probe by a
+    # relative skew keeps every kind, but fails the identity above TOL_GAUGE
+    probe = cli.rescaled_product_probe
+
+    def skewed(gauge, p, q, grid):
+        tr = probe(gauge, p, q, grid)
+        return ConvergenceTrace(tr.name, grid, tr.values * [1.0, 1.0, 1.0 + skew], tr.meta,
+                                tr.response, tr.response_map)
+
+    monkeypatch.setattr(cli, "rescaled_product_probe", skewed)
+    got, stdout, _ = run(capsys, "counterexample", "--samples", "5")
+    assert got == code
+    assert stdout.endswith("pattern reproduced\n" if code == 0 else
+                           "not reproduced: equivalence: expected agreement, observed disagreement\n")
+
+
+# the seed-3 probe-mix beta task: p and q nearly collinear, so the vertical
+# part is small enough for the last window to look flat under atol
+SEED3_BETA = ["probe", "beta", "--gauge", '{"type": "oscillatory", "M": 24.751473466654094, '
+              '"r": 0.0008161460607036814, "levels": 8}', "--count", "126",
+              "--p=-0.6070142500500038,-0.913483885494292,0.0",
+              "--q=0.24762222003681789,0.37997057089328057,0.0"]
+LADDER = '{"type": "oscillatory"}'
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["probe", "a", "--gauge", LADDER, "--ubar", "1e-8"], "oscillating"),
+    (["probe", "a", "--gauge", LADDER, "--ubar", "1e-10"], "oscillating"),
+    (["probe", "beta", "--gauge", LADDER, "--p=1e-3,0,0", "--q=0,1e-3,0"], "oscillating"),
+    (["probe", "derivability", "--gauge", LADDER, "--u=0,0,1e-8"], "oscillating"),
+    (["probe", "a", "--ubar", "32"], "converged"),
+    (["probe", "a", "--ubar", "1e6"], "converged"),
+    (["probe", "a", "--ubar", "1e13"], "converged"),
+    (["probe", "beta", "--p=4,0,0", "--q=0,4,0"], "converged"),
+    (["probe", "derivability", "--u=0,0,32"], "converged"),
+    (SEED3_BETA, "oscillating"),
+], ids=["ladder-a-1e-8", "ladder-a-1e-10", "ladder-beta-1e-3", "ladder-derivability-1e-8",
+        "linear-a-32", "linear-a-1e6", "linear-a-1e13", "linear-beta-4", "linear-derivability-32",
+        "seed3-beta"])
+def test_a_verdict_does_not_depend_on_the_input_scale(capsys, argv, kind):
+    # each input's scale is far from 1, where an absolute atol misjudges a
+    # probe's own trace; R's kind is the gauge's, whatever the scale
+    code, stdout, _ = run(capsys, *argv, "--format", "structured")
+    report = json.loads(stdout)
+    assert code == 0
+    assert report["classification"]["kind"] == report["response"]["kind"] == kind
 
 
 def test_counterexample_linear_gauge_deviates(capsys):
@@ -921,6 +973,17 @@ def test_sweep_input_errors_are_usage_errors(capsys, tmp_path, argv, flag):
     assert flag in captured.err
     assert captured.out == ""
     assert not out.exists()  # checked before any output
+
+
+def test_sweep_reports_one_kind_per_gauge(capsys, tmp_path):
+    # every ubar of a gauge is a map of its one R: one kind across all seven
+    assert _probe_sweep().main(["--out", str(tmp_path)]) == 0
+    for tag, kind in (("linear", "converged"), ("oscillatory_M3", "oscillating"),
+                      ("oscillatory_M10", "oscillating"), ("oscillatory_M30", "oscillating")):
+        header, *rows = (tmp_path / f"sweep_{tag}.csv").read_text().splitlines()
+        assert header == "ubar,kind,limit,liminf,limsup"
+        assert len(rows) == 7 and {row.split(",")[1] for row in rows} == {kind}, rows
+        assert (tmp_path / f"traces_{tag}.csv").read_text().startswith("ubar,epsilon,value\n")
 
 
 def test_sweep_writes_one_csv_pair_per_gauge(capsys, tmp_path):

@@ -14,27 +14,29 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from h1gauge import cli, heisenberg, limits
 from h1gauge.dilatations import dilate_array, gauge_dilate_array
 from h1gauge.gauges import (
     _bisect_g,
+    g_array,
     g_inverse_array,
     g_inverse_eval,
     invert_g,
     linear_gauge,
     oscillatory_gauge,
+    piecewise_gauge,
+    verified_gauge,
 )
-from h1gauge.heisenberg import H1Point, from_row, identity, point, to_row
+from h1gauge.heisenberg import H1Point, from_row, identity, point, symplectic_area, to_row
 from h1gauge.limits import (
     _fmean,
-    _vertical_response_array,
+    _response,
     Classification,
     ConvergenceTrace,
     EpsGrid,
     MetricDiffReport,
-    NonConvergentLimitError,
     PointClassification,
     ScaleOverflowError,
     classify_limit,
@@ -42,11 +44,8 @@ from h1gauge.limits import (
     classify_point_trace,
     default_direction_grid,
     id_derivability_probe,
-    limit_equivalence_check,
     metric_diff_probe,
-    metric_differential,
     rescaled_product_probe,
-    uniform_probe,
     vertical_limit_probe,
 )
 from h1gauge.report import TOL_GAUGE
@@ -318,7 +317,7 @@ def test_breakpoint_response_closed_form():
         b = r**n
         eps = b * math.sqrt(1.0 + c)
         want = 1.0 / math.sqrt(1.0 + c)
-        got = _vertical_response_array(OSC, np.array([eps]), 1.0)[0]
+        got = _response(OSC, np.array([eps]))[1][0]
         assert got == pytest.approx(want, rel=1e-10), (n, c)
 
 
@@ -546,7 +545,7 @@ def test_derivability_guard_names_first_offending_eps(capsys, monkeypatch):
     def residual(e):  # the closed-form check of one grid point, on one-row kernels
         e = np.array([e])
         val = from_row(gauge_dilate_array(gauge, 1.0 / e, dilate_array(e, to_row(u))))
-        vert = g_inverse_array(gauge, _vertical_response_array(gauge, e, u.xbar))[0]
+        vert = g_inverse_array(gauge, g_array(gauge, e * e * abs(u.xbar)) / e)[0]
         ref = point(u.x1, u.x2, vert)
         return point_diff(val, ref) / point_scale(val, ref)
 
@@ -591,84 +590,30 @@ def test_derivability_guard_checks_profile_round_trip(capsys, monkeypatch):
     assert f"at eps={grid.eps0!r} fails the profile round trip" in captured.err
 
 
-# --- metric differential --------------------------------------------------------------
+# --- the metric differential and uniform convergence, as maps of R --------------------
 
-def test_metric_differential_linear():
-    assert metric_differential(LIN, point(3, 4, 2)) == pytest.approx(5.0, abs=1e-12)
-    assert metric_differential(LIN, point(0, 0, 1)) == pytest.approx(0.0, abs=1e-4)
-
-
-def test_metric_differential_raises_without_limit():
-    with pytest.raises(NonConvergentLimitError):
-        metric_differential(OSC, point(0, 0, 1))
+def test_metric_differential_is_the_a_probe_limit_mapped():
+    # max(|v_h|, the a-probe's limit at v's vertical part), where that converges
+    for v, want, tol in ((point(3, 4, 2), 5.0, 1e-12), (point(0, 0, 1), 0.0, 1e-4)):
+        c = vertical_limit_probe(LIN, v.xbar).classification
+        assert max(v.horizontal_norm(), c.limit) == pytest.approx(want, abs=tol)
+    assert vertical_limit_probe(OSC, 1.0).classification.limit is None
 
 
-# --- uniform convergence over a compact sample ----------------------------------------
-
-def test_uniform_probe_linear():
+@pytest.mark.parametrize("gauge, kind", [(LIN, "converged"), (OSC, "oscillating")],
+                         ids=["linear", "oscillatory"])
+def test_a_probe_converges_uniformly_on_a_compact_exactly_when_r_does(gauge, kind):
+    # on ubar in [a, b] every trace is sqrt(ubar) R(eps sqrt(ubar)): one kind,
+    # R's, and on the linear gauge the sup deviation from the mapped limits
+    # over the last window stays within atol
     ubars = [0.25, 0.5, 1.0, 2.0, 4.0]
-    rep = uniform_probe(lambda ub, grid: vertical_limit_probe(LIN, ub, grid), ubars)
-    assert rep.passed, rep.to_text()
-
-
-def test_uniform_probe_oscillatory_fails():
-    ubars = [0.25, 0.5, 1.0, 2.0, 4.0]
-    rep = uniform_probe(lambda ub, grid: vertical_limit_probe(OSC, ub, grid), ubars)
-    assert not rep.passed
-
-
-def test_uniform_probe_classifies_pointwise_traces_by_the_grid_rule():
-    # the oscillatory response swings by about 0.8, so the default atol calls
-    # every trace oscillating; a grid with atol 10 must judge the pointwise
-    # traces by that atol as well as the sup-trace
-    ubars = [0.25, 0.5, 1.0, 2.0, 4.0]
-    grid = EpsGrid(count=30, window=5, atol=10.0)
-    traces = []
-
-    def probe(ub, g):
-        traces.append(vertical_limit_probe(OSC, ub, g))
-        return traces[-1]
-
-    rep = uniform_probe(probe, ubars, grid)
-    assert all(tr.grid is grid for tr in traces)
-    assert all(tr.classification.kind == "converged" for tr in traces)
-    assert [(c.name, c.passed, c.tolerance) for c in rep.checks] == [
-        ("pointwise-convergence", True, 0.0), ("uniform-sup-convergence", True, 10.0)]
-
-
-@pytest.mark.parametrize("ladder_at", [None, 1.0, 2.0])
-def test_uniform_probe_checks_pass_by_their_numbers(ladder_at):
-    # both checks follow the one pass rule; the pointwise check's violation is
-    # 1 for each trace that did not converge, its witness the first such point
-    def probe(ub, grid):
-        return vertical_limit_probe(OSC if ub == ladder_at else LIN, ub, grid)
-
-    ubars = [0.5, 1.0, 2.0]
-    rep = uniform_probe(probe, ubars)
-    for c in rep.checks:
-        assert c.passed == (c.worst_violation <= c.tolerance), c
-    pointwise = rep.checks[0]
-    assert pointwise.name == "pointwise-convergence" and pointwise.tolerance == 0.0
-    if ladder_at is None:
-        assert rep.passed
-        assert (pointwise.worst_violation, pointwise.witness) == (0.0, 0.5)
-    else:
-        assert probe(ladder_at, DEFAULT_GRID).classification.kind == "oscillating"
-        assert not pointwise.passed and not rep.passed
-        assert (pointwise.worst_violation, pointwise.witness) == (1.0, ladder_at)
-
-
-def test_uniform_probe_rejects_a_point_valued_probe(monkeypatch):
-    # the sup-deviation rule needs one scalar per scale; a point trace is
-    # refused with a ValueError before the rule is reached, where it would
-    # die on a TypeError
-    def sup_deviation(values, grid):
-        raise AssertionError("the sup-deviation rule ran on point traces")
-
-    monkeypatch.setattr(limits, "_sup_deviation", sup_deviation)
-    points = [point(1, 0, 1), point(0, 1, 2)]
-    with pytest.raises(ValueError, match="probe must be scalar-valued"):
-        uniform_probe(lambda p, g: id_derivability_probe(LIN, p, g), points)
+    traces = [vertical_limit_probe(gauge, ub) for ub in ubars]
+    assert {tr.classification.kind for tr in traces} == {kind}
+    assert all(tr.response_classification.kind == kind for tr in traces)
+    if kind == "converged":
+        window = DEFAULT_GRID.window
+        sup = max(np.abs(tr.values[-window:] - tr.classification.limit).max() for tr in traces)
+        assert sup <= DEFAULT_GRID.atol
 
 
 # --- differentiability report ------------------------------------------------------------
@@ -800,35 +745,6 @@ def test_default_direction_grid_shape():
     assert any(v.xbar != 0.0 and v.horizontal_norm() > 0.0 for v in dirs)
 
 
-# --- equivalence of the two limit formulations ----------------------------------------------
-
-HORIZONTAL_PAIRS = [
-    (point(1, 0, 0), point(0, 1, 0)),
-    (point(2, 0, 0), point(0, 1, 0)),
-    (point(0.5, 0, 0), point(0, 1, 0)),
-]
-
-
-def test_equivalence_check_linear():
-    rep = limit_equivalence_check(LIN, HORIZONTAL_PAIRS)
-    assert rep.passed
-
-
-def test_equivalence_check_oscillatory_agrees_on_failure():
-    # both formulations refuse to converge: that is agreement
-    rep = limit_equivalence_check(OSC, HORIZONTAL_PAIRS)
-    assert rep.passed
-
-
-def test_equivalence_check_input_validation():
-    with pytest.raises(ValueError, match="horizontal"):
-        limit_equivalence_check(LIN, [(point(1, 0, 1), point(0, 1, 0))])
-    with pytest.raises(ValueError, match="area"):
-        limit_equivalence_check(LIN, [(point(1, 0, 0), point(2, 0, 0))])
-    with pytest.raises(ValueError):
-        limit_equivalence_check(LIN, [])
-
-
 # --- verdicts computed from their numbers -----------------------------------------
 
 COMPONENT = {
@@ -862,18 +778,111 @@ def test_trace_classifies_itself_and_freezes_its_values():
         ConvergenceTrace("t", DEFAULT_GRID, values, classification=tr.classification)
 
 
+# the ladder's R swings by about 0.8: the default atol calls it oscillating,
+# an atol of 10 converged, and every probe follows its grid's atol
+@pytest.mark.parametrize("grid", [EpsGrid(count=40, window=8),
+                                  EpsGrid(count=30, window=5, atol=10.0)], ids=["window-8", "atol-10"])
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
-def test_every_probe_trace_is_classified_by_its_grid(gauge):
-    grid = EpsGrid(count=40, window=8)
+def test_every_probe_trace_is_classified_by_its_grid(gauge, grid):
     traces = [
         vertical_limit_probe(gauge, 1.0, grid),
         rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0), grid),
         id_derivability_probe(gauge, point(1, 0, 1), grid),
     ]
+    # each holds R, so its kind is R's by the grid's tail rule, its vertical
+    # limit or band R's mapped, and its horizontal part the last window's mean
+    r = classify_limit(_response(gauge, np.array(grid.values()))[1], grid.window, grid.atol)
     for tr in traces:
-        assert tr.grid is grid
-        assert tr.classification == limits._classify(tr.values, grid.window, grid.atol)
+        assert tr.grid is grid and tr.response_classification == r
+        mapped = limits._mapped(r, tr.response_map)
+        if tr.values.ndim == 1:
+            assert tr.classification == mapped
+        else:
+            horizontal = [Classification("converged", limit=_fmean(c))
+                          for c in tr.values[-grid.window:, :2].T.tolist()]
+            assert tr.classification.components == (*horizontal, mapped)
     md = metric_diff_probe(gauge, grid=grid)
     assert md.grid is grid
     assert md.per_direction == tuple(limits._classify(row, grid.window, grid.atol)
                                      for row in md.values)
+
+
+# --- one response R behind every probe ------------------------------------------------
+
+R_GAUGES = {
+    "linear": LIN,
+    "ladder": OSC,
+    "piecewise": piecewise_gauge([1, 2, 4], [1, 3, 9]),
+    "square": verified_gauge(lambda t: t * t, label="square"),  # raw: lockstep bisection
+}
+# log-uniform over [1e-12, 1e12], either sign
+MAGNITUDES = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-12.0, 12.0),
+                       st.sampled_from((-1.0, 1.0)))
+ULPS = 8
+
+
+def _mapped_r(gauge, c):
+    """sqrt|c| * R(eps sqrt|c|) on the default grid, R evaluated on its own."""
+    root = math.sqrt(abs(c))
+    d = np.array(DEFAULT_GRID.values()) * root
+    return root * (g_array(gauge, d * d) / d)
+
+
+def _assert_ulps(got, want):
+    assert np.all(np.abs(got - want) <= ULPS * np.spacing(np.maximum(abs(got), abs(want)))), (
+        got, want)
+
+
+def _assert_vertical_maps_r(gauge, vertical, c):
+    # vertical is sgn(c) * G(sqrt|c| * R(eps sqrt|c|)); G amplifies the
+    # rounding of its argument by its condition number, so the identity is
+    # compared in R's coordinates, through g, which does not
+    assert np.all(np.sign(vertical) == math.copysign(1.0, c))
+    _assert_ulps(g_array(gauge, np.abs(vertical)), _mapped_r(gauge, c))
+
+
+@pytest.mark.parametrize("gauge", R_GAUGES.values(), ids=R_GAUGES.keys())
+@settings(max_examples=40, deadline=None)
+@given(ubar=MAGNITUDES, p=st.tuples(MAGNITUDES, MAGNITUDES), q=st.tuples(MAGNITUDES, MAGNITUDES))
+def test_every_probe_is_a_map_of_one_response(gauge, ubar, p, q):
+    # g(eps^2 |c|)/eps = sqrt|c| R(eps sqrt|c|) exactly: each trace equals its
+    # map of R to a few ulps, and its kind is R's at every scale of the input
+    kind = vertical_limit_probe(gauge, 1.0).classification.kind
+    a = vertical_limit_probe(gauge, ubar)
+    _assert_ulps(a.values, _mapped_r(gauge, ubar))
+
+    u = point(*p, ubar)
+    derivability = id_derivability_probe(gauge, u)
+    assert np.all(derivability.values[:, :2] == p)
+    _assert_vertical_maps_r(gauge, derivability.values[:, 2], ubar)
+
+    pp, qq = point(*p, 0.0), point(*q, 0.0)
+    c = 2.0 * symplectic_area(pp.horizontal, qq.horizontal)
+    assume(c != 0.0)
+    beta = rescaled_product_probe(gauge, pp, qq)
+    assert np.all(beta.values[:, :2] == np.add(p, q))
+    _assert_vertical_maps_r(gauge, beta.values[:, 2], c)
+
+    for tr in (a, derivability, beta):
+        assert tr.classification.kind == tr.response_classification.kind == kind
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_decreasing_map_swaps_the_band(sign):
+    # derivability at ubar < 0 is -G(sqrt|ubar| R): R's liminf maps to limsup
+    r = vertical_limit_probe(OSC, 1.0).classification
+    c = id_derivability_probe(OSC, point(0, 0, sign * 4.0)).classification.components[2]
+    ends = [sign * g_inverse_array(OSC, np.array([2.0 * x]))[0] for x in (r.liminf, r.limsup)]
+    assert c.kind == "oscillating" and [c.liminf, c.limsup] == sorted(ends)
+
+
+def test_the_tail_rule_decides_where_the_trace_is_not_a_map_of_r():
+    # ubar = 0, area 0 and a beta operand with a vertical part hold no R
+    traces = [vertical_limit_probe(OSC, 0.0), id_derivability_probe(OSC, point(1, 0, 0)),
+              rescaled_product_probe(OSC, point(1, 0, 0), point(2, 0, 0)),
+              rescaled_product_probe(OSC, point(1, 0, 0), point(0, 1, 1))]
+    for tr in traces:
+        assert tr.response is None and tr.response_classification is None
+        assert tr.summary()["response"] is None
+        assert tr.classification == limits._classify(tr.values, DEFAULT_GRID.window,
+                                                     DEFAULT_GRID.atol)

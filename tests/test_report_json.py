@@ -13,7 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from h1gauge.cli import RunConfig, _finish, main
-from h1gauge.gauges import linear_gauge
+from h1gauge.gauges import Gauge, check_gauge, linear_gauge, oscillatory_gauge
+from h1gauge.heisenberg import point
+from h1gauge.limits import (
+    id_derivability_probe, metric_diff_probe, rescaled_product_probe, vertical_limit_probe,
+)
 
 LIN = linear_gauge()
 HEADER = {"command": "test", "gauge": "linear"}
@@ -161,3 +165,25 @@ def test_every_payload_round_trips(capsys, tmp_path, command, gauge, fmt):
         keys = list(json.loads(text))
         assert keys[:2] == ["command", "gauge"]
         assert (keys[2] == "probe") == command.startswith("probe")
+        if command in ("probe-a", "probe-beta", "probe-derivability"):
+            # R decides each default probe; its classification is the response
+            report = json.loads(text)
+            assert keys[3:6] == ["classification", "response", "parameters"]
+            assert report["response"]["kind"] == report["classification"]["kind"]
+
+
+@pytest.mark.parametrize("gauge", [LIN, oscillatory_gauge()], ids=["linear", "oscillatory"])
+def test_library_reports_round_trip(gauge):
+    # every report the library builds is json's: its dict comes back equal,
+    # and every check's verdict is a plain bool, also for a raw k returning
+    # numpy floats
+    checked = check_gauge(Gauge(k=lambda t: np.float64(t) * 1.0))
+    md = metric_diff_probe(gauge, point(0.3, -0.2, 0.5))
+    dicts = [checked.to_dict(), md.to_dict(),
+             vertical_limit_probe(gauge, 0.5).summary(),
+             rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0)).summary(),
+             id_derivability_probe(gauge, point(1, 0, -1)).summary()]
+    for d in dicts:
+        assert json.loads(json.dumps(d)) == d, d
+    for check in [*checked.checks, *md.seminorm_checks]:
+        assert type(check.passed) is bool
