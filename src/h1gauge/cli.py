@@ -1,7 +1,8 @@
 """Command-line front end: parsing, the output path and the table text; the
 library computes the rest (the verify battery is `metrics.sample_battery`).
 
-Subcommands: verify (algebra and metric samplers), probe (limit traces),
+Subcommands: verify (algebra and metric samplers), probe (limit traces, each
+verdict a map of the one response R; no probe report holds checks),
 counterexample (one-shot reproduction of the oscillatory-gauge failure
 pattern), gauge-check (contract checks only).
 
@@ -278,7 +279,6 @@ def _probe_metric_diff(config, gauge, report) -> int:
     if report.eta is not None:
         for v, ev in zip(report.directions, report.eta):
             lines.append(f"  eta{v.as_tuple()!r} = {ev!r}")
-    lines.extend(c.line() for c in report.seminorm_checks)
     table = "\n".join(lines) + "\n"
     return _finish(config, "probe", gauge, "probe_metric-diff.json",
                    {"probe": "metric-diff", **report.to_dict()}, lambda: table,
@@ -339,10 +339,9 @@ def cmd_counterexample(config: RunConfig) -> int:
                f"liminf={cls_a.liminf!r} limsup={cls_a.limsup!r}" if oscillating else "")
         kind_b = trace_b.classification.kind
         record("beta-probe", "non-converged", kind_b, kind_b != "converged")
-        has_witness = (not md.differentiable) and md.witness is not None
         record("metric-diff", "non-differentiability witness",
-               f"witness {md.witness.as_tuple()!r}" if has_witness else "differentiable",
-               has_witness)
+               "differentiable" if md.differentiable else f"witness {md.witness.as_tuple()!r}",
+               not md.differentiable)
         agree = bool(np.max(gaps) <= TOL_GAUGE)  # a NaN disagrees
         record("equivalence", "agreement", "agreement" if agree else "disagreement", agree,
                "" if agree else f"scaled residuals {gaps!r} > {TOL_GAUGE!r}")

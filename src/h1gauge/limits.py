@@ -12,26 +12,27 @@ estimates are the tail min/max; the reported limit is the last window's mean.
 
 One response decides every limit question: R(delta) = g(delta^2)/delta.  As
 g(eps^2 |ubar|)/eps = sqrt|ubar| * R(eps sqrt|ubar|) exactly, probe a is
-sqrt|ubar| * R, and the vertical part of derivability at ubar, or of beta on
-a horizontal pair with ubar = 2 * area, is sgn(ubar) * G(sqrt|ubar| * R).
-These traces take their kind from R on the user's grid read as a delta-grid
-(_response) and report R's limit or band mapped, so a verdict does not depend
-on the input's scale; where a trace is constant (ubar = 0, area 0) or no map
-of R (beta operands with a vertical part) the tail rule decides alone.
+sqrt|ubar| * R, a metric-diff direction v is max(|v_h|, sqrt|vbar| * R), and
+the vertical part of derivability at ubar, or of beta on a horizontal pair
+with ubar = 2 * area, is sgn(ubar) * G(sqrt|ubar| * R).  These traces take
+their kind from R on the user's grid read as a delta-grid (_response) and
+report R's limit or band mapped, so a verdict does not depend on the input's
+scale; where a trace is constant (ubar = 0, area 0) or no map of R (beta
+operands with a vertical part) the tail rule decides alone.  The horizontal
+part of a point trace, constant by the group law, converges to its last
+window's mean.
 
 A verdict is computed by the type that reports it, from its own numbers: a
 ConvergenceTrace classifies its values, or R, when it is built, a
-MetricDiffReport derives its verdict, eta and witness from its one
-(directions, count) array, and a PointClassification derives its kind and
-limit from its three components.
+MetricDiffReport derives its verdict, eta and witness from R, and a
+PointClassification derives its kind and limit from its three components.
 
 The probes: the scalar vertical response, the rescaled product of two points,
 derivability of the identity map between the intrinsic and gauge dilatation
 structures, and the metric-differentiability test of the identity map at a
 base point.  Each evaluates its whole eps-grid at once on the (n, 3) array
-kernels, one grid point per row; metric_diff_probe stacks all its directions
-into one array, evaluated SAMPLE_CHUNK rows at a time and kept, a row per
-direction, without building a trace per direction.
+kernels, one grid point per row; metric_diff_probe evaluates all its
+directions and R in one g_array call, a row per direction.
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's array as one table, a column per direction.
@@ -59,15 +60,13 @@ from .heisenberg import (
     _rows,
     _split,
     identity,
-    mul_array,
     point_diff_array,
     point_scale_array,
     points_array,
     symplectic_area,
     to_row,
 )
-from .metrics import SAMPLE_CHUNK, gauge_norm_array, scaled_excess
-from .report import TOL_GAUGE, PropertyCheck, worst_check
+from .report import TOL_GAUGE
 
 DEFAULT_EPS0 = 1.0
 DEFAULT_RATIO = 0.5
@@ -75,7 +74,6 @@ DEFAULT_COUNT = 24
 DEFAULT_WINDOW = 6
 DEFAULT_ATOL = 1e-4
 DEFAULT_DIVERGENCE_BOUND = 1e6
-SEMINORM_SCALES = (0.5, 0.25, 2.0)  # lam in the check eta(dilate(lam, v)) = lam * eta(v)
 
 # Squared scales fed to g must stay clear of the subnormal range.
 UNDERFLOW_FLOOR = 1e3 * sys.float_info.min
@@ -242,7 +240,8 @@ def classify_point_trace(
 ) -> PointClassification:
     """Classify a trace of H1Points componentwise."""
     values = np.array([p.as_tuple() for p in points]).reshape(-1, 3)
-    return _classify(values, window, atol, divergence_bound)
+    return PointClassification(tuple(classify_limit(c, window, atol, divergence_bound)
+                                     for c in values.T))
 
 
 def _columns(values: np.ndarray) -> np.ndarray:
@@ -250,20 +249,17 @@ def _columns(values: np.ndarray) -> np.ndarray:
     return np.atleast_2d(values.T)
 
 
-def _classify(values: np.ndarray, window, atol, divergence_bound=DEFAULT_DIVERGENCE_BOUND):
-    """classify_limit of a (count,) trace, the PointClassification of a (count, 3) one."""
-    comps = tuple(classify_limit(c, window, atol, divergence_bound) for c in _columns(values))
-    return comps[0] if values.ndim == 1 else PointClassification(comps)
-
-
 def _mapped(r: Classification, to_trace: Callable[[np.ndarray], np.ndarray]) -> Classification:
     """R's classification r carried by the monotone map to_trace (on float
     arrays) to a trace column: r's kind, and r's limit or band mapped, the
-    band's ends in order (a decreasing map swaps them)."""
+    band's ends in order (a decreasing map swaps them).  A band that the map
+    collapses to one value converges there."""
     if r.kind == "converged":
         return Classification("converged", limit=to_trace(np.array([r.limit])).item())
     if r.kind == "oscillating":
         liminf, limsup = sorted(to_trace(np.array([r.liminf, r.limsup])).tolist())
+        if liminf == limsup:
+            return Classification("converged", limit=liminf)
         return Classification("oscillating", liminf=liminf, limsup=limsup)
     return r
 
@@ -289,11 +285,12 @@ def _csv(header: str, grid: EpsGrid, values: np.ndarray) -> str:
 class ConvergenceTrace:
     """A probe trace over an eps-grid together with its classification.
 
-    Building one makes values read-only (in place) and classifies them by the
-    grid's tail rule, never passed in.  A trace that holds `response`, R on
-    the grid, and `response_map`, the monotone map of R to its last column,
-    takes R's kind and R's limit or band mapped; its horizontal part, constant
-    by the same identity, converges to its last window's mean.
+    Building one makes values read-only (in place) and classifies them, never
+    passed in: the last column by the grid's tail rule or, in a trace that
+    holds `response`, R on the grid, and `response_map`, the monotone map of
+    R to its last column, by R's kind and R's limit or band mapped.  The
+    horizontal part of a point trace, constant by the group law, converges to
+    its last window's mean.
     """
 
     name: str
@@ -309,8 +306,9 @@ class ConvergenceTrace:
         values, window, atol = _read_only(self.values), self.grid.window, self.grid.atol
         r = None if self.response is None else classify_limit(
             _read_only(self.response), window, atol)
-        cls = _classify(values, window, atol) if r is None else _mapped(r, self.response_map)
-        if r is not None and values.ndim == 2:
+        cls = (classify_limit(_columns(values)[-1], window, atol) if r is None
+               else _mapped(r, self.response_map))
+        if values.ndim == 2:
             cls = PointClassification((*(Classification("converged", limit=_fmean(c))
                                          for c in values[-window:, :2].T.tolist()), cls))
         object.__setattr__(self, "response_classification", r)
@@ -480,31 +478,6 @@ def id_derivability_probe(
                             *((response, _vertical_map(gauge, u.xbar)) if u.xbar else ()))
 
 
-def _tail_means(values: np.ndarray, window: int) -> list[float]:
-    """Mean of the last window of each row, by _fmean on Python floats (numpy's
-    mean rounds differently)."""
-    return [_fmean(row) for row in values[:, -window:].tolist()]
-
-
-def _sup_deviation(values: np.ndarray, grid: EpsGrid):
-    """Tail spreads, tail means, the classified sup-deviation trace and its
-    excess, for scalar traces on grid, one trace per row of values.
-
-    A trace's spread is max - min over its last 2*window values and its tail
-    mean the mean of its last window.  The sup-deviation trace is
-    eps_j -> max over traces |value_j - tail mean|, and its excess is |limit|
-    when it converges, inf otherwise; the traces converge uniformly when the
-    excess is <= atol.
-    """
-    tail = values[:, -2 * grid.window :]
-    spreads = (tail.max(axis=1) - tail.min(axis=1)).tolist()
-    means = _tail_means(values, grid.window)
-    sup_trace = np.abs(values - np.array(means)[:, None]).max(axis=0)
-    sup_cls = classify_limit(sup_trace, grid.window, grid.atol)
-    excess = abs(sup_cls.limit) if sup_cls.kind == "converged" else math.inf
-    return spreads, means, sup_cls, excess
-
-
 def default_direction_grid() -> tuple[H1Point, ...]:
     """Compact direction set for the differentiability test: horizontal,
     vertical, and mixed points."""
@@ -526,39 +499,59 @@ def default_direction_grid() -> tuple[H1Point, ...]:
     return tuple(H1Point(*row) for row in data)
 
 
+def _direction_map(v: H1Point):
+    """The map x -> max(|v_h|, sqrt|vbar| * x) of R to the trace of v."""
+    horizontal, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
+    return lambda x: np.maximum(horizontal, root * x)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricDiffReport:
     """Outcome of the metric-differentiability test of the identity map.
 
-    values[NN] is the trace of directions[NN] on grid; to_csv writes values
-    as one table, its column vNN that trace.  Building one makes values
-    read-only (in place) and derives the rest from it, never passed in: each
-    row's classification by the grid's tail rule, and by _sup_deviation the
-    sup classification, the verdict, eta (the tail means, when
-    differentiable) and the witness (the direction of widest tail spread).
+    values[NN] is the trace of directions[NN] on grid, written by to_csv as
+    column vNN of one table, and response is R on grid.  Building one makes
+    both read-only (in place) and derives the rest from R, never passed in:
+    R's classification by the grid's tail rule and, through each direction's
+    map x -> max(|v_h|, sqrt|vbar| x), per_direction, the verdict (every
+    direction converges), eta (the mapped limits) and the witness (the first
+    direction of widest mapped band).
+
+    eta is a seminorm by theorem.  G(t) >= t^2 gives g(s) <= sqrt(s), so
+    0 <= R <= 1 and R's limit L lies in [0, 1]; eta(x) = max(|x_h|, L sqrt|xbar|)
+    is exactly homogeneous, eta(dilate(lam, x)) = lam eta(x), and subadditive:
+    with a = eta(v), b = eta(w), |vbar| <= a^2/L^2, |wbar| <= b^2/L^2 and the
+    area term |2(v1 w2 - v2 w1)| <= 2ab, so the vertical part of v * w is at
+    most (a^2 + b^2)/L^2 + 2ab in absolute value, and L sqrt|.| <=
+    sqrt(a^2 + b^2 + 2ab L^2) <= a + b, as is |v_h + w_h|.
     """
 
     base: H1Point
     directions: tuple[H1Point, ...]
     grid: EpsGrid
     values: np.ndarray  # (len(directions), grid.count)
-    seminorm_checks: list[PropertyCheck] = field(default_factory=list)
+    response: np.ndarray  # (grid.count,)
+    response_classification: Classification = field(init=False)
     per_direction: tuple[Classification, ...] = field(init=False)
-    sup_classification: Classification = field(init=False)
     differentiable: bool = field(init=False)
     eta: tuple[float, ...] | None = field(init=False)
     witness: H1Point | None = field(init=False)
 
     def __post_init__(self):
-        if self.values.shape != (len(self.directions), self.grid.count):
+        grid = self.grid
+        if self.values.shape != (len(self.directions), grid.count):
             raise ValueError(f"values must be (directions, count), got shape {self.values.shape}")
-        grid, values = self.grid, _read_only(self.values)
-        per_dir = tuple(classify_limit(row, grid.window, grid.atol) for row in values)
-        spreads, means, sup_cls, excess = _sup_deviation(values, grid)
-        ok = excess <= grid.atol and all(c.kind == "converged" for c in per_dir)
-        derived = {"per_direction": per_dir, "sup_classification": sup_cls, "differentiable": ok,
-                   "eta": tuple(means) if ok else None,
-                   "witness": None if ok else self.directions[int(np.argmax(spreads))]}
+        if self.response.shape != (grid.count,):
+            raise ValueError(f"response must be (count,), got shape {self.response.shape}")
+        _read_only(self.values)
+        r = classify_limit(_read_only(self.response), grid.window, grid.atol)
+        per_dir = tuple(_mapped(r, _direction_map(v)) for v in self.directions)
+        ok = all(c.kind == "converged" for c in per_dir)
+        widths = [0.0 if c.kind == "converged" else
+                  c.limsup - c.liminf if c.kind == "oscillating" else math.inf for c in per_dir]
+        derived = {"response_classification": r, "per_direction": per_dir, "differentiable": ok,
+                   "eta": tuple(c.limit for c in per_dir) if ok else None,
+                   "witness": None if ok else self.directions[int(np.argmax(widths))]}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -569,33 +562,13 @@ class MetricDiffReport:
             "directions": [list(v.as_tuple()) for v in self.directions],
             "eta": None if self.eta is None else list(self.eta),
             "witness": None if self.witness is None else list(self.witness.as_tuple()),
-            "sup_classification": self.sup_classification.to_dict(),
+            "response": self.response_classification.to_dict(),
             "per_direction": [c.to_dict() for c in self.per_direction],
-            "seminorm_checks": [c.to_dict() for c in self.seminorm_checks],
         }
 
     def to_csv(self) -> str:
         header = ",".join(("epsilon", *(f"v{i:02d}" for i in range(len(self.directions)))))
         return _csv(header, self.grid, self.values.T)
-
-
-def _rescaled_distances(gauge: Gauge, dirs: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """(1/eps) * gauge_norm(dilate(eps, v)) for each direction row v of dirs
-    (one output row) and each scale of eps (one column).
-
-    By left invariance this is (1/eps) * gauge_dist(b, b * dilate(eps, v))
-    at every base b.  It is evaluated as the exact increment: the product
-    b * dilate(eps, v) would round to b once eps * |v| is small next to |b|.
-    The direction-by-scale rows are evaluated SAMPLE_CHUNK at a time, so
-    memory stays flat however many directions and scales there are.
-    """
-    n = len(eps)
-    out = np.empty(len(dirs) * n)
-    for start in range(0, out.size, SAMPLE_CHUNK):
-        idx = np.arange(start, min(out.size, start + SAMPLE_CHUNK))
-        e = eps[idx % n]
-        out[idx] = gauge_norm_array(gauge, dilate_array(e, dirs[idx // n])) / e
-    return out.reshape(len(dirs), n)
 
 
 def metric_diff_probe(
@@ -605,46 +578,19 @@ def metric_diff_probe(
 ) -> MetricDiffReport:
     """Differentiability test: for each direction v of default_direction_grid
     trace the rescaled gauge distance (1/eps) * gauge_dist(base, base *
-    dilate(eps, v)).
+    dilate(eps, v)); the verdict is R's, mapped (MetricDiffReport).
 
-    Differentiable iff every direction's trace converges and the sup over
-    directions of deviations from the per-direction tail means converges.
-    The trace is independent of base by left invariance, so it is evaluated
-    as the exact increment (1/eps) * gauge_norm(dilate(eps, v)); base is
-    accepted and reported, never asserted against.  On success eta(v) is the
-    tail mean and the seminorm laws are verified on the direction set:
-    scaling equivariance eta(dilate(lam, v)) = lam * eta(v) and subadditivity
-    eta(v * w) <= eta(v) + eta(w), both within atol (scaled).  Each check
-    reports its first worst violation.
+    By left invariance the trace is the exact increment, evaluated with R in
+    one g_array call: max(hypot(eps v1, eps v2), g(|vbar| eps^2)) / eps.  The
+    product b * dilate(eps, v) would round to b once eps * |v| is small next
+    to |b|, so base is only reported, never asserted against.
     """
     require_verified(gauge)
     dirs = default_direction_grid()
     _scale_check(grid, max(abs(v.xbar) for v in dirs))
-
     eps = np.array(grid.values())
-    d = np.array([v.as_tuple() for v in dirs])
-    report = MetricDiffReport(base, dirs, grid, _rescaled_distances(gauge, d, eps))
-    if report.differentiable:
-        # eta of every dilated direction (SEMINORM_SCALES within each
-        # direction) and of every pairwise product (pairs i < j in row-major
-        # order); only their tail means are needed, so only the last window
-        # of scales is evaluated and no trace is built.
-        n_lam = len(SEMINORM_SCALES)
-        lams = np.tile(SEMINORM_SCALES, len(dirs))
-        left, right = np.triu_indices(len(dirs), 1)
-        extra = np.concatenate((dilate_array(lams, np.repeat(d, n_lam, axis=0)),
-                                mul_array(d[left], d[right])))
-        tail = _rescaled_distances(gauge, extra, eps[-grid.window :])
-        etas = np.array(_tail_means(tail, grid.window))
-        means = np.array(report.eta)
-        scaling = np.abs(scaled_excess(etas[: lams.size], lams * np.repeat(means, n_lam)))
-        subadd = scaled_excess(etas[lams.size :], means[left] + means[right])
-        report.seminorm_checks.extend((
-            worst_check("seminorm-scaling", scaling, grid.atol,
-                        lambda i: [SEMINORM_SCALES[i % n_lam], list(dirs[i // n_lam].as_tuple())]),
-            worst_check("seminorm-subadditivity", subadd, grid.atol,
-                        lambda j: [list(dirs[left[j]].as_tuple()),
-                                   list(dirs[right[j]].as_tuple())]),
-        ))
-    return report
-
+    e = np.tile(eps, len(dirs))  # row NN * count + j: direction NN at scale j
+    d = np.repeat(np.array([v.as_tuple() for v in dirs]), len(eps), axis=0)
+    gs, response = _response(gauge, eps, np.abs(d[:, 2]) * (e * e))
+    values = np.maximum(np.hypot(e * d[:, 0], e * d[:, 1]), gs) / e
+    return MetricDiffReport(base, dirs, grid, values.reshape(len(dirs), -1), response)

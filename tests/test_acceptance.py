@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from h1gauge.cli import main
+from h1gauge.dilatations import dilate_array
 from h1gauge.gauges import g_inverse_array, invert_g, linear_gauge, oscillatory_gauge
-from h1gauge.heisenberg import point, symplectic_area
+from h1gauge.heisenberg import mul_array, point, symplectic_area
 from h1gauge.limits import (
     EpsGrid,
     metric_diff_probe,
@@ -139,7 +140,22 @@ def test_acc5_linear_gauge_all_limits_converge():
     for v, ev in zip(md.directions, md.eta or ()):
         worst_eta = max(worst_eta, abs(ev - v.horizontal_norm()))
     ok_md &= worst_eta <= 1e-3
-    ok_semi = all(c.worst_violation <= 1e-3 for c in md.seminorm_checks)
+    # the seminorm laws from eta on the 39 dilated directions and the 78
+    # pairwise products: eta(x) = max(|x_h|, L sqrt|xbar|), L = eta(0, 0, 1)
+    d = np.array([v.as_tuple() for v in md.directions])
+    eta = np.array(md.eta or [np.nan] * len(d))
+    L = eta[md.directions.index(point(0, 0, 1))]
+
+    def eta_of(x):
+        return np.maximum(np.hypot(x[:, 0], x[:, 1]), L * np.sqrt(np.abs(x[:, 2])))
+
+    lams = np.tile([0.5, 0.25, 2.0], len(d))
+    dilated = dilate_array(lams, np.repeat(d, 3, axis=0))
+    scaling = np.abs(eta_of(dilated) - lams * np.repeat(eta, 3))
+    left, right = np.triu_indices(len(d), 1)
+    subadd = eta_of(mul_array(d[left], d[right])) - (eta[left] + eta[right])
+    assert (scaling.size, subadd.size) == (39, 78)
+    ok_semi = bool(scaling.max() <= 1e-3 and subadd.max() <= 1e-3)
 
     criterion(
         5,

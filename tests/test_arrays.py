@@ -13,7 +13,6 @@ linear closed form, and the lockstep bisection for a raw callable.
 
 import math
 import random
-from statistics import fmean
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ from h1gauge.heisenberg import (
     point_scale_array,
 )
 from h1gauge.limits import (
-    DEFAULT_ATOL,
+    Classification,
     EpsGrid,
     classify_limit,
     classify_point_trace,
@@ -482,44 +481,29 @@ PROBE_SITES = {
 
 
 def _scalar_metric_diff(gauge, grid):
-    """metric_diff_probe's verdicts computed point by point through H1Point,
-    from the exact increment gauge_norm(dilate(e, v)) / e: by left invariance
-    the rescaled distance from every base."""
+    """metric_diff_probe's traces and verdicts computed point by point
+    through H1Point.  The traces are the exact increment gauge_norm(dilate(e,
+    v)) / e: by left invariance the rescaled distance from every base.  The
+    verdicts map R(e) = g(e^2)/e, classified by the grid's tail rule, to each
+    direction by x -> max(|v_h|, sqrt|vbar| x): a band the map collapses
+    converges, and the witness is the first direction of widest band."""
     eps, window, atol = grid.values(), grid.window, grid.atol
-
-    def trace(v):
-        return [ref.gauge_norm(gauge, ref.dilate(e, v)) / e for e in eps]
-
-    def eta_of(v):
-        return fmean(trace(v)[-window:])
-
     dirs = default_direction_grid()
-    traces = [trace(v) for v in dirs]
-    kinds = [classify_limit(t, window, atol).kind for t in traces]
-    means = [fmean(t[-window:]) for t in traces]
-    spreads = [max(t[-2 * window:]) - min(t[-2 * window:]) for t in traces]
-    sup = classify_limit(
-        [max(abs(t[j] - m) for t, m in zip(traces, means)) for j in range(len(eps))],
-        window, atol,
-    )
-    out = {"kinds": kinds, "sup": sup.kind, "traces": traces}
-    if not (set(kinds) == {"converged"} and sup.kind == "converged" and abs(sup.limit) <= atol):
-        out.update(eta=None, witness=dirs[spreads.index(max(spreads))], checks=[])
-        return out
-    def excess(got, bound):
-        return (got - bound) / ref.violation_scale(got, bound)
+    traces = [[ref.gauge_norm(gauge, ref.dilate(e, v)) / e for e in eps] for v in dirs]
+    r = classify_limit([ref.vertical_response(gauge, e, 1.0) for e in eps], window, atol)
 
-    scaling = max(
-        abs(excess(eta_of(ref.dilate(lam, v)), lam * ev))
-        for v, ev in zip(dirs, means) for lam in (0.5, 0.25, 2.0)
-    )
-    sub = max(
-        excess(eta_of(ref.mul(dirs[i], dirs[j])), means[i] + means[j])
-        for i in range(len(dirs)) for j in range(i + 1, len(dirs))
-    )
-    out.update(eta=means, witness=None, checks=[("seminorm-scaling", scaling),
-                                                ("seminorm-subadditivity", sub)])
-    return out
+    def mapped(v, x):
+        return max(math.hypot(v.x1, v.x2), math.sqrt(abs(v.xbar)) * x)
+
+    assert r.kind != "diverging"  # 0 <= R <= 1
+    bands = [(mapped(v, r.limit),) * 2 if r.kind == "converged"
+             else (mapped(v, r.liminf), mapped(v, r.limsup)) for v in dirs]
+    kinds = ["converged" if lo == hi else "oscillating" for lo, hi in bands]
+    widths = [hi - lo for lo, hi in bands]
+    ok = set(kinds) == {"converged"}
+    return {"traces": traces, "response": r.kind, "kinds": kinds, "bands": bands,
+            "eta": [lo for lo, _ in bands] if ok else None,
+            "witness": None if ok else dirs[widths.index(max(widths))]}
 
 
 @pytest.mark.parametrize("count", [24, 58, 160])
@@ -550,17 +534,43 @@ def test_probes_match_scalar_formulas(gauge, site, count):
     rep = metric_diff_probe(gauge, base, grid)
     want = _scalar_metric_diff(gauge, grid)
     _assert_close(rep.values, want["traces"])
+    assert rep.response_classification.kind == want["response"]
     assert [c.kind for c in rep.per_direction] == want["kinds"]
-    assert rep.sup_classification.kind == want["sup"]
+    for c, band in zip(rep.per_direction, want["bands"]):
+        _assert_close((c.limit,) * 2 if c.kind == "converged" else (c.liminf, c.limsup), band)
     assert rep.witness == want["witness"]
-    assert [(c.name, c.passed) for c in rep.seminorm_checks] == [
-        (name, worst <= DEFAULT_ATOL) for name, worst in want["checks"]]
-    for c, (_, worst) in zip(rep.seminorm_checks, want["checks"]):
-        assert abs(c.worst_violation - worst) <= 1e-12, c.name
     if want["eta"] is None:
         assert rep.eta is None
     else:
-        assert np.allclose(rep.eta, want["eta"], rtol=0.0, atol=1e-12)
+        _assert_close(rep.eta, want["eta"])
+
+
+MD_GAUGES = [LIN, OSC, piecewise_gauge([1, 2, 4], [1, 3, 9]), SQUARE]
+
+
+@pytest.mark.parametrize("gauge", MD_GAUGES, ids=_gauge_id)
+@settings(max_examples=40, deadline=None)
+@given(eps0=st.floats(0.5, 1.0, exclude_max=True), ratio=st.floats(0.3, 0.9),
+       count=st.integers(24, 160))
+def test_metric_diff_is_r_mapped_on_every_grid(gauge, eps0, ratio, count):
+    # the traces are the scalar formulas' on any grid, and the report is R's
+    # classification mapped to each direction by x -> max(|v_h|, sqrt|vbar| x)
+    grid = EpsGrid(eps0, ratio, count)
+    rep = metric_diff_probe(gauge, grid=grid)
+    _assert_close(rep.values, _scalar_metric_diff(gauge, grid)["traces"])
+    _assert_close(rep.response, [ref.vertical_response(gauge, e, 1.0) for e in grid.values()])
+    r = rep.response_classification
+    assert r == classify_limit(rep.response, grid.window, grid.atol)
+    assert rep.differentiable == (r.kind == "converged")
+    for v, c in zip(rep.directions, rep.per_direction):
+        h, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
+        if r.kind == "converged":
+            assert c == Classification("converged", limit=max(h, root * r.limit))
+        else:
+            lo, hi = max(h, root * r.liminf), max(h, root * r.limsup)
+            assert c == (Classification("converged", limit=lo) if lo == hi
+                         else Classification("oscillating", liminf=lo, limsup=hi))
+    assert rep.eta == (tuple(c.limit for c in rep.per_direction) if rep.differentiable else None)
 
 
 # --- stacked samplers and probe sites against their unstacked compositions ----------

@@ -20,7 +20,7 @@ from h1gauge.gauges import invert_g, linear_gauge, load_gauge, oscillatory_gauge
 from h1gauge.heisenberg import identity, point
 from h1gauge.limits import ConvergenceTrace, EpsGrid, MetricDiffReport, metric_diff_probe
 from h1gauge.metrics import SampleBox, sample_battery
-from h1gauge.report import PropertyCheck, VerificationReport
+from h1gauge.report import VerificationReport
 
 
 def run(capsys, *argv):
@@ -1005,25 +1005,28 @@ FLAT_STEP = '{"type":"piecewise","breakpoints":[1],"values":[1e-320]}'
     (["verify", "--samples", "50"], 0, []),
     (["verify", "--gauge", '{"type": "oscillatory"}', "--samples", "50"], 0, []),
     (["gauge-check", "--gauge", '{"type": "oscillatory"}'], 0, []),
-    (["probe", "metric-diff"], 0, []),  # linear: differentiable, so the seminorm checks run
     (["verify", "--gauge", FLAT_STEP], 1, ["gauge/strict-increase", "samplers-skipped"]),
     (["gauge-check", "--gauge", FLAT_STEP], 1, ["strict-increase"]),
-], ids=["verify-linear", "verify-osc", "gauge-check-osc", "metric-diff", "verify-flat",
-        "gauge-check-flat"])
+], ids=["verify-linear", "verify-osc", "gauge-check-osc", "verify-flat", "gauge-check-flat"])
 def test_every_check_passes_exactly_within_its_tolerance(capsys, argv, code, failing):
     got, stdout, err = run(capsys, *argv, "--format", "structured")
     report = json.loads(stdout)
-    checks = report["checks"] if "checks" in report else report["seminorm_checks"]
+    checks = report["checks"]
     assert (got, err) == (code, "") and checks
     for c in checks:
         assert c["passed"] == (c["worst_violation"] <= c["tolerance"]), c
     assert [c["name"] for c in checks if not c["passed"]] == failing
 
 
-def test_metric_diff_table_prints_the_report_check_lines(capsys):
-    _, table, _ = run(capsys, "probe", "metric-diff")
-    _, stdout, _ = run(capsys, "probe", "metric-diff", "--format", "structured")
-    lines = [PropertyCheck(**{k: v for k, v in c.items() if k != "passed"}).line()
-             for c in json.loads(stdout)["seminorm_checks"]]
-    assert len(lines) == 2 and table.endswith("\n".join(lines) + "\n")
-    assert " tol=0.0001" in lines[0]
+@pytest.mark.parametrize("spec", [None, '{"type": "oscillatory"}'], ids=["linear", "oscillatory"])
+def test_metric_diff_report_is_r_mapped_and_holds_no_checks(capsys, spec):
+    # every verdict is R's: the report names R's classification under
+    # "response", as every probe summary does, and runs no check
+    gauge = [] if spec is None else ["--gauge", spec]
+    _, table, _ = run(capsys, "probe", "metric-diff", *gauge)
+    _, stdout, _ = run(capsys, "probe", "metric-diff", *gauge, "--format", "structured")
+    report = json.loads(stdout)
+    assert list(report) == ["command", "gauge", "probe", "base", "differentiable", "directions",
+                            "eta", "witness", "response", "per_direction"]
+    assert report["differentiable"] == (report["response"]["kind"] == "converged")
+    assert not any(line.startswith(("PASS", "FAIL")) for line in table.splitlines())
