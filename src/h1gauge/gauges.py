@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -118,11 +119,13 @@ class PiecewiseLinearGauge:
             raise GaugeConstructionError(
                 "need equally many breakpoints and values, at least one of each"
             )
-        if any(not (math.isfinite(b) and b > 0.0) for b in bp) or any(
-            not (math.isfinite(v) and v > 0.0) for v in vv
-        ):
+        # Each check is one pass over a whole tuple in C (map over math and
+        # operator functions; NaN fails isfinite before min reads it), and
+        # each table column one array operation.
+        if not (all(map(math.isfinite, bp)) and min(bp) > 0.0
+                and all(map(math.isfinite, vv)) and min(vv) > 0.0):
             raise GaugeConstructionError("breakpoints and values must be finite and positive")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if not all(map(operator.lt, bp, bp[1:])):
             raise GaugeConstructionError("breakpoints must be strictly ascending")
         if q is not None and not (0.0 < q < 1.0 and bp[0] <= bp[-1] * q * q):
             raise GaugeConstructionError(f"period {q!r} must lie in (0, 1) and span two periods")
@@ -130,30 +133,20 @@ class PiecewiseLinearGauge:
         # finite, which the quotient of two finite floats need not be (it can
         # underflow to 0 or overflow to inf), and nondecreasing (convexity).
         knots, kvals = (0.0, *bp), (0.0, *vv)
-        slopes = tuple(
-            (kvals[i + 1] - kvals[i]) / (knots[i + 1] - knots[i]) for i in range(len(bp))
-        )
-        for i, m in enumerate(slopes):
-            if not 0.0 < m < math.inf:
-                raise GaugeConstructionError(
-                    f"secant slopes must be positive and finite: segment {i} has slope {m!r}"
-                )
-            if i and m < slopes[i - 1]:
-                raise GaugeConstructionError(
-                    f"secant slopes must be nondecreasing: segment {i - 1} has slope "
-                    f"{slopes[i - 1]!r}, segment {i} has slope {m!r}"
-                )
-        table_slopes = (*slopes, slopes[-1])
-        gvals = tuple(v + b * b for b, v in zip(knots, kvals))
-        halfb = tuple(0.5 * m + b for b, m in zip(knots, table_slopes))
-        upper = (*knots[1:], math.inf)
-        object.__setattr__(self, "_arrays", tuple(
-            np.array(col) for col in (knots, kvals, gvals, table_slopes, halfb, upper)
-        ))
+        slopes = tuple(map(operator.truediv, map(operator.sub, vv, kvals),
+                           map(operator.sub, bp, knots)))
+        if not (0.0 < min(slopes) and max(slopes) < math.inf
+                and all(map(operator.le, slopes, slopes[1:]))):
+            _raise_first_bad_slope(slopes)
+        knots, kvals, slopes = np.array(knots), np.array(kvals), np.array((*slopes, slopes[-1]))
+        with np.errstate(over="ignore"):  # G, or m/2 + b, may overflow to inf as in Python
+            gvals, halfb = kvals + knots * knots, 0.5 * slopes + knots
+        object.__setattr__(self, "_arrays", (knots, kvals, gvals, slopes, halfb,
+                                             np.concatenate((knots[1:], (math.inf,)))))
         if q is not None:  # only the scaling law reads the table's bottom
             object.__setattr__(self, "_bottoms", tuple(  # (first, table(first)) for k and g
                 (first, table(np.array([first])))
-                for table, first in ((self._k_table, bp[0]), (self._g_table, gvals[1]))
+                for table, first in ((self._k_table, bp[0]), (self._g_table, gvals[1].item()))
             ))
 
     def __call__(self, t: float) -> float:
@@ -213,6 +206,21 @@ class PiecewiseLinearGauge:
         return out
 
 
+def _raise_first_bad_slope(slopes: tuple[float, ...]) -> None:
+    """Name the first secant slope that is not positive and finite, or that
+    falls below the one before it."""
+    for i, m in enumerate(slopes):
+        if not 0.0 < m < math.inf:
+            raise GaugeConstructionError(
+                f"secant slopes must be positive and finite: segment {i} has slope {m!r}"
+            )
+        if i and m < slopes[i - 1]:
+            raise GaugeConstructionError(
+                f"secant slopes must be nondecreasing: segment {i - 1} has slope "
+                f"{slopes[i - 1]!r}, segment {i} has slope {m!r}"
+            )
+
+
 def _linear_k(t):
     return t
 
@@ -232,9 +240,7 @@ def linear_gauge() -> Gauge:
 
 def piecewise_gauge(breakpoints, values, label: str = "piecewise") -> Gauge:
     """Gauge from slope-verified piecewise-linear data (ascending order)."""
-    pwl = PiecewiseLinearGauge(
-        tuple(float(b) for b in breakpoints), tuple(float(v) for v in values)
-    )
+    pwl = PiecewiseLinearGauge(tuple(map(float, breakpoints)), tuple(map(float, values)))
     spec = {"type": "piecewise", "breakpoints": list(pwl.breakpoints), "values": list(pwl.values)}
     return Gauge(k=pwl, label=label, g_closed=pwl.g_array, verified=True, spec=spec)
 
@@ -515,7 +521,7 @@ def gauge_from_spec(spec: dict) -> Gauge:
                 raise ValueError(f"piecewise gauge spec needs {key!r}")
             if not isinstance(spec[key], list):
                 raise ValueError(f"{key!r} must be an array of numbers, got {spec[key]!r}")
-            data[key] = [_spec_float(key, x) for x in spec[key]]
+            data[key] = _spec_floats(key, spec[key])
         return piecewise_gauge(data["breakpoints"], data["values"])
     levels = spec.get("levels", 8)
     if isinstance(levels, bool) or not isinstance(levels, int) or levels < 4:
@@ -534,6 +540,18 @@ def _spec_float(key: str, x) -> float:
         return float(x)
     except OverflowError:
         raise ValueError(f"{key!r} holds an integer beyond binary64 range") from None
+
+
+def _spec_floats(key: str, xs: list) -> list[float]:
+    """_spec_float of every element of a spec array.  An array of plain ints
+    and floats within binary64 range converts in one pass; any other falls
+    back to the element loop, which names the first offender."""
+    if set(map(type, xs)) <= {int, float}:  # a bool's type is bool
+        try:
+            return list(map(float, xs))
+        except OverflowError:
+            pass
+    return [_spec_float(key, x) for x in xs]
 
 
 def gauge_to_spec(gauge: Gauge) -> dict:

@@ -31,8 +31,11 @@ The probes: the scalar vertical response, the rescaled product of two points,
 derivability of the identity map between the intrinsic and gauge dilatation
 structures, and the metric-differentiability test of the identity map at a
 base point.  Each evaluates its whole eps-grid at once on the (n, 3) array
-kernels, one grid point per row; metric_diff_probe evaluates all its
-directions and R in one g_array call, a row per direction.
+kernels, one grid point per row; metric_diff_probe makes one g_array call, a
+row per distinct |vbar| of its directions (0, 1/2, 1 and 2), whose |vbar| = 1
+row is R, and its report maps R to every direction in one array pass
+(_direction_verdict).  The counterexample's metric-diff stage applies that
+map to the a trace's R at ubar = 1, the same R on the same grid.
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's array as one table, a column per direction.
@@ -478,31 +481,58 @@ def id_derivability_probe(
                             *((response, _vertical_map(gauge, u.xbar)) if u.xbar else ()))
 
 
+# The directions of the differentiability test, built once: horizontal,
+# vertical and mixed points.
+_DIRECTIONS = tuple(H1Point(*row) for row in (
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (-1.0, 0.0, 0.0),
+    (0.5, -0.5, 0.0),
+    (0.0, 0.0, 1.0),
+    (0.0, 0.0, -1.0),
+    (0.0, 0.0, 2.0),
+    (0.0, 0.0, -0.5),
+    (1.0, 0.0, 1.0),
+    (0.0, 1.0, -1.0),
+    (0.25, 0.25, 2.0),
+    (-0.5, 0.5, 1.0),
+    (2.0, 0.0, 0.5),
+))
+_DIRECTION_ROWS = _read_only(np.array([v.as_tuple() for v in _DIRECTIONS]))
+# The distinct |vbar| of the directions and 1 (R's), ascending, and the index
+# among them of each direction's |vbar|, then of R's: g is needed only there.
+_MAGNITUDES, _MAGNITUDE_OF = map(_read_only, np.unique(
+    np.append(np.abs(_DIRECTION_ROWS[:, 2]), 1.0), return_inverse=True))
+
+
 def default_direction_grid() -> tuple[H1Point, ...]:
     """Compact direction set for the differentiability test: horizontal,
-    vertical, and mixed points."""
-    data = [
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (-1.0, 0.0, 0.0),
-        (0.5, -0.5, 0.0),
-        (0.0, 0.0, 1.0),
-        (0.0, 0.0, -1.0),
-        (0.0, 0.0, 2.0),
-        (0.0, 0.0, -0.5),
-        (1.0, 0.0, 1.0),
-        (0.0, 1.0, -1.0),
-        (0.25, 0.25, 2.0),
-        (-0.5, 0.5, 1.0),
-        (2.0, 0.0, 0.5),
-    ]
-    return tuple(H1Point(*row) for row in data)
+    vertical, and mixed points (one tuple, built at import)."""
+    return _DIRECTIONS
 
 
-def _direction_map(v: H1Point):
-    """The map x -> max(|v_h|, sqrt|vbar| * x) of R to the trace of v."""
-    horizontal, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
-    return lambda x: np.maximum(horizontal, root * x)
+def _direction_verdict(r: Classification, directions: tuple[H1Point, ...]):
+    """R's classification r carried to every direction v by the map x ->
+    max(|v_h|, sqrt|vbar| x), in one array pass: (per_direction, the verdict
+    that every direction converges, eta (the mapped limits, None unless the
+    verdict holds), the witness (the first direction of widest mapped band,
+    None if it holds)).  Each entry of per_direction is _mapped(r, v's map),
+    bit for bit: r's kind, its limit or band mapped, and a band that the map
+    collapses to one value converges there."""
+    if r.kind == "diverging":
+        per_dir, widths = (r,) * len(directions), [math.inf] * len(directions)
+    else:
+        d = np.array([v.as_tuple() for v in directions]).reshape(-1, 3)
+        h, root = np.hypot(d[:, 0], d[:, 1]), np.sqrt(np.abs(d[:, 2]))
+        ends = (r.limit,) * 2 if r.kind == "converged" else (r.liminf, r.limsup)
+        lo, hi = (np.maximum(h, root * x) for x in ends)
+        per_dir = tuple(Classification("converged", limit=a) if a == b else
+                        Classification("oscillating", liminf=a, limsup=b)
+                        for a, b in zip(lo.tolist(), hi.tolist()))
+        widths = hi - lo
+    ok = all(c.kind == "converged" for c in per_dir)
+    return (per_dir, ok, tuple(c.limit for c in per_dir) if ok else None,
+            None if ok else directions[int(np.argmax(widths))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -513,9 +543,9 @@ class MetricDiffReport:
     column vNN of one table, and response is R on grid.  Building one makes
     both read-only (in place) and derives the rest from R, never passed in:
     R's classification by the grid's tail rule and, through each direction's
-    map x -> max(|v_h|, sqrt|vbar| x), per_direction, the verdict (every
-    direction converges), eta (the mapped limits) and the witness (the first
-    direction of widest mapped band).
+    map x -> max(|v_h|, sqrt|vbar| x) (_direction_verdict), per_direction,
+    the verdict (every direction converges), eta (the mapped limits) and the
+    witness (the first direction of widest mapped band).
 
     eta is a seminorm by theorem.  G(t) >= t^2 gives g(s) <= sqrt(s), so
     0 <= R <= 1 and R's limit L lies in [0, 1]; eta(x) = max(|x_h|, L sqrt|xbar|)
@@ -545,14 +575,9 @@ class MetricDiffReport:
             raise ValueError(f"response must be (count,), got shape {self.response.shape}")
         _read_only(self.values)
         r = classify_limit(_read_only(self.response), grid.window, grid.atol)
-        per_dir = tuple(_mapped(r, _direction_map(v)) for v in self.directions)
-        ok = all(c.kind == "converged" for c in per_dir)
-        widths = [0.0 if c.kind == "converged" else
-                  c.limsup - c.liminf if c.kind == "oscillating" else math.inf for c in per_dir]
-        derived = {"response_classification": r, "per_direction": per_dir, "differentiable": ok,
-                   "eta": tuple(c.limit for c in per_dir) if ok else None,
-                   "witness": None if ok else self.directions[int(np.argmax(widths))]}
-        for name, value in derived.items():
+        derived = zip(("response_classification", "per_direction", "differentiable", "eta",
+                       "witness"), (r, *_direction_verdict(r, self.directions)))
+        for name, value in derived:
             object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
@@ -580,17 +605,16 @@ def metric_diff_probe(
     trace the rescaled gauge distance (1/eps) * gauge_dist(base, base *
     dilate(eps, v)); the verdict is R's, mapped (MetricDiffReport).
 
-    By left invariance the trace is the exact increment, evaluated with R in
-    one g_array call: max(hypot(eps v1, eps v2), g(|vbar| eps^2)) / eps.  The
-    product b * dilate(eps, v) would round to b once eps * |v| is small next
-    to |b|, so base is only reported, never asserted against.
+    By left invariance the trace is the exact increment max(hypot(eps v1,
+    eps v2), g(|vbar| eps^2)) / eps.  g is evaluated in one g_array call on a
+    row per distinct |vbar| (4 * count arguments); the |vbar| = 1 row over
+    eps is R.  The product b * dilate(eps, v) would round to b once eps * |v|
+    is small next to |b|, so base is only reported, never asserted against.
     """
     require_verified(gauge)
-    dirs = default_direction_grid()
-    _scale_check(grid, max(abs(v.xbar) for v in dirs))
+    _scale_check(grid, _MAGNITUDES[-1].item())
     eps = np.array(grid.values())
-    e = np.tile(eps, len(dirs))  # row NN * count + j: direction NN at scale j
-    d = np.repeat(np.array([v.as_tuple() for v in dirs]), len(eps), axis=0)
-    gs, response = _response(gauge, eps, np.abs(d[:, 2]) * (e * e))
-    values = np.maximum(np.hypot(e * d[:, 0], e * d[:, 1]), gs) / e
-    return MetricDiffReport(base, dirs, grid, values.reshape(len(dirs), -1), response)
+    gs = g_array(gauge, (_MAGNITUDES[:, None] * (eps * eps)).ravel()).reshape(-1, len(eps))
+    d = _DIRECTION_ROWS
+    values = np.maximum(np.hypot(eps * d[:, :1], eps * d[:, 1:2]), gs[_MAGNITUDE_OF[:-1]]) / eps
+    return MetricDiffReport(base, _DIRECTIONS, grid, values, gs[_MAGNITUDE_OF[-1]] / eps)

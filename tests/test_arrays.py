@@ -11,6 +11,9 @@ array paths: the segment table (oscillatory and random piecewise gauges), the
 linear closed form, and the lockstep bisection for a raw callable.
 """
 
+import contextlib
+import io
+import json
 import math
 import random
 
@@ -20,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import h1gauge
 import h1gauge.metrics as metrics
+from h1gauge import cli
 import reference as ref
 from h1gauge.dilatations import (
     _rescaled_product,
@@ -49,6 +53,7 @@ from h1gauge.gauges import (
 from h1gauge.heisenberg import (
     H1Point,
     _rows,
+    identity,
     inv_array,
     mul,
     mul_array,
@@ -546,17 +551,35 @@ def test_probes_match_scalar_formulas(gauge, site, count):
 
 
 MD_GAUGES = [LIN, OSC, piecewise_gauge([1, 2, 4], [1, 3, 9]), SQUARE]
+MD_GRIDS = dict(eps0=st.floats(0.5, 1.0, exclude_max=True), ratio=st.floats(0.3, 0.9),
+                count=st.integers(24, 160))
+
+
+def _metric_diff_by_direction(gauge, grid):
+    """metric_diff_probe's values and R from one g_array call on a row per
+    direction and scale, followed by R's scales: the same arithmetic on the
+    same operands as its call on the distinct |vbar| alone."""
+    dirs = default_direction_grid()
+    eps = np.array(grid.values())
+    e = np.tile(eps, len(dirs))  # row NN * count + j: direction NN at scale j
+    d = np.repeat(np.array([v.as_tuple() for v in dirs]), len(eps), axis=0)
+    gs = g_array(gauge, np.concatenate((np.abs(d[:, 2]) * (e * e), eps * eps)))
+    values = np.maximum(np.hypot(e * d[:, 0], e * d[:, 1]), gs[: e.size]) / e
+    return values.reshape(len(dirs), -1), gs[e.size :] / eps
 
 
 @pytest.mark.parametrize("gauge", MD_GAUGES, ids=_gauge_id)
 @settings(max_examples=40, deadline=None)
-@given(eps0=st.floats(0.5, 1.0, exclude_max=True), ratio=st.floats(0.3, 0.9),
-       count=st.integers(24, 160))
+@given(**MD_GRIDS)
 def test_metric_diff_is_r_mapped_on_every_grid(gauge, eps0, ratio, count):
-    # the traces are the scalar formulas' on any grid, and the report is R's
-    # classification mapped to each direction by x -> max(|v_h|, sqrt|vbar| x)
+    # the traces are the scalar formulas' on any grid, and the bits of one g
+    # evaluation per direction and scale; the report is R's classification
+    # mapped to each direction by x -> max(|v_h|, sqrt|vbar| x)
     grid = EpsGrid(eps0, ratio, count)
     rep = metric_diff_probe(gauge, grid=grid)
+    values, response = _metric_diff_by_direction(gauge, grid)
+    assert rep.values.tobytes() == values.tobytes()
+    assert rep.response.tobytes() == response.tobytes()
     _assert_close(rep.values, _scalar_metric_diff(gauge, grid)["traces"])
     _assert_close(rep.response, [ref.vertical_response(gauge, e, 1.0) for e in grid.values()])
     r = rep.response_classification
@@ -571,6 +594,49 @@ def test_metric_diff_is_r_mapped_on_every_grid(gauge, eps0, ratio, count):
             assert c == (Classification("converged", limit=lo) if lo == hi
                          else Classification("oscillating", liminf=lo, limsup=hi))
     assert rep.eta == (tuple(c.limit for c in rep.per_direction) if rep.differentiable else None)
+
+
+@pytest.mark.parametrize("count", [24, 160])
+def test_metric_diff_probe_evaluates_g_once_on_its_distinct_magnitudes(count):
+    # one g call, on |vbar| eps^2 for |vbar| in (0, 1/2, 1, 2): R is the
+    # |vbar| = 1 row, so 4 * count arguments, not one row per direction
+    calls = []
+
+    def g(s):
+        calls.append(s.copy())
+        return s / (0.5 + np.sqrt(0.25 + s))  # the linear gauge's closed form
+
+    gauge = verified_gauge(lambda t: t, label="recorded", g_closed=g)
+    grid = EpsGrid(count=count)
+    calls.clear()
+    rep = metric_diff_probe(gauge, grid=grid)
+    eps = np.array(grid.values())
+    assert [s.size for s in calls] == [4 * count]
+    assert calls[0].tobytes() == np.concatenate([m * (eps * eps)
+                                                 for m in (0.0, 0.5, 1.0, 2.0)]).tobytes()
+    lin = metric_diff_probe(LIN, grid=grid)
+    assert rep.values.tobytes() == lin.values.tobytes()
+    assert rep.response.tobytes() == lin.response.tobytes()
+
+
+@pytest.mark.parametrize("gauge", MD_GAUGES, ids=_gauge_id)
+@settings(max_examples=40, deadline=None)
+@given(**MD_GRIDS)
+def test_counterexample_metric_diff_stage_is_the_probe_s(gauge, eps0, ratio, count):
+    # the stage maps the a stage's R, and reads what metric_diff_probe at the
+    # identity reports: its verdict and witness
+    grid = EpsGrid(eps0, ratio, count)
+    md = metric_diff_probe(gauge, identity(), grid)
+    config = cli.RunConfig(gauge_source="gauge", grid=grid, samples=1, fmt="structured")
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "load_gauge", lambda source: gauge)
+        mp.setattr(cli, "metric_diff_probe", None)  # the stage must not call it
+        cli.cmd_counterexample(config)
+    stage = {st["stage"]: st for st in json.loads(out.getvalue())["stages"]}["metric-diff"]
+    assert stage["ok"] is (not md.differentiable)
+    assert stage["observed"] == ("differentiable" if md.differentiable
+                                 else f"witness {md.witness.as_tuple()!r}")
 
 
 # --- stacked samplers and probe sites against their unstacked compositions ----------

@@ -116,6 +116,24 @@ def test_probe_metric_diff_writes_direction_traces(capsys, tmp_path):
     assert len(header) == len(payload["directions"]) + 1
 
 
+@pytest.mark.parametrize("kind", sorted(cli.PROBES))
+def test_probe_calls_the_function_bound_on_cli_when_it_runs(capsys, monkeypatch, kind):
+    # cmd_probe looks its function up by name at call time, so a binding
+    # replaced on cli (a wrapper, a tracer) sees every probe task
+    name, point_flags = cli.PROBES[kind]
+    probe, seen = getattr(cli, name), []
+
+    def recorded(*args):
+        seen.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(cli, name, recorded)
+    code, stdout, _ = run(capsys, "probe", kind, "--format", "structured")
+    assert code == 0 and json.loads(stdout)["command"] == "probe"
+    assert len(seen) == 1 and len(seen[0]) == 2 + len(point_flags)
+    assert seen[0][-1] == EpsGrid()
+
+
 @pytest.mark.parametrize("count", [24, 160])
 @pytest.mark.parametrize("base", [None, "0.3,-0.2,0.5"], ids=["identity", "base"])
 @pytest.mark.parametrize("spec", [None, '{"type": "oscillatory"}'], ids=["linear", "oscillatory"])
@@ -680,7 +698,8 @@ def test_counterexample_rejects_a_bad_grid_before_the_battery(capsys, monkeypatc
 
 
 def test_counterexample_computes_each_trace_once(capsys, monkeypatch):
-    # the a and beta stages' traces are two of the equivalence pairs' six
+    # the a and beta stages' traces are two of the equivalence pairs' six,
+    # and the metric-diff stage maps the a stage's R: no metric_diff_probe
     calls = {"vertical_limit_probe": [], "rescaled_product_probe": [], "metric_diff_probe": []}
 
     def counted(probe, seen):
@@ -694,7 +713,7 @@ def test_counterexample_computes_each_trace_once(capsys, monkeypatch):
     code, stdout, _ = run(capsys, "counterexample", "--samples", "5")
     assert code == 0 and stdout.endswith("pattern reproduced\n")
     assert {name: len(seen) for name, seen in calls.items()} == {
-        "vertical_limit_probe": 3, "rescaled_product_probe": 3, "metric_diff_probe": 1}
+        "vertical_limit_probe": 3, "rescaled_product_probe": 3, "metric_diff_probe": 0}
     # the equivalence stage reads the a-probe at ubar = 2 * area: 2, 4 and 1
     assert [args[1] for args in calls["vertical_limit_probe"]] == [1.0, 2.0, 4.0]
 

@@ -581,3 +581,88 @@ def test_numpy_valued_raw_gauge_reports_plain_numbers():
     assert all(type(c.passed) is bool for c in report.checks)
     assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
     assert "  PASS  origin: worst=0.0 tol=1e-12\n" in report.to_text()
+
+
+# --- long specs: whole-list validation, element loops only for messages ------------
+
+def _long_spec(n=1000):
+    """k interpolating t^2 at t = 1..n: secant slope 2i + 1 on segment i."""
+    return {"type": "piecewise", "breakpoints": [float(i) for i in range(1, n + 1)],
+            "values": [float(i * i) for i in range(1, n + 1)]}
+
+
+def _seeded_spec(seed, n=1000):
+    """A convex spec of n breakpoints: random gaps and nondecreasing slopes."""
+    rng = random.Random(seed)
+    bp, vv, b, v, m = [], [], 0.0, 0.0, rng.uniform(1e-3, 1.0)
+    for _ in range(n):
+        gap = rng.uniform(1e-3, 1.0)
+        b, v, m = b + gap, v + m * gap, m + rng.uniform(0.0, 0.5)
+        bp.append(b)
+        vv.append(v)
+    return {"type": "piecewise", "breakpoints": bp, "values": vv}
+
+
+# the messages the element-by-element checks gave, word for word
+@pytest.mark.parametrize("key, offender, error, message", [
+    ("breakpoints", True, ValueError, "'breakpoints' must hold numbers, got True"),
+    ("breakpoints", "701", ValueError, "'breakpoints' must hold numbers, got '701'"),
+    ("breakpoints", 10**400, ValueError, "'breakpoints' holds an integer beyond binary64 range"),
+    ("breakpoints", math.nan, GaugeConstructionError,
+     "breakpoints and values must be finite and positive"),
+    ("breakpoints", 700.0, GaugeConstructionError, "breakpoints must be strictly ascending"),
+    ("values", 490000.0, GaugeConstructionError,
+     "secant slopes must be positive and finite: segment 700 has slope 0.0"),
+    ("values", 490001.0, GaugeConstructionError,
+     "secant slopes must be nondecreasing: segment 699 has slope 1399.0, "
+     "segment 700 has slope 1.0"),
+], ids=["bool", "string", "huge-int", "nan", "non-ascending", "zero-slope", "decreasing-slope"])
+def test_long_spec_names_its_offender_as_the_element_loop_did(key, offender, error, message):
+    spec = _long_spec()
+    spec[key][700] = offender
+    for build in (gauge_from_spec, lambda s: load_gauge(json.dumps(s))):
+        with pytest.raises(error) as info:
+            build(spec)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def _arrays_by_element(bp, vv):
+    """PiecewiseLinearGauge's segment table built element by element, as
+    Python floats: the reference for its whole-array passes."""
+    knots, kvals = (0.0, *bp), (0.0, *vv)
+    slopes = tuple((kvals[i + 1] - kvals[i]) / (knots[i + 1] - knots[i]) for i in range(len(bp)))
+    table_slopes = (*slopes, slopes[-1])
+    gvals = tuple(v + b * b for b, v in zip(knots, kvals))
+    halfb = tuple(0.5 * m + b for b, m in zip(knots, table_slopes))
+    return tuple(np.array(col) for col in (knots, kvals, gvals, table_slopes, halfb,
+                                           (*knots[1:], math.inf)))
+
+
+@pytest.mark.parametrize("gauge", [OSC, gauge_from_spec(_seeded_spec(1)),
+                                   load_gauge(json.dumps(_seeded_spec(2))),
+                                   piecewise_gauge([1e200], [1e200])],
+                         ids=["ladder", "seeded-1000", "seeded-1000-json", "overflowing-knot"])
+def test_segment_table_is_the_element_loops_to_the_bit(gauge):
+    pwl = gauge.k
+    want = _arrays_by_element(pwl.breakpoints, pwl.values)
+    assert len(pwl._arrays) == len(want)
+    for got, ref in zip(pwl._arrays, want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    if pwl.period is not None:  # the scaling law's bottoms start at b_1 and G(b_1)
+        firsts = [first for first, _ in pwl._bottoms]
+        assert firsts == [pwl.breakpoints[0], want[2][1].item()]
+        assert all(type(first) is float for first in firsts)
+
+
+def test_spec_arrays_convert_every_number_kind():
+    # plain ints and floats convert in one pass; a float subclass takes the
+    # element loop, and every path gives the same gauge
+    spec = _seeded_spec(3, n=12)
+    ints = {"type": "piecewise", "breakpoints": list(range(1, 13)),
+            "values": [i * i for i in range(1, 13)]}
+    for variant in (spec, ints):
+        want = piecewise_gauge(variant["breakpoints"], variant["values"])
+        numpy_floats = {**variant, "breakpoints": [np.float64(b) for b in variant["breakpoints"]]}
+        for got in (gauge_from_spec(variant), gauge_from_spec(numpy_floats)):
+            assert gauge_to_spec(got) == gauge_to_spec(want)
+            assert all(type(x) is float for x in got.k.breakpoints + got.k.values)

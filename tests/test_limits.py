@@ -661,6 +661,25 @@ def test_metric_diff_direction_oscillates_where_r_s_band_passes_its_horizontal_n
         "oscillating", max(v.horizontal_norm(), root * r.liminf), root * r.limsup)
 
 
+def _direction_map(v):
+    """The map x -> max(|v_h|, sqrt|vbar| x) of R to the trace of v, built
+    one direction at a time: the reference for metric-diff's one array pass."""
+    horizontal, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
+    return lambda x: np.maximum(horizontal, root * x)
+
+
+def _verdict_by_direction(r, dirs):
+    """(per_direction, differentiable, eta, witness) of R's classification r
+    mapped direction by direction through _mapped, the widths compared as
+    Python floats."""
+    per_dir = tuple(limits._mapped(r, _direction_map(v)) for v in dirs)
+    ok = all(c.kind == "converged" for c in per_dir)
+    widths = [0.0 if c.kind == "converged" else
+              c.limsup - c.liminf if c.kind == "oscillating" else math.inf for c in per_dir]
+    return (per_dir, ok, tuple(c.limit for c in per_dir) if ok else None,
+            None if ok else dirs[widths.index(max(widths))])
+
+
 def _hand_made_report(response, values=None):
     n, count = len(default_direction_grid()), DEFAULT_GRID.count
     values = np.ones((n, count)) if values is None else values
@@ -760,6 +779,24 @@ COORD = st.one_of(st.just(0.0), st.builds(lambda e, sign: sign * 10.0**e, st.flo
 POINTS = st.builds(point, COORD, COORD, COORD)
 
 
+R_ENDS = st.floats(0.0, 1.0) | st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1e-300))
+R_CLASSES = (st.builds(lambda x: Classification("converged", limit=x), R_ENDS)
+             | st.builds(lambda a, b: Classification("oscillating", liminf=min(a, b),
+                                                     limsup=max(a, b)), R_ENDS, R_ENDS)
+             | st.just(Classification("diverging")))
+
+
+@settings(max_examples=300)
+@given(r=R_CLASSES, extra=st.lists(POINTS, max_size=4))
+def test_direction_verdict_is_each_direction_mapped(r, extra):
+    # the one array pass gives the bits of one _mapped call per direction,
+    # with its collapse rule, and the first direction of widest band
+    for dirs in (default_direction_grid(), (*default_direction_grid(), *extra), tuple(extra)):
+        got, want = limits._direction_verdict(r, dirs), _verdict_by_direction(r, dirs)
+        assert repr(got) == repr(want)
+        assert got[3] is want[3]
+
+
 @settings(max_examples=300)
 @given(L=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), v=POINTS, w=POINTS,
        k=st.integers(-20, 20))
@@ -846,8 +883,8 @@ def test_every_probe_trace_is_classified_by_its_grid(gauge, grid):
             assert tr.classification.components == (*horizontal, mapped)
     md = metric_diff_probe(gauge, grid=grid)
     assert md.grid is grid and md.response_classification == r
-    assert md.per_direction == tuple(limits._mapped(r, limits._direction_map(v))
-                                     for v in md.directions)
+    assert repr(md.per_direction) == repr(tuple(limits._mapped(r, _direction_map(v))
+                                                for v in md.directions))
 
 
 # --- one response R behind every probe ------------------------------------------------
