@@ -6,6 +6,12 @@ verdict a map of the one response R; no probe report holds checks),
 counterexample (one-shot reproduction of the oscillatory-gauge failure
 pattern), gauge-check (contract checks only).
 
+A call is parsed once, by the leaf sub-parser that its first one or two
+words name (`verify`, `probe a`, ...), the one the parser tree would hand
+the rest of the words.  A call that names no leaf, or whose leaf leaves
+words unparsed, goes to the whole tree, so every help text and usage error
+is the tree's, byte for byte.
+
 Exit codes: 0 success / pattern reproduced, 1 property violation or pattern
 deviation, 2 configuration or usage error.  Configs are validated before any
 output is written, and every output name is checked before the first write, so
@@ -437,21 +443,26 @@ def _add_command(subs, name: str, help: str, *groups: str) -> argparse.ArgumentP
     return sub
 
 
-# Built once per process: parse_args leaves the parser unchanged, and
-# rebuilding it on every call cost about a third of a small verify run.
+# Built once per process: parsing leaves the parsers unchanged, and
+# rebuilding them on every call cost about a third of a small verify run.
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The parser tree and its leaves, each keyed by the words that name it:
+    ("verify",), ("probe", KIND), ..."""
     parser = argparse.ArgumentParser(
         prog="h1gauge",
         description="Gauge-deformed metrics and dilatation limits on the first "
         "Heisenberg group",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    _add_command(subs, "verify", "run gauge checks and all samplers", "output", "sampling")
+    leaves = {}
+    leaves["verify",] = _add_command(subs, "verify", "run gauge checks and all samplers",
+                                     "output", "sampling")
     kinds = _add_command(subs, "probe", "run one limit probe and trace it").add_subparsers(
         dest="probe", required=True)
     for kind, (_, point_flags) in PROBES.items():
-        sub = _add_command(kinds, kind, f"trace probe {kind}", "output", "grid")
+        sub = leaves["probe", kind] = _add_command(kinds, kind, f"trace probe {kind}",
+                                                   "output", "grid")
         for flag, default, text in point_flags:
             kwargs = (dict(type=float) if isinstance(default, float) else
                       dict(type=functools.partial(_parse_numbers, flag=f"--{flag}", build=H1Point,
@@ -459,10 +470,38 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="X1,X2,XBAR"))
             sub.add_argument(f"--{flag}", default=default, help=f"{text} (default {default})",
                              **kwargs)
-    _add_command(subs, "counterexample", "reproduce the oscillatory-gauge failure pattern",
-                 "output", "grid", "sampling")
-    _add_command(subs, "gauge-check", "run only the gauge contract checks", "output")
-    return parser
+    leaves["counterexample",] = _add_command(
+        subs, "counterexample", "reproduce the oscillatory-gauge failure pattern",
+        "output", "grid", "sampling")
+    leaves["gauge-check",] = _add_command(subs, "gauge-check", "run only the gauge contract checks",
+                                          "output")
+    return parser, leaves
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree: `h1gauge COMMAND [KIND] [flags]`."""
+    return _parsers()[0]
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the leaf sub-parser its first one or two words name,
+    with `command` (and `probe`) set as the tree would set them.  An argv
+    that names no leaf, or whose leaf leaves words unparsed, goes to the
+    tree's parse_args, which prints its help or usage error.  The tree hands a
+    leaf the same words, so a leaf's own help and errors are the same
+    either way."""
+    tree, leaves = _parsers()
+    for n in (1, 2):
+        leaf = leaves.get(tuple(argv[:n]))
+        if leaf is not None:
+            args, rest = leaf.parse_known_args(argv[n:])
+            if rest:
+                break
+            args.command = argv[0]
+            if n == 2:
+                args.probe = argv[1]
+            return args
+    return tree.parse_args(argv)
 
 
 _RUN_FIELDS = frozenset(f.name for f in fields(RunConfig))
@@ -483,7 +522,7 @@ def _config_from(args) -> RunConfig:
 def main(argv=None) -> int:
     try:
         # a flag's parser (--box, a point) raises ConfigError from here
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         config = _config_from(args)
         # a kernel's check_finite reports an overflow; numpy's warnings would
         # repeat it on stderr first, naming the installed source line

@@ -103,8 +103,8 @@ class PiecewiseLinearGauge:
     ends the segment (inf for the last).  k_array reads the table directly;
     G is quadratic on each segment, so g = G^-1 is exact (see g_array).
     With a period it also keeps k at b_1 and g at G(b_1), the table's
-    bottom, where the scaling law takes over.  __call__ is a one-element
-    call into k_array.
+    bottom, where the scaling law takes over: v_1 and b_1, as floats.
+    __call__ is a one-element call into k_array.
     """
 
     breakpoints: tuple[float, ...]
@@ -144,10 +144,9 @@ class PiecewiseLinearGauge:
         object.__setattr__(self, "_arrays", (knots, kvals, gvals, slopes, halfb,
                                              np.concatenate((knots[1:], (math.inf,)))))
         if q is not None:  # only the scaling law reads the table's bottom
-            object.__setattr__(self, "_bottoms", tuple(  # (first, table(first)) for k and g
-                (first, table(np.array([first])))
-                for table, first in ((self._k_table, bp[0]), (self._g_table, gvals[1].item()))
-            ))
+            # (first, table(first)) for k and g, exactly: the table's row at
+            # b_1 gives k(b_1) = v_1 + m * 0.0 and g(G(b_1)) = b_1 + 0 / (2h)
+            object.__setattr__(self, "_bottoms", ((bp[0], vv[0]), (gvals[1].item(), bp[0])))
 
     def __call__(self, t: float) -> float:
         """k(t): one element of k_array, and 0 for t <= 0."""

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -510,6 +511,85 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Each leaf's flags, with a value that leaves the run valid.  OUT stands for
+# the test's output directory.
+OUTPUT_FLAGS = [("--gauge", '{"type":"oscillatory"}'), ("--out", "OUT"), ("--format", "structured")]
+POINT_FLAGS = {"a": [("--ubar", "2.0")], "beta": [("--p", "1,0,0"), ("--q", "0,1,0")],
+               "derivability": [("--u", "1,0,1")], "metric-diff": [("--base", "0.3,-0.2,0.5")]}
+LEAF_FLAGS = {
+    ("verify",): OUTPUT_FLAGS + SAMPLING_FLAGS,
+    ("counterexample",): OUTPUT_FLAGS + GRID_FLAGS + SAMPLING_FLAGS,
+    ("gauge-check",): OUTPUT_FLAGS,
+    **{("probe", kind): OUTPUT_FLAGS + GRID_FLAGS + flags for kind, flags in POINT_FLAGS.items()},
+}
+PARSE_CORPUS = [
+    *[pytest.param([*leaf], id="_".join(leaf)) for leaf in LEAF_FLAGS],
+    # every flag of each leaf, as "--x v" and as "--x=v"
+    *[pytest.param([*leaf, *(word for pair in flags for word in pair)], id="_".join([*leaf, "flags"]))
+      for leaf, flags in LEAF_FLAGS.items()],
+    *[pytest.param([*leaf, *(f"{flag}={value}" for flag, value in flags)],
+                   id="_".join([*leaf, "flags="]))
+      for leaf, flags in LEAF_FLAGS.items()],
+    *[pytest.param(argv, id="_".join(argv) or "root") for argv in [
+        ["probe", "beta", "--p=-1,0,0"],
+        *[[*words, "-h"] for words in [[], ["probe"], *LEAF_FLAGS]],
+        ["frobnicate"], ["probe"],
+        *[[*command, *flag] for command, flag in UNREAD_FLAGS],
+        ["verify", "--samples"], ["verify", "--samples", "x"],
+        ["verify", "--box", "1"], ["probe", "beta", "--p", "1,0"],
+        ["verify", "--", "x"], ["probe", "a", "x"],
+    ]],
+]
+
+
+def _outcome(capsys, argv, out_dir):
+    """main's exit code, returned or raised, its stdout and stderr, and the
+    files it left in out_dir."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+    return code, captured.out, captured.err, files
+
+
+def test_parse_corpus_names_every_probe():
+    assert sorted(POINT_FLAGS) == sorted(cli.PROBES)
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS)
+def test_leaf_parse_is_the_tree_parse(capsys, monkeypatch, tmp_path, argv):
+    # the reference is the tree's parse_args followed by main's dispatch:
+    # exit code, stdout, stderr and files match byte for byte, and so does
+    # the namespace wherever the tree parses argv
+    out_dir = tmp_path / "out"
+    argv = [word.replace("OUT", str(out_dir)) for word in argv]
+    try:
+        tree_args = cli.build_parser().parse_args(argv)
+    except (SystemExit, cli.ConfigError):
+        tree_args = None
+    capsys.readouterr()
+    if tree_args is not None:
+        assert vars(cli._parse(argv)) == vars(tree_args)
+    got = _outcome(capsys, argv, out_dir)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert got == _outcome(capsys, argv, out_dir)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--samples", "5"], ["counterexample", "--samples", "5"],
+                                  ["gauge-check"], *[["probe", kind] for kind in POINT_FLAGS]],
+                         ids="_".join)
+def test_a_call_that_names_a_leaf_skips_the_tree(capsys, monkeypatch, argv):
+    def tree_parse(*_):
+        raise AssertionError("the parser tree parsed a call that names a leaf")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", tree_parse)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 # --- verify ------------------------------------------------------------------------

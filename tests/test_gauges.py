@@ -651,7 +651,37 @@ def test_segment_table_is_the_element_loops_to_the_bit(gauge):
     if pwl.period is not None:  # the scaling law's bottoms start at b_1 and G(b_1)
         firsts = [first for first, _ in pwl._bottoms]
         assert firsts == [pwl.breakpoints[0], want[2][1].item()]
-        assert all(type(first) is float for first in firsts)
+        assert all(type(x) is float for bottom in pwl._bottoms for x in bottom)
+
+
+def _table_bottoms(pwl):
+    """The scaling law's bottoms as one-element table calls at b_1 and
+    G(b_1), as the ladder once built them: the reference."""
+    firsts = (pwl.breakpoints[0], pwl._arrays[2][1].item())
+    return tuple((first, table(np.array([first]))[0].item())
+                 for table, first in zip((pwl._k_table, pwl._g_table), firsts))
+
+
+def _wide_ladders(seed, count):
+    """count seeded valid ladders, M log-uniform in [1.0001, 1e4] and r
+    log-uniform in [1e-60, 0.999], redrawn until the constructor accepts
+    them."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        M = 10.0 ** rng.uniform(math.log10(1.0001), 4.0)
+        r = 10.0 ** rng.uniform(-60.0, math.log10(0.999))
+        try:
+            out.append(oscillatory_gauge(M, r))
+        except GaugeConstructionError:
+            pass
+    return out
+
+
+def test_ladder_bottoms_are_the_table_calls_to_the_bit():
+    # k(b_1) = v_1 and g(G(b_1)) = b_1 are exact on the table's row at b_1
+    for gauge in (OSC, *_wide_ladders(34, 200)):
+        got, want = gauge.k._bottoms, _table_bottoms(gauge.k)
+        assert [x.hex() for b in got for x in b] == [x.hex() for b in want for x in b], gauge.label
 
 
 def test_spec_arrays_convert_every_number_kind():
