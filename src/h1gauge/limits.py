@@ -41,8 +41,11 @@ Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's array as one table, a column per direction.
 The renderer calls repr once per distinct value of a table (distinct by bit
 pattern, so -0.0 is not 0.0) and writes the bytes that one repr per cell
-would.  The classifier reads a trace as one float array: one NaN test over
-all of it, and only the tail as Python floats.
+would.  The epsilon column, like the scales, is computed once per (eps0,
+ratio, count) in a process: a long-lived caller renders it once per distinct
+grid, and a one-shot CLI run once, as before.  The classifier reads a trace as
+one float array: one NaN test over all of it, and only the tail as Python
+floats.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -81,6 +84,8 @@ DEFAULT_DIVERGENCE_BOUND = 1e6
 # Squared scales fed to g must stay clear of the subnormal range.
 UNDERFLOW_FLOOR = 1e3 * sys.float_info.min
 
+_GRID_CACHE_SIZE = 64  # distinct (eps0, ratio, count) whose scales are kept
+
 
 class ScaleOverflowError(ValueError):
     """eps0 is so large that eps0^2 times a probe's vertical magnitude overflows."""
@@ -92,8 +97,9 @@ class EpsGrid:
     tail rule every trace on it is classified by: the last two windows of
     `window` values, flat within `atol`.
 
-    The scales and their repr column are computed once per grid, on first
-    use, and cached on the instance: every trace on the grid shares them.
+    eps0, ratio and atol are stored as Python floats.  The scales, their repr
+    column and their read-only array are computed on first use and shared by
+    every grid of the same (eps0, ratio, count) in the process (_grid_scales).
     """
 
     eps0: float = DEFAULT_EPS0
@@ -127,18 +133,31 @@ class EpsGrid:
             )
         if not (math.isfinite(self.atol) and self.atol > 0.0):
             raise ValueError(f"--atol must be positive and finite, got {self.atol!r}")
+        for name in ("eps0", "ratio", "atol"):  # a numpy scalar's repr is not a float's
+            object.__setattr__(self, name, float(getattr(self, name)))
+
+    @property
+    def _shared(self) -> tuple[tuple[float, ...], tuple[str, ...], np.ndarray]:
+        return _grid_scales(self.eps0, self.ratio, self.count)
 
     def values(self) -> tuple[float, ...]:
-        return self._scales
+        return self._shared[0]
 
-    @cached_property
-    def _scales(self) -> tuple[float, ...]:
-        return tuple(self.eps0 * self.ratio**j for j in range(self.count))
-
-    @cached_property
+    @property
     def eps_column(self) -> tuple[str, ...]:
         """repr of each scale: the epsilon column of every trace CSV."""
-        return tuple(map(repr, self.values()))
+        return self._shared[1]
+
+    def array(self) -> np.ndarray:
+        """The scales as one read-only float array."""
+        return self._shared[2]
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid_scales(eps0: float, ratio: float, count: int) -> tuple[tuple, tuple, np.ndarray]:
+    """eps0 * ratio**j for j < count, their reprs, and their read-only array."""
+    scales = tuple(eps0 * ratio**j for j in range(count))
+    return scales, tuple(map(repr, scales)), _read_only(np.array(scales))
 
 
 DEFAULT_GRID = EpsGrid()
@@ -395,7 +414,7 @@ def vertical_limit_probe(
     if not math.isfinite(ubar):
         raise ValueError(f"ubar must be finite, got {ubar!r}")
     _scale_check(grid, abs(ubar))
-    eps = np.array(grid.values())
+    eps = grid.array()
     gs, response = _response(gauge, eps, eps * eps * abs(ubar))
     root = math.sqrt(abs(ubar))
     return ConvergenceTrace("vertical-limit", grid, gs / eps, {"gauge": gauge.label, "ubar": ubar},
@@ -414,7 +433,7 @@ def rescaled_product_probe(
     require_verified(gauge)
     area = symplectic_area(p.horizontal, q.horizontal)
     _scale_check(grid, max(abs(p.xbar), abs(q.xbar), 2.0 * abs(area)))
-    eps = np.array(grid.values())
+    eps = grid.array()
     pq = np.repeat(_rows(to_row(p), to_row(q)), len(eps), axis=0)
     rows = _rescaled_product(gauge, eps, pq)
     twisted = area != 0.0 and p.xbar == q.xbar == 0.0
@@ -462,7 +481,7 @@ def id_derivability_probe(
     """
     require_verified(gauge)
     _scale_check(grid, abs(u.xbar))
-    eps = np.array(grid.values())
+    eps = grid.array()
     rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
     s = eps * eps * abs(u.xbar)
     gs, response = _response(gauge, eps, s)
@@ -613,7 +632,7 @@ def metric_diff_probe(
     """
     require_verified(gauge)
     _scale_check(grid, _MAGNITUDES[-1].item())
-    eps = np.array(grid.values())
+    eps = grid.array()
     gs = g_array(gauge, (_MAGNITUDES[:, None] * (eps * eps)).ravel()).reshape(-1, len(eps))
     d = _DIRECTION_ROWS
     values = np.maximum(np.hypot(eps * d[:, :1], eps * d[:, 1:2]), gs[_MAGNITUDE_OF[:-1]]) / eps

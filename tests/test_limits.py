@@ -411,12 +411,7 @@ def test_csv_renders_each_cell_as_its_repr(data):
 def test_metric_diff_table_renders_each_distinct_value_once(monkeypatch):
     # a linear metric-diff table at --count 160 holds 13 * 160 cells, most
     # of them repeats: horizontal directions keep their value over eps
-    grid = EpsGrid(count=160)
-    md = metric_diff_probe(LIN, identity(), grid)
-    values = md.values.T
-    distinct = np.unique(values.view(np.int64)).size
-    assert distinct < values.size // 2
-    assert "eps_column" not in vars(grid)  # the epsilon column is rendered below too
+    limits._grid_scales.cache_clear()  # so the epsilon column's reprs are counted too
     rendered = []
 
     def counted_repr(x):
@@ -424,6 +419,11 @@ def test_metric_diff_table_renders_each_distinct_value_once(monkeypatch):
         return rendered[-1]
 
     monkeypatch.setattr(limits, "repr", counted_repr, raising=False)
+    grid = EpsGrid(count=160)
+    md = metric_diff_probe(LIN, identity(), grid)
+    values = md.values.T
+    distinct = np.unique(values.view(np.int64)).size
+    assert distinct < values.size // 2
     csv = md.to_csv()
     assert len(rendered) <= distinct + grid.count
     # and every cell came out of a counted call
@@ -431,16 +431,49 @@ def test_metric_diff_table_renders_each_distinct_value_once(monkeypatch):
     assert csv == table_csv(csv.split("\n")[0], grid, values.tolist())
 
 
-def test_grid_scales_are_computed_once_per_instance():
+def test_equal_grids_share_one_scale_tuple():
+    # the scales, their column and their array are computed once per
+    # (eps0, ratio, count) in the process: window and atol do not enter
     for grid in CSV_GRIDS:
         values = grid.values()
         assert values == tuple(grid.eps0 * grid.ratio**j for j in range(grid.count))
-        assert grid.values() is values
         assert grid.eps_column == tuple(map(repr, values))
-        assert grid.eps_column is grid.eps_column
-    # cached per instance, not per parameter set: an equal grid builds its own
-    twin = EpsGrid(eps0=0.9, ratio=0.7, count=160)
-    assert twin == CSV_GRIDS[1] and twin.values() is not CSV_GRIDS[1].values()
+        assert grid.array().tolist() == list(values) and not grid.array().flags.writeable
+        twin = EpsGrid(eps0=grid.eps0, ratio=grid.ratio, count=grid.count)
+        assert twin.values() is values
+        assert twin.eps_column is grid.eps_column and twin.array() is grid.array()
+        other = replace(grid, window=1, atol=2 * grid.atol)
+        assert other != grid and other.values() is values and other.eps_column is grid.eps_column
+    assert replace(CSV_GRIDS[0], ratio=0.7).values() != CSV_GRIDS[0].values()
+    assert limits._grid_scales.cache_info().maxsize == limits._GRID_CACHE_SIZE
+
+
+GRID_KEYS = st.tuples(st.floats(1e-3, 1e3), st.floats(0.05, 0.95), st.integers(2, 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(GRID_KEYS, min_size=1, max_size=4).flatmap(
+    lambda keys: st.lists(st.sampled_from(keys), min_size=1, max_size=12)))
+def test_shared_scales_are_each_grids_own(keys):
+    # grids drawn in any order, equal keys repeating, each read the scales
+    # of their own fields, to the bit, and the repr column of those scales
+    for eps0, ratio, count in keys:
+        grid = EpsGrid(eps0=eps0, ratio=ratio, count=count, window=1)
+        want = [eps0 * ratio**j for j in range(count)]
+        assert [x.hex() for x in grid.values()] == [x.hex() for x in want]
+        assert grid.eps_column == tuple(map(repr, want))
+        assert grid.array().tolist() == want
+
+
+def test_numpy_scalar_grid_writes_the_float_grids_bytes():
+    # eps0, ratio and atol are stored as Python floats, so a grid built from
+    # numpy scalars writes no np.float64(...) cell on numpy 2
+    grid = EpsGrid(eps0=np.float64(1.0), ratio=np.float64(0.5), count=12, atol=np.float64(1e-4))
+    plain = EpsGrid(count=12)
+    csv = vertical_limit_probe(LIN, 1.0, grid).to_csv()
+    assert csv == vertical_limit_probe(LIN, 1.0, plain).to_csv()
+    assert csv.split("\n")[1].startswith("1.0,")
+    assert grid == plain and all(type(getattr(grid, f)) is float for f in ("eps0", "ratio", "atol"))
 
 
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
