@@ -36,6 +36,7 @@ from .limits import (
     EpsGrid,
     MetricDiffReport,
     PointClassification,
+    Response,
     classify_limit,
     default_direction_grid,
     id_derivability_probe,
@@ -58,6 +59,7 @@ __all__ = [
     "MetricDiffReport",
     "PointClassification",
     "PropertyCheck",
+    "Response",
     "SampleBox",
     "VerificationReport",
     "check_gauge",

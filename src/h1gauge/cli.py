@@ -356,7 +356,7 @@ def cmd_counterexample(config: RunConfig) -> int:
         record("beta-probe", "non-converged", kind_b, kind_b != "converged")
         # metric_diff_probe's verdict and witness at the identity, from the
         # same R on the same grid: the a trace's at ubar = 1
-        _, differentiable, _, witness = _direction_verdict(trace_a.response_classification,
+        _, differentiable, _, witness = _direction_verdict(trace_a.response,
                                                            default_direction_grid())
         record("metric-diff", "non-differentiability witness",
                "differentiable" if differentiable else f"witness {witness.as_tuple()!r}",

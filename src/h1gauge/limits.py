@@ -14,18 +14,18 @@ One response decides every limit question: R(delta) = g(delta^2)/delta.  As
 g(eps^2 |ubar|)/eps = sqrt|ubar| * R(eps sqrt|ubar|) exactly, probe a is
 sqrt|ubar| * R, a metric-diff direction v is max(|v_h|, sqrt|vbar| * R), and
 the vertical part of derivability at ubar, or of beta on a horizontal pair
-with ubar = 2 * area, is sgn(ubar) * G(sqrt|ubar| * R).  These traces take
-their kind from R on the user's grid read as a delta-grid (_response) and
-report R's limit or band mapped, so a verdict does not depend on the input's
-scale; where a trace is constant (ubar = 0, area 0) or no map of R (beta
-operands with a vertical part) the tail rule decides alone.  The horizontal
-part of a point trace, constant by the group law, converges to its last
-window's mean.
+with ubar = 2 * area, is sgn(ubar) * G(sqrt|ubar| * R).  Response (R on the
+user's grid read as a delta-grid, _response) is the one place where R is
+classified, when it is built, and mapped (Response.mapped), so a verdict does
+not depend on the input's scale.  Where a trace is constant (ubar = 0, area 0)
+or no map of R (beta operands with a vertical part) the tail rule decides
+alone.  The horizontal part of a point trace, constant by the group law,
+converges to its last window's mean.
 
 A verdict is computed by the type that reports it, from its own numbers: a
-ConvergenceTrace classifies its values, or R, when it is built, a
-MetricDiffReport derives its verdict, eta and witness from R, and a
-PointClassification derives its kind and limit from its three components.
+ConvergenceTrace classifies its values, or maps its Response, and a
+MetricDiffReport maps its Response, when it is built; a PointClassification
+derives its kind and limit from its three components.
 
 The probes: the scalar vertical response, the rescaled product of two points,
 derivability of the identity map between the intrinsic and gauge dilatation
@@ -33,24 +33,22 @@ structures, and the metric-differentiability test of the identity map at a
 base point.  Each evaluates its whole eps-grid at once on the (n, 3) array
 kernels, one grid point per row; metric_diff_probe makes one g_array call, a
 row per distinct |vbar| of its directions (0, 1/2, 1 and 2), whose |vbar| = 1
-row is R, and its report maps R to every direction in one array pass
-(_direction_verdict).  The counterexample's metric-diff stage applies that
-map to the a trace's R at ubar = 1, the same R on the same grid.
+row is R; its report, and the counterexample's metric-diff stage from the a
+trace's R at ubar = 1, map R to every direction (_direction_verdict).
 
 Traces are written as CSV by one renderer: a trace as its own table, and a
 metric-diff report's array as one table, a column per direction.
 The renderer calls repr once per distinct value of a table (distinct by bit
 pattern, so -0.0 is not 0.0) and writes the bytes that one repr per cell
 would.  The epsilon column, like the scales, is computed once per (eps0,
-ratio, count) in a process: a long-lived caller renders it once per distinct
-grid, and a one-shot CLI run once, as before.  The classifier reads a trace as
-one float array: one NaN test over all of it, and only the tail as Python
-floats.
+ratio, count) in a process.  The classifier reads a trace as one float array:
+one NaN test over all of it, and only the tail as Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -97,9 +95,9 @@ class EpsGrid:
     tail rule every trace on it is classified by: the last two windows of
     `window` values, flat within `atol`.
 
-    eps0, ratio and atol are stored as Python floats.  The scales, their repr
-    column and their read-only array are computed on first use and shared by
-    every grid of the same (eps0, ratio, count) in the process (_grid_scales).
+    eps0, ratio and atol are stored as floats, count and window as ints.  The
+    scales, their repr column and their read-only array are computed on first
+    use and shared by every grid of the same (eps0, ratio, count) (_grid_scales).
     """
 
     eps0: float = DEFAULT_EPS0
@@ -116,16 +114,14 @@ class EpsGrid:
             raise ValueError(f"eps0 must be positive and finite, got {self.eps0!r}")
         if not (0.0 < self.ratio < 1.0):
             raise ValueError(f"ratio must lie in (0, 1), got {self.ratio!r}")
-        if not isinstance(self.count, int) or self.count < 2:
-            raise ValueError(f"count must be an integer >= 2, got {self.count!r}")
+        object.__setattr__(self, "count", _integer("count", self.count, 2))
         smallest = self.eps0 * self.ratio ** (self.count - 1)
         if smallest * smallest < UNDERFLOW_FLOOR:
             raise ValueError(
                 f"grid underflow: eps[{self.count - 1}] = {smallest!r} has square "
                 f"below the floor {UNDERFLOW_FLOOR!r}"
             )
-        if not isinstance(self.window, int) or self.window < 1:
-            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
+        object.__setattr__(self, "window", _integer("window", self.window, 1))
         if self.count < 2 * self.window:
             raise ValueError(
                 f"count must be at least 2*window = {2 * self.window} "
@@ -151,6 +147,13 @@ class EpsGrid:
     def array(self) -> np.ndarray:
         """The scales as one read-only float array."""
         return self._shared[2]
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int, if it is an integer (of any type but bool) >= least."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or operator.index(value) < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return operator.index(value)
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -233,8 +236,7 @@ def classify_limit(
                       dtype=float)
     if vals.ndim != 1:
         raise TypeError(f"a trace is 1-d, got an array of shape {vals.shape}")
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
-        raise ValueError(f"window must be an integer >= 1, got {window!r}")
+    window = _integer("window", window, 1)
     if len(vals) < 2 * window:
         raise ValueError(
             f"need at least {2 * window} trace values to classify, got {len(vals)}"
@@ -244,13 +246,13 @@ def classify_limit(
     if np.isnan(vals).any():
         raise ValueError("cannot classify a trace holding NaN")
     tail = vals[-2 * window :].tolist()
-    if any(abs(v) > divergence_bound for v in tail):
+    if max(map(abs, tail)) > divergence_bound:
         return Classification("diverging")
     prev, last = tail[:window], tail[window:]
-    spread_last = max(last) - min(last)
-    spread_prev = max(prev) - min(prev)
-    if spread_last <= atol and abs(_fmean(last) - _fmean(prev)) <= max(atol, spread_prev):
-        return Classification("converged", limit=_fmean(last))
+    if max(last) - min(last) <= atol:  # flat; converged unless the window means shift
+        mean = _fmean(last)
+        if abs(mean - _fmean(prev)) <= max(atol, max(prev) - min(prev)):
+            return Classification("converged", limit=mean)
     return Classification("oscillating", liminf=min(tail), limsup=max(tail))
 
 
@@ -271,19 +273,39 @@ def _columns(values: np.ndarray) -> np.ndarray:
     return np.atleast_2d(values.T)
 
 
-def _mapped(r: Classification, to_trace: Callable[[np.ndarray], np.ndarray]) -> Classification:
-    """R's classification r carried by the monotone map to_trace (on float
-    arrays) to a trace column: r's kind, and r's limit or band mapped, the
-    band's ends in order (a decreasing map swaps them).  A band that the map
-    collapses to one value converges there."""
-    if r.kind == "converged":
-        return Classification("converged", limit=to_trace(np.array([r.limit])).item())
-    if r.kind == "oscillating":
-        liminf, limsup = sorted(to_trace(np.array([r.liminf, r.limsup])).tolist())
-        if liminf == limsup:
-            return Classification("converged", limit=liminf)
-        return Classification("oscillating", liminf=liminf, limsup=limsup)
-    return r
+@dataclass(frozen=True, eq=False)
+class Response:
+    """The paper's response R(delta) = g(delta^2)/delta on grid, its scales read
+    as delta.  Building one makes values read-only (in place), checks their shape
+    (count,) and classifies them by the grid's tail rule: the one place that does."""
+
+    grid: EpsGrid
+    values: np.ndarray  # (grid.count,)
+    classification: Classification = field(init=False)
+
+    def __post_init__(self):
+        if self.values.shape != (self.grid.count,):
+            raise ValueError(f"response must be (count,), got shape {self.values.shape}")
+        object.__setattr__(self, "classification", classify_limit(
+            _read_only(self.values), self.grid.window, self.grid.atol))
+
+    def mapped(self, to_trace: Callable[[np.ndarray], np.ndarray]):
+        """R's classification carried by the monotone map to_trace of R's band ends, (2,),
+        to one trace column's, (2,), or k columns', (k, 2): (per column R's kind with R's
+        limit or band mapped, the ends in order and a band the map collapses converged;
+        per column the band's width).  A diverging R stays so, its width inf."""
+        r = self.classification
+        ends = ((r.limit, r.limit) if r.kind == "converged" else
+                (r.liminf, r.limsup) if r.kind == "oscillating" else (0.0, 0.0))  # 0 counts k
+        bands = to_trace(np.array(ends)).reshape(-1, 2).tolist()
+        if r.kind == "diverging":
+            return (r,) * len(bands), (math.inf,) * len(bands)
+        per, widths = [], []
+        for a, b in bands:  # one loop, not two comprehensions: most calls map one column
+            per.append(Classification("converged", limit=a) if a == b else
+                       Classification("oscillating", liminf=min(a, b), limsup=max(a, b)))
+            widths.append(abs(b - a))
+        return tuple(per), tuple(widths)
 
 
 def _csv(header: str, grid: EpsGrid, values: np.ndarray) -> str:
@@ -309,8 +331,7 @@ class ConvergenceTrace:
 
     Building one makes values read-only (in place) and classifies them, never
     passed in: the last column by the grid's tail rule or, in a trace that
-    holds `response`, R on the grid, and `response_map`, the monotone map of
-    R to its last column, by R's kind and R's limit or band mapped.  The
+    holds a `response` on its grid, by `response.mapped(response_map)`.  The
     horizontal part of a point trace, constant by the group law, converges to
     its last window's mean.
     """
@@ -320,20 +341,18 @@ class ConvergenceTrace:
     values: np.ndarray  # one row per scale: (count,), or (count, 3) for points
     classification: Classification | PointClassification = field(init=False)
     meta: dict = field(default_factory=dict)
-    response: np.ndarray | None = None
+    response: Response | None = None  # None: the tail rule decides
     response_map: Callable[[np.ndarray], np.ndarray] | None = None
-    response_classification: Classification | None = field(init=False)  # None: the tail rule
 
     def __post_init__(self):
-        values, window, atol = _read_only(self.values), self.grid.window, self.grid.atol
-        r = None if self.response is None else classify_limit(
-            _read_only(self.response), window, atol)
-        cls = (classify_limit(_columns(values)[-1], window, atol) if r is None
-               else _mapped(r, self.response_map))
+        values, grid, r = _read_only(self.values), self.grid, self.response
+        if r is not None and r.grid is not grid and r.grid != grid:
+            raise ValueError(f"the response is on {r.grid}, the trace on {grid}")
+        cls = (classify_limit(_columns(values)[-1], grid.window, grid.atol) if r is None
+               else r.mapped(self.response_map)[0][0])
         if values.ndim == 2:
             cls = PointClassification((*(Classification("converged", limit=_fmean(c))
-                                         for c in values[-window:, :2].T.tolist()), cls))
-        object.__setattr__(self, "response_classification", r)
+                                         for c in values[-grid.window:, :2].T.tolist()), cls))
         object.__setattr__(self, "classification", cls)
 
     def header(self) -> str:
@@ -347,12 +366,11 @@ class ConvergenceTrace:
         return _csv(self.header(), self.grid, self.values)
 
     def summary(self) -> dict:
-        r = self.response_classification
         return {
             "gauge": self.meta.get("gauge"),
             "probe": self.name,
             "classification": self.classification.to_dict(),
-            "response": None if r is None else r.to_dict(),
+            "response": None if self.response is None else self.response.classification.to_dict(),
             "parameters": {
                 "eps0": self.grid.eps0,
                 "ratio": self.grid.ratio,
@@ -387,12 +405,12 @@ def _scale_check(grid: EpsGrid, magnitude: float) -> None:
         )
 
 
-def _response(gauge: Gauge, eps: np.ndarray, s: np.ndarray = np.empty(0)):
+def _response(gauge: Gauge, grid: EpsGrid, s: np.ndarray = np.empty(0)):
     """g(s), and the paper's response R(delta) = g(delta^2)/delta on the
-    scales eps read as delta (ubar = 1), from one g_array call.  Whether R
-    converges as delta -> 0 decides every limit question here."""
+    grid's scales read as delta (ubar = 1), from one g_array call."""
+    eps = grid.array()
     gs = g_array(gauge, _rows(s, eps * eps))
-    return gs[: s.size], gs[s.size :] / eps
+    return gs[: s.size], Response(grid, gs[s.size :] / eps)
 
 
 def _vertical_map(gauge: Gauge, c: float):
@@ -415,7 +433,8 @@ def vertical_limit_probe(
         raise ValueError(f"ubar must be finite, got {ubar!r}")
     _scale_check(grid, abs(ubar))
     eps = grid.array()
-    gs, response = _response(gauge, eps, eps * eps * abs(ubar))
+    s = eps * eps * abs(ubar)
+    gs, response = _response(gauge, grid, s) if ubar else (g_array(gauge, s), None)
     root = math.sqrt(abs(ubar))
     return ConvergenceTrace("vertical-limit", grid, gs / eps, {"gauge": gauge.label, "ubar": ubar},
                             *((response, lambda x: root * x) if ubar else ()))
@@ -440,7 +459,7 @@ def rescaled_product_probe(
     return ConvergenceTrace("rescaled-product", grid, rows,
                             {"gauge": gauge.label, "p": list(p.as_tuple()),
                              "q": list(q.as_tuple())},
-                            *((_response(gauge, eps)[1], _vertical_map(gauge, 2.0 * area))
+                            *((_response(gauge, grid)[1], _vertical_map(gauge, 2.0 * area))
                               if twisted else ()))
 
 
@@ -484,7 +503,7 @@ def id_derivability_probe(
     eps = grid.array()
     rows = gauge_dilate_array(gauge, 1.0 / eps, dilate_array(eps, to_row(u)))
     s = eps * eps * abs(u.xbar)
-    gs, response = _response(gauge, eps, s)
+    gs, response = _response(gauge, grid, s) if u.xbar else (g_array(gauge, s), None)
     closed, profile, profile_up = _split(
         g_inverse_array(gauge, _rows(gs / eps, gs, np.nextafter(gs, np.inf))), 3)
     ref = points_array(np.full_like(eps, u.x1), np.full_like(eps, u.x2),
@@ -530,41 +549,25 @@ def default_direction_grid() -> tuple[H1Point, ...]:
     return _DIRECTIONS
 
 
-def _direction_verdict(r: Classification, directions: tuple[H1Point, ...]):
-    """R's classification r carried to every direction v by the map x ->
-    max(|v_h|, sqrt|vbar| x), in one array pass: (per_direction, the verdict
-    that every direction converges, eta (the mapped limits, None unless the
-    verdict holds), the witness (the first direction of widest mapped band,
-    None if it holds)).  Each entry of per_direction is _mapped(r, v's map),
-    bit for bit: r's kind, its limit or band mapped, and a band that the map
-    collapses to one value converges there."""
-    if r.kind == "diverging":
-        per_dir, widths = (r,) * len(directions), [math.inf] * len(directions)
-    else:
-        d = np.array([v.as_tuple() for v in directions]).reshape(-1, 3)
-        h, root = np.hypot(d[:, 0], d[:, 1]), np.sqrt(np.abs(d[:, 2]))
-        ends = (r.limit,) * 2 if r.kind == "converged" else (r.liminf, r.limsup)
-        lo, hi = (np.maximum(h, root * x) for x in ends)
-        per_dir = tuple(Classification("converged", limit=a) if a == b else
-                        Classification("oscillating", liminf=a, limsup=b)
-                        for a, b in zip(lo.tolist(), hi.tolist()))
-        widths = hi - lo
+def _direction_verdict(response: Response, directions: tuple[H1Point, ...]):
+    """R mapped to each direction v by x -> max(|v_h|, sqrt|vbar| x): (per_direction, whether
+    all converge, eta (their limits, or None), the witness (first widest band, or None))."""
+    d = np.array([v.as_tuple() for v in directions]).reshape(-1, 3)
+    h, root = np.hypot(d[:, :1], d[:, 1:2]), np.sqrt(np.abs(d[:, 2:]))  # a row each
+    per_dir, widths = response.mapped(lambda x: np.maximum(h, root * x))
     ok = all(c.kind == "converged" for c in per_dir)
     return (per_dir, ok, tuple(c.limit for c in per_dir) if ok else None,
-            None if ok else directions[int(np.argmax(widths))])
+            None if ok else directions[widths.index(max(widths))])
 
 
 @dataclass(frozen=True, eq=False)
 class MetricDiffReport:
     """Outcome of the metric-differentiability test of the identity map.
 
-    values[NN] is the trace of directions[NN] on grid, written by to_csv as
-    column vNN of one table, and response is R on grid.  Building one makes
-    both read-only (in place) and derives the rest from R, never passed in:
-    R's classification by the grid's tail rule and, through each direction's
-    map x -> max(|v_h|, sqrt|vbar| x) (_direction_verdict), per_direction,
-    the verdict (every direction converges), eta (the mapped limits) and the
-    witness (the first direction of widest mapped band).
+    values[NN] is the trace of directions[NN] on grid, the response's, written
+    by to_csv as column vNN of one table.  Building one makes values read-only
+    (in place) and maps the response to every direction (_direction_verdict):
+    per_direction, the verdict, eta and the witness are never passed in.
 
     eta is a seminorm by theorem.  G(t) >= t^2 gives g(s) <= sqrt(s), so
     0 <= R <= 1 and R's limit L lies in [0, 1]; eta(x) = max(|x_h|, L sqrt|xbar|)
@@ -577,27 +580,22 @@ class MetricDiffReport:
 
     base: H1Point
     directions: tuple[H1Point, ...]
-    grid: EpsGrid
-    values: np.ndarray  # (len(directions), grid.count)
-    response: np.ndarray  # (grid.count,)
-    response_classification: Classification = field(init=False)
+    values: np.ndarray  # (len(directions), response.grid.count)
+    response: Response
     per_direction: tuple[Classification, ...] = field(init=False)
     differentiable: bool = field(init=False)
     eta: tuple[float, ...] | None = field(init=False)
     witness: H1Point | None = field(init=False)
 
     def __post_init__(self):
-        grid = self.grid
-        if self.values.shape != (len(self.directions), grid.count):
+        if self.values.shape != (len(self.directions), self.grid.count):
             raise ValueError(f"values must be (directions, count), got shape {self.values.shape}")
-        if self.response.shape != (grid.count,):
-            raise ValueError(f"response must be (count,), got shape {self.response.shape}")
         _read_only(self.values)
-        r = classify_limit(_read_only(self.response), grid.window, grid.atol)
-        derived = zip(("response_classification", "per_direction", "differentiable", "eta",
-                       "witness"), (r, *_direction_verdict(r, self.directions)))
-        for name, value in derived:
+        for name, value in zip(("per_direction", "differentiable", "eta", "witness"),
+                               _direction_verdict(self.response, self.directions)):
             object.__setattr__(self, name, value)
+
+    grid = property(lambda self: self.response.grid, doc="The response's grid.")
 
     def to_dict(self) -> dict:
         return {
@@ -606,7 +604,7 @@ class MetricDiffReport:
             "directions": [list(v.as_tuple()) for v in self.directions],
             "eta": None if self.eta is None else list(self.eta),
             "witness": None if self.witness is None else list(self.witness.as_tuple()),
-            "response": self.response_classification.to_dict(),
+            "response": self.response.classification.to_dict(),
             "per_direction": [c.to_dict() for c in self.per_direction],
         }
 
@@ -636,4 +634,4 @@ def metric_diff_probe(
     gs = g_array(gauge, (_MAGNITUDES[:, None] * (eps * eps)).ravel()).reshape(-1, len(eps))
     d = _DIRECTION_ROWS
     values = np.maximum(np.hypot(eps * d[:, :1], eps * d[:, 1:2]), gs[_MAGNITUDE_OF[:-1]]) / eps
-    return MetricDiffReport(base, _DIRECTIONS, grid, values, gs[_MAGNITUDE_OF[-1]] / eps)
+    return MetricDiffReport(base, _DIRECTIONS, values, Response(grid, gs[_MAGNITUDE_OF[-1]] / eps))

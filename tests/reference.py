@@ -43,6 +43,7 @@ from h1gauge.heisenberg import (
     points_array,
     to_row,
 )
+from h1gauge.limits import Classification
 from h1gauge.metrics import (
     _IDENTITY,
     SAMPLE_CHUNK,
@@ -243,6 +244,44 @@ def gauge_dist(gauge, p: H1Point, q: H1Point) -> float:
 
 def vertical_response(gauge, eps: float, ubar: float) -> float:
     return g(gauge, eps * eps * abs(ubar)) / eps
+
+
+# --- R's classification mapped ----------------------------------------------------
+
+
+def mapped(r, to_trace):
+    """R's classification r carried by the monotone map to_trace (on float
+    arrays) to one trace column, one map call per column: r's kind, and r's
+    limit or band mapped, the band's ends in order (a decreasing map swaps
+    them).  A band that the map collapses to one value converges there.  The
+    oracle of Response.mapped."""
+    if r.kind == "converged":
+        return Classification("converged", limit=to_trace(np.array([r.limit])).item())
+    if r.kind == "oscillating":
+        liminf, limsup = sorted(to_trace(np.array([r.liminf, r.limsup])).tolist())
+        if liminf == limsup:
+            return Classification("converged", limit=liminf)
+        return Classification("oscillating", liminf=liminf, limsup=limsup)
+    return r
+
+
+def direction_map(v: H1Point):
+    """The map x -> max(|v_h|, sqrt|vbar| x) of R to the trace of v, built
+    for one direction."""
+    horizontal, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
+    return lambda x: np.maximum(horizontal, root * x)
+
+
+def direction_verdict(r, directions):
+    """(per_direction, differentiable, eta, witness) of R's classification r
+    mapped direction by direction through mapped, the widths compared as
+    Python floats: the oracle of limits._direction_verdict."""
+    per_dir = tuple(mapped(r, direction_map(v)) for v in directions)
+    ok = all(c.kind == "converged" for c in per_dir)
+    widths = [0.0 if c.kind == "converged" else
+              c.limsup - c.liminf if c.kind == "oscillating" else math.inf for c in per_dir]
+    return (per_dir, ok, tuple(c.limit for c in per_dir) if ok else None,
+            None if ok else directions[widths.index(max(widths))])
 
 
 # --- trace output -----------------------------------------------------------------

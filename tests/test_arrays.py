@@ -539,7 +539,7 @@ def test_probes_match_scalar_formulas(gauge, site, count):
     rep = metric_diff_probe(gauge, base, grid)
     want = _scalar_metric_diff(gauge, grid)
     _assert_close(rep.values, want["traces"])
-    assert rep.response_classification.kind == want["response"]
+    assert rep.response.classification.kind == want["response"]
     assert [c.kind for c in rep.per_direction] == want["kinds"]
     for c, band in zip(rep.per_direction, want["bands"]):
         _assert_close((c.limit,) * 2 if c.kind == "converged" else (c.liminf, c.limsup), band)
@@ -579,11 +579,12 @@ def test_metric_diff_is_r_mapped_on_every_grid(gauge, eps0, ratio, count):
     rep = metric_diff_probe(gauge, grid=grid)
     values, response = _metric_diff_by_direction(gauge, grid)
     assert rep.values.tobytes() == values.tobytes()
-    assert rep.response.tobytes() == response.tobytes()
+    assert rep.response.values.tobytes() == response.tobytes()
     _assert_close(rep.values, _scalar_metric_diff(gauge, grid)["traces"])
-    _assert_close(rep.response, [ref.vertical_response(gauge, e, 1.0) for e in grid.values()])
-    r = rep.response_classification
-    assert r == classify_limit(rep.response, grid.window, grid.atol)
+    _assert_close(rep.response.values,
+                  [ref.vertical_response(gauge, e, 1.0) for e in grid.values()])
+    r = rep.response.classification
+    assert r == classify_limit(rep.response.values, grid.window, grid.atol)
     assert rep.differentiable == (r.kind == "converged")
     for v, c in zip(rep.directions, rep.per_direction):
         h, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
@@ -616,7 +617,7 @@ def test_metric_diff_probe_evaluates_g_once_on_its_distinct_magnitudes(count):
                                                  for m in (0.0, 0.5, 1.0, 2.0)]).tobytes()
     lin = metric_diff_probe(LIN, grid=grid)
     assert rep.values.tobytes() == lin.values.tobytes()
-    assert rep.response.tobytes() == lin.response.tobytes()
+    assert rep.response.values.tobytes() == lin.response.values.tobytes()
 
 
 @pytest.mark.parametrize("gauge", MD_GAUGES, ids=_gauge_id)

@@ -10,7 +10,7 @@ import math
 import random
 import re
 import statistics
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from h1gauge.limits import (
     EpsGrid,
     MetricDiffReport,
     PointClassification,
+    Response,
     ScaleOverflowError,
     classify_limit,
     DEFAULT_GRID,
@@ -318,7 +319,7 @@ def test_breakpoint_response_closed_form():
         b = r**n
         eps = b * math.sqrt(1.0 + c)
         want = 1.0 / math.sqrt(1.0 + c)
-        got = _response(OSC, np.array([eps]))[1][0]
+        got = _response(OSC, EpsGrid(eps0=eps, count=2, window=1))[1].values[0]
         assert got == pytest.approx(want, rel=1e-10), (n, c)
 
 
@@ -474,6 +475,22 @@ def test_numpy_scalar_grid_writes_the_float_grids_bytes():
     assert csv == vertical_limit_probe(LIN, 1.0, plain).to_csv()
     assert csv.split("\n")[1].startswith("1.0,")
     assert grid == plain and all(type(getattr(grid, f)) is float for f in ("eps0", "ratio", "atol"))
+
+
+def test_numpy_integer_grid_writes_the_int_grids_bytes():
+    # count and window are read through operator.index and stored as Python
+    # ints: any integer type is accepted, a bool or a float never
+    grid = EpsGrid(count=np.int64(24), window=np.int32(6))
+    plain = EpsGrid(count=24, window=6)
+    assert type(grid.count) is int and type(grid.window) is int and grid == plain
+    assert grid.values() is plain.values() and grid.eps_column is plain.eps_column
+    assert vertical_limit_probe(OSC, 1.0, grid).to_csv() == vertical_limit_probe(
+        OSC, 1.0, plain).to_csv()
+    trace = np.linspace(0.0, 1.0, 12)
+    assert classify_limit(trace, window=np.int64(6)) == classify_limit(trace, window=6)
+    for kwargs in (dict(count=24.0), dict(count=np.float64(24.0)), dict(window=np.True_)):
+        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+            EpsGrid(**kwargs)
 
 
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
@@ -643,7 +660,7 @@ def test_a_probe_converges_uniformly_on_a_compact_exactly_when_r_does(gauge, kin
     ubars = [0.25, 0.5, 1.0, 2.0, 4.0]
     traces = [vertical_limit_probe(gauge, ub) for ub in ubars]
     assert {tr.classification.kind for tr in traces} == {kind}
-    assert all(tr.response_classification.kind == kind for tr in traces)
+    assert all(tr.response.classification.kind == kind for tr in traces)
     if kind == "converged":
         window = DEFAULT_GRID.window
         sup = max(np.abs(tr.values[-window:] - tr.classification.limit).max() for tr in traces)
@@ -687,36 +704,18 @@ def test_metric_diff_direction_oscillates_where_r_s_band_passes_its_horizontal_n
     # and for (0.25, 0.25, 2) at count 126 (sqrt(2) * 0.4164 = 0.589 against
     # 0.354): the trace moves with R there, so the direction oscillates
     rep = metric_diff_probe(OSC, identity(), EpsGrid(count=count))
-    v, c, r = rep.directions[index], rep.per_direction[index], rep.response_classification
+    v, c, r = rep.directions[index], rep.per_direction[index], rep.response.classification
     root = math.sqrt(abs(v.xbar))
     assert v.horizontal_norm() < root * r.limsup
     assert (c.kind, c.liminf, c.limsup) == (
         "oscillating", max(v.horizontal_norm(), root * r.liminf), root * r.limsup)
 
 
-def _direction_map(v):
-    """The map x -> max(|v_h|, sqrt|vbar| x) of R to the trace of v, built
-    one direction at a time: the reference for metric-diff's one array pass."""
-    horizontal, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
-    return lambda x: np.maximum(horizontal, root * x)
-
-
-def _verdict_by_direction(r, dirs):
-    """(per_direction, differentiable, eta, witness) of R's classification r
-    mapped direction by direction through _mapped, the widths compared as
-    Python floats."""
-    per_dir = tuple(limits._mapped(r, _direction_map(v)) for v in dirs)
-    ok = all(c.kind == "converged" for c in per_dir)
-    widths = [0.0 if c.kind == "converged" else
-              c.limsup - c.liminf if c.kind == "oscillating" else math.inf for c in per_dir]
-    return (per_dir, ok, tuple(c.limit for c in per_dir) if ok else None,
-            None if ok else dirs[widths.index(max(widths))])
-
-
 def _hand_made_report(response, values=None):
     n, count = len(default_direction_grid()), DEFAULT_GRID.count
     values = np.ones((n, count)) if values is None else values
-    return MetricDiffReport(identity(), default_direction_grid(), DEFAULT_GRID, values, response)
+    return MetricDiffReport(identity(), default_direction_grid(), values,
+                            Response(DEFAULT_GRID, response))
 
 
 def test_metric_diff_report_derives_its_verdict_from_r():
@@ -724,7 +723,7 @@ def test_metric_diff_report_derives_its_verdict_from_r():
     # R flat at L: every direction converges to max(|v_h|, sqrt|vbar| L)
     flat = _hand_made_report(np.full(count, 0.25))
     want = tuple(max(v.horizontal_norm(), math.sqrt(abs(v.xbar)) * 0.25) for v in dirs)
-    assert flat.response_classification == Classification("converged", limit=0.25)
+    assert flat.response.classification == Classification("converged", limit=0.25)
     assert flat.differentiable and flat.witness is None
     assert flat.eta == want
     assert [c.limit for c in flat.per_direction] == list(want)
@@ -733,7 +732,7 @@ def test_metric_diff_report_derives_its_verdict_from_r():
     # direction, cut from below at |v_h|; a band the cut closes converges
     r = 0.1 + 0.8 * (np.arange(count) % 2)
     rep = _hand_made_report(r)
-    assert rep.response_classification == Classification("oscillating", liminf=0.1, limsup=0.9)
+    assert rep.response.classification == Classification("oscillating", liminf=0.1, limsup=0.9)
     assert not rep.differentiable and rep.eta is None
     for v, c in zip(dirs, rep.per_direction):
         h, root = v.horizontal_norm(), math.sqrt(abs(v.xbar))
@@ -753,8 +752,8 @@ def test_metric_diff_witness_is_the_first_widest_band():
     # directions (0, 0, 1) and (0, 0, -1) map R alike: the first is the witness
     dirs = [point(1, 0, 0), point(0, 0, 1), point(0, 0, -1), point(0, 0, 0.5)]
     r = 0.1 + 0.8 * (np.arange(DEFAULT_GRID.count) % 2)
-    rep = MetricDiffReport(identity(), tuple(dirs), DEFAULT_GRID,
-                           np.ones((len(dirs), DEFAULT_GRID.count)), r)
+    rep = MetricDiffReport(identity(), tuple(dirs), np.ones((len(dirs), DEFAULT_GRID.count)),
+                           Response(DEFAULT_GRID, r))
     assert [c.kind for c in rep.per_direction] == ["converged", *["oscillating"] * 3]
     assert rep.witness is dirs[1]
 
@@ -762,21 +761,23 @@ def test_metric_diff_witness_is_the_first_widest_band():
 @pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
 def test_metric_diff_probe_report_is_its_arrays(gauge):
     rep = metric_diff_probe(gauge)
-    again = _hand_made_report(rep.response, rep.values)
-    for name in ("response_classification", "per_direction", "differentiable", "eta",
-                 "witness"):
+    again = _hand_made_report(rep.response.values, rep.values)
+    assert again.response.classification == rep.response.classification
+    for name in ("per_direction", "differentiable", "eta", "witness"):
         assert getattr(again, name) == getattr(rep, name), name
     # R on the grid is the response of probe a at ubar = 1
-    assert rep.response.tobytes() == vertical_limit_probe(gauge, 1.0).values.tobytes()
+    assert rep.response.values.tobytes() == vertical_limit_probe(gauge, 1.0).values.tobytes()
 
 
-@pytest.mark.parametrize("name", ["differentiable", "eta", "witness", "per_direction",
-                                  "response_classification"])
+@pytest.mark.parametrize("name", ["differentiable", "eta", "witness", "per_direction", "grid"])
 def test_metric_diff_report_refuses_its_derived_fields(name):
+    # the grid is the response's: a report has four settable fields
     values = np.ones((len(default_direction_grid()), DEFAULT_GRID.count))
+    response = Response(DEFAULT_GRID, np.ones(DEFAULT_GRID.count))
+    assert [f.name for f in fields(MetricDiffReport) if f.init] == [
+        "base", "directions", "values", "response"]
     with pytest.raises(TypeError):
-        MetricDiffReport(identity(), default_direction_grid(), DEFAULT_GRID, values,
-                         np.ones(DEFAULT_GRID.count), **{name: None})
+        MetricDiffReport(identity(), default_direction_grid(), values, response, **{name: None})
 
 
 def test_metric_diff_report_freezes_its_arrays():
@@ -785,13 +786,14 @@ def test_metric_diff_report_freezes_its_arrays():
     assert values.flags.writeable and response.flags.writeable
     rep = _hand_made_report(response, values)
     assert rep.values is values and not values.flags.writeable
-    assert rep.response is response and not response.flags.writeable
+    assert rep.response.values is response and not response.flags.writeable
     with pytest.raises(ValueError):
         rep.values[0, 0] = 2.0
     with pytest.raises(ValueError):
-        rep.response[0] = 2.0
-    with pytest.raises(FrozenInstanceError):
-        rep.differentiable = False
+        rep.response.values[0] = 2.0
+    for obj, name in ((rep, "differentiable"), (rep, "grid"), (rep.response, "classification")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, None)
     # one row per direction and one column per scale, nothing else; R one
     # value per scale
     with pytest.raises(ValueError, match="must be \\(directions, count\\)"):
@@ -812,22 +814,98 @@ COORD = st.one_of(st.just(0.0), st.builds(lambda e, sign: sign * 10.0**e, st.flo
 POINTS = st.builds(point, COORD, COORD, COORD)
 
 
+def _r_classes(ends):
+    return (st.builds(lambda x: Classification("converged", limit=x), ends)
+            | st.builds(lambda a, b: Classification("oscillating", liminf=min(a, b),
+                                                    limsup=max(a, b)), ends, ends)
+            | st.just(Classification("diverging")))
+
+
 R_ENDS = st.floats(0.0, 1.0) | st.floats(-1e6, 1e6) | st.sampled_from((0.0, -0.0, 1e-300))
-R_CLASSES = (st.builds(lambda x: Classification("converged", limit=x), R_ENDS)
-             | st.builds(lambda a, b: Classification("oscillating", liminf=min(a, b),
-                                                     limsup=max(a, b)), R_ENDS, R_ENDS)
-             | st.just(Classification("diverging")))
+R_CLASSES = _r_classes(R_ENDS)
+# R lies in [0, 1] (MetricDiffReport's docstring), where every map of it is defined
+UNIT_R_CLASSES = _r_classes(st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-300, 0.5)))
+
+
+def _response_classified_as(r):
+    """A Response whose classification is set to r: mapped reads nothing
+    else, and the tail rule on values cannot reach every r drawn here."""
+    response = Response(DEFAULT_GRID, np.zeros(DEFAULT_GRID.count))
+    object.__setattr__(response, "classification", r)
+    return response
+
+
+# maps of R to one trace column: probe a, derivability at a negative ubar and
+# beta of negative area (decreasing), and a direction whose |v_h| collapses
+# every band below it
+ONE_COLUMN_MAPS = {
+    "a": lambda x: math.sqrt(3.5) * x,
+    "derivability-negative-ubar": limits._vertical_map(OSC, -4.0),
+    "beta-negative-area": limits._vertical_map(
+        OSC, 2.0 * symplectic_area(point(0, 1, 0).horizontal, point(1, 0, 0).horizontal)),
+    "derivability-linear": limits._vertical_map(LIN, 3.0),
+    "collapsing-direction": ref.direction_map(point(0.5, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_COLUMN_MAPS)
+@settings(max_examples=100)
+@given(r=UNIT_R_CLASSES)
+def test_mapped_is_the_scalar_rule_on_one_column(name, r):
+    # the bits of the scalar rule, one map call per column, and the width of
+    # its band: 0 where it converges, inf where R diverges
+    to_trace = ONE_COLUMN_MAPS[name]
+    (got,), (width,) = _response_classified_as(r).mapped(to_trace)
+    want = ref.mapped(r, to_trace)
+    assert repr(got) == repr(want)
+    assert width == (math.inf if want.kind == "diverging" else
+                     0.0 if want.kind == "converged" else want.limsup - want.liminf)
 
 
 @settings(max_examples=300)
 @given(r=R_CLASSES, extra=st.lists(POINTS, max_size=4))
 def test_direction_verdict_is_each_direction_mapped(r, extra):
-    # the one array pass gives the bits of one _mapped call per direction,
-    # with its collapse rule, and the first direction of widest band
+    # mapped on every direction at once gives the bits of the scalar rule
+    # applied one direction at a time, with its collapse rule, and the first
+    # direction of widest band
     for dirs in (default_direction_grid(), (*default_direction_grid(), *extra), tuple(extra)):
-        got, want = limits._direction_verdict(r, dirs), _verdict_by_direction(r, dirs)
+        got = limits._direction_verdict(_response_classified_as(r), dirs)
+        want = ref.direction_verdict(r, dirs)
         assert repr(got) == repr(want)
         assert got[3] is want[3]
+
+
+def test_mapped_is_the_scalar_rule_on_the_probes():
+    # on the ladder R oscillates: derivability at a negative ubar and beta of
+    # negative area swap the band's ends, and the horizontal norm of a
+    # direction collapses some bands to one value, which converges there
+    trace_a = vertical_limit_probe(OSC, -3.5)
+    r = trace_a.response.classification
+    assert r.kind == "oscillating"
+    assert repr(trace_a.classification) == repr(ref.mapped(r, trace_a.response_map))
+    for tr in (id_derivability_probe(OSC, point(1, 0, -4)),
+               id_derivability_probe(OSC, point(0, 0, 4)),
+               rescaled_product_probe(OSC, point(0, 1, 0), point(1, 0, 0)),
+               rescaled_product_probe(OSC, point(1, 0, 0), point(0, 1, 0))):
+        assert tr.response.classification == r
+        assert repr(tr.classification.components[2]) == repr(ref.mapped(r, tr.response_map))
+    swapped = id_derivability_probe(OSC, point(0, 0, -4)).classification.components[2]
+    assert swapped.limsup == -g_inverse_array(OSC, np.array([2.0 * r.liminf]))[0]
+    md = metric_diff_probe(OSC)
+    assert repr(limits._direction_verdict(md.response, md.directions)) == repr(
+        ref.direction_verdict(r, md.directions))
+    collapsed = [c for c in md.per_direction if c.kind == "converged"]
+    assert len(collapsed) > 4 and md.witness is not None  # the 4 horizontal and (2, 0, 0.5)
+
+
+def test_a_diverging_response_maps_to_diverging_columns():
+    response = Response(DEFAULT_GRID, np.full(DEFAULT_GRID.count, 2e6))
+    assert response.classification == Classification("diverging")
+    assert response.mapped(lambda x: 2.0 * x) == ((Classification("diverging"),), (math.inf,))
+    dirs = default_direction_grid()
+    got = limits._direction_verdict(response, dirs)
+    assert got == ((Classification("diverging"),) * len(dirs), False, None, dirs[0])
+    assert repr(got) == repr(ref.direction_verdict(response.classification, dirs))
 
 
 @settings(max_examples=300)
@@ -904,10 +982,10 @@ def test_every_probe_trace_is_classified_by_its_grid(gauge, grid):
     ]
     # each holds R, so its kind is R's by the grid's tail rule, its vertical
     # limit or band R's mapped, and its horizontal part the last window's mean
-    r = classify_limit(_response(gauge, np.array(grid.values()))[1], grid.window, grid.atol)
+    r = _response(gauge, grid)[1].classification
     for tr in traces:
-        assert tr.grid is grid and tr.response_classification == r
-        mapped = limits._mapped(r, tr.response_map)
+        assert tr.grid is grid and tr.response.classification == r
+        mapped = ref.mapped(r, tr.response_map)
         if tr.values.ndim == 1:
             assert tr.classification == mapped
         else:
@@ -915,8 +993,8 @@ def test_every_probe_trace_is_classified_by_its_grid(gauge, grid):
                           for c in tr.values[-grid.window:, :2].T.tolist()]
             assert tr.classification.components == (*horizontal, mapped)
     md = metric_diff_probe(gauge, grid=grid)
-    assert md.grid is grid and md.response_classification == r
-    assert repr(md.per_direction) == repr(tuple(limits._mapped(r, _direction_map(v))
+    assert md.grid is grid and md.response.classification == r
+    assert repr(md.per_direction) == repr(tuple(ref.mapped(r, ref.direction_map(v))
                                                 for v in md.directions))
 
 
@@ -977,7 +1055,48 @@ def test_every_probe_is_a_map_of_one_response(gauge, ubar, p, q):
     _assert_vertical_maps_r(gauge, beta.values[:, 2], c)
 
     for tr in (a, derivability, beta):
-        assert tr.classification.kind == tr.response_classification.kind == kind
+        assert tr.classification.kind == tr.response.classification.kind == kind
+
+
+@pytest.mark.parametrize("gauge", [LIN, OSC], ids=["linear", "oscillatory"])
+def test_each_probe_classifies_r_once(gauge, monkeypatch):
+    # R is classified when its Response is built, and nowhere else: a trace
+    # or report that holds it maps it; a probe without R classifies its column
+    seen = []
+    classify = limits.classify_limit
+    monkeypatch.setattr(limits, "classify_limit", lambda v, *a: seen.append(v) or classify(v, *a))
+    for probe in (lambda: vertical_limit_probe(gauge, 2.0),
+                  lambda: rescaled_product_probe(gauge, point(1, 0, 0), point(0, 1, 0)),
+                  lambda: id_derivability_probe(gauge, point(1, 0, -1)),
+                  lambda: metric_diff_probe(gauge)):
+        seen.clear()
+        response = probe().response
+        assert [v is response.values for v in seen] == [True]
+    seen.clear()
+    trace = vertical_limit_probe(gauge, 0.0)
+    assert trace.response is None and [v.base is trace.values for v in seen] == [True]
+
+
+def test_a_trace_refuses_a_response_on_another_grid():
+    response = _response(OSC, DEFAULT_GRID)[1]
+    values = np.ones(DEFAULT_GRID.count)
+    equal = EpsGrid(count=DEFAULT_GRID.count)
+    assert ConvergenceTrace("t", equal, values, {}, response, lambda x: x).classification == (
+        response.classification)
+    for grid in (EpsGrid(count=DEFAULT_GRID.count, atol=1.0), EpsGrid(eps0=0.5)):
+        with pytest.raises(ValueError, match="the response is on"):
+            ConvergenceTrace("t", grid, values, {}, response, lambda x: x)
+
+
+def test_a_report_refuses_values_off_its_response_grid():
+    # one row per direction, one column per scale of the response's grid
+    n, count = len(default_direction_grid()), DEFAULT_GRID.count
+    response = Response(DEFAULT_GRID, np.ones(count))
+    for shape in ((n, count + 1), (n - 1, count), (count, n), (n * count,)):
+        with pytest.raises(ValueError, match="must be \\(directions, count\\)"):
+            MetricDiffReport(identity(), default_direction_grid(), np.ones(shape), response)
+    with pytest.raises(ValueError, match="response must be \\(count,\\)"):
+        Response(EpsGrid(count=30), np.ones(count))
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -996,7 +1115,7 @@ def test_the_tail_rule_decides_where_the_trace_is_not_a_map_of_r():
               rescaled_product_probe(OSC, point(1, 0, 0), point(0, 1, 1))]
     window, atol = DEFAULT_GRID.window, DEFAULT_GRID.atol
     for tr in traces:
-        assert tr.response is None and tr.response_classification is None
+        assert tr.response is None
         assert tr.summary()["response"] is None
         if tr.values.ndim == 1:
             assert tr.classification == classify_limit(tr.values, window, atol)
